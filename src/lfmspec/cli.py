@@ -21,6 +21,7 @@ from .errors import (
     DenominatorVanishes,
     MapFormatError,
     NoBoundaryFixedPoint,
+    NumericalInconsistency,
     SizeCapExceeded,
     UnsupportedMapClass,
 )
@@ -28,7 +29,7 @@ from .maps import map_from_json_dict, map_to_json_dict, validate_self_map
 from .series import (
     build_compression,
     compression_basis_json,
-    compression_matrix_to_csv,
+    compression_eigenvalues,
     compression_spectrum,
     compression_to_csv,
     eigenfunction_residual,
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
+DEFAULT_DEGREE = 8  # series truncation degree of compress and verify-eigen
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,8 @@ def _cmd_radius(args) -> int:
         }
     except NoBoundaryFixedPoint:
         note = "no boundary fixed point: the iterate-quotient estimator does not apply"
+    except NumericalInconsistency as exc:
+        note = "estimator failed: %s" % exc
     agree = None
     disagreement = None
     if estimate is not None and closed is not None:
@@ -228,16 +232,12 @@ def _cmd_radius(args) -> int:
     return EXIT_OK
 
 
-def _default_degree(n: int) -> int:
-    return 8
-
-
 def _cmd_compress(args) -> int:
     f = _load_map(args.map)
-    degree = args.degree if args.degree is not None else _default_degree(f.n)
+    degree = args.degree if args.degree is not None else DEFAULT_DEGREE
+    comp = build_compression(f, degree)
+    eigs = compression_eigenvalues(comp)
     if args.format == "json":
-        eigs = compression_spectrum(f, degree)
-        comp = build_compression(f, degree)
         result = {
             "degree": degree,
             "eigenvalues": [_pair(x) for x in eigs],
@@ -245,7 +245,6 @@ def _cmd_compress(args) -> int:
         }
         text = _emit_json(_report("compress", f, {"degree": degree}, result)) + "\n"
     else:
-        eigs = compression_spectrum(f, degree)
         text = compression_to_csv(eigs)
     _write_artifact(text, args.out)
     return EXIT_OK
@@ -253,7 +252,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_verify_eigen(args) -> int:
     f = _load_map(args.map)
-    degree = args.degree if args.degree is not None else _default_degree(f.n)
+    degree = args.degree if args.degree is not None else DEFAULT_DEGREE
     tol = args.tol if args.tol is not None else 1e-8
     eigs, vecs, comp = compression_spectrum(f, degree, return_vectors=True)
     rows = []

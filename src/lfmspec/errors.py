@@ -67,7 +67,7 @@ class NumericalInconsistency(BallMapError):
 
 
 class ZeroConstantTerm(BallMapError, ZeroDivisionError):
-    """Series reciprocal requested for a series vanishing at the origin."""
+    """Division by an affine series vanishing at the origin."""
 
 
 class ZeroFunction(BallMapError, ValueError):

@@ -4,11 +4,14 @@ compression of a composition operator onto polynomials.
 Everything here is a numerical cross-check for the exact spectra: finite
 sections of the operator matrix, eigenfunction residuals, and the two
 graded norms used in the norm-equivalence check.  Series are sparse
-dictionaries keyed by exponent multi-indices.
+dictionaries keyed by exponent multi-indices, so an input may reach far
+above the output degree; compositions and compressions run on dense
+coefficient vectors in the compression basis order (see _power_levels).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,13 +36,13 @@ __all__ = [
     "map_power_series",
     "compose_series",
     "build_compression",
+    "compression_eigenvalues",
     "compression_spectrum",
     "compression_to_csv",
     "compression_matrix_to_csv",
     "compression_basis_json",
     "series_from_vector",
     "eigenfunction_residual",
-    "hardy_norm_sq",
     "weighted_norm_sq",
     "sobolev_norm_sq",
     "norm_equivalence_interval",
@@ -123,13 +126,6 @@ class TruncatedSeries:
         return cls(n, degree, {(0,) * n: complex(value)})
 
     @classmethod
-    def coordinate(cls, n: int, degree: int, j: int) -> "TruncatedSeries":
-        if not 0 <= j < n:
-            raise ValueError("coordinate index out of range")
-        alpha = tuple(1 if i == j else 0 for i in range(n))
-        return cls(n, degree, {alpha: 1.0 + 0.0j})
-
-    @classmethod
     def monomial(cls, n: int, degree: int, alpha: tuple[int, ...], coeff: complex = 1.0) -> "TruncatedSeries":
         return cls(n, degree, {tuple(alpha): complex(coeff)})
 
@@ -137,16 +133,6 @@ class TruncatedSeries:
 
     def coefficient(self, alpha: tuple[int, ...]) -> complex:
         return self.coeffs.get(tuple(alpha), 0.0 + 0.0j)
-
-    def items(self):
-        """Terms in graded, within-degree lex-descending order."""
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-a for a in kv[0])))
-
-    def homogeneous_part(self, k: int) -> dict[tuple[int, ...], complex]:
-        return {a: c for a, c in self.coeffs.items() if sum(a) == k}
-
-    def support_degree(self) -> int:
-        return max((sum(a) for a in self.coeffs), default=0)
 
     def evaluate(self, z) -> complex:
         z = np.asarray(z, dtype=complex).reshape(-1)
@@ -163,9 +149,6 @@ class TruncatedSeries:
 
     def truncated(self, new_degree: int) -> "TruncatedSeries":
         return TruncatedSeries(self.n, new_degree, self.coeffs)
-
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.n, self.degree, dict(self.coeffs))
 
     # -- arithmetic
 
@@ -235,128 +218,147 @@ def binomial_series(exponent: complex, degree: int, n: int = 1, var: int = 0) ->
 
 
 # ---------------------------------------------------------------------------
-# series of a map's monomial powers
+# dense graded layout and the monomial powers of a map
 
 
-def _numerator_series(f: LinearFractionalMap, degree: int) -> list[TruncatedSeries]:
-    out = []
-    for j in range(f.n):
-        terms: dict[tuple[int, ...], complex] = {}
-        if f.b[j] != 0:
-            terms[(0,) * f.n] = complex(f.b[j])
-        for i in range(f.n):
-            if f.a[j, i] != 0:
-                alpha = tuple(1 if t == i else 0 for t in range(f.n))
-                terms[alpha] = complex(f.a[j, i])
-        out.append(TruncatedSeries(f.n, degree, terms))
-    return out
+class _Graded:
+    """Index tables for dense coefficient vectors of polynomials in n
+    variables through a degree D, laid out in the compression basis order.
 
+    ``level[k]`` is the offset of the degree-k monomials, ``up[i][s]`` the
+    position of basis[s] + e_i for every s of degree below D, and ``plan``
+    the predecessor chains of the whole basis (see _chains).  Arrays here
+    are shared through _graded and must not be written to.
+    """
 
-def _denominator_series(f: LinearFractionalMap, degree: int) -> TruncatedSeries:
-    terms: dict[tuple[int, ...], complex] = {(0,) * f.n: complex(f.d)}
-    for i in range(f.n):
-        if f.c[i] != 0:
-            alpha = tuple(1 if t == i else 0 for t in range(f.n))
-            terms[alpha] = complex(np.conj(f.c[i]))
-    return TruncatedSeries(f.n, degree, terms)
+    def __init__(self, n: int, degree: int):
+        levels, self.plan = _chains(basis_multi_indices(n, degree))
+        self.basis = tuple(alpha for level in levels for alpha in level)
+        self.degree, self.size = degree, len(self.basis)
+        self.level = np.cumsum([0] + [len(level) for level in levels])
+        pos = {alpha: i for i, alpha in enumerate(self.basis)}
+        low = self.basis[: self.level[degree]]
+        self.up = [np.array([pos[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in low], dtype=np.intp) for i in range(n)]
+        self.norm_sq = np.array([monomial_norm_sq(alpha) for alpha in self.basis])
+        self.norms = np.sqrt(self.norm_sq)
 
+    def mul_affine(self, x: np.ndarray, lo: int, const: complex, lin, out_lo: int, out_hi: int) -> np.ndarray:
+        """(const + sum_i lin[i] z_i) times each column of x, truncated.
 
-def _reciprocal_of_affine(den: TruncatedSeries) -> TruncatedSeries:
-    """1/den for an affine den with nonzero constant term, truncated at
-    den.degree.  Fixed-point iteration X <- 1/d0 - (u/d0) X gains one
-    correct degree per step."""
-    d0 = den.coefficient((0,) * den.n)
-    if d0 == 0:
-        raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    u = den - TruncatedSeries.constant(den.n, den.degree, d0)
-    if u.support_degree() > 1:
-        raise ValueError("reciprocal helper expects an affine denominator")
-    inv_d0 = TruncatedSeries.constant(den.n, den.degree, 1.0 / d0)
-    x = inv_d0.copy()
-    if not u.coeffs:
+        x holds rows lo:lo + len(x) of the coefficient vectors, zero
+        elsewhere; the result holds rows out_lo:out_hi, which must cover
+        every row the product reaches."""
+        out = np.zeros((out_hi - out_lo,) + x.shape[1:], dtype=complex)
+        if const != 0:
+            out[lo - out_lo:lo - out_lo + len(x)] = const * x
+        low = x[: max(min(len(x), self.level[-2] - lo), 0)]
+        for up, a in zip(self.up, lin):
+            if a != 0:
+                out[up[lo:lo + len(low)] - out_lo] += a * low
+        return out
+
+    def div_affine(self, x: np.ndarray, lo: int, const: complex, lin) -> np.ndarray:
+        """Each column of x divided by const + sum_i lin[i] z_i, in place.
+
+        x holds rows lo:size, lo the start of a degree.  Degree k of the
+        quotient y is x_k / const minus the degree-k part of
+        sum_i (lin[i] / const) z_i y, which needs only degree k - 1 of y."""
+        if const == 0:
+            raise ZeroConstantTerm("cannot divide by an affine function vanishing at the origin")
+        x /= const
+        terms = [(up, a / const) for up, a in zip(self.up, lin) if a != 0]
+        k = int(np.searchsorted(self.level, lo))
+        for a, b in zip(self.level[k:-2], self.level[k + 1:-1]):
+            for up, t in terms:
+                x[up[a:b] - lo] -= t * x[a - lo:b - lo]
         return x
-    scaled = u * (1.0 / d0)
-    for _ in range(den.degree):
-        x = inv_d0 - scaled * x
-    return x
 
 
-class _MapPowerCache:
-    """Shared cache of numerator products and reciprocal-denominator powers
-    for all monomial powers of one map at one truncation degree."""
+_graded = functools.lru_cache(maxsize=32)(_Graded)  # _graded(n, degree), shared tables
 
-    def __init__(self, f: LinearFractionalMap, degree: int):
-        self.f = f
-        self.n = f.n
-        self.degree = degree
-        self.num = _numerator_series(f, degree)
-        self.den_inv = _reciprocal_of_affine(_denominator_series(f, degree))
-        self._den_inv_pows: list[TruncatedSeries] = [TruncatedSeries.constant(f.n, degree, 1.0)]
-        self._num_prod: dict[tuple[int, ...], TruncatedSeries] = {
-            (0,) * f.n: TruncatedSeries.constant(f.n, degree, 1.0)
-        }
-        self._full: dict[tuple[int, ...], TruncatedSeries] = {}
 
-    def _den_inv_power(self, k: int) -> TruncatedSeries:
-        while len(self._den_inv_pows) <= k:
-            self._den_inv_pows.append(self._den_inv_pows[-1] * self.den_inv)
-        return self._den_inv_pows[k]
+def _predecessor(beta: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(j, beta - e_j) for j the first nonzero index of beta."""
+    j = next(t for t, b in enumerate(beta) if b)
+    return j, beta[:j] + (beta[j] - 1,) + beta[j + 1:]
 
-    def _numerator_product(self, beta: tuple[int, ...]) -> TruncatedSeries:
-        cached = self._num_prod.get(beta)
-        if cached is not None:
-            return cached
-        # peel one factor off the first active coordinate; recursion depth
-        # equals |beta|, so walk iteratively
-        chain = []
-        cur = beta
-        while cur not in self._num_prod:
-            j = next(i for i, b in enumerate(cur) if b > 0)
-            chain.append((cur, j))
-            cur = tuple(b - (1 if i == j else 0) for i, b in enumerate(cur))
-        acc = self._num_prod[cur]
-        for key, j in reversed(chain):
-            acc = acc * self.num[j]
-            self._num_prod[key] = acc
-        return acc
 
-    def power(self, beta: tuple[int, ...]) -> TruncatedSeries:
-        """Series of (phi(z))^beta = (prod_j num_j^beta_j) / den^|beta|."""
-        beta = tuple(int(b) for b in beta)
-        if len(beta) != self.n or any(b < 0 for b in beta):
-            raise ValueError("bad multi-index %r" % (beta,))
-        cached = self._full.get(beta)
-        if cached is None:
-            cached = self._numerator_product(beta) * self._den_inv_power(sum(beta))
-            self._full[beta] = cached
-        return cached
+def _chains(support):
+    """The support and all its predecessors down to 0, by total degree, each
+    level in lex-descending order; and for each level k >= 1 the runs
+    (j, lo, hi, pred): exponents lo:hi of level k have j as their first
+    nonzero index, and pred holds the positions in level k - 1 of their
+    predecessors.  Runs are contiguous since j is nondecreasing in
+    lex-descending order."""
+    found: list[set] = [set() for _ in range(max(map(sum, support), default=-1) + 1)]
+    for beta in support:
+        found[sum(beta)].add(beta)
+    for k in range(len(found) - 1, 0, -1):
+        found[k - 1].update(_predecessor(beta)[1] for beta in found[k])
+    levels = [sorted(level, reverse=True) for level in found]
+    plan = []
+    for prev, cur in zip(levels, levels[1:]):
+        where = {beta: i for i, beta in enumerate(prev)}
+        runs: dict[int, tuple[int, list]] = {}
+        for i, beta in enumerate(cur):
+            j, pred = _predecessor(beta)
+            runs.setdefault(j, (i, []))[1].append(where[pred])
+        plan.append([(j, lo, lo + len(p), np.array(p, dtype=np.intp)) for j, (lo, p) in runs.items()])
+    return levels, plan
+
+
+def _power_levels(f: LinearFractionalMap, g: _Graded, plan):
+    """Yield, level by level, (lo, block): the truncated series of phi^beta
+    for the exponents of the plan, one column each, of which block holds
+    rows lo:lo + len(block); the other rows are zero, those below degree
+    |beta| when phi(0) = 0 and those above it when den is constant.
+
+    phi^beta = phi^(beta - e_j) num_j / den, with num_j = b_j + (A z)_j and
+    den = d + <z, c> both affine; one division serves a whole level."""
+    top, fixes_origin, den_constant = g.degree + 1, not f.b.any(), not f.c.any()
+
+    def window(k):
+        return (g.level[min(k, top)] if fixes_origin else 0, g.level[min(k + 1, top)] if den_constant else g.size)
+
+    lo, hi = window(0)
+    block = np.zeros((hi - lo, 1), dtype=complex)
+    block[0, 0] = 1.0
+    yield lo, block
+    den_lin = np.conj(f.c)
+    for k, runs in enumerate(plan, 1):
+        nlo, nhi = window(k)
+        nxt = np.empty((nhi - nlo, runs[-1][2]), dtype=complex)
+        for j, a, b, pred in runs:
+            nxt[:, a:b] = g.mul_affine(block[:, pred], lo, f.b[j], f.a[j], nlo, nhi)
+        lo, block = nlo, g.div_affine(nxt, nlo, f.d, den_lin)
+        yield lo, block
+
+
+def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded) -> np.ndarray:
+    if series.n != f.n:
+        raise DimensionMismatch("series in %d variables, map on the %d-ball" % (series.n, f.n))
+    levels, plan = _chains(series.coeffs)
+    out = np.zeros(g.size, dtype=complex)
+    for betas, (lo, block) in zip(levels, _power_levels(f, g, plan)):
+        out[lo:lo + len(block)] += block @ np.array([series.coeffs.get(beta, 0.0) for beta in betas])
+    return out
 
 
 def map_power_series(f: LinearFractionalMap, beta: tuple[int, ...], degree: int) -> TruncatedSeries:
     """Truncated series of the monomial (phi(z))^beta."""
-    return _MapPowerCache(f, degree).power(tuple(beta))
+    return compose_series(TruncatedSeries(f.n, max(sum(beta), 0), {tuple(beta): 1.0}), f, degree)
 
 
-def compose_series(
-    series: TruncatedSeries,
-    f: LinearFractionalMap,
-    degree: int,
-    cache: "_MapPowerCache | None" = None,
-) -> TruncatedSeries:
+def compose_series(series: TruncatedSeries, f: LinearFractionalMap, degree: int) -> TruncatedSeries:
     """Series of series(phi(z)) through the given degree.
 
     Every term of the input contributes, including terms above the output
     degree: a monomial phi^beta generally has components of all degrees,
     so truncating the input first would corrupt low-order coefficients.
     """
-    if series.n != f.n:
-        raise DimensionMismatch("series in %d variables, map on the %d-ball" % (series.n, f.n))
-    if cache is None or cache.degree != degree:
-        cache = _MapPowerCache(f, degree)
-    out = TruncatedSeries.constant(f.n, degree, 0.0)
-    for beta, c in series.items():
-        out = out + cache.power(beta) * c
-    return out
+    g = _graded(f.n, degree)
+    vec = _compose_vector(series, f, g)
+    return TruncatedSeries(f.n, degree, {g.basis[i]: vec[i] for i in np.flatnonzero(vec)})
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +396,23 @@ def build_compression(f: LinearFractionalMap, degree: int) -> Compression:
     graded order: phi^beta then has no components below degree |beta|.
     """
     _check_compression_cap(f.n, degree)
-    basis = basis_multi_indices(f.n, degree)
-    pos = {alpha: i for i, alpha in enumerate(basis)}
-    norms = np.array([math.sqrt(monomial_norm_sq(alpha)) for alpha in basis])
-    cache = _MapPowerCache(f, degree)
-    m = np.zeros((len(basis), len(basis)), dtype=complex)
-    for j, beta in enumerate(basis):
-        p = cache.power(beta)
-        for alpha, c in p.coeffs.items():
-            i = pos[alpha]
-            m[i, j] = c * norms[i] / norms[j]
-    return Compression(matrix=m, basis=tuple(basis), norms=norms, n=f.n, degree=degree)
+    g = _graded(f.n, degree)
+    m = np.zeros((g.size, g.size), dtype=complex)
+    for c0, c1, (lo, block) in zip(g.level, g.level[1:], _power_levels(f, g, g.plan)):
+        rows = slice(lo, lo + len(block))
+        m[rows, c0:c1] = block * g.norms[rows, None] / g.norms[c0:c1]
+    return Compression(matrix=m, basis=g.basis, norms=g.norms.copy(), n=f.n, degree=degree)
+
+
+def _spectral_order(eigs: np.ndarray) -> list[int]:
+    """Decreasing modulus, ties by real then imaginary part."""
+    return sorted(range(eigs.shape[0]), key=lambda i: (-abs(eigs[i]), eigs[i].real, eigs[i].imag))
+
+
+def compression_eigenvalues(comp: Compression) -> np.ndarray:
+    """Eigenvalues of a compression in the order of compression_spectrum."""
+    eigs = np.linalg.eigvals(comp.matrix)
+    return eigs[_spectral_order(eigs)]
 
 
 def compression_spectrum(
@@ -416,16 +424,11 @@ def compression_spectrum(
     by real then imaginary part).  With return_vectors, also the matching
     eigenvector columns and the Compression itself."""
     comp = build_compression(f, degree)
-    if return_vectors:
-        eigs, vecs = np.linalg.eig(comp.matrix)
-    else:
-        eigs = np.linalg.eigvals(comp.matrix)
-        vecs = None
-    order = sorted(range(eigs.shape[0]), key=lambda i: (-abs(eigs[i]), eigs[i].real, eigs[i].imag))
-    eigs = eigs[order]
-    if return_vectors:
-        return eigs, vecs[:, order], comp
-    return eigs
+    if not return_vectors:
+        return compression_eigenvalues(comp)
+    eigs, vecs = np.linalg.eig(comp.matrix)
+    order = _spectral_order(eigs)
+    return eigs[order], vecs[:, order], comp
 
 
 def compression_to_csv(eigenvalues: np.ndarray) -> str:
@@ -478,11 +481,6 @@ def series_from_vector(comp: Compression, vec: np.ndarray) -> TruncatedSeries:
 # norms and residuals
 
 
-def hardy_norm_sq(series: TruncatedSeries) -> float:
-    """Squared Hardy norm of the truncation: sum |a_alpha|^2 ||z^alpha||^2."""
-    return float(sum(abs(c) ** 2 * monomial_norm_sq(a) for a, c in series.coeffs.items()))
-
-
 def eigenfunction_residual(
     f: LinearFractionalMap,
     eigenvalue: complex,
@@ -498,13 +496,14 @@ def eigenfunction_residual(
     """
     if not func.coeffs:
         raise ZeroFunction("candidate eigenfunction is identically zero")
-    comp = compose_series(func, f, degree)
-    ftrunc = func.truncated(degree)
-    denom = hardy_norm_sq(ftrunc)
+    g = _graded(f.n, degree)
+    comp = _compose_vector(func, f, g)
+    ftrunc = np.array([func.coeffs.get(alpha, 0.0) for alpha in g.basis], dtype=complex)
+    denom = float(g.norm_sq @ np.abs(ftrunc) ** 2)
     if denom == 0.0:
         raise ZeroFunction("candidate eigenfunction vanishes through the comparison degree")
     diff = comp - ftrunc * complex(eigenvalue)
-    return math.sqrt(hardy_norm_sq(diff) / denom)
+    return math.sqrt(float(g.norm_sq @ np.abs(diff) ** 2) / denom)
 
 
 def weighted_norm_sq(series: TruncatedSeries, nu: float) -> float:

@@ -602,7 +602,10 @@ def essential_radius_estimate(
             qstar = (eps1 * q2 - eps2 * q1) / (eps1 - eps2)
             if qstar <= 0.0:
                 qstar = max(q1, q2)
-            best = max(best, qstar ** half_n)
+            try:
+                best = max(best, qstar ** half_n)
+            except OverflowError:
+                raise NumericalInconsistency("iterate quotient %.3g overflows at order %d" % (qstar, i + 1)) from None
         g_values.append(best)
 
     roots = [g ** (1.0 / (i + 1)) for i, g in enumerate(g_values)]

@@ -153,6 +153,18 @@ def test_radius_no_boundary_point(capsys, diag_map2):
     assert "estimate_note" in res
 
 
+def test_radius_estimator_overflow_is_reported(capsys, tmp_path):
+    import numpy as np
+
+    f = LinearFractionalMap(np.diag([0.25, 0.3, 0.3]), [0.75, 0, 0], [0, 0, 0], 1)
+    code, out, _ = run(capsys, ["radius", write_map(tmp_path, "hyp3.json", f)])
+    assert code == EXIT_OK
+    res = json.loads(out)["result"]
+    assert res["estimate"] is None
+    assert "overflows" in res["estimate_note"]
+    assert res["essential_radius_closed_form"] == pytest.approx(0.25 ** -1.5)
+
+
 # ---------------------------------------------------------------------------
 # compress / verify-eigen
 
@@ -191,6 +203,32 @@ def test_verify_eigen_rows(capsys, disk_map):
     for row in rows:
         assert row["residual"] < 1e-8
         assert row["pass"] is True
+
+
+def test_compress_json_builds_once(capsys, disk_map, monkeypatch):
+    import lfmspec.cli as cli
+
+    calls = []
+    build = cli.build_compression
+    monkeypatch.setattr(cli, "build_compression", lambda *a: calls.append(a) or build(*a))
+    code, _, _ = run(capsys, ["compress", disk_map, "--degree", "4", "--format", "json"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_verify_eigen_three_variables_default_degree(capsys, tmp_path):
+    import numpy as np
+
+    # A z / (<z, c> + 1): fixes 0, so the compression is block triangular and
+    # every eigenpair of it is an eigenpair of the operator through degree 8
+    a = np.array([[0.5, 0.1, 0.0], [0.0, 0.4j, 0.1], [0.05, 0.0, -0.3]])
+    f = LinearFractionalMap(a, [0, 0, 0], [0.1, -0.05j, 0.05], 1)
+    code, out, _ = run(capsys, ["verify-eigen", write_map(tmp_path, "dense3.json", f)])
+    assert code == EXIT_OK
+    res = json.loads(out)["result"]
+    assert res["degree"] == 8
+    assert len(res["rows"]) == math.comb(11, 3)
+    assert all(row["pass"] for row in res["rows"])
 
 
 # ---------------------------------------------------------------------------

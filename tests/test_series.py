@@ -12,7 +12,7 @@ from scipy import integrate
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, TruncatedSeries
-from lfmspec.series import basis_multi_indices, monomial_norm_sq
+from lfmspec.series import _graded, basis_multi_indices, monomial_norm_sq
 
 
 def lfm_1d(a, b, c, d):
@@ -159,22 +159,21 @@ def test_map_power_series_pointwise():
 
 
 def test_reciprocal_times_denominator_is_one():
-    from lfmspec.series import _denominator_series, _reciprocal_of_affine
-
     f = LinearFractionalMap([[0.4, 0.1], [0, 0.35]], [0.05, 0], [0.3, -0.2j], 1.5)
-    den = _denominator_series(f, 15)
-    inv = _reciprocal_of_affine(den)
-    one = den * inv
-    assert one.coefficient((0, 0)) == pytest.approx(1.0, abs=1e-13)
-    off = {a: c for a, c in one.coeffs.items() if sum(a) > 0}
-    assert max((abs(c) for c in off.values()), default=0.0) < 1e-13
+    g = _graded(2, 15)
+    den_lin = np.conj(f.c)
+    unit = np.zeros(g.size, dtype=complex)
+    unit[0] = 1.0
+    inv = g.div_affine(unit, 0, f.d, den_lin)
+    one = g.mul_affine(inv, 0, f.d, den_lin, 0, g.size)
+    assert one[0] == pytest.approx(1.0, abs=1e-13)
+    assert np.max(np.abs(one[1:])) < 1e-13
 
 
 def test_reciprocal_needs_constant_term():
+    g = _graded(1, 4)
     with pytest.raises(L.ZeroConstantTerm):
-        from lfmspec.series import _reciprocal_of_affine
-
-        _reciprocal_of_affine(TruncatedSeries(1, 4, {(1,): 1.0}))
+        g.div_affine(np.ones(g.size, dtype=complex), 0, 0.0, [1.0])
 
 
 def test_compose_series_is_linear_in_terms():
@@ -210,6 +209,45 @@ def test_compression_diagonal_map_exact():
     m = comp.matrix
     expected = np.diag([0.5 ** a[0] * (1 / 3) ** a[1] for a in comp.basis])
     assert np.allclose(m, expected, atol=1e-14)
+
+
+def _general_map(n, seed):
+    """(A z + B) / (<z, c> + 1) with B != 0 and non-real entries in c."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return LinearFractionalMap(
+        0.4 * a / np.linalg.norm(a, 2), 0.2 * b / np.linalg.norm(b), 0.3 * c / np.linalg.norm(c), 1
+    )
+
+
+@pytest.mark.parametrize("n, degree, grid", [(1, 60, 128), (2, 25, 64), (3, 12, 32)])
+def test_compression_columns_match_torus_fft(n, degree, grid):
+    # Cauchy integrals on the torus |z_j| = r: the FFT of phi^beta sampled
+    # there gives c_alpha r^|alpha| for |alpha_j| < grid, up to aliasing of
+    # order (r / R)^grid with R the radius of convergence; norms from lgamma.
+    # Checked relative to each column, whose entries shrink with |beta|.
+    f = _general_map(n, seed=n)
+    comp = L.build_compression(f, degree)
+    r = n ** -0.5
+    ang = r * np.exp(2j * math.pi * np.arange(grid) / grid)
+    pts = np.stack(np.meshgrid(*([ang] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    phi = np.array([L.evaluate(f, z) for z in pts]).reshape((grid,) * n + (n,))
+
+    def norm(alpha):
+        return math.exp(0.5 * (math.lgamma(n) + sum(math.lgamma(a + 1) for a in alpha) - math.lgamma(n + sum(alpha))))
+
+    idx = tuple(np.array(comp.basis).T)
+    deg = np.array([sum(a) for a in comp.basis])
+    norms = np.array([norm(a) for a in comp.basis])
+    size = len(comp.basis)
+    for j in sorted({1, n, size // 3, size // 2, size - n, size - 1}):
+        beta = comp.basis[j]
+        vals = np.prod(phi ** np.array(beta), axis=-1)
+        taylor = (np.fft.fftn(vals) / vals.size)[idx] / r ** deg
+        want = taylor * norms / norms[j]
+        assert np.max(np.abs(comp.matrix[:, j] - want)) < 1e-10 * np.max(np.abs(want)), beta
 
 
 def test_compression_triangular_when_origin_fixed():

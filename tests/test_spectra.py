@@ -310,6 +310,14 @@ def test_estimator_requires_boundary_point():
         L.essential_radius_estimate(diag_map(0.5, 1 / 3), n_max=5)
 
 
+def test_estimator_overflow_is_typed():
+    # N = 3 and alpha = 1/4: 1 - |phi^n(z)|^2 hits the 1e-300 floor, and the
+    # quotient to the power N/2 = 3/2 no longer fits in a float
+    f = LinearFractionalMap(np.diag([0.25, 0.3, 0.3]), [0.75, 0, 0], [0, 0, 0], 1)
+    with pytest.raises(L.NumericalInconsistency, match="overflows"):
+        L.essential_radius_estimate(f)
+
+
 def test_closed_form_only_for_disk_classes():
     assert L.essential_radius_closed_form(L.classify(diag_map(0.5))) is None
     cl = L.classify(lfm_1d(1, 0, -1, 2))
