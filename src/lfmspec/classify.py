@@ -32,6 +32,7 @@ from .maps import (
     FixedPointSet,
     HalfPlaneMap,
     LinearFractionalMap,
+    _c2pair,
     ball_automorphism_to_origin,
     cayley_matrix,
     _cayley_inverse_matrix,
@@ -263,6 +264,25 @@ def elliptic_p0_normal_form(
 # hyperbolic normal form
 
 
+def _eta_matrix(n: int, k1: np.ndarray, k2: float, inverse: bool = False) -> np.ndarray:
+    """Heisenberg translation (z, w) -> (z + 2<w, k1> + k2, w + k1) of the
+    half-plane as a projective matrix, or its inverse."""
+    if inverse:
+        k1, k2 = -k1, 2.0 * float(np.vdot(k1, k1).real) - k2
+    m = np.eye(n + 1, dtype=complex)
+    m[0, 1:n] = 2.0 * np.conj(k1)
+    m[0, n] = k2
+    m[1:n, n] = k1
+    return m
+
+
+def _nu_matrix(n: int, shift: complex, inverse: bool = False) -> np.ndarray:
+    """Vertical translation z -> z + shift of the half-plane, or its inverse."""
+    m = np.eye(n + 1, dtype=complex)
+    m[0, n] = -shift if inverse else shift
+    return m
+
+
 @dataclass(frozen=True)
 class HyperbolicNormalForm:
     """Half-plane normal form of a hyperbolic non-automorphism.
@@ -306,31 +326,12 @@ class HyperbolicNormalForm:
         m[n, n] = 1.0
         return m
 
-    def _eta_matrix(self, inverse: bool = False) -> np.ndarray:
-        n = self.halfplane.n
-        m = np.eye(n + 1, dtype=complex)
-        k1 = self.k1
-        if inverse:
-            m[0, 1:n] = -2.0 * np.conj(k1)
-            m[0, n] = 2.0 * float(np.vdot(k1, k1).real) - self.k2
-            m[1:n, n] = -k1
-        else:
-            m[0, 1:n] = 2.0 * np.conj(k1)
-            m[0, n] = self.k2
-            m[1:n, n] = k1
-        return m
-
-    def _nu_matrix(self, inverse: bool = False) -> np.ndarray:
-        n = self.halfplane.n
-        m = np.eye(n + 1, dtype=complex)
-        m[0, n] = -self.vertical_shift if inverse else self.vertical_shift
-        return m
-
     def reconstructed_ball_map(self) -> LinearFractionalMap:
         """Undo the whole conjugation chain; equals the original map."""
         n = self.halfplane.n
-        m = self._eta_matrix() @ self._nu_matrix() @ self.normal_matrix() \
-            @ self._nu_matrix(inverse=True) @ self._eta_matrix(inverse=True)
+        k1, k2, shift = self.k1, self.k2, self.vertical_shift
+        m = _eta_matrix(n, k1, k2) @ _nu_matrix(n, shift) @ self.normal_matrix() \
+            @ _nu_matrix(n, shift, inverse=True) @ _eta_matrix(n, k1, k2, inverse=True)
         v = np.eye(n + 1, dtype=complex)
         v[:n, :n] = self.halfplane.rotation
         m = v.conj().T @ _cayley_inverse_matrix(n) @ m @ cayley_matrix(n) @ v
@@ -363,25 +364,13 @@ def hyperbolic_normal_form(f: LinearFractionalMap) -> HyperbolicNormalForm:
     k2 = float(np.vdot(k1, k1).real)
 
     mpsi = hp.matrix
-    eta = np.eye(n + 1, dtype=complex)
-    eta[0, 1:n] = 2.0 * np.conj(k1)
-    eta[0, n] = k2
-    eta[1:n, n] = k1
-    eta_inv = np.eye(n + 1, dtype=complex)
-    eta_inv[0, 1:n] = -2.0 * np.conj(k1)
-    eta_inv[0, n] = k2  # 2|k1|^2 - k2 = k2 by the choice Im k2 = 0
-    eta_inv[1:n, n] = -k1
-    m1 = eta_inv @ mpsi @ eta
+    m1 = _eta_matrix(n, k1, k2, inverse=True) @ mpsi @ _eta_matrix(n, k1, k2)
     if float(np.linalg.norm(m1[0, 1:n])) > 1e-9:
         raise NumericalInconsistency("Heisenberg conjugation failed to remove the mixed term")
 
     c1 = complex(m1[0, n]) * alpha
     shift = -1j * c1.imag / (1.0 - alpha)
-    nu = np.eye(n + 1, dtype=complex)
-    nu[0, n] = shift
-    nu_inv = np.eye(n + 1, dtype=complex)
-    nu_inv[0, n] = -shift
-    m2 = nu_inv @ m1 @ nu
+    m2 = _nu_matrix(n, shift, inverse=True) @ m1 @ _nu_matrix(n, shift)
     c_final = complex(m2[0, n]) * alpha
     if abs(c_final.imag) > 1e-10:
         raise NumericalInconsistency("vertical translation left Im c = %.3g" % c_final.imag)
@@ -524,11 +513,6 @@ def classify(f: LinearFractionalMap) -> Classification:
 # serialization
 
 
-def _c2pair(x: complex) -> list[float]:
-    x = complex(x)
-    return [float(x.real), float(x.imag)]
-
-
 def _vec(v: np.ndarray) -> list:
     return [_c2pair(x) for x in np.asarray(v, dtype=complex).reshape(-1)]
 
@@ -554,8 +538,8 @@ def _chain_steps(nf: EllipticP0Form | HyperbolicNormalForm | None, n: int) -> li
     return [
         {"kind": "rotation_to_e1", "matrix": _mat(rot)},
         {"kind": "cayley", "matrix": _mat(cayley_matrix(n))},
-        {"kind": "heisenberg_translation", "matrix": _mat(nf._eta_matrix(inverse=True))},
-        {"kind": "vertical_translation", "matrix": _mat(nf._nu_matrix(inverse=True))},
+        {"kind": "heisenberg_translation", "matrix": _mat(_eta_matrix(n, nf.k1, nf.k2, inverse=True))},
+        {"kind": "vertical_translation", "matrix": _mat(_nu_matrix(n, nf.vertical_shift, inverse=True))},
         {"kind": "normal_form", "matrix": _mat(nf.normal_matrix())},
     ]
 

@@ -25,7 +25,7 @@ from .errors import (
     SizeCapExceeded,
     UnsupportedMapClass,
 )
-from .maps import map_from_json_dict, map_to_json_dict, validate_self_map
+from .maps import TOL_VALIDATION, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
 from .series import (
     build_compression,
     compression_basis_json,
@@ -105,11 +105,6 @@ def _emit(obj, parts: list[str]) -> None:
         raise TypeError("cannot serialize %r" % type(obj))
 
 
-def _pair(x: complex) -> list[float]:
-    x = complex(x)
-    return [x.real, x.imag]
-
-
 # ---------------------------------------------------------------------------
 # I/O helpers
 
@@ -157,12 +152,12 @@ def _report(command: str, f, flags: dict, result: dict) -> dict:
 
 def _cmd_validate(args) -> int:
     f = _load_map(args.map)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else TOL_VALIDATION
     rep = validate_self_map(f, tol=tol)
     result = {
         "ok": rep.ok,
         "max_modulus": rep.max_modulus,
-        "witness": [_pair(w) for w in rep.witness] if rep.witness is not None else None,
+        "witness": [_c2pair(w) for w in rep.witness],
         "samples": rep.samples,
         "tol": rep.tol,
         "denominator_margin": rep.denominator_margin,
@@ -204,7 +199,7 @@ def _cmd_radius(args) -> int:
             "g_values": list(est.g_values),
             "roots": list(est.roots),
             "fit_window": list(est.fit_window),
-            "tau": [_pair(t) for t in est.tau],
+            "tau": [_c2pair(t) for t in est.tau],
             "n_max": est.n_max,
             "r_schedule": list(est.r_schedule),
             "n_directions": est.n_directions,
@@ -240,7 +235,7 @@ def _cmd_compress(args) -> int:
     if args.format == "json":
         result = {
             "degree": degree,
-            "eigenvalues": [_pair(x) for x in eigs],
+            "eigenvalues": [_c2pair(x) for x in eigs],
             "basis": compression_basis_json(comp),
         }
         text = _emit_json(_report("compress", f, {"degree": degree}, result)) + "\n"
@@ -260,7 +255,7 @@ def _cmd_verify_eigen(args) -> int:
         func = series_from_vector(comp, vecs[:, k])
         res = eigenfunction_residual(f, eigs[k], func, degree)
         rows.append({
-            "eigenvalue": _pair(eigs[k]),
+            "eigenvalue": _c2pair(eigs[k]),
             "modulus": abs(complex(eigs[k])),
             "residual": res,
             "pass": bool(res <= tol),
@@ -352,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
         return sp
 
-    add("validate", _cmd_validate, "check the self-map property on sphere samples")
+    add("validate", _cmd_validate, "exact sup of |phi| over the ball (J-form certificate) against 1 + tol")
     add("classify", _cmd_classify, "fixed points, class, and normal form")
     add("spectrum", _cmd_spectrum, "exact spectrum of the composition operator")
     add("radius", _cmd_radius, "spectral radius, closed-form essential radius, and the iterate-quotient estimate")

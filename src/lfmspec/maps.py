@@ -62,8 +62,8 @@ __all__ = [
 ]
 
 # Default tolerances.  Boundary classification and unimodularity share the
-# 1e-8 band; self-map validation is tighter because sphere maxima are exact
-# for linear fractional maps.
+# 1e-8 band; self-map validation is tighter because its J-form certificate
+# gives sup |phi| over the ball exactly, to about 1e-13.
 TOL_BOUNDARY = 1e-8
 TOL_VALIDATION = 1e-9
 _EIG_CLUSTER_TOL = 1e-6
@@ -82,7 +82,7 @@ class LinearFractionalMap:
     ``c`` are length-N vectors, ``d`` a scalar.  The denominator
     ``<z, C> + d`` must be nonvanishing on the closed ball, which after
     normalization is exactly ``d > |C|``; constructors reject inputs that
-    violate it.
+    violate it, and non-finite entries.
     """
 
     __slots__ = ("n", "a", "b", "c", "d")
@@ -102,6 +102,8 @@ class LinearFractionalMap:
         m[:n, n] = b
         m[n, :n] = np.conj(c)
         m[n, n] = d
+        if not np.all(np.isfinite(m)):
+            raise MapFormatError("map entries must be finite numbers")
         norm = np.linalg.norm(m)
         if norm == 0.0:
             raise MapFormatError("all blocks are zero")
@@ -178,12 +180,6 @@ def evaluate(f: LinearFractionalMap, z) -> np.ndarray:
     if abs(den) < 1e-13:
         raise DenominatorVanishes("denominator ~ 0 at the requested point")
     return (f.a @ z + f.b) / den
-
-
-def _evaluate_many(f: LinearFractionalMap, pts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate for an (m, N) array of points inside the domain."""
-    den = pts @ np.conj(f.c) + f.d
-    return (pts @ f.a.T + f.b) / den[:, None]
 
 
 def compose(f: LinearFractionalMap, g: LinearFractionalMap) -> LinearFractionalMap:
@@ -447,17 +443,23 @@ def denjoy_wolff(f: LinearFractionalMap, tol: float = TOL_BOUNDARY) -> FixedPoin
 # automorphisms
 
 
+def _j_form(n: int) -> np.ndarray:
+    """J = diag(I_N, -1), the form whose negative cone projects onto the ball."""
+    j = np.eye(n + 1)
+    j[n, n] = -1.0
+    return j
+
+
 def is_automorphism(f: LinearFractionalMap, tol: float = 1e-9) -> bool:
     """Whether the map is a ball automorphism.
 
     Automorphisms are exactly the maps whose associated matrix satisfies
-    m* J m = lambda J with lambda > 0, where J = diag(I_N, -1) is the form
-    whose negative cone projects onto the ball.
+    m* J m = lambda J with lambda > 0: the equality case of the
+    Krein-contraction certificate in ``validate_self_map``.
     """
     m = f.matrix
     n = f.n
-    j = np.eye(n + 1)
-    j[n, n] = -1.0
+    j = _j_form(n)
     k = m.conj().T @ j @ m
     lam = -k[n, n].real
     if lam <= 0:
@@ -499,84 +501,88 @@ class ValidationReport:
     denominator_margin: float
 
 
-def _sphere_grid(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic-ish sphere sample: structured directions first, then
-    seeded uniform points."""
-    pts = []
-    eye = np.eye(n, dtype=complex)
-    for j in range(n):
-        for phase in (1.0, -1.0, 1j, -1j):
-            pts.append(phase * eye[j])
-    for j in range(n):
-        for k in range(j + 1, n):
-            for pj in (1.0, 1j):
-                for pk in (1.0, -1.0, 1j, -1j):
-                    v = pj * eye[j] + pk * eye[k]
-                    pts.append(v / np.linalg.norm(v))
-    structured = np.array(pts) if pts else np.zeros((0, n), dtype=complex)
-    m = max(count - structured.shape[0], 0)
-    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    return np.concatenate([structured, g], axis=0)
+def _krein_certificate(pp: np.ndarray, rr: np.ndarray, j: np.ndarray, rho: float) -> np.ndarray | None:
+    """A positive semidefinite lambda J - K with lambda >= 0, or None.
 
-
-def _ascend_modulus(f: LinearFractionalMap, z: np.ndarray, steps: int = 80) -> np.ndarray:
-    """Projected gradient ascent of |phi|^2 on the unit sphere."""
-    z = z / np.linalg.norm(z)
-    val = float(np.vdot(evaluate(f, z), evaluate(f, z)).real)
-    t = 0.25
-    for _ in range(steps):
-        w = evaluate(f, z)
-        grad = jacobian(f, z).conj().T @ w
-        tang = grad - np.vdot(z, grad).real * z
-        gn = np.linalg.norm(tang)
-        if gn < 1e-14 or t < 1e-13:
-            break
-        cand = z + t * tang / gn
-        cand /= np.linalg.norm(cand)
-        cval = float(np.vdot(evaluate(f, cand), evaluate(f, cand)).real)
-        if cval > val:
-            z, val = cand, cval
-            t *= 1.3
-        else:
-            t *= 0.5
-    return z
-
-
-def validate_self_map(
-    f: LinearFractionalMap,
-    n_samples: int = 10000,
-    tol: float = TOL_VALIDATION,
-    refine: bool = True,
-) -> ValidationReport:
-    """Check sup over the unit sphere of |phi| against 1 + tol.
-
-    The supremum of the modulus over the closed ball is attained on the
-    sphere; it is estimated on a structured-plus-seeded grid and sharpened
-    by projected gradient ascent from the best grid points, which converges
-    quickly for rational maps of this form.
+    K = pp - rho^2 rr is m* diag(I_N, -rho^2) m.  The feasible lambda form
+    an interval whose ends are 0 or real eigenvalues of J K, so one of the
+    midpoints of adjacent candidate ends lies inside it whenever it has
+    interior.  Midpoints rather than ends: an end is singular, and at a
+    tangency the computed ends split by about sqrt(eps).
     """
-    if f.n == 1:
-        ang = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-        grid = np.exp(1j * ang)[:, None]
+    k = pp - rho * rho * rr
+    roots = np.linalg.eigvals(j @ k).real
+    ends = np.unique(np.concatenate([[0.0], roots[roots > 0.0]]))
+    for lam in 0.5 * (ends[:-1] + ends[1:]):
+        cert = lam * j - k
+        if np.linalg.eigvalsh(cert)[0] >= 0.0:
+            return cert
+    return None
+
+
+def _extremal_point(cert: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """A point of the closed ball read off the null vectors of a tight
+    certificate, where |phi| attains the certified bound up to roundoff.
+
+    When the null space has several dimensions (automorphisms, unitary
+    parts, constant maps) two of its vectors are combined into one with
+    w* J w = 0, i.e. a point of the sphere.
+    """
+    n = j.shape[0] - 1
+    s, u = np.linalg.eigh(cert)
+    v = u[:, s <= s[0] + 1e-9 * max(s[-1], 1.0)]
+    g, x = np.linalg.eigh(v.conj().T @ j @ v)
+    if g[0] >= 0.0:
+        coef = x[:, 0]
+    elif g[-1] <= 0.0:
+        coef = x[:, -1]
     else:
-        rng = np.random.default_rng(7)
-        grid = _sphere_grid(f.n, n_samples, rng)
-    vals = np.linalg.norm(_evaluate_many(f, grid), axis=1)
-    order = np.argsort(vals)[::-1]
-    best = grid[order[0]]
-    best_val = float(vals[order[0]])
-    if refine:
-        for idx in order[:5]:
-            cand = _ascend_modulus(f, grid[idx])
-            cv = float(np.linalg.norm(evaluate(f, cand)))
-            if cv > best_val:
-                best, best_val = cand, cv
+        coef = x[:, 0] + math.sqrt(-g[0] / g[-1]) * x[:, -1]
+    w = v @ coef
+    z = w[:n] / w[n]
+    r = float(np.linalg.norm(z))
+    return z / r if r > 1.0 else z
+
+
+def validate_self_map(f: LinearFractionalMap, tol: float = TOL_VALIDATION) -> ValidationReport:
+    """Compute sup over the closed ball of |phi| and check it against 1 + tol.
+
+    With m the associated matrix and J = diag(I_N, -1), |phi| <= rho on the
+    closed ball exactly when lambda J - m* diag(I_N, -rho^2) m is positive
+    semidefinite for some lambda >= 0 (the complex S-lemma, with Slater
+    point (0, 1)); rho = 1 is the Krein-contraction characterisation of
+    self-maps.  ``max_modulus`` is the smallest certified rho, bisected
+    between |phi(0)| and a norm bound to about 1e-13; ``samples`` counts
+    the certificate tests.  ``witness`` is a point of the closed ball where
+    |phi| attains ``max_modulus`` up to roundoff.
+    """
+    n = f.n
+    m = f.matrix
+    j = _j_form(n)
+    pp = m[:n].conj().T @ m[:n]
+    rr = np.outer(np.conj(m[n]), m[n])
+    lo = float(np.linalg.norm(f.b)) / f.d
+    # |A z + B| <= sqrt(2) |[A B]| on the ball; at least 1 so the zero map
+    # starts from a strict bound too
+    hi = max(1.5 * float(np.linalg.norm(m[:n], 2)) / f.denominator_margin, 1.0)
+    cert = _krein_certificate(pp, rr, j, hi)
+    if cert is None:
+        raise NumericalInconsistency("no Krein certificate at the norm bound %.6g" % hi)
+    tests = 1
+    # absolute below 1, where the decision against 1 + tol is made
+    while hi - lo > 1e-13 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        found = _krein_certificate(pp, rr, j, mid)
+        tests += 1
+        if found is None:
+            lo = mid
+        else:
+            hi, cert = mid, found
     return ValidationReport(
-        ok=best_val <= 1.0 + tol,
-        max_modulus=best_val,
-        witness=best,
-        samples=grid.shape[0],
+        ok=hi <= 1.0 + tol,
+        max_modulus=hi,
+        witness=_extremal_point(cert, j),
+        samples=tests,
         tol=tol,
         denominator_margin=f.denominator_margin,
     )

@@ -22,7 +22,9 @@ from .classify import (
     rotation_order,
 )
 from .errors import (
+    HasInteriorFixedPoint,
     NoBoundaryFixedPoint,
+    NoQualifyingBoundaryPoint,
     NumericalInconsistency,
     SizeCapExceeded,
     UnsupportedAutomorphism,
@@ -30,6 +32,7 @@ from .errors import (
 )
 from .maps import (
     LinearFractionalMap,
+    _c2pair,
     denjoy_wolff,
     fixed_points,
     unitary_with_first_column,
@@ -153,16 +156,13 @@ def _component_cloud(comp: Component, resolution: int) -> np.ndarray:
 
 
 def _component_json(comp: Component) -> dict:
-    def pair(x: complex) -> list[float]:
-        return [float(x.real), float(x.imag)]
-
     if isinstance(comp, Point):
-        return {"type": "points", "values": [pair(comp.value)], "generators": []}
+        return {"type": "points", "values": [_c2pair(comp.value)], "generators": []}
     if isinstance(comp, PointFamily):
         return {
             "type": "points",
-            "values": [pair(p) for p in comp.points],
-            "generators": [pair(g) for g in comp.generators],
+            "values": [_c2pair(p) for p in comp.points],
+            "generators": [_c2pair(g) for g in comp.generators],
             "min_total_exponent": comp.min_total_exponent,
             "truncated_at": comp.truncated_at,
             "accumulates_at_zero": comp.accumulates_at_zero,
@@ -563,7 +563,7 @@ def essential_radius_estimate(
         try:
             dw = denjoy_wolff(f)
             tau = dw.location
-        except Exception:
+        except (HasInteriorFixedPoint, NoQualifyingBoundaryPoint):
             fs = fixed_points(f)
             bps = fs.boundary_points()
             if not bps:

@@ -304,7 +304,7 @@ def test_criterion_6_conjugation_invariance():
         while len(maps) < 50:
             n = int(rng.integers(1, 3))
             f = _random_map(rng, n)
-            if validate_self_map(f, n_samples=400, refine=False).ok:
+            if validate_self_map(f).ok:
                 maps.append(f)
 
         for f in maps:

@@ -80,6 +80,24 @@ def test_invalid_map_shape_is_validation_error(capsys, tmp_path):
     assert "validation failure" in err
 
 
+NAN_MAP = '{"N": 1, "A": [[[NaN, 0]]], "B": [[0, 0]], "C": [[0, 0]], "d": [1, 0]}'
+INF_MAP = ('{"N": 2, "A": [[[0.5, 0], [0, 0]], [[0, 0], [Infinity, 0]]], '
+           '"B": [[0, 0], [0, 0]], "C": [[0, 0], [0, 0]], "d": [1, 0]}')
+
+
+@pytest.mark.parametrize("text", [NAN_MAP, INF_MAP], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["validate", "classify", "spectrum", "radius", "compress",
+                                     "verify-eigen", "norms", "export"])
+def test_non_finite_map_is_format_error(capsys, tmp_path, command, text):
+    p = tmp_path / "nonfinite.json"
+    p.write_text(text)
+    code, out, err = run(capsys, [command, str(p)])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_malformed_json_reports_position(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"N": 1, "A": [[[1, 0]]],')

@@ -15,6 +15,7 @@ from lfmspec import (
     LinearFractionalMap,
     MapFormatError,
 )
+from lfmspec.maps import TOL_VALIDATION
 
 
 def lfm_1d(a, b, c, d):
@@ -48,6 +49,20 @@ def test_denominator_must_dominate():
         lfm_1d(1, 0, 1, 1)  # |d| = |C|
     with pytest.raises(DenominatorVanishes):
         lfm_1d(1, 0, 2, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(MapFormatError, match="finite"):
+        lfm_1d(bad, 0, 0, 1)
+    with pytest.raises(MapFormatError, match="finite"):
+        LinearFractionalMap(np.eye(2), [0, bad], [0, 0], 1)
+    with pytest.raises(MapFormatError, match="finite"):
+        LinearFractionalMap(np.eye(2), [0, 0], [bad, 0], 1)
+    with pytest.raises(MapFormatError, match="finite"):
+        lfm_1d(0.5, 0, 0, bad)
+    with pytest.raises(MapFormatError, match="finite"):
+        L.map_from_json_dict(json.loads('{"N": 1, "A": [[[NaN, 0]]], "B": [[0, 0]], "C": [[0, 0]], "d": [1, 0]}'))
 
 
 def test_immutable():
@@ -214,14 +229,14 @@ def test_non_automorphism_detected(cayley_like):
 
 
 def test_validate_accepts_self_map(cayley_like):
-    rep = L.validate_self_map(cayley_like, n_samples=2000)
+    rep = L.validate_self_map(cayley_like)
     assert rep.ok
     assert rep.max_modulus <= 1.0 + 1e-9
 
 
 def test_validate_rejects_doubling():
     f = lfm_1d(2, 0, 0, 1)
-    rep = L.validate_self_map(f, n_samples=500)
+    rep = L.validate_self_map(f)
     assert not rep.ok
     assert rep.witness is not None
     assert abs(f(rep.witness)[0]) > 1.0 + 1e-6
@@ -229,10 +244,79 @@ def test_validate_rejects_doubling():
 
 def test_validate_boundary_automorphism():
     s = L.ball_automorphism_to_origin(np.array([0.5 + 0.3j]))
-    rep = L.validate_self_map(s, n_samples=1000)
+    rep = L.validate_self_map(s)
     assert rep.ok
     # automorphisms send the sphere to the sphere
     assert rep.max_modulus == pytest.approx(1.0, abs=1e-9)
+
+
+def _random_lfm(rng, n, scale):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a *= scale * rng.uniform(0.1, 1.0) / np.linalg.norm(a, 2)
+    b *= scale * rng.uniform(0.0, 0.8) / np.linalg.norm(b)
+    c *= rng.uniform(0.0, 0.9) / np.linalg.norm(c)
+    return L.LinearFractionalMap(a, b, c, 1.0)
+
+
+def _sphere_sample_max(f, rng, count):
+    """Reference oracle: the largest |phi| over seeded sphere points."""
+    z = rng.standard_normal((count, f.n)) + 1j * rng.standard_normal((count, f.n))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    return max(float(np.linalg.norm(L.evaluate(f, p))) for p in z)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_validate_against_sphere_sampling(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(8):
+        f = _random_lfm(rng, n, scale=rng.uniform(0.5, 1.5))
+        rep = L.validate_self_map(f)
+        assert _sphere_sample_max(f, rng, 1500) <= rep.max_modulus + 1e-12
+        assert float(np.linalg.norm(rep.witness)) <= 1.0 + 1e-12
+        assert float(np.linalg.norm(f(rep.witness))) >= rep.max_modulus * (1.0 - 1e-8)
+
+
+@pytest.mark.parametrize("f, sup", [
+    (lfm_1d(1, 0, -1, 2), 1.0),  # z / (2 - z)
+    (lfm_1d(1, 1, -1, 3), 1.0),  # parabolic
+    (lfm_1d(0.5, 0.5, 0, 1), 1.0),  # (1 + z) / 2
+    (lfm_1d(2, 0, 0, 1), 2.0),
+    (lfm_1d(0, 0.3, 0, 1), 0.3),  # constant
+    (L.LinearFractionalMap(np.diag([0.9, 0, 0]), np.zeros(3), np.zeros(3), 1), 0.9),
+    (L.ball_automorphism_to_origin(np.array([0.3, 0.2j, -0.1])), 1.0),
+    (L.LinearFractionalMap(np.diag([1j, 0.5, 0.3]), np.zeros(3), np.zeros(3), 1), 1.0),
+    (L.identity_map(3), 1.0),
+])
+def test_validate_known_suprema(f, sup):
+    rep = L.validate_self_map(f)
+    assert rep.max_modulus == pytest.approx(sup, abs=1e-12)
+    assert float(np.linalg.norm(rep.witness)) <= 1.0 + 1e-12
+    assert float(np.linalg.norm(f(rep.witness))) == pytest.approx(sup, abs=1e-12)
+    assert rep.samples < 100
+
+
+def _scaled(f, t):
+    """t * phi, whose supremum is t times that of phi."""
+    return L.LinearFractionalMap(t * f.a, t * f.b, f.c, f.d)
+
+
+@pytest.mark.parametrize("target", [1 + 1.5e-9, 1 + 3e-9, 1 + 1e-7, 1 - 1e-8])
+def test_validate_near_threshold(target):
+    rng = np.random.default_rng(7)
+    maps = [lfm_1d(1, 0, -1, 2), lfm_1d(1, 1, -1, 3), lfm_1d(0.5, 0.5, 0, 1),
+            L.ball_automorphism_to_origin(np.array([0.3, 0.2j, -0.1])),
+            L.LinearFractionalMap(np.diag([1.0, 0.5]), np.zeros(2), np.zeros(2), 1)]
+    for n in (1, 2, 3, 1, 2, 3):
+        f = _random_lfm(rng, n, scale=1.0)
+        maps.append(_scaled(f, 1.0 / L.validate_self_map(f).max_modulus))
+    for f in maps:
+        rep = L.validate_self_map(_scaled(f, target))
+        assert rep.ok == (target <= 1.0 + TOL_VALIDATION)
+        if not rep.ok:
+            assert float(np.linalg.norm(rep.witness)) <= 1.0 + 1e-12
+            assert float(np.linalg.norm(_scaled(f, target)(rep.witness))) > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,15 @@ def test_estimator_overflow_is_typed():
         L.essential_radius_estimate(f)
 
 
+def test_estimator_does_not_swallow_numerical_faults(monkeypatch):
+    def broken(f, tol=None):
+        raise L.NumericalInconsistency("radial quotient disagrees")
+
+    monkeypatch.setattr("lfmspec.spectra.denjoy_wolff", broken)
+    with pytest.raises(L.NumericalInconsistency, match="radial quotient"):
+        L.essential_radius_estimate(lfm_1d(1, 0, -1, 2), n_max=5)
+
+
 def test_closed_form_only_for_disk_classes():
     assert L.essential_radius_closed_form(L.classify(diag_map(0.5))) is None
     cl = L.classify(lfm_1d(1, 0, -1, 2))
