@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
         return sp
 
-    add("validate", _cmd_validate, "exact sup of |phi| over the ball (J-form certificate) against 1 + tol")
+    add("validate", _cmd_validate, "sup of |phi| over the ball (J-form certificate) against 1 + tol")
     add("classify", _cmd_classify, "fixed points, class, and normal form")
     add("spectrum", _cmd_spectrum, "exact spectrum of the composition operator")
     add("radius", _cmd_radius, "spectral radius, closed-form essential radius, and the iterate-quotient estimate")

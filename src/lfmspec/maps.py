@@ -63,7 +63,8 @@ __all__ = [
 
 # Default tolerances.  Boundary classification and unimodularity share the
 # 1e-8 band; self-map validation is tighter because its J-form certificate
-# gives sup |phi| over the ball exactly, to about 1e-13.
+# gives sup |phi| over the ball to about 1e-13 relative (eps / (d - |C|) when
+# the denominator nearly vanishes on the ball).
 TOL_BOUNDARY = 1e-8
 TOL_VALIDATION = 1e-9
 _EIG_CLUSTER_TOL = 1e-6
@@ -501,87 +502,100 @@ class ValidationReport:
     denominator_margin: float
 
 
-def _krein_certificate(pp: np.ndarray, rr: np.ndarray, j: np.ndarray, rho: float) -> np.ndarray | None:
-    """A positive semidefinite lambda J - K with lambda >= 0, or None.
+def _krein_certificate(pp: np.ndarray, j: np.ndarray, rho: float) -> np.ndarray | None:
+    """A positive definite lambda J - K with lambda >= 0, or None.
 
-    K = pp - rho^2 rr is m* diag(I_N, -rho^2) m.  The feasible lambda form
+    K = pp - rho^2 e e* (e the last basis vector).  The feasible lambda form
     an interval whose ends are 0 or real eigenvalues of J K, so one of the
     midpoints of adjacent candidate ends lies inside it whenever it has
     interior.  Midpoints rather than ends: an end is singular, and at a
-    tangency the computed ends split by about sqrt(eps).
+    tangency the computed ends split by about sqrt(eps).  The smallest
+    eigenvalue must clear a roundoff bound, so rounding can raise the
+    certified rho but never lower it.
     """
-    k = pp - rho * rho * rr
+    k = pp.copy()
+    k[-1, -1] -= rho * rho
     roots = np.linalg.eigvals(j @ k).real
     ends = np.unique(np.concatenate([[0.0], roots[roots > 0.0]]))
+    roundoff = 10.0 * j.shape[0] * np.finfo(float).eps
+    size = float(np.linalg.norm(pp)) + rho * rho
     for lam in 0.5 * (ends[:-1] + ends[1:]):
         cert = lam * j - k
-        if np.linalg.eigvalsh(cert)[0] >= 0.0:
+        if np.linalg.eigvalsh(cert)[0] >= roundoff * (lam + size):
             return cert
     return None
 
 
 def _extremal_point(cert: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """A point of the closed ball read off the null vectors of a tight
-    certificate, where |phi| attains the certified bound up to roundoff.
+    """Homogeneous coordinates of a point of the closed ball read off the
+    null vectors of a tight certificate.
 
     When the null space has several dimensions (automorphisms, unitary
     parts, constant maps) two of its vectors are combined into one with
     w* J w = 0, i.e. a point of the sphere.
     """
-    n = j.shape[0] - 1
     s, u = np.linalg.eigh(cert)
     v = u[:, s <= s[0] + 1e-9 * max(s[-1], 1.0)]
     g, x = np.linalg.eigh(v.conj().T @ j @ v)
     if g[0] >= 0.0:
-        coef = x[:, 0]
-    elif g[-1] <= 0.0:
-        coef = x[:, -1]
-    else:
-        coef = x[:, 0] + math.sqrt(-g[0] / g[-1]) * x[:, -1]
-    w = v @ coef
-    z = w[:n] / w[n]
-    r = float(np.linalg.norm(z))
-    return z / r if r > 1.0 else z
+        return v @ x[:, 0]
+    if g[-1] <= 0.0:
+        return v @ x[:, -1]
+    return v @ (x[:, 0] + math.sqrt(-g[0] / g[-1]) * x[:, -1])
 
 
 def validate_self_map(f: LinearFractionalMap, tol: float = TOL_VALIDATION) -> ValidationReport:
     """Compute sup over the closed ball of |phi| and check it against 1 + tol.
 
-    With m the associated matrix and J = diag(I_N, -1), |phi| <= rho on the
-    closed ball exactly when lambda J - m* diag(I_N, -rho^2) m is positive
-    semidefinite for some lambda >= 0 (the complex S-lemma, with Slater
-    point (0, 1)); rho = 1 is the Krein-contraction characterisation of
-    self-maps.  ``max_modulus`` is the smallest certified rho, bisected
-    between |phi(0)| and a norm bound to about 1e-13; ``samples`` counts
-    the certificate tests.  ``witness`` is a point of the closed ball where
-    |phi| attains ``max_modulus`` up to roundoff.
+    The ball involution psi swapping 0 and a = -C/d makes the denominator of
+    phi o psi constant, so phi o psi (z) = F z + g with the same supremum.
+    With J = diag(I_N, -1), |F z + g| <= rho on the closed ball exactly when
+    lambda J - [F g]* [F g] + rho^2 e e* is positive semidefinite for some
+    lambda >= 0 (the complex S-lemma, with Slater point (0, 1); rho = 1 is
+    the Krein-contraction characterisation of self-maps).  The best such
+    certificate has smallest eigenvalue at least (rho^2 - sup^2) / 2, which
+    the J-form of phi itself, carrying only (d - |C|)^2, does not have.
+
+    ``max_modulus`` is the smallest certified rho, bisected from |phi(0)|,
+    |phi(-C/|C|)| and a norm bound to about 1e-13; it is never below the sup
+    of the computed F z + g, whose forming costs eps / (d - |C|) relative.
+    ``samples`` counts the certificate tests; ``witness`` is a point of the
+    closed ball where |phi| attains ``max_modulus`` up to roundoff.
     """
     n = f.n
-    m = f.matrix
+    cn = float(np.linalg.norm(f.c))
+    u = f.c / cn if cn > 0.0 else np.zeros(n, dtype=complex)
+    a = -f.c / f.d
+    # ball_automorphism_to_origin(a), without its cancellation in 1 - |a|^2
+    s2 = f.denominator_margin * (f.d + cn) / (f.d * f.d)
+    q = math.sqrt(s2) * np.eye(n) + (1.0 - math.sqrt(s2)) * np.outer(u, np.conj(u))
+    psi = np.block([[-q, a[:, None]], [-np.conj(a)[None, :], np.ones((1, 1))]])
+    fg = f.matrix[:n] @ psi / (f.d * s2)
+    pp = fg.conj().T @ fg
     j = _j_form(n)
-    pp = m[:n].conj().T @ m[:n]
-    rr = np.outer(np.conj(m[n]), m[n])
-    lo = float(np.linalg.norm(f.b)) / f.d
-    # |A z + B| <= sqrt(2) |[A B]| on the ball; at least 1 so the zero map
-    # starts from a strict bound too
-    hi = max(1.5 * float(np.linalg.norm(m[:n], 2)) / f.denominator_margin, 1.0)
-    cert = _krein_certificate(pp, rr, j, hi)
+    lo = max(float(np.linalg.norm(evaluate(f, p))) for p in (0.0 * u, -u))
+    # |F z + g| <= |F|_2 + |g|; at least 1 so the zero map starts strict too
+    hi = max(1.5 * (float(np.linalg.norm(fg[:, :n], 2)) + float(np.linalg.norm(fg[:, n]))), 1.0)
+    cert = _krein_certificate(pp, j, hi)
     if cert is None:
         raise NumericalInconsistency("no Krein certificate at the norm bound %.6g" % hi)
     tests = 1
     # absolute below 1, where the decision against 1 + tol is made
     while hi - lo > 1e-13 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        found = _krein_certificate(pp, rr, j, mid)
+        found = _krein_certificate(pp, j, mid)
         tests += 1
         if found is None:
             lo = mid
         else:
             hi, cert = mid, found
+    h = psi @ _extremal_point(cert, j)
+    w = h[:n] / h[n]
+    r = float(np.linalg.norm(w))
     return ValidationReport(
         ok=hi <= 1.0 + tol,
         max_modulus=hi,
-        witness=_extremal_point(cert, j),
+        witness=w / r if r > 1.0 else w,
         samples=tests,
         tol=tol,
         denominator_margin=f.denominator_margin,

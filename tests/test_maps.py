@@ -319,6 +319,44 @@ def test_validate_near_threshold(target):
             assert float(np.linalg.norm(_scaled(f, target)(rep.witness))) > 1.0
 
 
+def _disk_supremum(f):
+    """sup of |phi| over the closed disk for N = 1: (a z + b) / (g z + d)
+    maps the unit circle onto the circle with center (b conj(d) - a conj(g))
+    / D and radius |a d - b g| / D, D = |d|^2 - |g|^2."""
+    a, b, g, d = f.a[0, 0], f.b[0], np.conj(f.c[0]), f.d
+    den = f.denominator_margin * (d + abs(g))
+    return (abs(b * d - a * np.conj(g)) + abs(a * d - b * g)) / den
+
+
+@pytest.mark.parametrize("margin", [1e-2, 1e-5, 1e-8, 1e-11])
+def test_validate_small_denominator_margin(margin):
+    # the J-form of phi itself carries margin^2, below roundoff for these
+    # maps; the certificate must still neither accept a non-self-map nor
+    # report a value far from the supremum
+    rng = np.random.default_rng(11)
+    maps = [lfm_1d(0, t * margin, -(1 - margin), 1) for t in (0.5, 2.0)]
+    for _ in range(4):
+        maps.append(lfm_1d(margin * complex(*rng.uniform(-2, 2, 2)), margin * complex(*rng.uniform(-2, 2, 2)),
+                           (1 - margin) * np.exp(2j * math.pi * rng.uniform()), 1))
+    for n in (2, 3):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for t in (0.5, 2.0):
+            maps.append(L.LinearFractionalMap(np.zeros((n, n)), t * margin * b / np.linalg.norm(b),
+                                              (1 - margin) * c / np.linalg.norm(c), 1))
+    for f in maps:
+        if f.n == 1:
+            sup = _disk_supremum(f)
+        else:  # constant numerator over the smallest denominator
+            sup = float(np.linalg.norm(f.b)) / f.denominator_margin
+        rep = L.validate_self_map(f)
+        assert abs(rep.max_modulus - sup) <= (1e-12 + 1e-15 / f.denominator_margin) * sup
+        assert rep.ok == (sup <= 1.0)
+        assert float(np.linalg.norm(rep.witness)) <= 1.0 + 1e-12
+        if not rep.ok:
+            assert float(np.linalg.norm(f(rep.witness))) > 1.0
+
+
 # ---------------------------------------------------------------------------
 # Cayley transport
 
