@@ -93,7 +93,7 @@ def _split_eigenvalues(
             contractive.append(complex(lam))
         elif r > 1.0 + tol_unimodular:
             raise NumericalInconsistency(
-                "differential eigenvalue %r exceeds modulus 1 at an interior fixed point" % lam
+                "differential eigenvalue %r exceeds modulus 1 at an interior fixed point" % complex(lam)
             )
         else:
             raise GapEigenvalue(

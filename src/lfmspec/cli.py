@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Every JSON artifact is a self-contained run report: it echoes the
-normalized input map, the tool version, and the tolerances, so feeding
-the echoed map back reproduces the result.  JSON output is deterministic:
-fixed key order, floats with 17 significant digits.
+normalized input map, the tool version, and the subcommand's options under
+``flags`` (the tolerance of ``validate`` and ``verify-eigen``, the degree,
+``nmax``, the norm parameters or the resolution; ``classify`` and
+``spectrum`` take none and echo ``{}``), so feeding the echoed map back
+reproduces the result.  JSON output is deterministic: fixed key order,
+floats with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import (
     DenominatorVanishes,
     MapFormatError,
     NoBoundaryFixedPoint,
+    NotASelfMap,
     NumericalInconsistency,
-    SizeCapExceeded,
     UnsupportedMapClass,
 )
 from .maps import TOL_VALIDATION, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
@@ -127,6 +130,16 @@ def _load_map(path: str):
     return map_from_json_dict(obj)
 
 
+def _load_self_map(path: str):
+    """Load a map and refuse it unless it sends the ball into itself."""
+    f = _load_map(path)
+    rep = validate_self_map(f)
+    if not rep.ok:
+        raise NotASelfMap("not a self-map of the ball: sup |phi| = %.12g exceeds 1 + %g"
+                          % (rep.max_modulus, rep.tol))
+    return f
+
+
 def _write_artifact(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -228,7 +241,7 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    f = _load_map(args.map)
+    f = _load_self_map(args.map)
     degree = args.degree if args.degree is not None else DEFAULT_DEGREE
     comp = build_compression(f, degree)
     eigs = compression_eigenvalues(comp)
@@ -246,7 +259,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_verify_eigen(args) -> int:
-    f = _load_map(args.map)
+    f = _load_self_map(args.map)
     degree = args.degree if args.degree is not None else DEFAULT_DEGREE
     tol = args.tol if args.tol is not None else 1e-8
     eigs, vecs, comp = compression_spectrum(f, degree, return_vectors=True)
@@ -374,13 +387,7 @@ def main(argv=None) -> int:
     _format_default(args)
     try:
         return args.handler(args)
-    except MapFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    except DenominatorVanishes as exc:
+    except (DenominatorVanishes, NotASelfMap) as exc:
         print("validation failure: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except UnsupportedMapClass as exc:
@@ -393,10 +400,7 @@ def main(argv=None) -> int:
         }
         print(_emit_json(payload))
         return EXIT_UNSUPPORTED
-    except SizeCapExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    except BallMapError as exc:
+    except (OSError, BallMapError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

@@ -19,6 +19,10 @@ class DenominatorVanishes(BallMapError, ArithmeticError):
     """The denominator vanishes at the requested point or inside the closed ball."""
 
 
+class NotASelfMap(BallMapError, ValueError):
+    """The map does not send the unit ball into itself."""
+
+
 class PointNotInterior(BallMapError, ValueError):
     """A point expected in the open unit ball is not."""
 

@@ -105,11 +105,15 @@ class LinearFractionalMap:
         m[n, n] = d
         if not np.all(np.isfinite(m)):
             raise MapFormatError("map entries must be finite numbers")
-        norm = np.linalg.norm(m)
-        if norm == 0.0:
+        # scale by the power of two nearest the largest entry first: exact, and
+        # the norm neither overflows nor underflows at the ends of the float range
+        parts = m.view(float)
+        _, exp = np.frexp(np.max(np.abs(parts)))
+        np.ldexp(parts, -exp, out=parts)
+        if not np.any(parts):
             raise MapFormatError("all blocks are zero")
-        if abs(d) > 0:
-            m *= np.conj(d) / abs(d)
+        if abs(m[n, n]) > 0:
+            m *= np.conj(m[n, n]) / abs(m[n, n])
         m /= np.linalg.norm(m)
         dn = m[n, n].real
         if dn - np.linalg.norm(m[n, :n]) <= _MARGIN_TOL:
@@ -440,6 +444,18 @@ def denjoy_wolff(f: LinearFractionalMap, tol: float = TOL_BOUNDARY) -> FixedPoin
     return best
 
 
+def _default_boundary_point(f: LinearFractionalMap) -> np.ndarray:
+    """The Denjoy-Wolff point when f fixes no interior point, else the first
+    boundary fixed point of f (elliptic diagnostic use)."""
+    try:
+        return denjoy_wolff(f).location
+    except HasInteriorFixedPoint:
+        bps = fixed_points(f).boundary_points()
+    if not bps:
+        raise NoBoundaryFixedPoint("map has no boundary fixed point")
+    return bps[0].location
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 
@@ -737,14 +753,7 @@ def conjugate_to_halfplane(
     """
     n = f.n
     if tau is None:
-        fps = fixed_points(f)
-        if fps.interior_point() is None:
-            tau = denjoy_wolff(f).location
-        else:
-            bps = fps.boundary_points()
-            if not bps:
-                raise NoBoundaryFixedPoint("map has no boundary fixed point")
-            tau = bps[0].location
+        tau = _default_boundary_point(f)
     tau = np.asarray(tau, dtype=complex).reshape(-1)
     tau = tau / np.linalg.norm(tau)
     if np.linalg.norm(evaluate(f, tau) - tau) > 1e-6:

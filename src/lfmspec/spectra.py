@@ -22,9 +22,6 @@ from .classify import (
     rotation_order,
 )
 from .errors import (
-    HasInteriorFixedPoint,
-    NoBoundaryFixedPoint,
-    NoQualifyingBoundaryPoint,
     NumericalInconsistency,
     SizeCapExceeded,
     UnsupportedAutomorphism,
@@ -33,8 +30,8 @@ from .errors import (
 from .maps import (
     LinearFractionalMap,
     _c2pair,
-    denjoy_wolff,
-    fixed_points,
+    _default_boundary_point,
+    iterate_matrix,
     unitary_with_first_column,
 )
 
@@ -484,12 +481,22 @@ def spectrum(
 # essential spectral radius estimator
 
 
+# the two radii of the linear extrapolation to the sphere, and the directions
+# sampled around the boundary point (tau plus small perturbations of it)
+_ESTIMATOR_RADII = (1.0 - 1e-7, 1.0 - 1e-8)
+_N_DIRECTIONS = 8
+_DIRECTION_SPREAD = 1e-3
+
+
 @dataclass(frozen=True)
 class EssentialRadiusEstimate:
     """Output of the boundary-quotient estimator.
 
     ``g_values[k]`` approximates the sup over the ball of the iterate
-    quotient ((1-|z|^2)/(1-|phi^n(z)|^2))^(N/2) at n = k+1; ``roots`` are
+    quotient ((1-|z|^2)/(1-|phi^n(z)|^2))^(N/2) at n = k+1: the quotient is
+    taken at the two radii ``r_schedule`` along ``n_directions`` fixed
+    directions at or near the boundary point ``tau``, extrapolated linearly
+    in 1-r to the sphere, and maximized over the directions.  ``roots`` are
     the n-th roots g_n^(1/n); ``limit`` is exp of the slope of a linear
     fit to log g_n over n in ``fit_window`` (inclusive), which strips the
     constant prefactor that biases the raw roots.
@@ -505,123 +512,80 @@ class EssentialRadiusEstimate:
     n_directions: int
 
 
-def _estimator_directions(tau: np.ndarray, n_directions: int, spread: float) -> list[np.ndarray]:
-    """tau itself plus small unit-sphere perturbations around it."""
+def _estimator_directions(tau: np.ndarray) -> np.ndarray:
+    """tau itself plus small unit-sphere perturbations around it, as rows."""
     n = tau.shape[0]
-    dirs = [tau]
     if n == 1:
-        k = 1
-        while len(dirs) < n_directions:
-            for sgn in (1.0, -1.0):
-                dirs.append(tau * np.exp(1j * sgn * spread / k))
-                if len(dirs) >= n_directions:
-                    break
-            k *= 10
-        return dirs
-    basis = unitary_with_first_column(tau)
-    phases = (1.0, -1.0, 1.0j, -1.0j)
-    for j in range(1, n):
-        for ph in phases:
-            if len(dirs) >= n_directions:
-                return dirs
-            v = tau + spread * ph * basis[:, j]
-            dirs.append(v / np.linalg.norm(v))
-    return dirs
-
-
-def _iterate_quotient(mats: list[np.ndarray], z: np.ndarray) -> list[float]:
-    """(1-|z|^2)/(1-|phi^n(z)|^2) for each accumulated iterate matrix."""
-    n = z.shape[0]
-    top = 1.0 - float(np.vdot(z, z).real)
-    out = []
-    for m in mats:
-        den = m[n, :n].conj() @ z + m[n, n]
-        w = (m[:n, :n] @ z + m[:n, n]) / den
-        bottom = 1.0 - float(np.vdot(w, w).real)
-        out.append(top / max(bottom, 1e-300))
-    return out
+        steps = [tau * np.exp(1j * sgn * _DIRECTION_SPREAD / 10.0 ** k)
+                 for k in range(4) for sgn in (1.0, -1.0)]
+    else:
+        basis = unitary_with_first_column(tau)
+        steps = [tau + _DIRECTION_SPREAD * ph * basis[:, j]
+                 for j in range(1, n) for ph in (1.0, -1.0, 1.0j, -1.0j)]
+        steps = [v / np.linalg.norm(v) for v in steps]
+    return np.array([tau] + steps[: _N_DIRECTIONS - 1])
 
 
 def essential_radius_estimate(
     f: LinearFractionalMap,
     tau: np.ndarray | None = None,
     n_max: int = 20,
-    r_schedule: tuple[float, ...] | None = None,
-    n_directions: int = 8,
-    direction_spread: float = 1e-3,
 ) -> EssentialRadiusEstimate:
     """Estimate the essential spectral radius from iterate boundary quotients.
 
-    For each iterate order n the quotient ((1-|z|^2)/(1-|phi^n(z)|^2))^(N/2)
-    is sampled along rays toward the distinguished boundary fixed point and
-    nearby directions, Richardson-extrapolated in 1-r over the two tightest
-    radii of ``r_schedule``, and maximized over directions.  The returned
-    limit is exp(slope) of a least-squares line through log g_n on the last
-    half of the n range; the raw n-th roots are also reported.
+    tau defaults to the boundary point ``conjugate_to_halfplane`` uses: the
+    Denjoy-Wolff point, else the first boundary fixed point.  Every iterate
+    phi^n (n = 1..n_max, from ``iterate_matrix``) is applied to the points
+    r d, for both radii r in 1 - 1e-7, 1 - 1e-8 and every direction d
+    around tau, in one batched product of the associated matrices with the
+    points in homogeneous coordinates (z, 1).  The quotient
+    ((1-|z|^2)/(1-|phi^n(z)|^2)) is extrapolated linearly in 1-r to the
+    sphere, raised to the power N/2 and maximized over the directions.  The
+    returned limit is exp(slope) of a least-squares line through log g_n on
+    the last half of the n range; the raw n-th roots are also reported.
     """
-    if tau is None:
-        try:
-            dw = denjoy_wolff(f)
-            tau = dw.location
-        except (HasInteriorFixedPoint, NoQualifyingBoundaryPoint):
-            fs = fixed_points(f)
-            bps = fs.boundary_points()
-            if not bps:
-                raise NoBoundaryFixedPoint(
-                    "estimator needs a boundary fixed point or an explicit tau"
-                )
-            tau = bps[0].location
+    tau = _default_boundary_point(f) if tau is None else tau
     tau = np.asarray(tau, dtype=complex).reshape(-1)
     tau = tau / np.linalg.norm(tau)
-    if r_schedule is None:
-        r_schedule = tuple(1.0 - 10.0 ** (-k) for k in range(2, 9))
-    r_schedule = tuple(sorted(r_schedule))
-    if len(r_schedule) < 2:
-        raise ValueError("r_schedule needs at least two radii")
-    eps1 = 1.0 - r_schedule[-2]
-    eps2 = 1.0 - r_schedule[-1]
+    r1, r2 = _ESTIMATOR_RADII
+    eps1, eps2 = 1.0 - r1, 1.0 - r2
+    dirs = _estimator_directions(tau)
+    n_dirs = dirs.shape[0]
 
-    dirs = _estimator_directions(tau, n_directions, direction_spread)
-    half_n = f.n / 2.0
+    pts = np.concatenate([r1 * dirs, r2 * dirs])
+    homog = np.concatenate([pts, np.ones((2 * n_dirs, 1))], axis=1)
+    h = np.stack([iterate_matrix(f, k) for k in range(1, n_max + 1)]) @ homog.T
+    w = h[:, : f.n] / h[:, f.n :]
+    top = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
+    q = top / np.maximum(1.0 - np.sum(np.abs(w) ** 2, axis=1), 1e-300)
+    q1, q2 = q[:, :n_dirs], q[:, n_dirs:]
+    # linear extrapolation of the plain quotient to the boundary
+    qstar = (eps1 * q2 - eps2 * q1) / (eps1 - eps2)
+    qstar = np.where(qstar <= 0.0, np.maximum(q1, q2), qstar)
+    with np.errstate(over="ignore"):
+        g = np.max(qstar ** (f.n / 2.0), axis=1)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalInconsistency(
+            "iterate quotient %.3g overflows at order %d" % (np.max(qstar[i]), i + 1)
+        )
+    g_values = [float(x) for x in g]
 
-    mats: list[np.ndarray] = []
-    acc = np.eye(f.n + 1, dtype=complex)
-    base = f.matrix
-    for _ in range(n_max):
-        acc = acc @ base
-        acc = acc / np.linalg.norm(acc)
-        mats.append(acc.copy())
-
-    g_values = []
-    for i in range(n_max):
-        best = 0.0
-        for d in dirs:
-            q1 = _iterate_quotient([mats[i]], r_schedule[-2] * d)[0]
-            q2 = _iterate_quotient([mats[i]], r_schedule[-1] * d)[0]
-            # linear extrapolation of the plain quotient to the boundary
-            qstar = (eps1 * q2 - eps2 * q1) / (eps1 - eps2)
-            if qstar <= 0.0:
-                qstar = max(q1, q2)
-            try:
-                best = max(best, qstar ** half_n)
-            except OverflowError:
-                raise NumericalInconsistency("iterate quotient %.3g overflows at order %d" % (qstar, i + 1)) from None
-        g_values.append(best)
-
-    roots = [g ** (1.0 / (i + 1)) for i, g in enumerate(g_values)]
+    roots = [x ** (1.0 / (i + 1)) for i, x in enumerate(g_values)]
     lo = max(1, n_max // 2)
     ns = np.arange(lo, n_max + 1, dtype=float)
     logs = np.log(np.maximum(g_values[lo - 1:], 1e-300))
     slope = float(np.polyfit(ns, logs, 1)[0])
     return EssentialRadiusEstimate(
         limit=float(math.exp(slope)),
-        g_values=tuple(float(g) for g in g_values),
+        g_values=tuple(g_values),
         roots=tuple(float(r) for r in roots),
         fit_window=(lo, n_max),
         tau=tuple(complex(t) for t in tau),
         n_max=n_max,
-        r_schedule=r_schedule,
-        n_directions=len(dirs),
+        r_schedule=_ESTIMATOR_RADII,
+        n_directions=n_dirs,
     )
 
 

@@ -163,6 +163,19 @@ def test_radius_agreement(capsys, affine_map):
     assert len(res["estimate"]["g_values"]) > 0
 
 
+def test_radius_agreement_complex_conjugation(capsys, tmp_path):
+    from lfmspec import ball_automorphism_to_origin, conjugated
+
+    # z / (2 - z) conjugated at a complex centre: C is not real
+    f = conjugated(LinearFractionalMap([[1]], [0], [-1], 2), ball_automorphism_to_origin([0.2 - 0.3j]))
+    code, out, _ = run(capsys, ["radius", write_map(tmp_path, "cdisk.json", f)])
+    assert code == EXIT_OK
+    res = json.loads(out)["result"]
+    assert res["essential_radius_closed_form"] == pytest.approx(2 ** -0.5)
+    assert res["agrees_within_5_percent"] is True
+    assert res["estimate"]["r_schedule"] == [1 - 1e-7, 1 - 1e-8]
+
+
 def test_radius_no_boundary_point(capsys, diag_map2):
     code, out, _ = run(capsys, ["radius", diag_map2, "--nmax", "8"])
     assert code == EXIT_OK
@@ -232,6 +245,19 @@ def test_compress_json_builds_once(capsys, disk_map, monkeypatch):
     code, _, _ = run(capsys, ["compress", disk_map, "--degree", "4", "--format", "json"])
     assert code == EXIT_OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["compress", "verify-eigen"])
+def test_compression_refuses_non_self_map(capsys, tmp_path, command):
+    import numpy as np
+
+    # phi(z) = (z1 + z2, z1 + z2): sup |phi| = 2 over the ball
+    path = write_map(tmp_path, "double.json", LinearFractionalMap(np.ones((2, 2)), [0, 0], [0, 0], 1))
+    code, out, err = run(capsys, [command, path, "--degree", "4"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("validation failure:") and "self-map" in err
 
 
 def test_verify_eigen_three_variables_default_degree(capsys, tmp_path):

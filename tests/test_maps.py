@@ -65,6 +65,27 @@ def test_non_finite_entries_rejected(bad):
         L.map_from_json_dict(json.loads('{"N": 1, "A": [[[NaN, 0]]], "B": [[0, 0]], "C": [[0, 0]], "d": [1, 0]}'))
 
 
+@pytest.mark.parametrize("scale, abcd, code", [
+    (1e200, ([[1]], [1], [0], 1), 2),  # z + 1, sup 2
+    (1e308, ([[1]], [1], [0], 1), 2),
+    (1e308, ([[0.5]], [0.5], [0], 1), 0),  # (z + 1) / 2
+    (1e-320, ([[1, 0], [0, 1]], [0, 0], [0, 0], 1), 0),  # identity
+], ids=["z+1 at 1e200", "z+1 at 1e308", "(z+1)/2 at 1e308", "identity at 1e-320"])
+def test_construction_at_the_ends_of_the_float_range(capsys, tmp_path, scale, abcd, code):
+    from lfmspec.cli import main
+
+    a, b, c, d = (np.asarray(x, dtype=float) * scale for x in abcd)
+    f = LinearFractionalMap(*abcd)
+    assert np.allclose(LinearFractionalMap(a, b, c, d).matrix, f.matrix, rtol=0, atol=1e-15)
+    p = tmp_path / "scaled.json"
+    p.write_text(json.dumps({"N": f.n, "A": [[[x, 0] for x in row] for row in a.tolist()],
+                             "B": [[x, 0] for x in b.tolist()], "C": [[x, 0] for x in c.tolist()],
+                             "d": [float(d), 0]}))
+    assert main(["validate", str(p)]) == code
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["result"]["max_modulus"] == pytest.approx(L.validate_self_map(f).max_modulus, abs=1e-12)
+
+
 def test_immutable():
     f = lfm_1d(1, 0, -1, 2)
     with pytest.raises(AttributeError):

@@ -297,6 +297,23 @@ def test_estimator_matches_closed_form_n2():
     assert abs(est.limit - closed) / closed < 0.05
 
 
+@pytest.mark.parametrize("f, centre", [
+    (lfm_1d(0.5, 0.5, 0, 1), [0.3 + 0.1j]),  # (1 + z) / 2
+    (lfm_1d(1, 0, -1, 2), [0.2 - 0.3j]),  # z / (2 - z)
+    (LinearFractionalMap(np.diag([0.5, 0.4]), [0, 0], [-0.5, 0], 1), [0.2 + 0.1j, 0.1]),
+    (LinearFractionalMap(np.diag([0.5, 0.5]), [0.5, 0], [0, 0], 1), [0.2 + 0.1j, 0.1]),
+], ids=["hyperbolic N=1", "boundary fixed N=1", "boundary fixed N=2", "hyperbolic N=2"])
+def test_estimator_complex_conjugations(f, centre):
+    # a complex centre gives the conjugate a non-real C, which the iterates'
+    # denominator row must carry exactly once
+    g = L.conjugated(f, L.ball_automorphism_to_origin(np.array(centre)))
+    assert np.any(np.abs(g.c.imag) > 1e-3)
+    closed = L.essential_radius_closed_form(L.classify(g))
+    assert closed == pytest.approx(L.essential_radius_closed_form(L.classify(f)))
+    est = L.essential_radius_estimate(g, n_max=20)
+    assert abs(est.limit - closed) / closed < 0.05
+
+
 def test_estimator_elliptic_automorphism_is_one():
     # unitary rotation preserves every quotient: the limit must be 1
     est = L.essential_radius_estimate(
@@ -322,7 +339,7 @@ def test_estimator_does_not_swallow_numerical_faults(monkeypatch):
     def broken(f, tol=None):
         raise L.NumericalInconsistency("radial quotient disagrees")
 
-    monkeypatch.setattr("lfmspec.spectra.denjoy_wolff", broken)
+    monkeypatch.setattr("lfmspec.maps.denjoy_wolff", broken)
     with pytest.raises(L.NumericalInconsistency, match="radial quotient"):
         L.essential_radius_estimate(lfm_1d(1, 0, -1, 2), n_max=5)
 
