@@ -26,6 +26,7 @@ from .errors import (
     NoBoundaryFixedPoint,
     NotASelfMap,
     NumericalInconsistency,
+    ParameterConstraintViolated,
     UnsupportedMapClass,
 )
 from .maps import TOL_VALIDATION, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
@@ -386,6 +387,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _format_default(args)
     try:
+        for name in ("tol", "s", "nu"):  # the float flags; None when not given
+            if not np.isfinite(getattr(args, name, None) or 0.0):
+                raise ParameterConstraintViolated("--%s must be a finite number" % name)
         return args.handler(args)
     except (DenominatorVanishes, NotASelfMap) as exc:
         print("validation failure: %s" % exc, file=sys.stderr)

@@ -378,6 +378,8 @@ class Compression:
 
 
 def _check_compression_cap(n: int, degree: int) -> None:
+    if degree < 0:
+        raise ParameterConstraintViolated("degree must be nonnegative, got %d" % degree)
     cap = MAX_COMPRESSION_DEGREE.get(n)
     if cap is not None and degree > cap:
         raise SizeCapExceeded(
@@ -393,8 +395,8 @@ def build_compression(f: LinearFractionalMap, degree: int) -> Compression:
     monomial basis e_j = z^beta_j / ||z^beta_j||.
 
     When phi(0) = 0 the matrix is exactly block lower triangular in the
-    graded order: phi^beta then has no components below degree |beta|.
-    """
+    graded order (phi^beta has no components below degree |beta|), so its
+    eigenvalues are those of the diagonal blocks."""
     _check_compression_cap(f.n, degree)
     g = _graded(f.n, degree)
     m = np.zeros((g.size, g.size), dtype=complex)
@@ -404,14 +406,20 @@ def build_compression(f: LinearFractionalMap, degree: int) -> Compression:
     return Compression(matrix=m, basis=g.basis, norms=g.norms.copy(), n=f.n, degree=degree)
 
 
-def _spectral_order(eigs: np.ndarray) -> list[int]:
-    """Decreasing modulus, ties by real then imaginary part."""
-    return sorted(range(eigs.shape[0]), key=lambda i: (-abs(eigs[i]), eigs[i].real, eigs[i].imag))
+def _spectral_order(eigs: np.ndarray) -> np.ndarray:
+    """Decreasing modulus (hypot, as abs() of one entry), ties by real then imaginary part."""
+    return np.lexsort((eigs.imag, eigs.real, -np.hypot(eigs.real, eigs.imag)))
 
 
 def compression_eigenvalues(comp: Compression) -> np.ndarray:
-    """Eigenvalues of a compression in the order of compression_spectrum."""
-    eigs = np.linalg.eigvals(comp.matrix)
+    """Eigenvalues of a compression by decreasing modulus, ties by real then
+    imaginary part: of the diagonal blocks by degree when every entry right
+    of them is zero (block triangular, as when phi(0) = 0), else of the whole."""
+    m, level = comp.matrix, _graded(comp.n, comp.degree).level
+    blocks = list(zip(level, level[1:]))
+    if any(m[a:b, b:].any() for a, b in blocks):
+        blocks = [(0, m.shape[0])]
+    eigs = np.concatenate([m[a:b, a] if b - a == 1 else np.linalg.eigvals(m[a:b, a:b]) for a, b in blocks])
     return eigs[_spectral_order(eigs)]
 
 
@@ -420,9 +428,9 @@ def compression_spectrum(
     degree: int,
     return_vectors: bool = False,
 ):
-    """Eigenvalues of the compression, sorted by decreasing modulus (ties
-    by real then imaginary part).  With return_vectors, also the matching
-    eigenvector columns and the Compression itself."""
+    """Eigenvalues of the compression, as compression_eigenvalues gives them.
+    With return_vectors, the eigenvalues and eigenvector columns of one solve
+    of the whole matrix in the same order, and the Compression itself."""
     comp = build_compression(f, degree)
     if not return_vectors:
         return compression_eigenvalues(comp)
@@ -556,7 +564,7 @@ def norm_equivalence_interval(s: float, nu: float, k_max: int) -> tuple[float, f
             "need 2 s - 2 nu - 1 >= -1 (got %.6g) for an integrable radial weight" % c
         )
     if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+        raise ParameterConstraintViolated("k_max must be nonnegative")
     ratios = [1.0]
     for k in range(1, k_max + 1):
         ratios.append((k + 1.0) ** (2.0 * nu) / (float(k) ** (2.0 * s) * _radial_moment(c, k)))

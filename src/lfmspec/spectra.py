@@ -23,6 +23,7 @@ from .classify import (
 )
 from .errors import (
     NumericalInconsistency,
+    ParameterConstraintViolated,
     SizeCapExceeded,
     UnsupportedAutomorphism,
     UnsupportedParabolic,
@@ -544,6 +545,8 @@ def essential_radius_estimate(
     returned limit is exp(slope) of a least-squares line through log g_n on
     the last half of the n range; the raw n-th roots are also reported.
     """
+    if n_max < 2:
+        raise ParameterConstraintViolated("the fit needs n_max >= 2, got %d" % n_max)
     tau = _default_boundary_point(f) if tau is None else tau
     tau = np.asarray(tau, dtype=complex).reshape(-1)
     tau = tau / np.linalg.norm(tau)

@@ -260,6 +260,27 @@ def test_compression_refuses_non_self_map(capsys, tmp_path, command):
     assert err.startswith("validation failure:") and "self-map" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compress", "{disk}", "--degree", "-1"],
+    ["verify-eigen", "{disk}", "--degree", "-1"],
+    ["radius", "{affine}", "--nmax", "0"],
+    ["radius", "{affine}", "--nmax", "1"],
+    ["validate", "{disk}", "--tol", "nan"],
+    ["validate", "{disk}", "--tol", "inf"],
+    ["validate", "{disk}", "--tol=-inf"],
+    ["verify-eigen", "{disk}", "--degree", "3", "--tol", "nan"],
+    ["verify-eigen", "{disk}", "--degree", "3", "--tol", "inf"],
+    ["norms", "{disk}", "--s", "nan"],
+    ["norms", "{disk}", "--nu", "inf"],
+    ["norms", "{disk}", "--kmax", "-1"],
+])
+def test_bad_numeric_flag_is_typed_error(capsys, disk_map, affine_map, argv):
+    code, out, err = run(capsys, [a.format(disk=disk_map, affine=affine_map) for a in argv])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verify_eigen_three_variables_default_degree(capsys, tmp_path):
     import numpy as np
 

@@ -12,7 +12,7 @@ from scipy import integrate
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, TruncatedSeries
-from lfmspec.series import _graded, basis_multi_indices, monomial_norm_sq
+from lfmspec.series import _graded, _spectral_order, basis_multi_indices, compression_eigenvalues, monomial_norm_sq
 
 
 def lfm_1d(a, b, c, d):
@@ -272,6 +272,8 @@ def test_compression_caps():
         L.build_compression(lfm_1d(1, 0, -1, 2), 61)
     with pytest.raises(L.SizeCapExceeded):
         L.build_compression(LinearFractionalMap(np.eye(3) * 0.5, np.zeros(3), np.zeros(3), 1), 13)
+    with pytest.raises(L.ParameterConstraintViolated):
+        L.build_compression(lfm_1d(1, 0, -1, 2), -1)
 
 
 def test_compression_csv_formats():
@@ -298,6 +300,88 @@ def test_series_from_vector_round_trip():
     # eigenvector of the compression: C_phi func = lam func through degree 8
     r = L.eigenfunction_residual(f, eigs[3], func, 8)
     assert r < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# block-triangular eigensolve
+
+
+def _dense_origin_map(n, seed):
+    """A z / (1 - <z, c>) with dense complex A, |A| = 0.6 and |c| = 0.3."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return LinearFractionalMap(0.6 * a / np.linalg.norm(a, 2), np.zeros(n), 0.3 * c / np.linalg.norm(c), 1)
+
+
+def _sparse_map(n, seed):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.2, 0.9, n) * np.exp(2j * math.pi * rng.random(n))
+    return LinearFractionalMap(np.diag(lam), np.zeros(n), np.zeros(n), 1)
+
+
+def _matched_distance(x, y):
+    """Largest distance under the best one-to-one matching of two multisets."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(x[:, None] - y[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.max(cost[rows, cols]))
+
+
+@pytest.mark.parametrize("f, degree", [
+    (_dense_origin_map(2, 1), 25),
+    (_dense_origin_map(3, 2), 12),
+    (_sparse_map(3, 3), 12),
+    (_dense_origin_map(1, 4), 60),
+], ids=["dense-n2-d25", "dense-n3-d12", "sparse-n3-d12", "dense-n1-d60"])
+def test_block_eigenvalues_match_full_solve(f, degree):
+    comp = L.build_compression(f, degree)
+    eigs = compression_eigenvalues(comp)
+    assert eigs.shape == (len(comp.basis),)
+    assert _matched_distance(eigs, np.linalg.eigvals(comp.matrix)) < 1e-12
+
+
+def _eigvals_sizes(monkeypatch):
+    sizes = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: sizes.append(m.shape[0]) or eigvals(m))
+    return sizes
+
+
+@pytest.mark.parametrize("n, degree", [(1, 30), (2, 10), (3, 6)])
+def test_block_eigensolve_when_origin_fixed(monkeypatch, n, degree):
+    sizes = _eigvals_sizes(monkeypatch)
+    L.compression_spectrum(_dense_origin_map(n, n), degree)
+    assert max(sizes, default=0) <= math.comb(degree + n - 1, n - 1)
+    if n == 1:
+        assert sizes == []  # every block is 1x1, read off the diagonal
+
+
+def test_full_eigensolve_when_not_block_triangular(monkeypatch):
+    import dataclasses
+
+    sizes = _eigvals_sizes(monkeypatch)
+    L.compression_spectrum(_general_map(2, seed=2), 6)
+    assert sizes == [28]
+    comp = L.build_compression(_dense_origin_map(2, 5), 6)
+    m = comp.matrix.copy()
+    m[1, 3] = 1e-300  # degree-1 row, degree-2 column: above the blocks
+    sizes.clear()
+    compression_eigenvalues(dataclasses.replace(comp, matrix=m))
+    assert sizes == [28]
+
+
+@pytest.mark.parametrize("eigs", [
+    [0.5, 0.5, 0.5j, -0.5, -0.5j, 0.5, 0.3 + 0.4j, 0.3 - 0.4j, -0.3 + 0.4j, 0.4 + 0.3j],
+    [0.25, 0.25 + 0j, 0.0, -0.0, 0.0, 1j, -1j, 1.0, -1.0, 1j],
+    [0.6 * np.exp(2j * math.pi * k / 7) for k in range(7)] * 2 + [0.6, -0.6],
+])
+def test_spectral_order_matches_sorted_key(eigs):
+    # the 7th roots of unity have moduli on which np.abs and abs() differ in the last bit
+    eigs = np.array(eigs, dtype=complex)
+    old = sorted(range(eigs.shape[0]), key=lambda i: (-abs(eigs[i]), eigs[i].real, eigs[i].imag))
+    assert list(_spectral_order(eigs)) == old
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +432,11 @@ def test_sobolev_rejects_nonintegrable_weight():
     ser = TruncatedSeries(1, 2, {(1,): 1})
     with pytest.raises(L.ParameterConstraintViolated):
         L.sobolev_norm_sq(ser, 0.0, 1.0)  # c = -3
+
+
+def test_norm_interval_rejects_negative_kmax():
+    with pytest.raises(L.ParameterConstraintViolated):
+        L.norm_equivalence_interval(0.5, 0.5, -1)
 
 
 @given(

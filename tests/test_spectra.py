@@ -327,6 +327,13 @@ def test_estimator_requires_boundary_point():
         L.essential_radius_estimate(diag_map(0.5, 1 / 3), n_max=5)
 
 
+@pytest.mark.parametrize("n_max", [1, 0, -3])
+def test_estimator_needs_two_orders(n_max):
+    # the fit is a line through log g_n, so it needs at least two orders
+    with pytest.raises(L.ParameterConstraintViolated):
+        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), n_max=n_max)
+
+
 def test_estimator_overflow_is_typed():
     # N = 3 and alpha = 1/4: 1 - |phi^n(z)|^2 hits the 1e-300 floor, and the
     # quotient to the power N/2 = 3/2 no longer fits in a float
