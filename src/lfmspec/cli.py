@@ -39,7 +39,7 @@ from .series import (
     eigenfunction_residual,
     norm_equivalence_interval,
     series_from_vector,
-    _radial_moment,
+    _norm_factors,
 )
 from .spectra import (
     cloud_to_csv,
@@ -295,21 +295,13 @@ def _cmd_norms(args) -> int:
     s = args.s
     nu = args.nu
     k_max = args.kmax
-    c = 2.0 * s - 2.0 * nu - 1.0
     lo, hi = norm_equivalence_interval(s, nu, k_max)
-    rows = []
-    for k in range(k_max + 1):
-        if k == 0:
-            wf = 1.0
-            sf = 1.0
-        else:
-            wf = (k + 1.0) ** (2.0 * nu)
-            sf = float(k) ** (2.0 * s) * _radial_moment(c, k)
-        rows.append({"k": k, "weighted_factor": wf, "sobolev_factor": sf, "ratio": wf / sf})
+    rows = [{"k": k, "weighted_factor": wf, "sobolev_factor": sf, "ratio": r}
+            for k, (wf, sf, r) in enumerate(_norm_factors(s, nu, k_max))]
     result = {
         "s": s,
         "nu": nu,
-        "c": c,
+        "c": 2.0 * s - 2.0 * nu - 1.0,
         "k_max": k_max,
         "interval": [lo, hi],
         "rows": rows,

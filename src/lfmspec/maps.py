@@ -560,6 +560,44 @@ def _extremal_point(cert: np.ndarray, j: np.ndarray) -> np.ndarray:
     return v @ (x[:, 0] + math.sqrt(-g[0] / g[-1]) * x[:, -1])
 
 
+def _sphere_maximizer(fl: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A unit z maximizing |F z + g| (Gander, Golub & von Matt 1989).
+
+    It solves (mu - F* F) z = F* g with mu >= s_max, the top eigenvalue of
+    F* F.  With t = mu - s_max, d_i = s_max - s_i and b = V* F* g that is the
+    secular equation sum |b_i|^2 / (t + d_i)^2 = 1 on (0, |b|], solved by
+    Newton on the concave 1 / |z(t)| - 1 with a bisection safeguard.  In the
+    hard case (b has no component above roundoff on the top eigenvalue and
+    the rest of z is shorter than 1) t = 0 and z is completed along the top
+    eigenvector.
+    """
+    s, v = np.linalg.eigh(fl.conj().T @ fl)
+    b = v.conj().T @ (fl.conj().T @ g)
+    top = float(s[-1])
+    floor = 1e-24 * max(top, 1.0) * (float(np.vdot(g, g).real) + top)
+    # (|b_i|^2, d_i, i) for the components of b above roundoff
+    terms = [(abs(b[i]) ** 2, top - float(s[i]), i) for i in range(len(s)) if abs(b[i]) ** 2 > floor]
+    hard = all(d > 0.0 for _, d, _ in terms) and sum(w / d ** 2 for w, d, _ in terms) <= 1.0
+    t = t_lo = 0.0
+    if not hard:
+        t = math.sqrt(sum(w for w, _, _ in terms))
+        for _ in range(100):
+            size = sum(w / (t + d) ** 2 for w, d, _ in terms)
+            if size > 1.0:
+                t_lo = t
+            step = size * (1.0 - math.sqrt(size)) / sum(w / (t + d) ** 3 for w, d, _ in terms)
+            t, t_old = (t - step if t - step > t_lo else 0.5 * (t_lo + t)), t
+            if abs(t - t_old) <= 4.0 * np.finfo(float).eps * t_old:
+                break
+    y = np.zeros(len(s), dtype=complex)
+    for _, d, i in terms:
+        y[i] = b[i] / (t + d)
+    if hard:
+        y[-1] = math.sqrt(max(1.0 - float(np.vdot(y, y).real), 0.0))
+    z = v @ y
+    return z / np.linalg.norm(z)
+
+
 def validate_self_map(f: LinearFractionalMap, tol: float = TOL_VALIDATION) -> ValidationReport:
     """Compute sup over the closed ball of |phi| and check it against 1 + tol.
 
@@ -572,10 +610,13 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOL_VALIDATION) -> Va
     certificate has smallest eigenvalue at least (rho^2 - sup^2) / 2, which
     the J-form of phi itself, carrying only (d - |C|)^2, does not have.
 
-    ``max_modulus`` is the smallest certified rho, bisected from |phi(0)|,
-    |phi(-C/|C|)| and a norm bound to about 1e-13; it is never below the sup
-    of the computed F z + g, whose forming costs eps / (d - |C|) relative.
-    ``samples`` counts the certificate tests; ``witness`` is a point of the
+    ``max_modulus`` is the smallest certified rho to about 1e-13, bisected
+    from lo = |F z* + g| at the sphere maximizer z* and the first of
+    lo + 1e-13 max(lo, 1) 16^k (capped at a norm bound) that the certificate
+    accepts.  lo is attained and every reported rho certified, so soundness
+    rests on the certificate alone; it is never below the sup of the computed
+    F z + g, whose forming costs eps / (d - |C|) relative.  ``samples`` counts
+    the certificate tests, typically 1 or 2; ``witness`` is a point of the
     closed ball where |phi| attains ``max_modulus`` up to roundoff.
     """
     n = f.n
@@ -589,13 +630,16 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOL_VALIDATION) -> Va
     fg = f.matrix[:n] @ psi / (f.d * s2)
     pp = fg.conj().T @ fg
     j = _j_form(n)
-    lo = max(float(np.linalg.norm(evaluate(f, p))) for p in (0.0 * u, -u))
+    lo = float(np.linalg.norm(fg @ np.append(_sphere_maximizer(fg[:, :n], fg[:, n]), 1.0)))
     # |F z + g| <= |F|_2 + |g|; at least 1 so the zero map starts strict too
-    hi = max(1.5 * (float(np.linalg.norm(fg[:, :n], 2)) + float(np.linalg.norm(fg[:, n]))), 1.0)
-    cert = _krein_certificate(pp, j, hi)
-    if cert is None:
-        raise NumericalInconsistency("no Krein certificate at the norm bound %.6g" % hi)
-    tests = 1
+    bound = max(1.5 * (float(np.linalg.norm(fg[:, :n], 2)) + float(np.linalg.norm(fg[:, n]))), 1.0)
+    step, tests = 1e-13 * max(lo, 1.0), 1
+    hi = min(lo + step, bound)
+    while (cert := _krein_certificate(pp, j, hi)) is None:
+        if hi == bound:
+            raise NumericalInconsistency("no Krein certificate at the norm bound %.6g" % hi)
+        lo, step, tests = hi, 16.0 * step, tests + 1
+        hi = min(lo + step, bound)
     # absolute below 1, where the decision against 1 + tol is made
     while hi - lo > 1e-13 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)

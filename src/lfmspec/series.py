@@ -524,11 +524,11 @@ def weighted_norm_sq(series: TruncatedSeries, nu: float) -> float:
     return float(total)
 
 
-def _radial_moment(c: float, k: int) -> float:
-    """Gamma(c+1) k! / Gamma(c+k+2); 1 when c = -1 (boundary case)."""
+def _log_radial_moment(c: float, k: int) -> float:
+    """log of Gamma(c+1) k! / Gamma(c+k+2); 0 when c = -1 (boundary case)."""
     if c <= -1.0 + 1e-12:
-        return 1.0
-    return math.exp(math.lgamma(c + 1.0) + math.lgamma(k + 1.0) - math.lgamma(c + k + 2.0))
+        return 0.0
+    return math.lgamma(c + 1.0) + math.lgamma(k + 1.0) - math.lgamma(c + k + 2.0)
 
 
 def sobolev_norm_sq(series: TruncatedSeries, s: float, nu: float) -> float:
@@ -547,8 +547,34 @@ def sobolev_norm_sq(series: TruncatedSeries, s: float, nu: float) -> float:
         if k == 0:
             total += abs(coeff) ** 2
         else:
-            total += (float(k) ** (2.0 * s)) * _radial_moment(c, k) * abs(coeff) ** 2 * monomial_norm_sq(alpha)
+            sf = float(k) ** (2.0 * s) * math.exp(_log_radial_moment(c, k))
+            total += sf * abs(coeff) ** 2 * monomial_norm_sq(alpha)
     return float(total)
+
+
+def _norm_factors(s: float, nu: float, k_max: int) -> list[tuple[float, float, float]]:
+    """Per degree k <= k_max: the weighted factor (k+1)^(2 nu), the Sobolev
+    factor k^(2s) R(c, k) and their ratio, all 1 at k = 0.
+
+    Each is first sized in logs; one beyond e^700 either way, which would
+    overflow or which JSON could not carry, is refused."""
+    c = 2.0 * s - 2.0 * nu - 1.0
+    if c < -1.0 - 1e-12:
+        raise ParameterConstraintViolated(
+            "need 2 s - 2 nu - 1 >= -1 (got %.6g) for an integrable radial weight" % c
+        )
+    if k_max < 0:
+        raise ParameterConstraintViolated("k_max must be nonnegative")
+    rows = [(1.0, 1.0, 1.0)]
+    for k in range(1, k_max + 1):
+        lw, lp, lr = 2.0 * nu * math.log(k + 1.0), 2.0 * s * math.log(k), _log_radial_moment(c, k)
+        if not all(abs(x) <= 700.0 for x in (lw, lp, lp + lr, lw - lp - lr)):
+            raise ParameterConstraintViolated(
+                "degree-%d norm factors leave the float range (s = %.6g, nu = %.6g)" % (k, s, nu)
+            )
+        wf, sf = (k + 1.0) ** (2.0 * nu), float(k) ** (2.0 * s) * math.exp(lr)
+        rows.append((wf, sf, wf / sf))
+    return rows
 
 
 def norm_equivalence_interval(s: float, nu: float, k_max: int) -> tuple[float, float]:
@@ -558,14 +584,5 @@ def norm_equivalence_interval(s: float, nu: float, k_max: int) -> tuple[float, f
     For any series supported in degrees <= k_max the ratio of the two
     squared norms lies in this interval (a weighted mediant of the
     per-degree ratios)."""
-    c = 2.0 * s - 2.0 * nu - 1.0
-    if c < -1.0 - 1e-12:
-        raise ParameterConstraintViolated(
-            "need 2 s - 2 nu - 1 >= -1 (got %.6g) for an integrable radial weight" % c
-        )
-    if k_max < 0:
-        raise ParameterConstraintViolated("k_max must be nonnegative")
-    ratios = [1.0]
-    for k in range(1, k_max + 1):
-        ratios.append((k + 1.0) ** (2.0 * nu) / (float(k) ** (2.0 * s) * _radial_moment(c, k)))
+    ratios = [r for _, _, r in _norm_factors(s, nu, k_max)]
     return (min(ratios), max(ratios))

@@ -203,6 +203,8 @@ class SpectralSet:
 
     def discretize(self, resolution: int = 128) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic point cloud: (values, component_index) arrays."""
+        if resolution < 1:
+            raise ParameterConstraintViolated("resolution must be at least 1, got %d" % resolution)
         values: list[np.ndarray] = []
         index: list[np.ndarray] = []
         for i, comp in enumerate(self.components):

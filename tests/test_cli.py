@@ -273,6 +273,10 @@ def test_compression_refuses_non_self_map(capsys, tmp_path, command):
     ["norms", "{disk}", "--s", "nan"],
     ["norms", "{disk}", "--nu", "inf"],
     ["norms", "{disk}", "--kmax", "-1"],
+    ["norms", "{disk}", "--s", "200"],
+    ["norms", "{disk}", "--s", "1e308"],
+    ["export", "{disk}", "--resolution", "0"],
+    ["export", "{disk}", "--resolution", "-3"],
 ])
 def test_bad_numeric_flag_is_typed_error(capsys, disk_map, affine_map, argv):
     code, out, err = run(capsys, [a.format(disk=disk_map, affine=affine_map) for a in argv])

@@ -15,7 +15,7 @@ from lfmspec import (
     LinearFractionalMap,
     MapFormatError,
 )
-from lfmspec.maps import TOL_VALIDATION
+from lfmspec.maps import TOL_VALIDATION, _krein_certificate
 
 
 def lfm_1d(a, b, c, d):
@@ -376,6 +376,88 @@ def test_validate_small_denominator_margin(margin):
         assert float(np.linalg.norm(rep.witness)) <= 1.0 + 1e-12
         if not rep.ok:
             assert float(np.linalg.norm(f(rep.witness))) > 1.0
+
+
+def test_validate_hard_case_start():
+    # F* g = (0, 0.06) is orthogonal to the top singular direction e1: the
+    # secular equation has no root above s_max = 0.81, and the maximizer
+    # |z2| = 1/12 completes along e1, giving sup^2 = 0.855
+    f = L.LinearFractionalMap(np.diag([0.9, 0.3]), [0, 0.2], [0, 0], 1)
+    rep = L.validate_self_map(f)
+    assert rep.max_modulus == pytest.approx(math.sqrt(0.855), abs=1e-12)
+    assert rep.samples <= 3
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+def _kind_maps(rng, n):
+    """One map of each kind that exists in dimension n."""
+    e1 = np.eye(n)[0]
+    tail = [rng.uniform(0.3, 0.9) * np.exp(2j * math.pi * rng.uniform()) for _ in range(n - 1)]
+    v = _unitary(rng, n)
+    maps = [
+        L.unitary_map(_unitary(rng, n)),  # elliptic automorphism
+        LinearFractionalMap(rng.uniform(0.2, 0.9) * v @ np.diag(np.exp(2j * math.pi * rng.uniform(size=n)))
+                            @ v.conj().T, np.zeros(n), np.zeros(n), 1),  # interior fixed point only
+        LinearFractionalMap(np.diag([1.0] + tail), np.zeros(n), -e1, 2),  # boundary fixed
+        LinearFractionalMap(np.diag([1.0] + [abs(t) for t in tail]), e1, -e1, 3),  # parabolic
+        LinearFractionalMap(0.6 * np.eye(n), 0.4 * e1, np.zeros(n), 1),  # hyperbolic, one fixed
+        LinearFractionalMap(np.diag([1.0] + [math.sqrt(0.75)] * (n - 1)), 0.5 * e1, 0.5 * e1, 1),  # automorphism
+    ]
+    if n > 1:
+        maps.append(LinearFractionalMap(v @ np.diag([1j] + tail) @ v.conj().T,
+                                        np.zeros(n), np.zeros(n), 1))  # unitary part
+        maps.append(L.HalfPlaneMap(n=n, alpha=0.5, b=np.zeros(n - 1), c=0.0,
+                                   a_block=math.sqrt(0.5) * np.diag(tail), d=np.zeros(n - 1),
+                                   rotation=np.eye(n, dtype=complex), tau=e1).pulled_back_to_ball())
+    return maps
+
+
+def _start_corpus():
+    rng = np.random.default_rng(17)
+    maps = []
+    for n in (1, 2, 3):
+        for f in _kind_maps(rng, n) + _kind_maps(rng, n):
+            centre = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            centre *= rng.uniform(0.1, 0.5) / np.linalg.norm(centre)
+            maps.append(L.conjugated(f, L.ball_automorphism_to_origin(centre)))
+        maps += [L.identity_map(n), LinearFractionalMap(np.zeros((n, n)), 0.3 * np.eye(n)[-1], np.zeros(n), 1),
+                 L.ball_automorphism_to_origin(np.full(n, 0.4 / math.sqrt(n))),
+                 LinearFractionalMap(0.7 * _unitary(rng, n), 0.6 * np.eye(n)[0], np.zeros(n), 1)]  # sup 1.3
+    return maps
+
+
+def _reference_supremum(f):
+    """Bisection on the Krein certificate from |phi(0)|, |phi(-C/|C|)| and a
+    norm bound, with F z + g formed by composing with the public involution."""
+    g = L.compose(f, L.ball_automorphism_to_origin(-f.c / f.d))
+    fg = np.column_stack([g.a, g.b]) / g.d
+    pp = fg.conj().T @ fg
+    j = np.diag([1.0] * f.n + [-1.0])
+    cn = float(np.linalg.norm(f.c))
+    u = f.c / cn if cn > 0 else np.zeros(f.n)
+    lo = max(float(np.linalg.norm(f(p))) for p in (0 * u, -u))
+    hi = max(1.5 * (float(np.linalg.norm(fg[:, :-1], 2)) + float(np.linalg.norm(fg[:, -1]))), 1.0)
+    assert _krein_certificate(pp, j, hi) is not None
+    while hi - lo > 1e-13 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if _krein_certificate(pp, j, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_validate_start_against_reference_bisection():
+    for f in _start_corpus():
+        rep = L.validate_self_map(f)
+        ref = _reference_supremum(f)
+        assert rep.ok == (ref <= 1.0 + TOL_VALIDATION)
+        assert rep.max_modulus == pytest.approx(ref, rel=1e-12)
+        assert rep.samples <= 3
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ quadrature for monomial norms, pointwise evaluation for products and
 compositions, and exact eigenstructure for diagonal maps."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from scipy import integrate
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, TruncatedSeries
-from lfmspec.series import _graded, _spectral_order, basis_multi_indices, compression_eigenvalues, monomial_norm_sq
+from lfmspec.series import (
+    _graded, _norm_factors, _spectral_order, basis_multi_indices, compression_eigenvalues, monomial_norm_sq,
+)
 
 
 def lfm_1d(a, b, c, d):
@@ -432,6 +435,20 @@ def test_sobolev_rejects_nonintegrable_weight():
     ser = TruncatedSeries(1, 2, {(1,): 1})
     with pytest.raises(L.ParameterConstraintViolated):
         L.sobolev_norm_sq(ser, 0.0, 1.0)  # c = -3
+
+
+@pytest.mark.parametrize("s2, nu2", [(1, 1), (2, -1), (6, 1), (200, 1)])
+def test_norm_factors_against_exact_rationals(s2, nu2):
+    # 2s, 2nu and c = 2s - 2nu - 1 integers: k^(2s) c! k! / (c + k + 1)! is a
+    # rational; at 2s = 200 the factors reach 30^200 ~ 1e295
+    c = s2 - nu2 - 1
+    for k, (wf, sf, ratio) in enumerate(_norm_factors(s2 / 2, nu2 / 2, 30)):
+        w = Fraction(k + 1) ** nu2 if k else Fraction(1)
+        r = Fraction(math.factorial(c) * math.factorial(k), math.factorial(c + k + 1)) if c >= 0 else 1
+        so = Fraction(k) ** s2 * r if k else Fraction(1)
+        assert wf == pytest.approx(float(w), rel=1e-13)
+        assert sf == pytest.approx(float(so), rel=1e-12)
+        assert ratio == pytest.approx(float(w / so), rel=1e-12)
 
 
 def test_norm_interval_rejects_negative_kmax():
