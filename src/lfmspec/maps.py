@@ -613,11 +613,11 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOL_VALIDATION) -> Va
     ``max_modulus`` is the smallest certified rho to about 1e-13, bisected
     from lo = |F z* + g| at the sphere maximizer z* and the first of
     lo + 1e-13 max(lo, 1) 16^k (capped at a norm bound) that the certificate
-    accepts.  lo is attained and every reported rho certified, so soundness
-    rests on the certificate alone; it is never below the sup of the computed
-    F z + g, whose forming costs eps / (d - |C|) relative.  ``samples`` counts
-    the certificate tests, typically 1 or 2; ``witness`` is a point of the
-    closed ball where |phi| attains ``max_modulus`` up to roundoff.
+    accepts, not bisected further when it is the first.  lo is attained and
+    every reported rho certified, so soundness rests on the certificate alone;
+    it is never below the sup of the computed F z + g, whose forming costs
+    eps / (d - |C|) relative.  ``samples`` counts the certificate tests (mostly
+    1); ``witness`` attains ``max_modulus`` in the closed ball up to roundoff.
     """
     n = f.n
     cn = float(np.linalg.norm(f.c))
@@ -640,8 +640,8 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOL_VALIDATION) -> Va
             raise NumericalInconsistency("no Krein certificate at the norm bound %.6g" % hi)
         lo, step, tests = hi, 16.0 * step, tests + 1
         hi = min(lo + step, bound)
-    # absolute below 1, where the decision against 1 + tol is made
-    while hi - lo > 1e-13 * max(hi, 1.0):
+    # absolute below 1, where the decision against 1 + tol is made; an accepted first rung is that narrow
+    while tests > 1 and hi - lo > 1e-13 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         found = _krein_certificate(pp, j, mid)
         tests += 1

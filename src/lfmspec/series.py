@@ -514,13 +514,21 @@ def eigenfunction_residual(
     return math.sqrt(float(g.norm_sq @ np.abs(diff) ** 2) / denom)
 
 
+def _refuse_overflow(what: str, *logs: float) -> None:
+    """ParameterConstraintViolated unless every log is at most 700 (nan is not)."""
+    if not all(x <= 700.0 for x in logs):
+        raise ParameterConstraintViolated("%s leaves the float range" % what)
+
+
 def weighted_norm_sq(series: TruncatedSeries, nu: float) -> float:
     """Graded norm sum_k (k+1)^(2 nu) ||f_k||^2 with f_k the degree-k
-    homogeneous part in the Hardy norm."""
+    homogeneous part in the Hardy norm; powers are sized in logs first."""
     total = 0.0
     for alpha, c in series.coeffs.items():
         k = sum(alpha)
+        _refuse_overflow("a degree-%d term" % k, 2.0 * nu * math.log(k + 1.0), 2.0 * math.log(abs(c)))
         total += (k + 1.0) ** (2.0 * nu) * abs(c) ** 2 * monomial_norm_sq(alpha)
+    _refuse_overflow("the weighted norm", math.log(total or 1.0))
     return float(total)
 
 
@@ -535,7 +543,8 @@ def sobolev_norm_sq(series: TruncatedSeries, s: float, nu: float) -> float:
     """Smoothness-weighted squared norm
     |f(0)|^2 + sum_{k>=1} k^(2s) R(c,k) ||f_k||^2 with c = 2s - 2 nu - 1.
 
-    Requires c >= -1 so the radial weight is integrable."""
+    Requires c >= -1 so the radial weight is integrable; powers (R <= 1) are
+    sized in logs first."""
     c = 2.0 * s - 2.0 * nu - 1.0
     if c < -1.0 - 1e-12:
         raise ParameterConstraintViolated(
@@ -544,11 +553,13 @@ def sobolev_norm_sq(series: TruncatedSeries, s: float, nu: float) -> float:
     total = 0.0
     for alpha, coeff in series.coeffs.items():
         k = sum(alpha)
+        _refuse_overflow("a degree-%d term" % k, 2.0 * s * math.log(max(k, 1)), 2.0 * math.log(abs(coeff)))
         if k == 0:
             total += abs(coeff) ** 2
         else:
             sf = float(k) ** (2.0 * s) * math.exp(_log_radial_moment(c, k))
             total += sf * abs(coeff) ** 2 * monomial_norm_sq(alpha)
+    _refuse_overflow("the Sobolev norm", math.log(total or 1.0))
     return float(total)
 
 
@@ -568,10 +579,8 @@ def _norm_factors(s: float, nu: float, k_max: int) -> list[tuple[float, float, f
     rows = [(1.0, 1.0, 1.0)]
     for k in range(1, k_max + 1):
         lw, lp, lr = 2.0 * nu * math.log(k + 1.0), 2.0 * s * math.log(k), _log_radial_moment(c, k)
-        if not all(abs(x) <= 700.0 for x in (lw, lp, lp + lr, lw - lp - lr)):
-            raise ParameterConstraintViolated(
-                "degree-%d norm factors leave the float range (s = %.6g, nu = %.6g)" % (k, s, nu)
-            )
+        _refuse_overflow("a degree-%d norm factor (s = %.6g, nu = %.6g)" % (k, s, nu),
+                         *(abs(x) for x in (lw, lp, lp + lr, lw - lp - lr)))
         wf, sf = (k + 1.0) ** (2.0 * nu), float(k) ** (2.0 * s) * math.exp(lr)
         rows.append((wf, sf, wf / sf))
     return rows

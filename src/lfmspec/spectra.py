@@ -9,6 +9,7 @@ and deterministic discretization operate on that symbolic form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .maps import (
     iterate_matrix,
     unitary_with_first_column,
 )
+from .series import _spectral_order
 
 __all__ = [
     "Point",
@@ -71,9 +73,11 @@ class PointFamily:
     ``generators`` are the eigenvalues whose monomial products the family
     represents; ``points`` enumerates every product of modulus at least
     ``truncated_at`` (with ``min_total_exponent`` 0 or 1 recording whether
-    the empty product is included).  Families of contractions accumulate
-    only at 0, so the truncation plus an explicit 0 point captures the
-    closure.
+    the empty product is included).  Products on one point of the 1e-13 grid
+    count once, as the last written (``_contractive_products``); boundary-fixed
+    families, outside the disk of the essential radius rho, are enumerated
+    down to rho.  Families of contractions accumulate only at 0, so the
+    truncation plus an explicit 0 point captures the closure.
     """
 
     generators: tuple[complex, ...]
@@ -133,24 +137,23 @@ def _component_max_modulus(comp: Component) -> float:
     raise TypeError("unknown component %r" % (comp,))
 
 
-def _component_cloud(comp: Component, resolution: int) -> np.ndarray:
-    if isinstance(comp, Point):
-        return np.array([comp.value], dtype=complex)
-    if isinstance(comp, PointFamily):
-        return np.array(comp.points, dtype=complex)
+def _run_clouds(kind: type, comps: list, resolution: int) -> list[np.ndarray]:
+    """Clouds of a run of components of one type: points as they are, else
+    every ring radius times the angles, a disk's centre in place of its ring 0."""
+    if kind is Point or kind is PointFamily:
+        return [np.array(c.points if kind is PointFamily else [c.value], dtype=complex) for c in comps]
     angles = np.exp(2j * math.pi * np.arange(resolution) / resolution)
-    if isinstance(comp, Circle):
-        return comp.radius * angles
-    n_rings = max(2, resolution // 8)
-    if isinstance(comp, ClosedDisk):
-        rings = comp.radius * np.arange(n_rings + 1) / n_rings
-        pts = [np.array([0.0 + 0.0j])]
-        pts.extend(r * angles for r in rings[1:])
-        return np.concatenate(pts)
-    if isinstance(comp, Annulus):
-        rings = comp.r_inner + (comp.r_outer - comp.r_inner) * np.arange(n_rings + 1) / n_rings
-        return np.concatenate([r * angles for r in rings])
-    raise TypeError("unknown component %r" % (comp,))
+    steps = np.arange(max(2, resolution // 8) + 1)
+    if kind is Annulus:
+        inner, outer = np.array([[[c.r_inner] for c in comps], [[c.r_outer] for c in comps]])
+        rings = inner + (outer - inner) * steps / steps[-1]
+    else:
+        rings = np.array([[c.radius] for c in comps])
+        rings = rings * steps[1:] / steps[-1] if kind is ClosedDisk else rings
+    cloud = (rings[:, :, None] * angles).reshape(len(comps), -1)
+    if kind is ClosedDisk:
+        cloud = np.concatenate([np.zeros((len(comps), 1), dtype=complex), cloud], axis=1)
+    return list(cloud)
 
 
 def _component_json(comp: Component) -> dict:
@@ -205,15 +208,10 @@ class SpectralSet:
         """Deterministic point cloud: (values, component_index) arrays."""
         if resolution < 1:
             raise ParameterConstraintViolated("resolution must be at least 1, got %d" % resolution)
-        values: list[np.ndarray] = []
-        index: list[np.ndarray] = []
-        for i, comp in enumerate(self.components):
-            cloud = _component_cloud(comp, resolution)
-            values.append(cloud)
-            index.append(np.full(cloud.shape[0], i, dtype=int))
-        if not values:
-            return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)
-        return np.concatenate(values), np.concatenate(index)
+        clouds = [c for kind, run in itertools.groupby(self.components, type)
+                  for c in _run_clouds(kind, list(run), resolution)]
+        sizes = [c.size for c in clouds]
+        return np.concatenate(clouds or [np.zeros(0, dtype=complex)]), np.repeat(np.arange(len(clouds)), sizes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -238,37 +236,78 @@ def cloud_to_csv(s: SpectralSet, resolution: int = 128) -> str:
 # eigenvalue-product enumeration
 
 
-def _dedupe_key(v: complex) -> tuple[int, int]:
-    return (int(round(v.real * 1e13)), int(round(v.imag * 1e13)))
+def _last_on_grid(vals: np.ndarray, max_points: int) -> np.ndarray:
+    """The last value on each point of the 1e-13 grid, in order of the first;
+    rint rounds half to even as round() does, and == merges +0 and -0."""
+    keys = np.rint(vals * 1e13)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    edge = np.concatenate(([vals.size > 0], keys[1:] != keys[:-1], [vals.size > 0]))  # [:-1] starts, [1:] ends
+    first, last = order[np.flatnonzero(edge[:-1])], order[np.flatnonzero(edge[1:])]
+    if first.size > max_points:
+        raise SizeCapExceeded("eigenvalue-product family exceeds %d points; raise tail_tol" % max_points)
+    return vals[last[np.argsort(first)]]
+
+
+def _chain(w: complex, g: complex, tail_tol: float, max_points: int) -> np.ndarray:
+    """w, w g, (w g) g, ... down to tail_tol in Python complex arithmetic, which
+    rounds as the real form does and is faster for one value than arrays."""
+    chain, check_at = [], max_points + 1
+    while abs(w) >= tail_tol:
+        chain.append(w)
+        if len(chain) == check_at:
+            _last_on_grid(np.array(chain), max_points)
+            check_at *= 2
+        w = w * g
+    return np.array(chain, dtype=complex)
+
+
+def _product_stage(rows: np.ndarray, g: complex, tail_tol: float, max_points: int) -> np.ndarray:
+    """One stage of _contractive_products, one power of all live rows at a time."""
+    row, z = np.arange(rows.size), rows
+    cols, count, check_at = [(row[:0], z[:0])], 0, max_points + 1
+    while z.size:
+        if z.size == 1:
+            z = _chain(z[0].item(), g, tail_tol, max_points)
+            cols.append((np.full(z.size, row[0]), z))
+            break
+        live = np.hypot(z.real, z.imag) >= tail_tol
+        row, z = row[live], z[live]
+        cols.append((row, z))
+        # a subset never has more grid points than the whole
+        count += row.size
+        if count >= check_at:
+            _last_on_grid(np.concatenate([c for _, c in cols]), max_points)
+            check_at = 2 * count
+        w, z = z, np.empty_like(z)
+        z.real = w.real * g.real - w.imag * g.imag
+        z.imag = w.real * g.imag + w.imag * g.real
+    rows_of, vals = (np.concatenate(x) for x in zip(*cols))
+    return _last_on_grid(vals[np.argsort(rows_of, kind="stable")], max_points)
 
 
 def _contractive_products(
     generators: tuple[complex, ...],
     tail_tol: float,
     max_points: int = MAX_FAMILY_POINTS,
-) -> list[complex]:
+) -> np.ndarray:
     """All products g^gamma over multi-exponents gamma >= 0 with modulus at
-    least tail_tol, deduplicated; includes the empty product 1."""
+    least tail_tol, including the empty product 1, by decreasing modulus.
+
+    Per generator g, each value v kept so far gives v g, (v g) g, ... until
+    the first product below tail_tol.  Products on one point of the 1e-13 grid
+    count once, as the last written value by value, powers in order, and go
+    on in order of their first writing; SizeCapExceeded beyond max_points of
+    them in a stage.  Boundary-fixed spectra pass their essential radius."""
+    if not tail_tol > 0.0:  # every chain then ends, a zero generator's at v 0 = 0
+        raise ParameterConstraintViolated("tail_tol must be positive, got %r" % tail_tol)
     for g in generators:
         if abs(g) >= 1.0:
             raise NumericalInconsistency("product enumeration needs strictly contractive generators")
-    vals: dict[tuple[int, int], complex] = {_dedupe_key(1.0 + 0.0j): 1.0 + 0.0j}
+    vals = np.ones(1, dtype=complex)
     for g in generators:
-        r = abs(g)
-        new: dict[tuple[int, int], complex] = {}
-        for v in vals.values():
-            w = v
-            while abs(w) >= tail_tol:
-                new[_dedupe_key(w)] = w
-                if len(new) > max_points:
-                    raise SizeCapExceeded(
-                        "eigenvalue-product family exceeds %d points; raise tail_tol" % max_points
-                    )
-                if r == 0.0:
-                    break
-                w = w * g
-        vals = new
-    return sorted(vals.values(), key=lambda z: (-abs(z), z.real, z.imag))
+        vals = _product_stage(vals, complex(g), tail_tol, max_points)
+    return vals[_spectral_order(vals)]
 
 
 def _unimodular_closure_points(
@@ -321,7 +360,8 @@ def spectral_radius(f: LinearFractionalMap, cl: Classification | None = None) ->
 
 
 def _sorted_points(points: list[complex]) -> tuple[complex, ...]:
-    return tuple(sorted(points, key=lambda z: (-abs(z), z.real, z.imag)))
+    pts = np.array(points, dtype=complex)
+    return tuple(pts[_spectral_order(pts)].tolist())
 
 
 def spectrum(
@@ -375,19 +415,16 @@ def spectrum(
     if kind == MapClass.ELLIPTIC_UNITARY_PART:
         data = cl.spectral_data
         subgroup = _unimodular_closure_points(data.unimodular)
-        moduli_products = _contractive_products(data.contractive, tail_tol)
+        moduli_products = _contractive_products(data.contractive, tail_tol).tolist()
         if subgroup is None:
             radii = sorted({float(abs(v)) for v in moduli_products}, reverse=True)
             comps = tuple(Circle(r) for r in radii) + (Point(0.0 + 0.0j),)
             prov = ("elliptic, positive unitary index, irrational rotation present: circles "
                     "through every product of contractive eigenvalue moduli, plus 0")
         else:
-            pts = []
-            for u in subgroup:
-                for a in moduli_products:
-                    pts.append(u * a)
-                    if len(pts) > MAX_FAMILY_POINTS:
-                        raise SizeCapExceeded("point family exceeds %d points" % MAX_FAMILY_POINTS)
+            if len(subgroup) * len(moduli_products) > MAX_FAMILY_POINTS:
+                raise SizeCapExceeded("point family exceeds %d points" % MAX_FAMILY_POINTS)
+            pts = [u * a for u in subgroup for a in moduli_products]
             fam = PointFamily(
                 generators=tuple(data.eigenvalues),
                 points=_sorted_points(pts),
@@ -403,14 +440,11 @@ def spectrum(
     if kind == MapClass.ELLIPTIC_INTERIOR_ONLY:
         data = cl.spectral_data
         # drop the empty product; 0 and 1 are emitted explicitly
-        prods = [
-            p
-            for p in _contractive_products(data.contractive, tail_tol)
-            if _dedupe_key(p) != _dedupe_key(1.0 + 0.0j)
-        ]
+        prods = _contractive_products(data.contractive, tail_tol)
+        prods = prods[np.rint(prods * 1e13) != 1e13]
         fam = PointFamily(
             generators=tuple(data.eigenvalues),
-            points=_sorted_points(prods),
+            points=tuple(prods.tolist()),
             min_total_exponent=1,
             truncated_at=tail_tol,
             accumulates_at_zero=True,
@@ -427,17 +461,14 @@ def spectrum(
         rho = float(bp.dilation ** (-cl.n / 2.0))
         if rho >= 1.0:
             raise NumericalInconsistency("essential radius bound %.6g should be below 1" % rho)
-        prods = [
-            p
-            for p in _contractive_products(data.contractive, tail_tol)
-            if _dedupe_key(p) != _dedupe_key(1.0 + 0.0j) and abs(p) > rho
-        ]
+        prods = _contractive_products(data.contractive, max(tail_tol, rho))
+        prods = prods[(np.rint(prods * 1e13) != 1e13) & (np.hypot(prods.real, prods.imag) > rho)]
         comps = (ClosedDisk(rho), Point(1.0 + 0.0j))
-        if prods:
+        if prods.size:
             comps = comps + (
                 PointFamily(
                     generators=tuple(data.eigenvalues),
-                    points=_sorted_points(prods),
+                    points=tuple(prods.tolist()),
                     min_total_exponent=1,
                     truncated_at=tail_tol,
                     accumulates_at_zero=False,
@@ -464,7 +495,7 @@ def spectrum(
             complex(abs(v)) for v in nf.eigenvalues if abs(v) < 1.0 - 1e-12
         )
         moduli = sorted(
-            {float(abs(p)) for p in _contractive_products(gens, tail_tol / hi)},
+            {float(abs(p)) for p in _contractive_products(gens, tail_tol / hi).tolist()},
             reverse=True,
         )
         annuli = tuple(

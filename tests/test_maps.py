@@ -460,6 +460,23 @@ def test_validate_start_against_reference_bisection():
         assert rep.samples <= 3
 
 
+def test_validate_accepted_first_rung_is_the_answer(monkeypatch):
+    # the first rung lo + 1e-13 max(lo, 1) is as narrow as the bisection
+    # would leave it, so accepting it ends the search
+    verdicts = []
+    monkeypatch.setattr(L.maps, "_krein_certificate",
+                        lambda *a: verdicts.append(_krein_certificate(*a)) or verdicts[-1])
+    accepted = 0
+    for f in _start_corpus() + [lfm_1d(0.5, 0, 0, 1)]:
+        verdicts.clear()
+        rep = L.validate_self_map(f)
+        assert rep.samples == len(verdicts)
+        if verdicts[0] is not None:
+            accepted += 1
+            assert rep.samples == 1
+    assert accepted >= 40
+
+
 # ---------------------------------------------------------------------------
 # Cayley transport
 

@@ -437,6 +437,19 @@ def test_sobolev_rejects_nonintegrable_weight():
         L.sobolev_norm_sq(ser, 0.0, 1.0)  # c = -3
 
 
+@pytest.mark.parametrize("norm, coeffs", [
+    (lambda ser: L.sobolev_norm_sq(ser, 200.0, 0.0), {(30,): 1.0}),  # 30^400
+    (lambda ser: L.weighted_norm_sq(ser, 1000.0), {(30,): 1.0}),  # 31^2000
+    (lambda ser: L.weighted_norm_sq(ser, 1.0), {(2,): 1e200}),  # |c|^2
+    (lambda ser: L.sobolev_norm_sq(ser, 1.0, 1.0), {(0,): 1e160}),
+    (lambda ser: L.weighted_norm_sq(ser, 80.0), {(30,): 1e150}),  # each power fits, the term does not
+    (lambda ser: L.sobolev_norm_sq(ser, 80.0, 80.0), {(30,): 1e150}),
+], ids=["sobolev-s", "weighted-nu", "weighted-coeff", "sobolev-coeff", "weighted-sum", "sobolev-sum"])
+def test_norms_refuse_to_leave_the_float_range(norm, coeffs):
+    with pytest.raises(L.ParameterConstraintViolated):
+        norm(TruncatedSeries(1, 30, coeffs))
+
+
 @pytest.mark.parametrize("s2, nu2", [(1, 1), (2, -1), (6, 1), (200, 1)])
 def test_norm_factors_against_exact_rationals(s2, nu2):
     # 2s, 2nu and c = 2s - 2nu - 1 integers: k^(2s) c! k! / (c + k + 1)! is a

@@ -2,13 +2,16 @@
 the essential radius estimator against closed forms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap
-from lfmspec.spectra import Annulus, Circle, ClosedDisk, Point, PointFamily, cloud_to_csv
+from lfmspec.spectra import (
+    MAX_FAMILY_POINTS, Annulus, Circle, ClosedDisk, Point, PointFamily, _contractive_products, cloud_to_csv,
+)
 
 
 def lfm_1d(a, b, c, d):
@@ -261,6 +264,125 @@ def test_tail_tol_trims_family():
     for c in loose.components:
         if isinstance(c, PointFamily):
             assert all(abs(p) >= 1e-3 for p in c.points)
+
+
+# ---------------------------------------------------------------------------
+# the array enumerator and cloud against the scalar loops they replaced
+
+
+def _reference_products(generators, tail_tol, max_points=MAX_FAMILY_POINTS):
+    """Scalar enumerator: a dict keyed on the 1e-13 grid, each chain walked
+    in Python complex arithmetic, sorted by (-|z|, re, im)."""
+    def key(v):
+        return (int(round(v.real * 1e13)), int(round(v.imag * 1e13)))
+
+    vals = {key(1.0 + 0.0j): 1.0 + 0.0j}
+    for g in generators:
+        new = {}
+        for v in vals.values():
+            w = v
+            while abs(w) >= tail_tol:
+                new[key(w)] = w
+                if len(new) > max_points:
+                    raise L.SizeCapExceeded("reference cap")
+                if g == 0:
+                    break
+                w = w * g
+        vals = new
+    return np.array(sorted(vals.values(), key=lambda z: (-abs(z), z.real, z.imag)), dtype=complex)
+
+
+def _generator_tuples():
+    rng = np.random.default_rng(8)
+
+    def rand():
+        return complex(rng.uniform(0.05, 0.6) * np.exp(2j * math.pi * rng.uniform()))
+
+    tuples = [(0.5j, 0.5j, -0.5), (0.0,), (0.0, 0.5), (0.5, 0.0, 0.3j), (-0.5,), (0.4j, -0.4j),
+              (0.3 + 0.4j, 0.3 - 0.4j), (1e-12, 0.9), (-0.5, -0.5, 0.25j), (0.5, 0.5)]
+    for _ in range(6):
+        g = rand()
+        tuples += [(g,), (g, g), (g, g.conjugate()), (g, -abs(g)), (g, 1j * abs(g), rand()),
+                   tuple(rand() for _ in range(rng.integers(1, 4)))]
+    return tuples
+
+
+@pytest.mark.parametrize("tail_tol", [1e-12, 1e-6, 1e-3])
+def test_products_match_scalar_reference_bitwise(tail_tol):
+    # bitwise, so a product that comes out with the other sign of zero fails
+    for gens in _generator_tuples():
+        got = _contractive_products(tuple(complex(g) for g in gens), tail_tol)
+        assert got.tobytes() == _reference_products(gens, tail_tol).tobytes(), gens
+
+
+def test_products_of_modulus_exactly_tail_tol_are_kept():
+    # abs() decides; np.abs rounds differently in the last bit for about a
+    # third of all values and would drop some of these
+    for gens in _generator_tuples():
+        w = 1.0 + 0.0j
+        for _ in range(4):
+            w = w * complex(gens[0])
+        if w:
+            got = _contractive_products(tuple(complex(g) for g in gens), abs(w))
+            assert got.tobytes() == _reference_products(gens, abs(w)).tobytes(), gens
+
+
+def test_products_floored_at_rho_match_filtered_reference():
+    # boundary-fixed spectra enumerate down to the essential radius rho only
+    rng = np.random.default_rng(9)
+    for gens in _generator_tuples():
+        rho = rng.uniform(0.2, 0.5)
+        got = _contractive_products(tuple(complex(g) for g in gens), rho)
+        ref = _reference_products(gens, 1e-12)
+        assert got[np.abs(got) > rho].tobytes() == ref[np.abs(ref) > rho].tobytes(), gens
+
+
+@pytest.mark.parametrize("make", [
+    lambda: L.spectrum(diag_map(0.99999, 0.5)),
+    lambda: L.spectrum(diag_map(0.5, 0.99999)),
+    lambda: L.spectrum(diag_map(0.0, 0.99999)),
+    lambda: _contractive_products((0.5, 0.99999), 1e-12),  # many rows at the long stage
+    lambda: _contractive_products((0.9999999,), 1e-12),  # one chain of 2.8e8 products
+], ids=["slow-first", "slow-second", "zero", "rows", "chain"])
+def test_product_family_size_cap_is_prompt(make):
+    start = time.perf_counter()
+    with pytest.raises(L.SizeCapExceeded):
+        make()
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, -1.0, float("nan")])
+def test_products_need_a_positive_tail_tol(tail_tol):
+    # every chain would run on through 0 forever
+    with pytest.raises(L.ParameterConstraintViolated):
+        _contractive_products((), tail_tol)
+
+
+def _reference_cloud(comp, resolution):
+    """Scalar per-component cloud: every ring times the angles on its own."""
+    if isinstance(comp, Point):
+        return np.array([comp.value], dtype=complex)
+    if isinstance(comp, PointFamily):
+        return np.array(comp.points, dtype=complex)
+    angles = np.exp(2j * math.pi * np.arange(resolution) / resolution)
+    if isinstance(comp, Circle):
+        return comp.radius * angles
+    n_rings = max(2, resolution // 8)
+    if isinstance(comp, ClosedDisk):
+        rings = comp.radius * np.arange(n_rings + 1) / n_rings
+        return np.concatenate([np.array([0.0 + 0.0j])] + [r * angles for r in rings[1:]])
+    rings = comp.r_inner + (comp.r_outer - comp.r_inner) * np.arange(n_rings + 1) / n_rings
+    return np.concatenate([r * angles for r in rings])
+
+
+@pytest.mark.parametrize("resolution", [1, 7, 64])
+def test_discretize_matches_scalar_reference_bitwise(resolution):
+    for f in SUPPORTED + [two_fixed_plant(0.9), diag_map(np.exp(2j * math.pi * (math.sqrt(2) - 1)), 0.5, 0.3)]:
+        s = L.spectrum(f)
+        values, index = s.discretize(resolution)
+        clouds = [_reference_cloud(c, resolution) for c in s.components]
+        assert values.tobytes() == np.concatenate(clouds).tobytes()
+        assert index.tobytes() == np.concatenate([np.full(len(c), i) for i, c in enumerate(clouds)]).tobytes()
 
 
 def test_cloud_csv_format():
