@@ -38,7 +38,7 @@ from .maps import (
     _cayley_inverse_matrix,
     conjugate_to_halfplane,
     conjugated,
-    denjoy_wolff,
+    _denjoy_wolff_of,
     evaluate,
     fixed_points,
     is_automorphism,
@@ -203,10 +203,14 @@ def elliptic_p0_normal_form(
     Steps: conjugate the fixed point to the origin by the standard
     involution, scale the associated matrix to denominator constant 1,
     solve (A* - I) V = C, and rotate V to |V| e_1.  The conjugacy
-    sigma o phi = A1 o sigma is then verified on interior samples and the
-    max residual recorded.
+    sigma o phi = A1 o sigma is then checked on ``samples`` seeded interior
+    points in one batch and the max residual recorded.  ``classify`` hands
+    its own ``elliptic_spectral_data`` to the same construction.
     """
-    data = elliptic_spectral_data(f, z0)
+    return _elliptic_p0_normal_form(f, elliptic_spectral_data(f, z0), samples)
+
+
+def _elliptic_p0_normal_form(f: LinearFractionalMap, data: EllipticSpectralData, samples: int = 40) -> EllipticP0Form:
     if data.p != 0:
         raise UnitaryIndexNonzero("normal form requires unitary index 0, got %d" % data.p)
     z0 = data.fixed_point
@@ -231,17 +235,14 @@ def elliptic_p0_normal_form(
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((samples, f.n)) + 1j * rng.standard_normal((samples, f.n))
     pts *= (rng.uniform(0.05, 0.9, size=samples) / np.linalg.norm(pts, axis=1))[:, None]
-    g_tilde = conjugated(g, unitary_map(u))
+    h = np.concatenate([pts, np.ones((samples, 1))], axis=1) @ conjugated(g, unitary_map(u)).matrix.T
 
     def sigma(z: np.ndarray) -> np.ndarray:
-        return z / (1.0 - delta * z[0])
+        return z / (1.0 - delta * z[:, :1])
 
-    resid = 0.0
-    for z in pts:
-        lhs = sigma(evaluate(g_tilde, z))
-        rhs = a1 @ sigma(z)
-        resid = max(resid, float(np.linalg.norm(lhs - rhs)))
-    if resid > 1e-10:
+    lhs = sigma(h[:, : f.n] / h[:, f.n :])
+    resid = float(np.max(np.linalg.norm(lhs - sigma(pts) @ a1.T, axis=1), initial=0.0))
+    if not resid <= 1e-10:  # a NaN residual fails too
         raise NumericalInconsistency("linear-model conjugacy residual %.3g too large" % resid)
 
     if delta < 1.0 - TOL_UNIMODULAR:
@@ -346,9 +347,14 @@ def hyperbolic_normal_form(f: LinearFractionalMap) -> HyperbolicNormalForm:
     removes the mixed term, and a vertical translation removes the
     imaginary part of the constant.  Maps with two boundary fixed points
     come out with c = d = 0 and are reported through the normalized block
-    A' = A / sqrt(alpha).
+    A' = A / sqrt(alpha).  One ``fixed_points`` set gives both the
+    Denjoy-Wolff point and the boundary count; ``classify`` passes its own.
     """
-    dw = denjoy_wolff(f)
+    fps = fixed_points(f)
+    return _hyperbolic_normal_form(f, _denjoy_wolff_of(f, fps), len(fps.boundary_points()))
+
+
+def _hyperbolic_normal_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) -> HyperbolicNormalForm:
     if dw.dilation >= 1.0 - PARABOLIC_BAND:
         raise NotHyperbolic("dilation %.12g is in the parabolic band" % dw.dilation)
     hp = conjugate_to_halfplane(f, dw.location)
@@ -376,7 +382,6 @@ def hyperbolic_normal_form(f: LinearFractionalMap) -> HyperbolicNormalForm:
         raise NumericalInconsistency("vertical translation left Im c = %.3g" % c_final.imag)
     d_final = m2[1:n, n] * alpha
 
-    n_boundary = len(fixed_points(f).boundary_points())
     if n_boundary == 1:
         case = "one_fixed"
         a_prime = None
@@ -440,7 +445,8 @@ def classify(f: LinearFractionalMap) -> Classification:
     boundary fixed-point count; the remaining maps carry a Denjoy-Wolff
     dilation and split into automorphisms, the parabolic band, and the
     hyperbolic one- and two-fixed cases.  Normal forms are attached where
-    the spectral theory consumes them.
+    the spectral theory consumes them, from the one fixed-point set,
+    Denjoy-Wolff point and elliptic spectral data found here.
     """
     fps = fixed_points(f)
     z0 = fps.interior_point()
@@ -462,7 +468,7 @@ def classify(f: LinearFractionalMap) -> Classification:
             )
         nf = None
         if kind in (MapClass.ELLIPTIC_INTERIOR_ONLY, MapClass.ELLIPTIC_BOUNDARY_FIXED):
-            nf = elliptic_p0_normal_form(f, z0)
+            nf = _elliptic_p0_normal_form(f, data)
         return Classification(
             kind=kind,
             n=f.n,
@@ -475,7 +481,7 @@ def classify(f: LinearFractionalMap) -> Classification:
             spectral_data=data,
             normal_form=nf,
         )
-    dw = denjoy_wolff(f)
+    dw = _denjoy_wolff_of(f, fps)
     alpha = dw.dilation
     if alpha >= 1.0 - PARABOLIC_BAND:
         # parabolic band asserts dilation 1; drop the numerical dust
@@ -494,7 +500,7 @@ def classify(f: LinearFractionalMap) -> Classification:
             kind = MapClass.HYPERBOLIC_TWO_FIXED
         else:
             raise MultipleBoundaryFixedPoints("hyperbolic map fixing %d boundary points" % count)
-        nf = hyperbolic_normal_form(f)
+        nf = _hyperbolic_normal_form(f, dw, count)
     return Classification(
         kind=kind,
         n=f.n,

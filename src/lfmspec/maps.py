@@ -30,6 +30,7 @@ from .errors import (
     NoQualifyingBoundaryPoint,
     NotAFixedPoint,
     NumericalInconsistency,
+    ParameterConstraintViolated,
     PointNotInterior,
 )
 
@@ -208,18 +209,28 @@ def conjugated(f: LinearFractionalMap, s: LinearFractionalMap) -> LinearFraction
 
 
 def iterate_matrix(f: LinearFractionalMap, n_iter: int) -> np.ndarray:
-    """Associated matrix of the n-th iterate, renormalized to unit norm."""
-    m = f.matrix
-    out = np.eye(f.n + 1, dtype=complex)
-    k = n_iter
-    while k:
-        if k & 1:
-            out = out @ m
-            out /= np.linalg.norm(out)
-        m = m @ m
-        m /= np.linalg.norm(m)
-        k >>= 1
-    return out
+    """Associated matrix of the n-th iterate, renormalized to unit norm: the
+    bit product of the squarings m, m^2, m^4, ..., which the estimator shares."""
+    if n_iter < 0:
+        raise ParameterConstraintViolated("iterate order must be at least 0, got %d" % n_iter)
+    return _iterate_matrices(f, [n_iter])[0]
+
+
+def _iterate_matrices(f: LinearFractionalMap, orders) -> list[np.ndarray]:
+    """``iterate_matrix(f, k)`` for each k in orders, bit for bit, with the
+    squarings computed once for all orders."""
+    squares = [f.matrix]
+    for _ in range(max(orders, default=0).bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1])
+        squares[-1] /= np.linalg.norm(squares[-1])
+    def product(k: int) -> np.ndarray:
+        it = np.eye(f.n + 1, dtype=complex)
+        for j, m in enumerate(squares):
+            if k >> j & 1:
+                it = it @ m
+                it /= np.linalg.norm(it)
+        return it
+    return [product(k) for k in orders]
 
 
 def jacobian(f: LinearFractionalMap, z) -> np.ndarray:
@@ -417,9 +428,14 @@ def denjoy_wolff(f: LinearFractionalMap, tol: float = TOL_BOUNDARY) -> FixedPoin
     lies in (0, 1]; dilation strictly below 1 is the hyperbolic case and
     dilation 1 the parabolic case.  When rounding leaves two candidates in
     the admissible band (a near-parabolic tie) both are reported in a
-    warning and the smaller dilation wins deterministically.
+    warning and the smaller dilation wins deterministically; ``classify``
+    makes the same choice on the fixed-point set it already has.
     """
-    fps = fixed_points(f, boundary_tol=tol)
+    return _denjoy_wolff_of(f, fixed_points(f, boundary_tol=tol), tol)
+
+
+def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet, tol: float = TOL_BOUNDARY) -> FixedPoint:
+    """``denjoy_wolff`` on fps = ``fixed_points(f, boundary_tol=tol)``."""
     if fps.interior_point() is not None:
         raise HasInteriorFixedPoint("map fixes an interior point; no Denjoy-Wolff point")
     cands = [p for p in fps.boundary_points() if p.dilation is not None and p.dilation <= 1.0 + tol]
@@ -431,7 +447,7 @@ def denjoy_wolff(f: LinearFractionalMap, tol: float = TOL_BOUNDARY) -> FixedPoin
             "near-parabolic tie: %d boundary fixed points have dilation <= 1 + tol (%s); "
             "returning the smallest dilation" % (len(cands), [round(p.dilation, 12) for p in cands]),
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of the public function
         )
     best = cands[0]
     # cross-check the derivative-based dilation against the radial quotient

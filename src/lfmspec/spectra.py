@@ -33,7 +33,7 @@ from .maps import (
     LinearFractionalMap,
     _c2pair,
     _default_boundary_point,
-    iterate_matrix,
+    _iterate_matrices,
     unitary_with_first_column,
 )
 from .series import _spectral_order
@@ -226,10 +226,8 @@ class SpectralSet:
 def cloud_to_csv(s: SpectralSet, resolution: int = 128) -> str:
     """Discretized cloud as CSV text with a `re,im,component_index` header."""
     values, index = s.discretize(resolution)
-    lines = ["re,im,component_index"]
-    for v, i in zip(values, index):
-        lines.append("%s,%s,%d" % (format(v.real, ".17g"), format(v.imag, ".17g"), i))
-    return "\n".join(lines) + "\n"
+    rows = zip(values.real.tolist(), values.imag.tolist(), index.tolist())
+    return "re,im,component_index\n" + "".join(["%.17g,%.17g,%d\n" % row for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +567,7 @@ def essential_radius_estimate(
 
     tau defaults to the boundary point ``conjugate_to_halfplane`` uses: the
     Denjoy-Wolff point, else the first boundary fixed point.  Every iterate
-    phi^n (n = 1..n_max, from ``iterate_matrix``) is applied to the points
+    phi^n (n = 1..n_max, ``iterate_matrix`` on shared squarings) is applied to the points
     r d, for both radii r in 1 - 1e-7, 1 - 1e-8 and every direction d
     around tau, in one batched product of the associated matrices with the
     points in homogeneous coordinates (z, 1).  The quotient
@@ -590,7 +588,7 @@ def essential_radius_estimate(
 
     pts = np.concatenate([r1 * dirs, r2 * dirs])
     homog = np.concatenate([pts, np.ones((2 * n_dirs, 1))], axis=1)
-    h = np.stack([iterate_matrix(f, k) for k in range(1, n_max + 1)]) @ homog.T
+    h = np.stack(_iterate_matrices(f, range(1, n_max + 1))) @ homog.T
     w = h[:, : f.n] / h[:, f.n :]
     top = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
     q = top / np.maximum(1.0 - np.sum(np.abs(w) ** 2, axis=1), 1e-300)

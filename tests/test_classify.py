@@ -1,7 +1,9 @@
 """Classification dispatch, the two normal-form constructions, and the
 classification JSON serialization."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,17 +17,18 @@ def lfm_1d(a, b, c, d):
     return LinearFractionalMap([[a]], [b], [c], d)
 
 
-def two_fixed_plant(a):
-    """Ball map whose Siegel transport is (2 zeta, sqrt(2) a omega)."""
+def two_fixed_plant(a, *rest):
+    """Ball map whose Siegel transport is (2 zeta, sqrt(2) diag(a, *rest) omega)."""
+    n = 2 + len(rest)
     hp = L.HalfPlaneMap(
-        n=2,
+        n=n,
         alpha=0.5,
-        b=np.zeros(1, dtype=complex),
+        b=np.zeros(n - 1, dtype=complex),
         c=0.0 + 0.0j,
-        a_block=np.array([[a * math.sqrt(0.5)]], dtype=complex),
-        d=np.zeros(1, dtype=complex),
-        rotation=np.eye(2, dtype=complex),
-        tau=np.array([1.0, 0.0], dtype=complex),
+        a_block=np.diag(np.array((a,) + rest, dtype=complex)) * math.sqrt(0.5),
+        d=np.zeros(n - 1, dtype=complex),
+        rotation=np.eye(n, dtype=complex),
+        tau=np.eye(n, dtype=complex)[0],
     )
     return hp.pulled_back_to_ball()
 
@@ -239,3 +242,127 @@ def test_serialized_chain_reproduces_two_fixed():
     d = classification_to_json_dict(cl)
     roles = [s["kind"] for s in d["conjugation_chain"]]
     assert "cayley" in roles and "normal_form" in roles
+
+
+# ---------------------------------------------------------------------------
+# one fixed-point pass per classification, shared with the normal forms
+
+
+@pytest.mark.parametrize("make,expected", KIND_GALLERY, ids=[k.value for _, k in KIND_GALLERY])
+def test_classify_solves_fixed_points_once(make, expected, monkeypatch):
+    f = make()
+    calls = []
+    solve = sys.modules["lfmspec.maps"].fixed_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    # lfmspec.classify the attribute is the function; the modules come from sys.modules
+    for name in ("lfmspec.maps", "lfmspec.classify"):
+        monkeypatch.setattr(sys.modules[name], "fixed_points", counted)
+    assert L.classify(f).kind == expected
+    assert len(calls) == 1
+
+
+def _p0_and_hyperbolic_maps():
+    """Gallery maps with a normal form, N = 3 analogues, and their conjugates
+    by the involutions at seeded centres."""
+    base = [make() for make, kind in KIND_GALLERY if kind in (
+        MapClass.ELLIPTIC_INTERIOR_ONLY, MapClass.ELLIPTIC_BOUNDARY_FIXED,
+        MapClass.HYPERBOLIC_ONE_FIXED, MapClass.HYPERBOLIC_TWO_FIXED)]
+    base += [
+        LinearFractionalMap(np.diag([0.5, 1 / 3, 0.25]), np.zeros(3), np.zeros(3), 1),
+        LinearFractionalMap(np.diag([1, 0.4, 0.4]), np.zeros(3), [-1, 0, 0], 2),
+        LinearFractionalMap(0.5 * np.eye(3), [0.5, 0, 0], np.zeros(3), 1),
+        two_fixed_plant(0.6, 0.3j),
+        lfm_1d(1, 0, -1, 4),
+    ]
+    rng = np.random.default_rng(3)
+    out = []
+    for f in base:
+        out.append(f)
+        for _ in range(2):
+            a = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
+            a *= rng.uniform(0.1, 0.5) / np.linalg.norm(a)
+            out.append(L.conjugated(f, L.ball_automorphism_to_origin(a)))
+    return out
+
+
+def _same(x, y) -> bool:
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(
+            _same(getattr(x, k.name), getattr(y, k.name)) for k in dataclasses.fields(x))
+    if isinstance(x, LinearFractionalMap):
+        return np.array_equal(x.matrix, y.matrix)
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    return x == y
+
+
+def test_public_normal_forms_match_classify():
+    seen = set()
+    for f in _p0_and_hyperbolic_maps():
+        cl = L.classify(f)
+        if cl.kind in (MapClass.HYPERBOLIC_ONE_FIXED, MapClass.HYPERBOLIC_TWO_FIXED):
+            nf = L.hyperbolic_normal_form(f)
+        else:
+            assert cl.kind in (MapClass.ELLIPTIC_INTERIOR_ONLY, MapClass.ELLIPTIC_BOUNDARY_FIXED)
+            nf = L.elliptic_p0_normal_form(f)
+        assert _same(nf, cl.normal_form)
+        seen.add((f.n, cl.kind))
+    assert len(seen) == 9  # (N, kind): three for N = 1, two for N = 2, four for N = 3
+
+
+def test_batched_conjugacy_residual_matches_pointwise_loop():
+    for f in _p0_and_hyperbolic_maps():
+        nf = L.classify(f).normal_form
+        if not isinstance(nf, L.EllipticP0Form):
+            continue
+        # the residual as a loop over points, one evaluate and matvec each
+        g_tilde = L.conjugated(L.conjugated(f, nf.to_origin), L.unitary_map(nf.rotation))
+        rng = np.random.default_rng(11)
+        pts = rng.standard_normal((40, f.n)) + 1j * rng.standard_normal((40, f.n))
+        pts *= (rng.uniform(0.05, 0.9, size=40) / np.linalg.norm(pts, axis=1))[:, None]
+        resid = 0.0
+        for z in pts:
+            w = L.evaluate(g_tilde, z)
+            lhs = w / (1.0 - nf.delta * w[0])
+            rhs = nf.a1 @ (z / (1.0 - nf.delta * z[0]))
+            resid = max(resid, float(np.linalg.norm(lhs - rhs)))
+        assert abs(nf.conjugacy_residual - resid) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# iterates from shared squarings
+
+
+def _iterate_matrix_reference(f, k):
+    """The per-order squaring loop, one call per order."""
+    m = f.matrix
+    out = np.eye(f.n + 1, dtype=complex)
+    while k:
+        if k & 1:
+            out = out @ m
+            out /= np.linalg.norm(out)
+        m = m @ m
+        m /= np.linalg.norm(m)
+        k >>= 1
+    return out
+
+
+def test_shared_squarings_give_bit_identical_iterates():
+    from lfmspec.maps import _iterate_matrices
+
+    maps = [make() for make, _ in KIND_GALLERY] + [
+        lfm_1d(0.5, 0.1j, 0.3 - 0.2j, 1),
+        LinearFractionalMap([[0.4, 0.1], [0, 0.3 + 0.2j]], [0.1, 0], [0.2, -0.1j], 1.5),
+        LinearFractionalMap(0.3 * np.eye(3), [0.1, 0, 0.2j], [0.1j, -0.2, 0.1 + 0.1j], 1.2),
+    ]
+    maps += [f for f in _p0_and_hyperbolic_maps() if np.any(f.c.imag)]
+    assert {f.n for f in maps if np.any(f.c.imag)} == {1, 2, 3}
+    for f in maps:
+        shared = _iterate_matrices(f, range(1, 65))
+        for k, m in enumerate(shared, start=1):
+            assert m.tobytes() == L.iterate_matrix(f, k).tobytes()
+            assert m.tobytes() == _iterate_matrix_reference(f, k).tobytes()

@@ -141,6 +141,12 @@ def test_iterate_matrix(cayley_like):
     assert abs(f3([z])[0] - w) < 1e-13
 
 
+def test_iterate_matrix_rejects_negative_order(cayley_like):
+    assert np.array_equal(L.iterate_matrix(cayley_like, 0), np.eye(2))
+    with pytest.raises(L.ParameterConstraintViolated):
+        L.iterate_matrix(cayley_like, -1)
+
+
 def test_jacobian_against_finite_differences():
     f = LinearFractionalMap([[0.4, 0.1], [0.0, 0.3 + 0.2j]], [0.1, 0], [0.2, -0.1], 1.5)
     z0 = np.array([0.1 + 0.05j, -0.2j])

@@ -37,6 +37,20 @@ def two_fixed_plant(a):
     return hp.pulled_back_to_ball()
 
 
+def two_fixed_plant_n3():
+    hp = L.HalfPlaneMap(
+        n=3,
+        alpha=0.5,
+        b=np.zeros(2),
+        c=0.0,
+        a_block=np.diag([0.6, 0.3j]) * math.sqrt(0.5),
+        d=np.zeros(2),
+        rotation=np.eye(3, dtype=complex),
+        tau=np.array([1.0, 0.0, 0.0]),
+    )
+    return hp.pulled_back_to_ball()
+
+
 # ---------------------------------------------------------------------------
 # elliptic automorphisms
 
@@ -393,6 +407,35 @@ def test_cloud_csv_format():
     row = lines[1].split(",")
     assert len(row) == 3
     complex(float(row[0]), float(row[1]))  # parses
+
+
+class _Cloud:
+    def __init__(self, values, index):
+        self.values, self.index = values, index
+
+    def discretize(self, resolution):
+        return self.values, self.index
+
+
+def _csv_reference(s, resolution):
+    """Two format() calls per point, as the CSV was first written."""
+    values, index = s.discretize(resolution)
+    lines = ["re,im,component_index"]
+    for v, i in zip(values, index):
+        lines.append("%s,%s,%d" % (format(v.real, ".17g"), format(v.imag, ".17g"), i))
+    return "\n".join(lines) + "\n"
+
+
+def test_cloud_csv_matches_per_point_format():
+    clouds = [L.spectrum(two_fixed_plant_n3()),
+              _Cloud(np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), 1 / 3 - 2e-300j]),
+                     np.array([0, 0, 1, 1, 2])),
+              _Cloud(np.zeros(0, dtype=complex), np.zeros(0, dtype=int))]
+    for s in clouds:
+        assert cloud_to_csv(s, resolution=16) == _csv_reference(s, 16)
+    assert clouds[0].kind == L.MapClass.HYPERBOLIC_TWO_FIXED.value
+    signed = cloud_to_csv(clouds[1])
+    assert "\n-0,0,0\n" in signed and "\n0,-0,1\n" in signed
 
 
 # ---------------------------------------------------------------------------
