@@ -210,16 +210,13 @@ def _cmd_radius(args) -> int:
         est = essential_radius_estimate(f, n_max=n_max)
         estimate = {
             "limit": est.limit,
-            "g_values": list(est.g_values),
             "roots": list(est.roots),
-            "fit_window": list(est.fit_window),
+            "spread": est.spread,
             "tau": [_c2pair(t) for t in est.tau],
             "n_max": est.n_max,
-            "r_schedule": list(est.r_schedule),
-            "n_directions": est.n_directions,
         }
     except NoBoundaryFixedPoint:
-        note = "no boundary fixed point: the iterate-quotient estimator does not apply"
+        note = "no boundary fixed point: the contact-point estimator does not apply"
     except NumericalInconsistency as exc:
         note = "estimator failed: %s" % exc
     agree = None
@@ -356,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", _cmd_validate, "sup of |phi| over the ball (J-form certificate) against 1 + tol")
     add("classify", _cmd_classify, "fixed points, class, and normal form")
     add("spectrum", _cmd_spectrum, "exact spectrum of the composition operator")
-    add("radius", _cmd_radius, "spectral radius, closed-form essential radius, and the iterate-quotient estimate")
+    add("radius", _cmd_radius, "spectral radius, closed-form essential radius, and the contact-point estimate")
     add("compress", _cmd_compress, "eigenvalues of the Galerkin compression")
     add("verify-eigen", _cmd_verify_eigen, "residuals of the compression eigenpairs")
     sp_norms = add("norms", _cmd_norms, "per-degree weighted vs Sobolev norm factors")

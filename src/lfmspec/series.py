@@ -51,6 +51,7 @@ __all__ = [
 # truncation degrees beyond which the compression matrix is refused
 MAX_COMPRESSION_DEGREE = {1: 60, 2: 25, 3: 12}
 MAX_BASIS_SIZE = 3000
+MAX_NORM_DEGREE = 10_000
 
 
 def _compositions(total: int, parts: int):
@@ -568,7 +569,8 @@ def _norm_factors(s: float, nu: float, k_max: int) -> list[tuple[float, float, f
     factor k^(2s) R(c, k) and their ratio, all 1 at k = 0.
 
     Each is first sized in logs; one beyond e^700 either way, which would
-    overflow or which JSON could not carry, is refused."""
+    overflow or which JSON could not carry, is refused; so is k_max beyond
+    MAX_NORM_DEGREE, before any row is made."""
     c = 2.0 * s - 2.0 * nu - 1.0
     if c < -1.0 - 1e-12:
         raise ParameterConstraintViolated(
@@ -576,6 +578,8 @@ def _norm_factors(s: float, nu: float, k_max: int) -> list[tuple[float, float, f
         )
     if k_max < 0:
         raise ParameterConstraintViolated("k_max must be nonnegative")
+    if k_max > MAX_NORM_DEGREE:
+        raise SizeCapExceeded("k_max %d exceeds %d degrees" % (k_max, MAX_NORM_DEGREE))
     rows = [(1.0, 1.0, 1.0)]
     for k in range(1, k_max + 1):
         lw, lp, lr = 2.0 * nu * math.log(k + 1.0), 2.0 * s * math.log(k), _log_radial_moment(c, k)

@@ -1,5 +1,7 @@
 """Exact spectra of composition operators for the supported map classes,
-plus the boundary-quotient estimator for the essential spectral radius.
+plus the contact-point estimator for the essential spectral radius: the
+angular derivative d of the map at its boundary fixed point, as a J-form
+pairing on the associated matrix, gives d^(-N/2).
 
 A spectrum is assembled symbolically as a union of primitive regions
 (points, truncated point families, circles, closed disks, annuli) with a
@@ -34,7 +36,7 @@ from .maps import (
     _c2pair,
     _default_boundary_point,
     _iterate_matrices,
-    unitary_with_first_column,
+    _j_form,
 )
 from .series import _spectral_order
 
@@ -55,6 +57,7 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-12
 MAX_FAMILY_POINTS = 100_000
+MAX_CLOUD_POINTS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +140,14 @@ def _component_max_modulus(comp: Component) -> float:
     raise TypeError("unknown component %r" % (comp,))
 
 
+def _cloud_size(comp: Component, resolution: int) -> int:
+    """Number of points _run_clouds gives comp at this resolution."""
+    if isinstance(comp, (Point, PointFamily)):
+        return len(comp.points) if isinstance(comp, PointFamily) else 1
+    rings = 1 if isinstance(comp, Circle) else max(2, resolution // 8) + isinstance(comp, Annulus)
+    return rings * resolution + isinstance(comp, ClosedDisk)
+
+
 def _run_clouds(kind: type, comps: list, resolution: int) -> list[np.ndarray]:
     """Clouds of a run of components of one type: points as they are, else
     every ring radius times the angles, a disk's centre in place of its ring 0."""
@@ -205,9 +216,14 @@ class SpectralSet:
         return max((_component_max_modulus(c) for c in self.components), default=0.0)
 
     def discretize(self, resolution: int = 128) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic point cloud: (values, component_index) arrays."""
+        """Deterministic point cloud: (values, component_index) arrays;
+        SizeCapExceeded beyond MAX_CLOUD_POINTS points, counted first."""
         if resolution < 1:
             raise ParameterConstraintViolated("resolution must be at least 1, got %d" % resolution)
+        size = sum(_cloud_size(c, resolution) for c in self.components)
+        if size > MAX_CLOUD_POINTS:
+            raise SizeCapExceeded("point cloud of %d points exceeds %d; lower the resolution"
+                                  % (size, MAX_CLOUD_POINTS))
         clouds = [c for kind, run in itertools.groupby(self.components, type)
                   for c in _run_clouds(kind, list(run), resolution)]
         sizes = [c.size for c in clouds]
@@ -513,49 +529,24 @@ def spectrum(
 # essential spectral radius estimator
 
 
-# the two radii of the linear extrapolation to the sphere, and the directions
-# sampled around the boundary point (tau plus small perturbations of it)
-_ESTIMATOR_RADII = (1.0 - 1e-7, 1.0 - 1e-8)
-_N_DIRECTIONS = 8
-_DIRECTION_SPREAD = 1e-3
+MAX_ITERATE_ORDER = 10_000
 
 
 @dataclass(frozen=True)
 class EssentialRadiusEstimate:
-    """Output of the boundary-quotient estimator.
+    """Output of the contact-point estimator.
 
-    ``g_values[k]`` approximates the sup over the ball of the iterate
-    quotient ((1-|z|^2)/(1-|phi^n(z)|^2))^(N/2) at n = k+1: the quotient is
-    taken at the two radii ``r_schedule`` along ``n_directions`` fixed
-    directions at or near the boundary point ``tau``, extrapolated linearly
-    in 1-r to the sphere, and maximized over the directions.  ``roots`` are
-    the n-th roots g_n^(1/n); ``limit`` is exp of the slope of a linear
-    fit to log g_n over n in ``fit_window`` (inclusive), which strips the
-    constant prefactor that biases the raw roots.
+    ``roots[k]`` is d_n^(-N/(2n)) at n = k+1, with d_n the angular derivative
+    of phi^n at the boundary point ``tau``.  By the chain rule every root is
+    d^(-N/2); ``limit`` is the root at ``n_max`` and ``spread`` is
+    (max - min) / limit over the roots, the estimator's own consistency check.
     """
 
     limit: float
-    g_values: tuple[float, ...]
     roots: tuple[float, ...]
-    fit_window: tuple[int, int]
+    spread: float
     tau: tuple[complex, ...]
     n_max: int
-    r_schedule: tuple[float, ...]
-    n_directions: int
-
-
-def _estimator_directions(tau: np.ndarray) -> np.ndarray:
-    """tau itself plus small unit-sphere perturbations around it, as rows."""
-    n = tau.shape[0]
-    if n == 1:
-        steps = [tau * np.exp(1j * sgn * _DIRECTION_SPREAD / 10.0 ** k)
-                 for k in range(4) for sgn in (1.0, -1.0)]
-    else:
-        basis = unitary_with_first_column(tau)
-        steps = [tau + _DIRECTION_SPREAD * ph * basis[:, j]
-                 for j in range(1, n) for ph in (1.0, -1.0, 1.0j, -1.0j)]
-        steps = [v / np.linalg.norm(v) for v in steps]
-    return np.array([tau] + steps[: _N_DIRECTIONS - 1])
 
 
 def essential_radius_estimate(
@@ -563,63 +554,48 @@ def essential_radius_estimate(
     tau: np.ndarray | None = None,
     n_max: int = 20,
 ) -> EssentialRadiusEstimate:
-    """Estimate the essential spectral radius from iterate boundary quotients.
+    """Essential spectral radius d^(-N/2) from the angular derivative d at tau.
 
     tau defaults to the boundary point ``conjugate_to_halfplane`` uses: the
-    Denjoy-Wolff point, else the first boundary fixed point.  Every iterate
-    phi^n (n = 1..n_max, ``iterate_matrix`` on shared squarings) is applied to the points
-    r d, for both radii r in 1 - 1e-7, 1 - 1e-8 and every direction d
-    around tau, in one batched product of the associated matrices with the
-    points in homogeneous coordinates (z, 1).  The quotient
-    ((1-|z|^2)/(1-|phi^n(z)|^2)) is extrapolated linearly in 1-r to the
-    sphere, raised to the power N/2 and maximized over the directions.  The
-    returned limit is exp(slope) of a least-squares line through log g_n on
-    the last half of the n range; the raw n-th roots are also reported.
+    Denjoy-Wolff point, else the first boundary fixed point.  With M_n the
+    associated matrix of phi^n (n = 1..n_max, ``iterate_matrix`` on shared
+    squarings), u = (tau, 0) and v = (tau, 1), the angular derivative of phi^n
+    at tau is the J-form pairing d_n = Re((M_n u)* J (M_n v)) / |(M_n v)_N|^2
+    (Cowen-MacCluer 2000, Bisi-Bracci 2002), the limit of the boundary
+    quotient (1-|phi^n(z)|^2)/(1-|z|^2) as z -> tau.  The roots
+    d_n^(-N/(2n)) are taken in logs, so no power overflows.
     """
     if n_max < 2:
-        raise ParameterConstraintViolated("the fit needs n_max >= 2, got %d" % n_max)
+        raise ParameterConstraintViolated("the spread needs n_max >= 2, got %d" % n_max)
+    if n_max > MAX_ITERATE_ORDER:
+        raise SizeCapExceeded("n_max %d exceeds %d iterates" % (n_max, MAX_ITERATE_ORDER))
     tau = _default_boundary_point(f) if tau is None else tau
     tau = np.asarray(tau, dtype=complex).reshape(-1)
     tau = tau / np.linalg.norm(tau)
-    r1, r2 = _ESTIMATOR_RADII
-    eps1, eps2 = 1.0 - r1, 1.0 - r2
-    dirs = _estimator_directions(tau)
-    n_dirs = dirs.shape[0]
-
-    pts = np.concatenate([r1 * dirs, r2 * dirs])
-    homog = np.concatenate([pts, np.ones((2 * n_dirs, 1))], axis=1)
-    h = np.stack(_iterate_matrices(f, range(1, n_max + 1))) @ homog.T
-    w = h[:, : f.n] / h[:, f.n :]
-    top = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-    q = top / np.maximum(1.0 - np.sum(np.abs(w) ** 2, axis=1), 1e-300)
-    q1, q2 = q[:, :n_dirs], q[:, n_dirs:]
-    # linear extrapolation of the plain quotient to the boundary
-    qstar = (eps1 * q2 - eps2 * q1) / (eps1 - eps2)
-    qstar = np.where(qstar <= 0.0, np.maximum(q1, q2), qstar)
-    with np.errstate(over="ignore"):
-        g = np.max(qstar ** (f.n / 2.0), axis=1)
-    bad = np.flatnonzero(~np.isfinite(g))
+    uv = np.zeros((f.n + 1, 2), dtype=complex)
+    uv[: f.n] = tau[:, None]
+    uv[f.n, 1] = 1.0
+    w = np.stack(_iterate_matrices(f, range(1, n_max + 1))) @ uv
+    mu, mv = w[:, :, 0], w[:, :, 1]
+    pairing = np.sum(mu.conj() * (mv @ _j_form(f.n)), axis=1).real
+    orders = np.arange(1, n_max + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = pairing / np.abs(mv[:, f.n]) ** 2
+        roots = np.exp(-(f.n / 2.0) * np.log(d) / orders)
+    # a finite positive root needs a finite positive d_n, and rules out NaN
+    bad = np.flatnonzero(~((roots > 0.0) & np.isfinite(roots)))
     if bad.size:
         i = int(bad[0])
         raise NumericalInconsistency(
-            "iterate quotient %.3g overflows at order %d" % (np.max(qstar[i]), i + 1)
+            "angular derivative %.3g at order %d gives no finite positive root" % (d[i], i + 1)
         )
-    g_values = [float(x) for x in g]
-
-    roots = [x ** (1.0 / (i + 1)) for i, x in enumerate(g_values)]
-    lo = max(1, n_max // 2)
-    ns = np.arange(lo, n_max + 1, dtype=float)
-    logs = np.log(np.maximum(g_values[lo - 1:], 1e-300))
-    slope = float(np.polyfit(ns, logs, 1)[0])
+    limit = float(roots[-1])
     return EssentialRadiusEstimate(
-        limit=float(math.exp(slope)),
-        g_values=tuple(g_values),
-        roots=tuple(float(r) for r in roots),
-        fit_window=(lo, n_max),
+        limit=limit,
+        roots=tuple(roots.tolist()),
+        spread=float((roots.max() - roots.min()) / limit),
         tau=tuple(complex(t) for t in tau),
         n_max=n_max,
-        r_schedule=_ESTIMATOR_RADII,
-        n_directions=n_dirs,
     )
 
 

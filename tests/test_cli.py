@@ -160,7 +160,8 @@ def test_radius_agreement(capsys, affine_map):
     assert res["essential_radius_closed_form"] == pytest.approx(math.sqrt(2))
     assert res["agrees_within_5_percent"] is True
     assert res["estimate"]["n_max"] == 16
-    assert len(res["estimate"]["g_values"]) > 0
+    assert res["estimate"]["roots"] == pytest.approx([math.sqrt(2)] * 16, rel=1e-12)
+    assert res["estimate"]["spread"] < 1e-12
 
 
 def test_radius_agreement_complex_conjugation(capsys, tmp_path):
@@ -173,7 +174,8 @@ def test_radius_agreement_complex_conjugation(capsys, tmp_path):
     res = json.loads(out)["result"]
     assert res["essential_radius_closed_form"] == pytest.approx(2 ** -0.5)
     assert res["agrees_within_5_percent"] is True
-    assert res["estimate"]["r_schedule"] == [1 - 1e-7, 1 - 1e-8]
+    assert len(res["estimate"]["roots"]) == 20
+    assert res["estimate"]["spread"] < 1e-6
 
 
 def test_radius_no_boundary_point(capsys, diag_map2):
@@ -184,16 +186,31 @@ def test_radius_no_boundary_point(capsys, diag_map2):
     assert "estimate_note" in res
 
 
-def test_radius_estimator_overflow_is_reported(capsys, tmp_path):
+def test_radius_small_dilation_n3(capsys, tmp_path):
     import numpy as np
 
+    # N = 3, alpha = 1/4: the estimate is alpha^(-3/2) = 8
     f = LinearFractionalMap(np.diag([0.25, 0.3, 0.3]), [0.75, 0, 0], [0, 0, 0], 1)
     code, out, _ = run(capsys, ["radius", write_map(tmp_path, "hyp3.json", f)])
     assert code == EXIT_OK
     res = json.loads(out)["result"]
-    assert res["estimate"] is None
-    assert "overflows" in res["estimate_note"]
     assert res["essential_radius_closed_form"] == pytest.approx(0.25 ** -1.5)
+    assert res["estimate"]["limit"] == pytest.approx(8.0, rel=1e-6)
+    assert res["estimate_note"] is None
+
+
+def test_radius_estimator_failure_is_reported(capsys, monkeypatch, affine_map):
+    from lfmspec import NumericalInconsistency
+
+    def broken(f, n_max):
+        raise NumericalInconsistency("angular derivative 0 at order 1 gives no finite positive root")
+
+    monkeypatch.setattr("lfmspec.cli.essential_radius_estimate", broken)
+    code, out, _ = run(capsys, ["radius", affine_map])
+    assert code == EXIT_OK
+    res = json.loads(out)["result"]
+    assert res["estimate"] is None
+    assert res["estimate_note"].startswith("estimator failed: angular derivative")
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +282,7 @@ def test_compression_refuses_non_self_map(capsys, tmp_path, command):
     ["verify-eigen", "{disk}", "--degree", "-1"],
     ["radius", "{affine}", "--nmax", "0"],
     ["radius", "{affine}", "--nmax", "1"],
+    ["radius", "{affine}", "--nmax", "10001"],
     ["validate", "{disk}", "--tol", "nan"],
     ["validate", "{disk}", "--tol", "inf"],
     ["validate", "{disk}", "--tol=-inf"],
@@ -273,10 +291,12 @@ def test_compression_refuses_non_self_map(capsys, tmp_path, command):
     ["norms", "{disk}", "--s", "nan"],
     ["norms", "{disk}", "--nu", "inf"],
     ["norms", "{disk}", "--kmax", "-1"],
+    ["norms", "{disk}", "--kmax", "10001"],
     ["norms", "{disk}", "--s", "200"],
     ["norms", "{disk}", "--s", "1e308"],
     ["export", "{disk}", "--resolution", "0"],
     ["export", "{disk}", "--resolution", "-3"],
+    ["export", "{disk}", "--resolution", "10000"],
 ])
 def test_bad_numeric_flag_is_typed_error(capsys, disk_map, affine_map, argv):
     code, out, err = run(capsys, [a.format(disk=disk_map, affine=affine_map) for a in argv])

@@ -469,6 +469,15 @@ def test_norm_interval_rejects_negative_kmax():
         L.norm_equivalence_interval(0.5, 0.5, -1)
 
 
+@pytest.mark.parametrize("k_max", [10_001, 10**12])
+def test_norm_factors_refuse_huge_kmax(k_max):
+    # refused before the first row: 10**12 rows would otherwise never end
+    with pytest.raises(L.SizeCapExceeded):
+        _norm_factors(0.5, 0.5, k_max)
+    with pytest.raises(L.SizeCapExceeded):
+        L.norm_equivalence_interval(0.5, 0.5, k_max)
+
+
 @given(
     s=st.floats(min_value=0.0, max_value=2.0),
     nu=st.floats(min_value=-1.0, max_value=0.5),

@@ -399,6 +399,32 @@ def test_discretize_matches_scalar_reference_bitwise(resolution):
         assert index.tobytes() == np.concatenate([np.full(len(c), i) for i, c in enumerate(clouds)]).tobytes()
 
 
+def test_discretize_counts_points_before_allocating(monkeypatch):
+    # z / (2 - z): a disk of 1 + 1250 x 10,000 points and the point 1 is over
+    # the cap; 10**12 angles would take terabytes if allocated first
+    s = L.spectrum(lfm_1d(1, 0, -1, 2))
+    for resolution in (10_000, 10**12):
+        with pytest.raises(L.SizeCapExceeded):
+            s.discretize(resolution)
+    # the count is exact: a cloud of exactly the cap is made, one more is refused
+    size = s.discretize(64)[0].size
+    monkeypatch.setattr("lfmspec.spectra.MAX_CLOUD_POINTS", size)
+    assert s.discretize(64)[0].size == size
+    monkeypatch.setattr("lfmspec.spectra.MAX_CLOUD_POINTS", size - 1)
+    with pytest.raises(L.SizeCapExceeded):
+        s.discretize(64)
+
+
+def test_discretize_refuses_huge_annulus_cloud():
+    # 16,534 annuli: about 36 M points at the default resolution
+    hp = L.HalfPlaneMap(n=3, alpha=0.5, b=np.zeros(2), c=0.0, a_block=np.diag([0.9, 0.85j]) * math.sqrt(0.5),
+                        d=np.zeros(2), rotation=np.eye(3, dtype=complex), tau=np.array([1.0, 0.0, 0.0]))
+    s = L.spectrum(hp.pulled_back_to_ball())
+    assert s.discretize(16)[0].size == 793_585
+    with pytest.raises(L.SizeCapExceeded):
+        s.discretize(128)
+
+
 def test_cloud_csv_format():
     s = L.spectrum(lfm_1d(1, 0, -1, 2))
     text = cloud_to_csv(s, resolution=16)
@@ -445,10 +471,9 @@ def test_cloud_csv_matches_per_point_format():
 def test_estimator_one_fixed_disk_map():
     f = lfm_1d(1, 0, -1, 2)
     est = L.essential_radius_estimate(f, n_max=20)
-    target = 2 ** -0.5
-    assert abs(est.limit - target) / target < 0.05
+    assert est.limit == pytest.approx(2 ** -0.5, rel=1e-6)
     assert est.tau == pytest.approx([1.0])
-    assert len(est.g_values) > 0
+    assert len(est.roots) == 20 and est.spread < 1e-6
 
 
 def test_estimator_matches_closed_form_n2():
@@ -459,7 +484,7 @@ def test_estimator_matches_closed_form_n2():
     closed = L.essential_radius_closed_form(cl)
     assert closed == pytest.approx(2.0)
     est = L.essential_radius_estimate(f, n_max=20)
-    assert abs(est.limit - closed) / closed < 0.05
+    assert est.limit == pytest.approx(closed, rel=1e-6)
 
 
 @pytest.mark.parametrize("f, centre", [
@@ -476,7 +501,39 @@ def test_estimator_complex_conjugations(f, centre):
     closed = L.essential_radius_closed_form(L.classify(g))
     assert closed == pytest.approx(L.essential_radius_closed_form(L.classify(f)))
     est = L.essential_radius_estimate(g, n_max=20)
-    assert abs(est.limit - closed) / closed < 0.05
+    assert est.limit == pytest.approx(closed, rel=1e-6)
+
+
+def _estimator_sweep():
+    """Seeded maps with a planted essential radius, each conjugated at a
+    random complex centre, plus the two maps on which sampling the boundary
+    quotient at fixed radii saturated."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (1, 2, 3):
+        for _ in range(10):
+            c = float(rng.uniform(0.3, 0.7))
+            a = np.diag([1 - c] + [0.9 * math.sqrt(1 - c)] * (n - 1))
+            bfix = LinearFractionalMap(a, np.zeros(n), [-c] + [0] * (n - 1), 1)
+            alpha = float(rng.uniform(0.3, 0.9))
+            hyp = L.HalfPlaneMap(n=n, alpha=alpha, b=np.zeros(n - 1), c=1.0,
+                                 a_block=0.5 * math.sqrt(alpha) * np.eye(n - 1), d=np.zeros(n - 1),
+                                 rotation=np.eye(n, dtype=complex), tau=np.eye(n)[0]).pulled_back_to_ball()
+            for f, ess in ((bfix, (1 - c) ** (n / 2)), (hyp, alpha ** (-n / 2))):
+                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                centre = v * rng.uniform(0.1, 0.5) / np.linalg.norm(v)
+                cases.append((L.conjugated(f, L.ball_automorphism_to_origin(centre)), ess))
+    hyp = L.HalfPlaneMap(n=2, alpha=0.3, b=np.zeros(1), c=1.0, a_block=0.5 * math.sqrt(0.3) * np.eye(1),
+                         d=np.zeros(1), rotation=np.eye(2, dtype=complex), tau=np.eye(2)[0])
+    return cases + [(lfm_1d(0.25, 0.75, 0, 1), 2.0), (hyp.pulled_back_to_ball(), 0.3 ** -1)]
+
+
+def test_estimator_seeded_conjugated_sweep():
+    for f, ess in _estimator_sweep():
+        est = L.essential_radius_estimate(f)
+        assert est.limit == pytest.approx(ess, rel=1e-6)
+        assert L.essential_radius_closed_form(L.classify(f)) == pytest.approx(ess, rel=1e-9)
+        assert est.spread < 1e-6
 
 
 def test_estimator_elliptic_automorphism_is_one():
@@ -494,17 +551,39 @@ def test_estimator_requires_boundary_point():
 
 @pytest.mark.parametrize("n_max", [1, 0, -3])
 def test_estimator_needs_two_orders(n_max):
-    # the fit is a line through log g_n, so it needs at least two orders
+    # the spread compares the roots of at least two orders
     with pytest.raises(L.ParameterConstraintViolated):
         L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), n_max=n_max)
 
 
-def test_estimator_overflow_is_typed():
-    # N = 3 and alpha = 1/4: 1 - |phi^n(z)|^2 hits the 1e-300 floor, and the
-    # quotient to the power N/2 = 3/2 no longer fits in a float
+@pytest.mark.parametrize("n_max", [10_001, 10**12])
+def test_estimator_refuses_huge_orders(n_max):
+    # refused before any iterate is made: 10**12 would otherwise never end
+    with pytest.raises(L.SizeCapExceeded):
+        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), n_max=n_max)
+
+
+def test_estimator_small_dilation_n3():
+    # N = 3 and alpha = 1/4: alpha^(-3/2) = 8, where sampling the quotient
+    # at fixed radii overflowed
     f = LinearFractionalMap(np.diag([0.25, 0.3, 0.3]), [0.75, 0, 0], [0, 0, 0], 1)
-    with pytest.raises(L.NumericalInconsistency, match="overflows"):
-        L.essential_radius_estimate(f)
+    assert L.essential_radius_estimate(f).limit == pytest.approx(8.0, rel=1e-6)
+
+
+def test_estimator_tiny_dilation_stays_finite():
+    # alpha = 1e-12: the order-20 angular derivative is 1e-240, and the root
+    # alpha^(-3/2) = 1e18 is taken in logs
+    a = 1e-12
+    f = LinearFractionalMap(np.diag([a, 0.5e-6, 0.5e-6]), [1 - a, 0, 0], [0, 0, 0], 1)
+    est = L.essential_radius_estimate(f)
+    assert math.isfinite(est.limit) and est.limit == pytest.approx(1e18, rel=1e-6)
+
+
+def test_estimator_nonpositive_derivative_is_typed():
+    # (1 + z) / 2 maps -1 to 0, inside the ball: no contact, and the
+    # pairing is 0 at order 1
+    with pytest.raises(L.NumericalInconsistency, match="order 1"):
+        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), tau=np.array([-1.0]), n_max=3)
 
 
 def test_estimator_does_not_swallow_numerical_faults(monkeypatch):
