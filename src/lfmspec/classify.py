@@ -519,15 +519,6 @@ def classify(f: LinearFractionalMap) -> Classification:
 # serialization
 
 
-def _vec(v: np.ndarray) -> list:
-    return [_c2pair(x) for x in np.asarray(v, dtype=complex).reshape(-1)]
-
-
-def _mat(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[_c2pair(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
-
-
 def _chain_steps(nf: EllipticP0Form | HyperbolicNormalForm | None, n: int) -> list[dict]:
     """Conjugation chain as labeled projective matrices, outermost first."""
     if nf is None:
@@ -536,41 +527,41 @@ def _chain_steps(nf: EllipticP0Form | HyperbolicNormalForm | None, n: int) -> li
         rot = np.eye(n + 1, dtype=complex)
         rot[:n, :n] = nf.rotation
         return [
-            {"kind": "involution_to_origin", "matrix": _mat(nf.to_origin.matrix)},
-            {"kind": "rotation", "matrix": _mat(rot)},
+            {"kind": "involution_to_origin", "matrix": _c2pair(nf.to_origin.matrix)},
+            {"kind": "rotation", "matrix": _c2pair(rot)},
         ]
     rot = np.eye(n + 1, dtype=complex)
     rot[:n, :n] = nf.halfplane.rotation
     return [
-        {"kind": "rotation_to_e1", "matrix": _mat(rot)},
-        {"kind": "cayley", "matrix": _mat(cayley_matrix(n))},
-        {"kind": "heisenberg_translation", "matrix": _mat(_eta_matrix(n, nf.k1, nf.k2, inverse=True))},
-        {"kind": "vertical_translation", "matrix": _mat(_nu_matrix(n, nf.vertical_shift, inverse=True))},
-        {"kind": "normal_form", "matrix": _mat(nf.normal_matrix())},
+        {"kind": "rotation_to_e1", "matrix": _c2pair(rot)},
+        {"kind": "cayley", "matrix": _c2pair(cayley_matrix(n))},
+        {"kind": "heisenberg_translation", "matrix": _c2pair(_eta_matrix(n, nf.k1, nf.k2, inverse=True))},
+        {"kind": "vertical_translation", "matrix": _c2pair(_nu_matrix(n, nf.vertical_shift, inverse=True))},
+        {"kind": "normal_form", "matrix": _c2pair(nf.normal_matrix())},
     ]
 
 
 def classification_to_json_dict(cl: Classification) -> dict:
     out: dict = {"kind": cl.kind.value, "N": cl.n, "automorphism": cl.automorphism}
-    out["interior_fixed_point"] = None if cl.interior_fixed_point is None else _vec(cl.interior_fixed_point)
+    out["interior_fixed_point"] = None if cl.interior_fixed_point is None else _c2pair(cl.interior_fixed_point)
     out["boundary_fixed_points"] = [
-        {"location": _vec(p.location), "dilation": p.dilation} for p in cl.boundary_fixed_points
+        {"location": _c2pair(p.location), "dilation": p.dilation} for p in cl.boundary_fixed_points
     ]
     if cl.fixed_set.slice_dim is not None:
         out["fixed_slice"] = {
             "dimension": cl.fixed_set.slice_dim,
             "whole_ball": cl.fixed_set.whole_ball,
-            "representative": _vec(cl.fixed_set.slice_point),
+            "representative": _c2pair(cl.fixed_set.slice_point),
         }
-    out["at_infinity"] = [_vec(v) for v in cl.fixed_set.at_infinity]
+    out["at_infinity"] = [_c2pair(v) for v in cl.fixed_set.at_infinity]
     out["alpha"] = cl.alpha
     if cl.denjoy_wolff_point is not None:
-        out["denjoy_wolff"] = _vec(cl.denjoy_wolff_point.location)
+        out["denjoy_wolff"] = _c2pair(cl.denjoy_wolff_point.location)
     if cl.spectral_data is not None:
         out["p"] = cl.spectral_data.p
-        out["eigenvalues"] = _vec(np.array(cl.spectral_data.eigenvalues))
-        out["unimodular_eigenvalues"] = _vec(np.array(cl.spectral_data.unimodular))
-        out["contractive_eigenvalues"] = _vec(np.array(cl.spectral_data.contractive))
+        out["eigenvalues"] = _c2pair(cl.spectral_data.eigenvalues)
+        out["unimodular_eigenvalues"] = _c2pair(cl.spectral_data.unimodular)
+        out["contractive_eigenvalues"] = _c2pair(cl.spectral_data.contractive)
     nf = cl.normal_form
     if isinstance(nf, EllipticP0Form):
         out["normal_form"] = {
@@ -578,7 +569,7 @@ def classification_to_json_dict(cl: Classification) -> dict:
             "delta": nf.delta,
             "domain": nf.domain,
             "r": nf.r,
-            "linear_part": _mat(nf.a1),
+            "linear_part": _c2pair(nf.a1),
             "conjugacy_residual": nf.conjugacy_residual,
         }
     elif isinstance(nf, HyperbolicNormalForm):
@@ -587,11 +578,11 @@ def classification_to_json_dict(cl: Classification) -> dict:
             "case": nf.case,
             "alpha": nf.alpha,
             "c": nf.c,
-            "d": _vec(nf.d),
-            "a_block": _mat(nf.a_block),
+            "d": _c2pair(nf.d),
+            "a_block": _c2pair(nf.a_block),
         }
         if nf.a_prime is not None:
-            out["normal_form"]["a_prime"] = _mat(nf.a_prime)
-            out["normal_form"]["a_prime_eigenvalues"] = _vec(np.array(nf.eigenvalues))
+            out["normal_form"]["a_prime"] = _c2pair(nf.a_prime)
+            out["normal_form"]["a_prime_eigenvalues"] = _c2pair(nf.eigenvalues)
     out["conjugation_chain"] = _chain_steps(nf, cl.n)
     return out

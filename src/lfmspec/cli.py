@@ -171,7 +171,7 @@ def _cmd_validate(args) -> int:
     result = {
         "ok": rep.ok,
         "max_modulus": rep.max_modulus,
-        "witness": [_c2pair(w) for w in rep.witness],
+        "witness": _c2pair(rep.witness),
         "samples": rep.samples,
         "tol": rep.tol,
         "denominator_margin": rep.denominator_margin,
@@ -212,7 +212,7 @@ def _cmd_radius(args) -> int:
             "limit": est.limit,
             "roots": list(est.roots),
             "spread": est.spread,
-            "tau": [_c2pair(t) for t in est.tau],
+            "tau": _c2pair(est.tau),
             "n_max": est.n_max,
         }
     except NoBoundaryFixedPoint:
@@ -246,7 +246,7 @@ def _cmd_compress(args) -> int:
     if args.format == "json":
         result = {
             "degree": degree,
-            "eigenvalues": [_c2pair(x) for x in eigs],
+            "eigenvalues": _c2pair(eigs),
             "basis": compression_basis_json(comp),
         }
         text = _emit_json(_report("compress", f, {"degree": degree}, result)) + "\n"

@@ -851,20 +851,16 @@ def conjugate_to_halfplane(
 # JSON form
 
 
-def _c2pair(x: complex) -> list[float]:
-    x = complex(x)
-    return [float(x.real), float(x.imag)]
+def _c2pair(x) -> list:
+    """A complex number as [re, im], or an array of them as nested lists of
+    such pairs; the sign of a zero is kept."""
+    x = np.asarray(x, dtype=complex)
+    return np.stack((x.real, x.imag), -1).tolist()
 
 
 def map_to_json_dict(f: LinearFractionalMap) -> dict:
     """Normalized map as a JSON-ready dict with complex entries as [re, im]."""
-    return {
-        "N": f.n,
-        "A": [[_c2pair(f.a[i, j]) for j in range(f.n)] for i in range(f.n)],
-        "B": [_c2pair(x) for x in f.b],
-        "C": [_c2pair(x) for x in f.c],
-        "d": _c2pair(f.d),
-    }
+    return {"N": f.n, "A": _c2pair(f.a), "B": _c2pair(f.b), "C": _c2pair(f.c), "d": _c2pair(f.d)}
 
 
 def _pair2c(v, where: str) -> complex:

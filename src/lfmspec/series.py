@@ -3,10 +3,11 @@ compression of a composition operator onto polynomials.
 
 Everything here is a numerical cross-check for the exact spectra: finite
 sections of the operator matrix, eigenfunction residuals, and the two
-graded norms used in the norm-equivalence check.  Series are sparse
-dictionaries keyed by exponent multi-indices, so an input may reach far
-above the output degree; compositions and compressions run on dense
-coefficient vectors in the compression basis order (see _power_levels).
+graded norms used in the norm-equivalence check.  A series is one dense
+coefficient vector over basis_multi_indices(n, degree), the order of the
+compression basis and of the map powers (see _power_levels).  The order is
+graded, so each prefix of the vector is a lower truncation; an input to a
+composition may reach far above the output degree.
 """
 
 from __future__ import annotations
@@ -52,26 +53,61 @@ __all__ = [
 MAX_COMPRESSION_DEGREE = {1: 60, 2: 25, 3: 12}
 MAX_BASIS_SIZE = 3000
 MAX_NORM_DEGREE = 10_000
+MAX_SERIES_TERMS = 2_000_000
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+@functools.lru_cache(maxsize=32)
+def _exponents(n: int, degree: int) -> np.ndarray:
+    """basis_multi_indices(n, degree) as a read-only (size, n) int array.
+
+    Degree k is k - j beside the degree-j exponents of the last n - 1
+    variables, for j = 0..k: the rows of their table through degree k."""
+    if n == 1:
+        out = np.arange(degree + 1)[:, None]
+    else:
+        rest = _exponents(n - 1, degree)
+        runs = [math.comb(n - 2 + j, n - 2) for j in range(degree + 1)]
+        out = np.concatenate([
+            np.column_stack((np.repeat(np.arange(k, -1, -1), runs[:k + 1]), rest[:math.comb(n - 1 + k, n - 1)]))
+            for k in range(degree + 1)
+        ])
+    out.flags.writeable = False
+    return out
 
 
 def basis_multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
     """Monomial exponents of total degree <= degree, graded, and within
     each degree in lexicographically descending order."""
     if n < 1 or degree < 0:
-        raise ValueError("need n >= 1 and degree >= 0")
-    out: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        out.extend(_compositions(total, n))
-    return out
+        raise ParameterConstraintViolated("need n >= 1 and degree >= 0")
+    return [tuple(alpha) for alpha in _exponents(n, degree).tolist()]
+
+
+_comb = np.frompyfunc(math.comb, 2, 1)  # exact, elementwise, as object arrays
+
+
+def _positions(exps: np.ndarray) -> np.ndarray:
+    """Position of each row alpha of exps in basis_multi_indices(n, d),
+    for any d >= |alpha| = k: the comb(n + k - 1, n) monomials of lower
+    degree come first, then for each i < n - 1 the comb(r - alpha_i - 1 +
+    n - i - 1, n - i - 1) of degree k that agree with alpha before i and
+    exceed it at i, r = k - alpha_0 - ... - alpha_(i-1)."""
+    n, rem = exps.shape[1], exps.sum(axis=1)
+    pos = _comb(rem + n - 1, n)
+    for i in range(n - 1):
+        rem = rem - exps[:, i]
+        pos = pos + _comb(rem + n - i - 2, n - i - 1)
+    return pos.astype(np.intp)
+
+
+def _checked_exponents(n: int, alphas) -> np.ndarray:
+    """The multi-indices as an (m, n) int array, checked."""
+    rows = [tuple(int(a) for a in alpha) for alpha in alphas]
+    if any(len(alpha) != n for alpha in rows):
+        raise DimensionMismatch("a multi-index of length other than %d, the number of variables" % n)
+    if any(min(alpha) < 0 for alpha in rows):
+        raise ParameterConstraintViolated("a multi-index with a negative exponent")
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
 
 
 def monomial_norm_sq(alpha: tuple[int, ...]) -> float:
@@ -79,7 +115,7 @@ def monomial_norm_sq(alpha: tuple[int, ...]) -> float:
     n = len(alpha): (n-1)! alpha! / (n-1+|alpha|)!."""
     n = len(alpha)
     if n < 1 or any(a < 0 for a in alpha):
-        raise ValueError("alpha must be a nonempty tuple of nonnegative ints")
+        raise ParameterConstraintViolated("alpha must be a nonempty tuple of nonnegative ints")
     k = sum(alpha)
     if n - 1 + k <= 200:
         num = math.factorial(n - 1)
@@ -96,126 +132,61 @@ def monomial_norm_sq(alpha: tuple[int, ...]) -> float:
 class TruncatedSeries:
     """Polynomial truncation of a power series in n complex variables.
 
-    ``degree`` is the truncation order: arithmetic discards any term whose
-    total degree exceeds it, and combining two series truncates at the
-    smaller of the two orders (the information limit of the operands).
+    ``vector`` holds the coefficient of z^alpha for every alpha of total
+    degree <= ``degree``, in basis_multi_indices(n, degree) order; since
+    that order is graded, its first comb(n + d, n) entries are the
+    truncation at degree d.  ``coeffs`` is either such a vector or a dict
+    {alpha: coefficient}, whose terms above ``degree`` are dropped.
     """
 
-    __slots__ = ("n", "degree", "coeffs")
+    __slots__ = ("n", "degree", "vector")
 
-    def __init__(self, n: int, degree: int, coeffs: dict[tuple[int, ...], complex] | None = None):
+    def __init__(self, n: int, degree: int, coeffs=None):
         if n < 1 or degree < 0:
-            raise ValueError("need n >= 1 and degree >= 0")
-        self.n = n
-        self.degree = degree
-        cleaned: dict[tuple[int, ...], complex] = {}
-        for alpha, c in (coeffs or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != n or any(a < 0 for a in alpha):
-                raise ValueError("bad multi-index %r" % (alpha,))
-            if sum(alpha) > degree:
-                continue
-            c = complex(c)
-            if c != 0:
-                cleaned[alpha] = cleaned.get(alpha, 0.0 + 0.0j) + c
-        self.coeffs = {a: c for a, c in cleaned.items() if c != 0}
-
-    # -- constructors
-
-    @classmethod
-    def constant(cls, n: int, degree: int, value: complex) -> "TruncatedSeries":
-        return cls(n, degree, {(0,) * n: complex(value)})
-
-    @classmethod
-    def monomial(cls, n: int, degree: int, alpha: tuple[int, ...], coeff: complex = 1.0) -> "TruncatedSeries":
-        return cls(n, degree, {tuple(alpha): complex(coeff)})
-
-    # -- queries
+            raise ParameterConstraintViolated("need n >= 1 and degree >= 0")
+        size = math.comb(n + degree, n)
+        if size > MAX_SERIES_TERMS:
+            raise SizeCapExceeded("series has %d terms, cap is %d" % (size, MAX_SERIES_TERMS))
+        self.n, self.degree = n, degree
+        if coeffs is None or isinstance(coeffs, dict):
+            terms = coeffs or {}
+            exps = _checked_exponents(n, terms)
+            keep = exps.sum(axis=1) <= degree
+            self.vector = np.zeros(size, dtype=complex)
+            np.add.at(self.vector, _positions(exps[keep]), np.array(list(terms.values()), dtype=complex)[keep])
+        else:
+            self.vector = np.array(coeffs, dtype=complex)
+            if self.vector.shape != (size,):
+                raise DimensionMismatch("coefficient vector of shape %s, series has %d terms"
+                                        % (self.vector.shape, size))
 
     def coefficient(self, alpha: tuple[int, ...]) -> complex:
-        return self.coeffs.get(tuple(alpha), 0.0 + 0.0j)
+        exps = _checked_exponents(self.n, [alpha])
+        return complex(self.vector[_positions(exps)[0]]) if exps.sum() <= self.degree else 0.0 + 0.0j
 
     def evaluate(self, z) -> complex:
         z = np.asarray(z, dtype=complex).reshape(-1)
         if z.shape[0] != self.n:
             raise DimensionMismatch("point has %d coordinates, series has %d variables" % (z.shape[0], self.n))
-        total = 0.0 + 0.0j
-        for alpha, c in self.coeffs.items():
-            term = c
-            for zj, aj in zip(z, alpha):
-                if aj:
-                    term *= zj ** aj
-            total += term
-        return complex(total)
-
-    def truncated(self, new_degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.n, new_degree, self.coeffs)
-
-    # -- arithmetic
-
-    def _check_compatible(self, other: "TruncatedSeries") -> int:
-        if self.n != other.n:
-            raise DimensionMismatch("series in %d and %d variables" % (self.n, other.n))
-        return min(self.degree, other.degree)
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            deg = self._check_compatible(other)
-            out = dict(self.coeffs)
-            for a, c in other.coeffs.items():
-                out[a] = out.get(a, 0.0 + 0.0j) + c
-            return TruncatedSeries(self.n, deg, out)
-        return self + TruncatedSeries.constant(self.n, self.degree, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.n, self.degree, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
-        return self + (-complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            deg = self._check_compatible(other)
-            out: dict[tuple[int, ...], complex] = {}
-            # iterate the sparser factor outside
-            fa, fb = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-            for a, ca in fa.coeffs.items():
-                da = sum(a)
-                for b, cb in fb.coeffs.items():
-                    if da + sum(b) > deg:
-                        continue
-                    key = tuple(x + y for x, y in zip(a, b))
-                    out[key] = out.get(key, 0.0 + 0.0j) + ca * cb
-            return TruncatedSeries(self.n, deg, out)
-        w = complex(other)
-        return TruncatedSeries(self.n, self.degree, {a: c * w for a, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
+        idx = np.flatnonzero(self.vector)
+        return complex(self.vector[idx] @ np.prod(z ** _exponents(self.n, self.degree)[idx], axis=1))
 
     def __repr__(self):
-        return "TruncatedSeries(n=%d, degree=%d, terms=%d)" % (self.n, self.degree, len(self.coeffs))
+        return "TruncatedSeries(n=%d, degree=%d, terms=%d)" % (self.n, self.degree, np.count_nonzero(self.vector))
 
 
 def binomial_series(exponent: complex, degree: int, n: int = 1, var: int = 0) -> TruncatedSeries:
     """(1 - z_var)^exponent through the given degree, as a series in n
     variables.  Coefficients follow c_{k+1} = c_k (k - exponent)/(k + 1)."""
     if not 0 <= var < n:
-        raise ValueError("variable index out of range")
-    s = complex(exponent)
-    coeffs: dict[tuple[int, ...], complex] = {}
-    c = 1.0 + 0.0j
-    for k in range(degree + 1):
-        alpha = tuple(k if i == var else 0 for i in range(n))
-        coeffs[alpha] = c
+        raise ParameterConstraintViolated("variable index out of range")
+    out, exps = TruncatedSeries(n, degree), np.zeros((degree + 1, n), dtype=np.intp)
+    exps[:, var] = np.arange(degree + 1)
+    s, c = complex(exponent), 1.0 + 0.0j
+    for k, pos in enumerate(_positions(exps)):
+        out.vector[pos] = c
         c = c * (k - s) / (k + 1)
-    return TruncatedSeries(n, degree, coeffs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +208,8 @@ class _Graded:
         self.basis = tuple(alpha for level in levels for alpha in level)
         self.degree, self.size = degree, len(self.basis)
         self.level = np.cumsum([0] + [len(level) for level in levels])
-        pos = {alpha: i for i, alpha in enumerate(self.basis)}
-        low = self.basis[: self.level[degree]]
-        self.up = [np.array([pos[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in low], dtype=np.intp) for i in range(n)]
+        low = _exponents(n, degree)[: self.level[degree]]
+        self.up = [_positions(low + unit) for unit in np.eye(n, dtype=np.intp)]
         self.norm_sq = np.array([monomial_norm_sq(alpha) for alpha in self.basis])
         self.norms = np.sqrt(self.norm_sq)
 
@@ -338,10 +308,13 @@ def _power_levels(f: LinearFractionalMap, g: _Graded, plan):
 def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded) -> np.ndarray:
     if series.n != f.n:
         raise DimensionMismatch("series in %d variables, map on the %d-ball" % (series.n, f.n))
-    levels, plan = _chains(series.coeffs)
+    support = _exponents(series.n, series.degree)[np.flatnonzero(series.vector)]
+    levels, plan = _chains([tuple(beta) for beta in support.tolist()])
+    chained = np.array([beta for betas in levels for beta in betas], dtype=np.intp).reshape(-1, f.n)
+    coeffs = np.split(series.vector[_positions(chained)], np.cumsum([len(betas) for betas in levels[:-1]]))
     out = np.zeros(g.size, dtype=complex)
-    for betas, (lo, block) in zip(levels, _power_levels(f, g, plan)):
-        out[lo:lo + len(block)] += block @ np.array([series.coeffs.get(beta, 0.0) for beta in betas])
+    for c, (lo, block) in zip(coeffs, _power_levels(f, g, plan)):
+        out[lo:lo + len(block)] += block @ c
     return out
 
 
@@ -357,9 +330,7 @@ def compose_series(series: TruncatedSeries, f: LinearFractionalMap, degree: int)
     degree: a monomial phi^beta generally has components of all degrees,
     so truncating the input first would corrupt low-order coefficients.
     """
-    g = _graded(f.n, degree)
-    vec = _compose_vector(series, f, g)
-    return TruncatedSeries(f.n, degree, {g.basis[i]: vec[i] for i in np.flatnonzero(vec)})
+    return TruncatedSeries(f.n, degree, _compose_vector(series, f, _graded(f.n, degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +354,7 @@ def _check_compression_cap(n: int, degree: int) -> None:
         raise ParameterConstraintViolated("degree must be nonnegative, got %d" % degree)
     cap = MAX_COMPRESSION_DEGREE.get(n)
     if cap is not None and degree > cap:
-        raise SizeCapExceeded(
-            "degree %d exceeds the compression cap %d for %d variables" % (degree, cap, n)
-        )
+        raise SizeCapExceeded("degree %d exceeds the compression cap %d for %d variables" % (degree, cap, n))
     size = math.comb(n + degree, n)
     if size > MAX_BASIS_SIZE:
         raise SizeCapExceeded("basis has %d monomials, cap is %d" % (size, MAX_BASIS_SIZE))
@@ -424,11 +393,7 @@ def compression_eigenvalues(comp: Compression) -> np.ndarray:
     return eigs[_spectral_order(eigs)]
 
 
-def compression_spectrum(
-    f: LinearFractionalMap,
-    degree: int,
-    return_vectors: bool = False,
-):
+def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bool = False):
     """Eigenvalues of the compression, as compression_eigenvalues gives them.
     With return_vectors, the eigenvalues and eigenvector columns of one solve
     of the whole matrix in the same order, and the Compression itself."""
@@ -442,24 +407,17 @@ def compression_spectrum(
 
 def compression_to_csv(eigenvalues: np.ndarray) -> str:
     """Eigenvalue list as CSV text with a `re,im` header."""
-    lines = ["re,im"]
-    for lam in np.asarray(eigenvalues, dtype=complex).reshape(-1):
-        lines.append("%s,%s" % (format(lam.real, ".17g"), format(lam.imag, ".17g")))
-    return "\n".join(lines) + "\n"
+    eigs = np.asarray(eigenvalues, dtype=complex).reshape(-1)
+    return "re,im\n" + "".join("%s,%s\n" % (format(x.real, ".17g"), format(x.imag, ".17g")) for x in eigs)
 
 
 def compression_matrix_to_csv(comp: Compression) -> str:
     """Nonzero matrix entries as CSV rows `row,col,re,im` in the grlex
     basis order (see compression_basis_json for the ordering)."""
-    lines = ["row,col,re,im"]
-    for i in range(comp.matrix.shape[0]):
-        for j in range(comp.matrix.shape[1]):
-            v = comp.matrix[i, j]
-            if v != 0:
-                lines.append(
-                    "%d,%d,%s,%s" % (i, j, format(v.real, ".17g"), format(v.imag, ".17g"))
-                )
-    return "\n".join(lines) + "\n"
+    rows, cols = np.nonzero(comp.matrix)
+    return "row,col,re,im\n" + "".join(
+        "%d,%d,%s,%s\n" % (i, j, format(v.real, ".17g"), format(v.imag, ".17g"))
+        for i, j, v in zip(rows, cols, comp.matrix[rows, cols]))
 
 
 def compression_basis_json(comp: Compression) -> dict:
@@ -475,15 +433,9 @@ def compression_basis_json(comp: Compression) -> dict:
 
 def series_from_vector(comp: Compression, vec: np.ndarray) -> TruncatedSeries:
     """Polynomial with coordinates vec in the orthonormal monomial basis."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.shape[0] != len(comp.basis):
-        raise DimensionMismatch("vector length %d, basis size %d" % (vec.shape[0], len(comp.basis)))
-    coeffs = {
-        alpha: vec[i] / comp.norms[i]
-        for i, alpha in enumerate(comp.basis)
-        if vec[i] != 0
-    }
-    return TruncatedSeries(comp.n, comp.degree, coeffs)
+    out = TruncatedSeries(comp.n, comp.degree, np.asarray(vec).reshape(-1))
+    out.vector /= comp.norms
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +455,11 @@ def eigenfunction_residual(
     boundary-singular eigenfunctions should) carry far more terms than the
     comparison degree; see compose_series.
     """
-    if not func.coeffs:
+    if not func.vector.any():
         raise ZeroFunction("candidate eigenfunction is identically zero")
     g = _graded(f.n, degree)
     comp = _compose_vector(func, f, g)
-    ftrunc = np.array([func.coeffs.get(alpha, 0.0) for alpha in g.basis], dtype=complex)
+    ftrunc = np.pad(func.vector[:g.size], (0, max(g.size - func.vector.size, 0)))
     denom = float(g.norm_sq @ np.abs(ftrunc) ** 2)
     if denom == 0.0:
         raise ZeroFunction("candidate eigenfunction vanishes through the comparison degree")
@@ -521,16 +473,37 @@ def _refuse_overflow(what: str, *logs: float) -> None:
         raise ParameterConstraintViolated("%s leaves the float range" % what)
 
 
+def _terms(series: TruncatedSeries, log_power):
+    """Degrees k, moduli and squared monomial norms of the nonzero terms,
+    each sized in logs first as _refuse_overflow does: a term whose 2 log|c|
+    or log_power(k) is above 700 (or nan) is refused by its degree."""
+    idx = np.flatnonzero(series.vector)
+    exps = _exponents(series.n, series.degree)[idx]
+    k, mod = exps.sum(axis=1), np.abs(series.vector[idx])
+    fits = (2.0 * np.log(mod) <= 700.0) & (log_power(k) <= 700.0)
+    if not fits.all():
+        raise ParameterConstraintViolated("a degree-%d term leaves the float range" % k[np.argmin(fits)])
+    return k, mod, np.array([monomial_norm_sq(alpha) for alpha in map(tuple, exps.tolist())])
+
+
 def weighted_norm_sq(series: TruncatedSeries, nu: float) -> float:
     """Graded norm sum_k (k+1)^(2 nu) ||f_k||^2 with f_k the degree-k
     homogeneous part in the Hardy norm; powers are sized in logs first."""
-    total = 0.0
-    for alpha, c in series.coeffs.items():
-        k = sum(alpha)
-        _refuse_overflow("a degree-%d term" % k, 2.0 * nu * math.log(k + 1.0), 2.0 * math.log(abs(c)))
-        total += (k + 1.0) ** (2.0 * nu) * abs(c) ** 2 * monomial_norm_sq(alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, mod, nsq = _terms(series, lambda k: 2.0 * nu * np.log(k + 1.0))
+        total = float(np.sum((k + 1.0) ** (2.0 * nu) * mod ** 2 * nsq))
     _refuse_overflow("the weighted norm", math.log(total or 1.0))
-    return float(total)
+    return total
+
+
+def _radial_exponent(s: float, nu: float) -> float:
+    """c = 2s - 2 nu - 1, refused below -1 where the radial weight is not integrable."""
+    c = 2.0 * s - 2.0 * nu - 1.0
+    if c < -1.0 - 1e-12:
+        raise ParameterConstraintViolated(
+            "need 2 s - 2 nu - 1 >= -1 (got %.6g) for an integrable radial weight" % c
+        )
+    return c
 
 
 def _log_radial_moment(c: float, k: int) -> float:
@@ -546,22 +519,13 @@ def sobolev_norm_sq(series: TruncatedSeries, s: float, nu: float) -> float:
 
     Requires c >= -1 so the radial weight is integrable; powers (R <= 1) are
     sized in logs first."""
-    c = 2.0 * s - 2.0 * nu - 1.0
-    if c < -1.0 - 1e-12:
-        raise ParameterConstraintViolated(
-            "need 2 s - 2 nu - 1 >= -1 (got %.6g) for an integrable radial weight" % c
-        )
-    total = 0.0
-    for alpha, coeff in series.coeffs.items():
-        k = sum(alpha)
-        _refuse_overflow("a degree-%d term" % k, 2.0 * s * math.log(max(k, 1)), 2.0 * math.log(abs(coeff)))
-        if k == 0:
-            total += abs(coeff) ** 2
-        else:
-            sf = float(k) ** (2.0 * s) * math.exp(_log_radial_moment(c, k))
-            total += sf * abs(coeff) ** 2 * monomial_norm_sq(alpha)
+    c = _radial_exponent(s, nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, mod, nsq = _terms(series, lambda k: 2.0 * s * np.log(np.maximum(k, 1)))
+        radial = np.exp([_log_radial_moment(c, j) if j else 0.0 for j in k.tolist()])
+        total = float(np.sum(np.maximum(k, 1) ** (2.0 * s) * radial * mod ** 2 * nsq))
     _refuse_overflow("the Sobolev norm", math.log(total or 1.0))
-    return float(total)
+    return total
 
 
 def _norm_factors(s: float, nu: float, k_max: int) -> list[tuple[float, float, float]]:
@@ -571,11 +535,7 @@ def _norm_factors(s: float, nu: float, k_max: int) -> list[tuple[float, float, f
     Each is first sized in logs; one beyond e^700 either way, which would
     overflow or which JSON could not carry, is refused; so is k_max beyond
     MAX_NORM_DEGREE, before any row is made."""
-    c = 2.0 * s - 2.0 * nu - 1.0
-    if c < -1.0 - 1e-12:
-        raise ParameterConstraintViolated(
-            "need 2 s - 2 nu - 1 >= -1 (got %.6g) for an integrable radial weight" % c
-        )
+    c = _radial_exponent(s, nu)
     if k_max < 0:
         raise ParameterConstraintViolated("k_max must be nonnegative")
     if k_max > MAX_NORM_DEGREE:

@@ -173,8 +173,8 @@ def _component_json(comp: Component) -> dict:
     if isinstance(comp, PointFamily):
         return {
             "type": "points",
-            "values": [_c2pair(p) for p in comp.points],
-            "generators": [_c2pair(g) for g in comp.generators],
+            "values": _c2pair(comp.points),
+            "generators": _c2pair(comp.generators),
             "min_total_exponent": comp.min_total_exponent,
             "truncated_at": comp.truncated_at,
             "accumulates_at_zero": comp.accumulates_at_zero,

@@ -134,7 +134,7 @@ def test_criterion_3_monomial_eigenfunctions():
 
         for beta in range(7):
             for gamma in range(7 - beta):
-                F = TruncatedSeries.monomial(2, 20, (beta, gamma))
+                F = TruncatedSeries(2, 20, {(beta, gamma): 1.0})
                 lam = cmath.exp(1j * beta * theta) * 0.5 ** gamma
                 assert L.eigenfunction_residual(f, lam, F, 20) < 1e-12
 

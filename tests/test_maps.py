@@ -15,7 +15,7 @@ from lfmspec import (
     LinearFractionalMap,
     MapFormatError,
 )
-from lfmspec.maps import TOL_VALIDATION, _krein_certificate
+from lfmspec.maps import TOL_VALIDATION, _c2pair, _krein_certificate
 
 
 def lfm_1d(a, b, c, d):
@@ -534,6 +534,15 @@ def test_json_round_trip(cayley_like):
     obj = L.map_to_json_dict(cayley_like)
     g = L.map_from_json_dict(json.loads(json.dumps(obj)))
     assert np.allclose(g.matrix, cayley_like.matrix)
+
+
+def test_complex_pairs_keep_shape_and_signed_zeros():
+    # scalars give one pair, arrays nested pairs; -0.0 keeps its sign
+    assert _c2pair(1 - 2j) == [1.0, -2.0]
+    assert _c2pair(np.array([[1j, 2], [3, -4j]])) == [[[0.0, 1.0], [2.0, 0.0]], [[3.0, 0.0], [0.0, -4.0]]]
+    assert _c2pair([]) == []
+    pairs = _c2pair(np.array([complex(-0.0, 0.0), complex(0.0, -0.0)]))
+    assert [math.copysign(1.0, x) for pair in pairs for x in pair] == [-1.0, 1.0, 1.0, -1.0]
 
 
 def test_json_rejects_bad_fields():

@@ -1,8 +1,10 @@
-"""Series arithmetic and the Galerkin machinery, cross-checked against
+"""Truncated series and the Galerkin machinery, cross-checked against
 independent oracles: gaussian-moment Monte Carlo and Beta-integral
-quadrature for monomial norms, pointwise evaluation for products and
-compositions, and exact eigenstructure for diagonal maps."""
+quadrature for monomial norms, direct monomial sums and pointwise
+evaluation for series and compositions, and exact eigenstructure for
+diagonal maps."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,8 +15,10 @@ from scipy import integrate
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, TruncatedSeries
+from lfmspec import series as S
 from lfmspec.series import (
-    _graded, _norm_factors, _spectral_order, basis_multi_indices, compression_eigenvalues, monomial_norm_sq,
+    _graded, _norm_factors, _positions, _spectral_order, basis_multi_indices, compression_eigenvalues,
+    monomial_norm_sq,
 )
 
 
@@ -33,6 +37,37 @@ def test_basis_grlex_order():
 
 def test_basis_size():
     assert len(basis_multi_indices(3, 12)) == math.comb(15, 3)
+
+
+@pytest.mark.parametrize("n, degree", [(1, 10), (2, 12), (3, 8), (4, 6)])
+def test_graded_positions_match_basis(n, degree):
+    # the closed-form position of each exponent, and the basis itself
+    # against a brute-force sort by (degree, lex-descending)
+    basis = basis_multi_indices(n, degree)
+    every = [a for a in itertools.product(range(degree + 1), repeat=n) if sum(a) <= degree]
+    assert basis == sorted(every, key=lambda a: (sum(a), [-x for x in a]))
+    assert list(_positions(np.array(basis))) == list(range(len(basis)))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: basis_multi_indices(0, 3), L.ParameterConstraintViolated),
+    (lambda: basis_multi_indices(2, -1), L.ParameterConstraintViolated),
+    (lambda: monomial_norm_sq(()), L.ParameterConstraintViolated),
+    (lambda: monomial_norm_sq((1, -1)), L.ParameterConstraintViolated),
+    (lambda: TruncatedSeries(0, 3), L.ParameterConstraintViolated),
+    (lambda: TruncatedSeries(2, -1), L.ParameterConstraintViolated),
+    (lambda: TruncatedSeries(2, 3, {(1, 0, 0): 1.0}), L.DimensionMismatch),
+    (lambda: TruncatedSeries(2, 3, {(1, -1): 1.0}), L.ParameterConstraintViolated),
+    (lambda: TruncatedSeries(2, 3, np.ones(9)), L.DimensionMismatch),
+    (lambda: TruncatedSeries(1, 3).coefficient((1, 0)), L.DimensionMismatch),
+    (lambda: TruncatedSeries(3, 10**4), L.SizeCapExceeded),
+    (lambda: L.binomial_series(0.5, 10, n=2, var=2), L.ParameterConstraintViolated),
+], ids=["basis-n", "basis-degree", "norm-empty", "norm-negative", "series-n", "series-degree",
+        "series-index-length", "series-index-negative", "series-vector-length", "coefficient-length",
+        "series-too-large", "binomial-var"])
+def test_series_inputs_raise_typed_errors(make, error):
+    with pytest.raises(error):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -73,25 +108,7 @@ def test_monomial_norm_large_degree_stable():
 
 
 # ---------------------------------------------------------------------------
-# series arithmetic
-
-
-def test_series_multiplication_matches_numpy():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    fa = TruncatedSeries(1, 12, {(k,): a[k] for k in range(6)})
-    fb = TruncatedSeries(1, 12, {(k,): b[k] for k in range(5)})
-    prod = fa * fb
-    ref = np.convolve(a, b)
-    for k, c in enumerate(ref):
-        assert prod.coefficient((k,)) == pytest.approx(c, abs=1e-12)
-
-
-def test_series_multiplication_truncates_at_min_degree():
-    fa = TruncatedSeries(1, 3, {(3,): 1.0})
-    fb = TruncatedSeries(1, 5, {(2,): 1.0})
-    assert (fa * fb).coeffs == {}  # degree 5 exceeds min(3, 5) = 3
+# series storage
 
 
 def test_series_evaluate_two_variables():
@@ -100,17 +117,30 @@ def test_series_evaluate_two_variables():
     for alpha in basis_multi_indices(2, 4):
         coeffs[alpha] = complex(rng.standard_normal(), rng.standard_normal())
     f = TruncatedSeries(2, 8, coeffs)
-    g = TruncatedSeries(2, 8, {(1, 0): 1.0, (0, 2): -0.5j})
     z = np.array([0.21 - 0.05j, 0.17j])
-    lhs = (f * g).evaluate(z)
-    assert lhs == pytest.approx(f.evaluate(z) * g.evaluate(z), abs=1e-12)
+    direct = sum(c * z[0] ** a[0] * z[1] ** a[1] for a, c in coeffs.items())
+    assert f.evaluate(z) == pytest.approx(direct, abs=1e-12)
 
 
 def test_series_dimension_mismatch():
     fa = TruncatedSeries(1, 3, {(1,): 1.0})
-    fb = TruncatedSeries(2, 3, {(1, 0): 1.0})
     with pytest.raises(L.DimensionMismatch):
-        fa * fb
+        L.compose_series(fa, LinearFractionalMap(np.eye(2) * 0.5, [0, 0], [0, 0], 1), 3)
+    with pytest.raises(L.DimensionMismatch):
+        fa.evaluate([0.1, 0.2])
+
+
+def test_series_from_dict_and_vector_agree():
+    # dict terms above the degree are dropped, and the vector's prefixes
+    # are the lower truncations
+    f = TruncatedSeries(2, 3, {(1, 0): 3.0, (0, 2): -0.5j, (2, 2): 9.0})
+    assert f.coefficient((1, 0)) == 3.0
+    assert f.coefficient((2, 2)) == 0
+    vec = np.zeros(10, dtype=complex)
+    vec[[1, 5]] = [3.0, -0.5j]
+    assert np.array_equal(f.vector, vec)
+    assert np.array_equal(TruncatedSeries(2, 3, vec).vector, f.vector)
+    assert np.array_equal(TruncatedSeries(2, 2, vec[:6]).vector, f.vector[:6])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +158,7 @@ def test_binomial_series_evaluation_oracle():
 def test_binomial_series_integer_exponent_terminates():
     f = L.binomial_series(3, 10)
     # (1-z)^3 has exactly 4 terms
-    assert sorted(sum(a) for a in f.coeffs) == [0, 1, 2, 3]
+    assert list(np.flatnonzero(f.vector)) == [0, 1, 2, 3]
     assert f.coefficient((2,)) == pytest.approx(3.0)
 
 
@@ -181,14 +211,10 @@ def test_reciprocal_needs_constant_term():
 
 def test_compose_series_is_linear_in_terms():
     f = lfm_1d(1, 0, -1, 2)
-    F = TruncatedSeries(1, 30, {(0,): 2.0, (1,): -1.0j, (4,): 0.7})
-    direct = L.compose_series(F, f, 15)
-    parts = sum(
-        (L.map_power_series(f, a, 15) * c for a, c in F.coeffs.items()),
-        TruncatedSeries.constant(1, 15, 0),
-    )
-    for a in parts.coeffs:
-        assert direct.coefficient(a) == pytest.approx(parts.coefficient(a), abs=1e-14)
+    terms = {(0,): 2.0, (1,): -1.0j, (4,): 0.7}
+    direct = L.compose_series(TruncatedSeries(1, 30, terms), f, 15)
+    parts = sum(c * L.map_power_series(f, a, 15).vector for a, c in terms.items())
+    assert np.max(np.abs(direct.vector - parts)) <= 1e-14
 
 
 def test_compose_uses_terms_above_output_degree():
@@ -197,8 +223,8 @@ def test_compose_uses_terms_above_output_degree():
     f = lfm_1d(0.5, 0.5, 0, 1)
     F = L.binomial_series(0.5, 80)
     full = L.compose_series(F, f, 10)
-    clipped = L.compose_series(F.truncated(10), f, 10)
-    diff = max(abs(full.coefficient(a) - clipped.coefficient(a)) for a in full.coeffs)
+    clipped = L.compose_series(TruncatedSeries(1, 10, {(k,): F.coefficient((k,)) for k in range(81)}), f, 10)
+    diff = np.max(np.abs(full.vector - clipped.vector))
     assert diff > 1e-6
 
 
@@ -395,7 +421,7 @@ def test_monomials_are_eigenfunctions_of_diagonal_maps():
     th = 2 * math.pi * (math.sqrt(2) - 1)
     f = LinearFractionalMap([[np.exp(1j * th), 0], [0, 0.5]], [0, 0], [0, 0], 1)
     for beta in [(1, 0), (0, 1), (2, 3), (4, 1)]:
-        F = TruncatedSeries.monomial(2, 10, beta)
+        F = TruncatedSeries(2, 10, {beta: 1.0})
         lam = np.exp(1j * beta[0] * th) * 0.5 ** beta[1]
         assert L.eigenfunction_residual(f, lam, F, 10) < 1e-13
 
@@ -407,6 +433,23 @@ def test_residual_detects_wrong_eigenvalue():
     bad = L.eigenfunction_residual(f, 0.4, F, 25)
     assert good < 1e-10
     assert bad == pytest.approx(0.1, rel=1e-9)  # ||(0.5 - 0.4) F|| / ||F||
+
+
+def test_degree_300_residual_stays_below_the_compression_caps(monkeypatch):
+    # a degree-300 series in two variables is placed and composed without
+    # the graded tables of its own degree (about 0.5 s to build); the only
+    # ones built are those of the comparison degree, which the residual needs
+    seen = []
+    S._graded.cache_clear()
+    graded = S._graded
+    monkeypatch.setattr(S, "_graded", lambda n, degree: seen.append((n, degree)) or graded(n, degree))
+    f = LinearFractionalMap(np.diag([0.5, 0.5]), [0.5, 0], [0, 0], 1)
+    s = 1.3 + 0.4j
+    F = L.binomial_series(s, 300, n=2)
+    assert np.count_nonzero(F.vector) == 301
+    assert L.eigenfunction_residual(f, 2.0 ** -s, F, 60) < 1e-9
+    assert set(seen) == {(2, 60)}
+    assert all(degree <= max(S.MAX_COMPRESSION_DEGREE[n], 60) for n, degree in seen)
 
 
 def test_residual_rejects_zero_function():
