@@ -28,14 +28,16 @@ from .errors import (
     UnitaryIndexNonzero,
 )
 from .maps import (
+    TOLERANCES,
     FixedPoint,
     FixedPointSet,
     HalfPlaneMap,
     LinearFractionalMap,
+    _ball_map_from_halfplane,
     _c2pair,
+    _rotation_block,
     ball_automorphism_to_origin,
     cayley_matrix,
-    _cayley_inverse_matrix,
     conjugate_to_halfplane,
     conjugated,
     _denjoy_wolff_of,
@@ -62,10 +64,6 @@ __all__ = [
     "rotation_order",
 ]
 
-TOL_UNIMODULAR = 1e-8
-GAP_EDGE = 1e-6
-PARABOLIC_BAND = 1e-8
-
 
 class MapClass(str, enum.Enum):
     ELLIPTIC_AUTOMORPHISM = "elliptic_automorphism"
@@ -78,11 +76,8 @@ class MapClass(str, enum.Enum):
     OTHER_AUTOMORPHISM = "other_automorphism"
 
 
-def _split_eigenvalues(
-    eigvals: np.ndarray,
-    tol_unimodular: float,
-    gap_edge: float,
-) -> tuple[list[complex], list[complex]]:
+def _split_eigenvalues(eigvals: np.ndarray) -> tuple[list[complex], list[complex]]:
+    tol_unimodular, gap_edge = TOLERANCES.unimodular, TOLERANCES.contractive_gap
     unimodular: list[complex] = []
     contractive: list[complex] = []
     for lam in eigvals:
@@ -98,7 +93,7 @@ def _split_eigenvalues(
         else:
             raise GapEigenvalue(
                 "eigenvalue modulus %.12g falls between the contractive bound %g and the "
-                "unimodular band %g; tighten tolerances or reconsider the input" % (r, 1.0 - gap_edge, tol_unimodular)
+                "unimodular band %g; reconsider the input" % (r, 1.0 - gap_edge, tol_unimodular)
             )
     return unimodular, contractive
 
@@ -117,30 +112,25 @@ class EllipticSpectralData:
         return len(self.unimodular)
 
 
-def elliptic_spectral_data(
-    f: LinearFractionalMap,
-    z0: np.ndarray | None = None,
-    tol_unimodular: float = TOL_UNIMODULAR,
-    gap_edge: float = GAP_EDGE,
-) -> EllipticSpectralData:
+def elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray | None = None) -> EllipticSpectralData:
     """Eigenvalue data of dphi at the interior fixed point z0.
 
-    Eigenvalues are sorted into a unimodular list (within ``tol_unimodular``
-    of the circle) and a contractive list (modulus below ``1 - gap_edge``);
-    anything in between raises GapEigenvalue rather than silently picking
-    a side.
+    Eigenvalues are sorted into a unimodular list (within
+    ``TOLERANCES.unimodular`` of the circle) and a contractive list (modulus
+    below 1 - ``TOLERANCES.contractive_gap``); anything in between raises
+    GapEigenvalue rather than silently picking a side.
     """
     if z0 is None:
         z0 = fixed_points(f).interior_point()
         if z0 is None:
             raise NoInteriorFixedPoint("map has no interior fixed point")
     z0 = np.asarray(z0, dtype=complex).reshape(-1)
-    if np.linalg.norm(evaluate(f, z0) - z0) > 1e-8:
+    if np.linalg.norm(evaluate(f, z0) - z0) > TOLERANCES.fixed_interior:
         raise NotAFixedPoint("z0 is not fixed by the map")
     eigvals = np.linalg.eigvals(jacobian(f, z0))
     order = np.lexsort((eigvals.imag, eigvals.real, -np.abs(eigvals)))
     eigvals = eigvals[order]
-    unimodular, contractive = _split_eigenvalues(eigvals, tol_unimodular, gap_edge)
+    unimodular, contractive = _split_eigenvalues(eigvals)
     return EllipticSpectralData(
         fixed_point=z0,
         eigenvalues=tuple(complex(v) for v in eigvals),
@@ -154,17 +144,19 @@ def unitary_index(f: LinearFractionalMap, z0: np.ndarray | None = None) -> int:
     return elliptic_spectral_data(f, z0).p
 
 
-def rotation_order(lam: complex, max_denominator: int = 64, tol: float = 1e-9) -> int | None:
-    """Order of a unimodular eigenvalue as a root of unity, or None.
-
-    Returns the least q <= max_denominator with lam^q = 1 up to ``tol`` on
-    the angle, via a continued-fraction approximation of arg(lam)/2pi.
-    """
+def _rotation_fraction(lam: complex) -> Fraction | None:
+    """arg(lam) / 2pi as the continued-fraction approximation p/q with the
+    least q <= ``TOLERANCES.root_of_unity_order``, or None when it misses
+    the angle by more than ``TOLERANCES.root_of_unity_angle``."""
     theta = math.atan2(complex(lam).imag, complex(lam).real) / (2.0 * math.pi) % 1.0
-    frac = Fraction(theta).limit_denominator(max_denominator)
-    if abs(theta - float(frac)) <= tol:
-        return frac.denominator
-    return None
+    frac = Fraction(theta).limit_denominator(TOLERANCES.root_of_unity_order)
+    return frac if abs(theta - float(frac)) <= TOLERANCES.root_of_unity_angle else None
+
+
+def rotation_order(lam: complex) -> int | None:
+    """Order q of a unimodular eigenvalue as a root of unity, or None."""
+    frac = _rotation_fraction(lam)
+    return None if frac is None else frac.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +185,20 @@ class EllipticP0Form:
     conjugacy_residual: float
 
 
-def elliptic_p0_normal_form(
-    f: LinearFractionalMap,
-    z0: np.ndarray | None = None,
-    samples: int = 40,
-) -> EllipticP0Form:
+def elliptic_p0_normal_form(f: LinearFractionalMap, z0: np.ndarray | None = None) -> EllipticP0Form:
     """Construct the linear model of an elliptic map with unitary index 0.
 
     Steps: conjugate the fixed point to the origin by the standard
     involution, scale the associated matrix to denominator constant 1,
     solve (A* - I) V = C, and rotate V to |V| e_1.  The conjugacy
-    sigma o phi = A1 o sigma is then checked on ``samples`` seeded interior
-    points in one batch and the max residual recorded.  ``classify`` hands
+    sigma o phi = A1 o sigma is then checked on 40 seeded interior points
+    in one batch and the max residual recorded.  ``classify`` hands
     its own ``elliptic_spectral_data`` to the same construction.
     """
-    return _elliptic_p0_normal_form(f, elliptic_spectral_data(f, z0), samples)
+    return _elliptic_p0_normal_form(f, elliptic_spectral_data(f, z0))
 
 
-def _elliptic_p0_normal_form(f: LinearFractionalMap, data: EllipticSpectralData, samples: int = 40) -> EllipticP0Form:
+def _elliptic_p0_normal_form(f: LinearFractionalMap, data: EllipticSpectralData) -> EllipticP0Form:
     if data.p != 0:
         raise UnitaryIndexNonzero("normal form requires unitary index 0, got %d" % data.p)
     z0 = data.fixed_point
@@ -232,7 +220,7 @@ def _elliptic_p0_normal_form(f: LinearFractionalMap, data: EllipticSpectralData,
     a1 = u.conj().T @ a @ u
 
     # residual of sigma o phi_tilde = A1 o sigma on interior samples
-    rng = np.random.default_rng(11)
+    rng, samples = np.random.default_rng(11), 40
     pts = rng.standard_normal((samples, f.n)) + 1j * rng.standard_normal((samples, f.n))
     pts *= (rng.uniform(0.05, 0.9, size=samples) / np.linalg.norm(pts, axis=1))[:, None]
     h = np.concatenate([pts, np.ones((samples, 1))], axis=1) @ conjugated(g, unitary_map(u)).matrix.T
@@ -245,7 +233,7 @@ def _elliptic_p0_normal_form(f: LinearFractionalMap, data: EllipticSpectralData,
     if not resid <= 1e-10:  # a NaN residual fails too
         raise NumericalInconsistency("linear-model conjugacy residual %.3g too large" % resid)
 
-    if delta < 1.0 - TOL_UNIMODULAR:
+    if delta < 1.0 - TOLERANCES.unimodular:
         domain, r = "ellipsoid", 1.0 / math.sqrt(1.0 - delta * delta)
     else:
         domain, r = "halfplane_like", None
@@ -333,10 +321,7 @@ class HyperbolicNormalForm:
         k1, k2, shift = self.k1, self.k2, self.vertical_shift
         m = _eta_matrix(n, k1, k2) @ _nu_matrix(n, shift) @ self.normal_matrix() \
             @ _nu_matrix(n, shift, inverse=True) @ _eta_matrix(n, k1, k2, inverse=True)
-        v = np.eye(n + 1, dtype=complex)
-        v[:n, :n] = self.halfplane.rotation
-        m = v.conj().T @ _cayley_inverse_matrix(n) @ m @ cayley_matrix(n) @ v
-        return LinearFractionalMap.from_matrix(m)
+        return _ball_map_from_halfplane(m, self.halfplane.rotation)
 
 
 def hyperbolic_normal_form(f: LinearFractionalMap) -> HyperbolicNormalForm:
@@ -355,7 +340,7 @@ def hyperbolic_normal_form(f: LinearFractionalMap) -> HyperbolicNormalForm:
 
 
 def _hyperbolic_normal_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) -> HyperbolicNormalForm:
-    if dw.dilation >= 1.0 - PARABOLIC_BAND:
+    if dw.dilation >= 1.0 - TOLERANCES.parabolic_band:
         raise NotHyperbolic("dilation %.12g is in the parabolic band" % dw.dilation)
     hp = conjugate_to_halfplane(f, dw.location)
     alpha = hp.alpha
@@ -483,7 +468,7 @@ def classify(f: LinearFractionalMap) -> Classification:
         )
     dw = _denjoy_wolff_of(f, fps)
     alpha = dw.dilation
-    if alpha >= 1.0 - PARABOLIC_BAND:
+    if alpha >= 1.0 - TOLERANCES.parabolic_band:
         # parabolic band asserts dilation 1; drop the numerical dust
         alpha = 1.0
     if aut:
@@ -524,16 +509,12 @@ def _chain_steps(nf: EllipticP0Form | HyperbolicNormalForm | None, n: int) -> li
     if nf is None:
         return []
     if isinstance(nf, EllipticP0Form):
-        rot = np.eye(n + 1, dtype=complex)
-        rot[:n, :n] = nf.rotation
         return [
             {"kind": "involution_to_origin", "matrix": _c2pair(nf.to_origin.matrix)},
-            {"kind": "rotation", "matrix": _c2pair(rot)},
+            {"kind": "rotation", "matrix": _c2pair(_rotation_block(nf.rotation))},
         ]
-    rot = np.eye(n + 1, dtype=complex)
-    rot[:n, :n] = nf.halfplane.rotation
     return [
-        {"kind": "rotation_to_e1", "matrix": _c2pair(rot)},
+        {"kind": "rotation_to_e1", "matrix": _c2pair(_rotation_block(nf.halfplane.rotation))},
         {"kind": "cayley", "matrix": _c2pair(cayley_matrix(n))},
         {"kind": "heisenberg_translation", "matrix": _c2pair(_eta_matrix(n, nf.k1, nf.k2, inverse=True))},
         {"kind": "vertical_translation", "matrix": _c2pair(_nu_matrix(n, nf.vertical_shift, inverse=True))},

@@ -1,12 +1,14 @@
 """Command-line front end.
 
+Each subcommand takes a map path, ``--out`` and only the options its handler
+reads (``build_parser``); any other option or a malformed value is a usage
+error, which ends as every input error does: one ``error:`` line, exit 1.
+
 Every JSON artifact is a self-contained run report: it echoes the
 normalized input map, the tool version, and the subcommand's options under
-``flags`` (the tolerance of ``validate`` and ``verify-eigen``, the degree,
-``nmax``, the norm parameters or the resolution; ``classify`` and
-``spectrum`` take none and echo ``{}``), so feeding the echoed map back
-reproduces the result.  JSON output is deterministic: fixed key order,
-floats with 17 significant digits.
+``flags`` (``classify`` and ``spectrum`` take none and echo ``{}``), so
+feeding the echoed map back reproduces the result.  JSON output is
+deterministic: fixed key order, floats with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -29,16 +31,14 @@ from .errors import (
     ParameterConstraintViolated,
     UnsupportedMapClass,
 )
-from .maps import TOL_VALIDATION, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
+from .maps import TOLERANCES, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
 from .series import (
     build_compression,
     compression_basis_json,
     compression_eigenvalues,
     compression_spectrum,
     compression_to_csv,
-    eigenfunction_residual,
     norm_equivalence_interval,
-    series_from_vector,
     _norm_factors,
 )
 from .spectra import (
@@ -53,7 +53,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
-DEFAULT_DEGREE = 8  # series truncation degree of compress and verify-eigen
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,7 @@ def _report(command: str, f, flags: dict, result: dict) -> dict:
 
 def _cmd_validate(args) -> int:
     f = _load_map(args.map)
-    tol = args.tol if args.tol is not None else TOL_VALIDATION
-    rep = validate_self_map(f, tol=tol)
+    rep = validate_self_map(f, tol=args.tol)
     result = {
         "ok": rep.ok,
         "max_modulus": rep.max_modulus,
@@ -176,7 +174,7 @@ def _cmd_validate(args) -> int:
         "tol": rep.tol,
         "denominator_margin": rep.denominator_margin,
     }
-    text = _emit_json(_report("validate", f, {"tol": tol}, result)) + "\n"
+    text = _emit_json(_report("validate", f, {"tol": args.tol}, result)) + "\n"
     _write_artifact(text, args.out)
     return EXIT_OK if rep.ok else EXIT_VALIDATION
 
@@ -201,13 +199,12 @@ def _cmd_spectrum(args) -> int:
 def _cmd_radius(args) -> int:
     f = _load_map(args.map)
     cl = classify(f)
-    n_max = args.nmax if args.nmax is not None else 20
     sr = spectral_radius(f, cl)
     closed = essential_radius_closed_form(cl)
     estimate = None
     note = None
     try:
-        est = essential_radius_estimate(f, n_max=n_max)
+        est = essential_radius_estimate(f, n_max=args.nmax)
         estimate = {
             "limit": est.limit,
             "roots": list(est.roots),
@@ -233,23 +230,22 @@ def _cmd_radius(args) -> int:
         "relative_disagreement": disagreement,
         "agrees_within_5_percent": agree,
     }
-    text = _emit_json(_report("radius", f, {"nmax": n_max}, result)) + "\n"
+    text = _emit_json(_report("radius", f, {"nmax": args.nmax}, result)) + "\n"
     _write_artifact(text, args.out)
     return EXIT_OK
 
 
 def _cmd_compress(args) -> int:
     f = _load_self_map(args.map)
-    degree = args.degree if args.degree is not None else DEFAULT_DEGREE
-    comp = build_compression(f, degree)
+    comp = build_compression(f, args.degree)
     eigs = compression_eigenvalues(comp)
     if args.format == "json":
         result = {
-            "degree": degree,
+            "degree": args.degree,
             "eigenvalues": _c2pair(eigs),
             "basis": compression_basis_json(comp),
         }
-        text = _emit_json(_report("compress", f, {"degree": degree}, result)) + "\n"
+        text = _emit_json(_report("compress", f, {"degree": args.degree}, result)) + "\n"
     else:
         text = compression_to_csv(eigs)
     _write_artifact(text, args.out)
@@ -258,29 +254,21 @@ def _cmd_compress(args) -> int:
 
 def _cmd_verify_eigen(args) -> int:
     f = _load_self_map(args.map)
-    degree = args.degree if args.degree is not None else DEFAULT_DEGREE
-    tol = args.tol if args.tol is not None else 1e-8
+    degree, tol = args.degree, args.tol
     eigs, vecs, comp = compression_spectrum(f, degree, return_vectors=True)
-    rows = []
-    for k in range(eigs.shape[0]):
-        func = series_from_vector(comp, vecs[:, k])
-        res = eigenfunction_residual(f, eigs[k], func, degree)
-        rows.append({
-            "eigenvalue": _c2pair(eigs[k]),
-            "modulus": abs(complex(eigs[k])),
-            "residual": res,
-            "pass": bool(res <= tol),
-        })
+    # ||M v - lambda v|| / ||v|| in the orthonormal basis: eigenfunction_residual
+    # of each eigenpair through the degree, from one product for all of them
+    residuals = np.linalg.norm(comp.matrix @ vecs - vecs * eigs, axis=0) / np.linalg.norm(vecs, axis=0)
     if args.format == "csv":
-        lines = ["re,im,residual"]
-        for r in rows:
-            lines.append("%s,%s,%s" % (
-                format(r["eigenvalue"][0], ".17g"),
-                format(r["eigenvalue"][1], ".17g"),
-                format(r["residual"], ".17g"),
-            ))
-        text = "\n".join(lines) + "\n"
+        text = "re,im,residual\n" + "".join("%.17g,%.17g,%.17g\n" % (lam.real, lam.imag, res)
+                                            for lam, res in zip(eigs, residuals))
     else:
+        rows = [{
+            "eigenvalue": _c2pair(lam),
+            "modulus": abs(complex(lam)),
+            "residual": float(res),
+            "pass": bool(res <= tol),
+        } for lam, res in zip(eigs, residuals)]
         result = {"degree": degree, "tol": tol, "rows": rows}
         text = _emit_json(_report("verify-eigen", f, {"degree": degree, "tol": tol}, result)) + "\n"
     _write_artifact(text, args.out)
@@ -311,16 +299,15 @@ def _cmd_norms(args) -> int:
 def _cmd_export(args) -> int:
     f = _load_map(args.map)
     s = spectrum(f)
-    resolution = args.resolution if args.resolution is not None else 128
     if args.format == "json":
-        values, index = s.discretize(resolution)
+        values, index = s.discretize(args.resolution)
         result = {
-            "resolution": resolution,
+            "resolution": args.resolution,
             "points": [[v.real, v.imag, int(i)] for v, i in zip(values, index)],
         }
-        text = _emit_json(_report("export", f, {"resolution": resolution}, result)) + "\n"
+        text = _emit_json(_report("export", f, {"resolution": args.resolution}, result)) + "\n"
     else:
-        text = cloud_to_csv(s, resolution)
+        text = cloud_to_csv(s, args.resolution)
     _write_artifact(text, args.out)
     return EXIT_OK
 
@@ -329,8 +316,15 @@ def _cmd_export(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as input errors do: one ``error:`` line, exit 1."""
+
+    def error(self, message):
+        raise ParameterConstraintViolated("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lfmspec",
         description="Classify linear fractional self-maps of the complex unit ball "
         "and compute spectra of the induced composition operators.",
@@ -338,46 +332,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version="lfmspec " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str):
+    def add(name: str, handler, help_text: str, *options):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("map", help="path to a map JSON file, or - for stdin")
-        sp.add_argument("--degree", type=int, default=None, help="series truncation degree")
-        sp.add_argument("--nmax", type=int, default=None, help="largest iterate order for the estimator")
-        sp.add_argument("--tol", type=float, default=None, help="tolerance (meaning depends on the subcommand)")
-        sp.add_argument("--resolution", type=int, default=None, help="points per circle when discretizing")
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
         sp.add_argument("--out", default=None, help="write the artifact to this path instead of stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default=None, help="artifact format")
         sp.set_defaults(handler=handler)
-        return sp
 
-    add("validate", _cmd_validate, "sup of |phi| over the ball (J-form certificate) against 1 + tol")
+    def fmt(default: str):
+        return "--format", dict(choices=("json", "csv"), default=default, help="artifact format")
+
+    degree = "--degree", dict(type=int, default=8, help="series truncation degree")
+    add("validate", _cmd_validate, "sup of |phi| over the ball (J-form certificate) against 1 + tol",
+        ("--tol", dict(type=float, default=TOLERANCES.self_map, help="accept sup |phi| up to 1 + tol")))
     add("classify", _cmd_classify, "fixed points, class, and normal form")
     add("spectrum", _cmd_spectrum, "exact spectrum of the composition operator")
-    add("radius", _cmd_radius, "spectral radius, closed-form essential radius, and the contact-point estimate")
-    add("compress", _cmd_compress, "eigenvalues of the Galerkin compression")
-    add("verify-eigen", _cmd_verify_eigen, "residuals of the compression eigenpairs")
-    sp_norms = add("norms", _cmd_norms, "per-degree weighted vs Sobolev norm factors")
-    sp_norms.add_argument("--s", type=float, default=0.5, help="smoothness parameter")
-    sp_norms.add_argument("--nu", type=float, default=0.5, help="grading weight exponent")
-    sp_norms.add_argument("--kmax", type=int, default=30, help="largest degree in the table")
-    add("export", _cmd_export, "discretized spectrum as a plot-ready point cloud")
+    add("radius", _cmd_radius, "spectral radius, closed-form essential radius, and the contact-point estimate",
+        ("--nmax", dict(type=int, default=20, help="largest iterate order for the estimator")))
+    add("compress", _cmd_compress, "eigenvalues of the Galerkin compression", degree, fmt("csv"))
+    add("verify-eigen", _cmd_verify_eigen, "residuals of the compression eigenpairs", degree,
+        ("--tol", dict(type=float, default=TOLERANCES.eigen_residual, help="largest residual that passes")),
+        fmt("json"))
+    add("norms", _cmd_norms, "per-degree weighted vs Sobolev norm factors",
+        ("--s", dict(type=float, default=0.5, help="smoothness parameter")),
+        ("--nu", dict(type=float, default=0.5, help="grading weight exponent")),
+        ("--kmax", dict(type=int, default=30, help="largest degree in the table")))
+    add("export", _cmd_export, "discretized spectrum as a plot-ready point cloud",
+        ("--resolution", dict(type=int, default=128, help="points per circle when discretizing")), fmt("csv"))
 
     return p
 
 
-def _format_default(args) -> None:
-    # compress/export default to csv artifacts; everything else to json
-    if getattr(args, "format", None) is None:
-        args.format = "csv" if args.command in ("compress", "export") else "json"
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _format_default(args)
     try:
-        for name in ("tol", "s", "nu"):  # the float flags; None when not given
-            if not np.isfinite(getattr(args, name, None) or 0.0):
+        args = build_parser().parse_args(argv)
+        for name in ("tol", "s", "nu"):  # the float flags of the subcommands that have them
+            if not np.isfinite(getattr(args, name, 0.0)):
                 raise ParameterConstraintViolated("--%s must be a finite number" % name)
         return args.handler(args)
     except (DenominatorVanishes, NotASelfMap) as exc:

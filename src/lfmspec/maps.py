@@ -35,6 +35,8 @@ from .errors import (
 )
 
 __all__ = [
+    "Tolerances",
+    "TOLERANCES",
     "LinearFractionalMap",
     "FixedPoint",
     "FixedPointSet",
@@ -62,14 +64,34 @@ __all__ = [
     "proportional_residual",
 ]
 
-# Default tolerances.  Boundary classification and unimodularity share the
-# 1e-8 band; self-map validation is tighter because its J-form certificate
-# gives sup |phi| over the ball to about 1e-13 relative (eps / (d - |C|) when
-# the denominator nearly vanishes on the ball).
-TOL_BOUNDARY = 1e-8
-TOL_VALIDATION = 1e-9
-_EIG_CLUSTER_TOL = 1e-6
-_MARGIN_TOL = 1e-12
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The decision thresholds, each named by the question it decides; every
+    module reads the one instance ``TOLERANCES``.  Self-map validation is
+    tighter than the 1e-8 bands because its J-form certificate gives sup |phi|
+    to about 1e-13 relative (eps / (d - |C|) when the denominator nearly
+    vanishes on the ball)."""
+
+    denominator_margin: float = 1e-12  # d - |C| at most this: the denominator vanishes on the closed ball
+    eigenvalue_cluster: float = 1e-6  # eigenvalues of the associated matrix this close: one fixed-point group
+    on_sphere: float = 1e-8  # ||z| - 1| at most this: a fixed point lies on the sphere
+    fixed_interior: float = 1e-8  # |phi(z0) - z0| above this: z0 is not fixed
+    fixed_boundary: float = 1e-6  # |phi(tau) - tau| above this: tau is not fixed
+    parabolic_band: float = 1e-8  # a boundary dilation within this of 1 counts as 1
+    automorphism: float = 1e-9  # |m* J m - lambda J| / |m* J m| at most this: an automorphism
+    self_map: float = 1e-9  # sup |phi| at most 1 + this: a self-map
+    halfplane_affine: float = 1e-8  # non-affine entries of the Cayley transport at most this: dropped
+    unimodular: float = 1e-8  # ||lambda| - 1| at most this: lambda (or delta) is unimodular
+    contractive_gap: float = 1e-6  # |lambda| below 1 - this: lambda is contractive
+    root_of_unity_order: int = 64  # largest q tried for lambda^q = 1
+    root_of_unity_angle: float = 1e-9  # |arg(lambda) / 2pi - p/q| at most this: lambda^q = 1
+    membership: float = 1e-8  # default distance at which a point lies in a spectral set
+    spectrum_tail: float = 1e-12  # default modulus below which eigenvalue products are left out
+    eigen_residual: float = 1e-8  # default residual up to which verify-eigen passes an eigenpair
+
+
+TOLERANCES = Tolerances()
 
 
 def _inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -117,7 +139,7 @@ class LinearFractionalMap:
             m *= np.conj(m[n, n]) / abs(m[n, n])
         m /= np.linalg.norm(m)
         dn = m[n, n].real
-        if dn - np.linalg.norm(m[n, :n]) <= _MARGIN_TOL:
+        if dn - np.linalg.norm(m[n, :n]) <= TOLERANCES.denominator_margin:
             raise DenominatorVanishes(
                 "denominator vanishes on the closed ball (need d > |C| after normalization)"
             )
@@ -297,7 +319,7 @@ class FixedPointSet:
     def interior_point(self) -> np.ndarray | None:
         """Some interior fixed point, if one exists (slice representative
         included); None otherwise."""
-        if self.slice_point is not None and np.linalg.norm(self.slice_point) < 1.0 - TOL_BOUNDARY:
+        if self.slice_point is not None and np.linalg.norm(self.slice_point) < 1.0 - TOLERANCES.on_sphere:
             return self.slice_point
         for p in self.points:
             if p.kind == "interior":
@@ -333,11 +355,7 @@ def _boundary_dilation(f: LinearFractionalMap, tau: np.ndarray) -> float:
     return float(val.real)
 
 
-def fixed_points(
-    f: LinearFractionalMap,
-    cluster_tol: float = _EIG_CLUSTER_TOL,
-    boundary_tol: float = TOL_BOUNDARY,
-) -> FixedPointSet:
+def fixed_points(f: LinearFractionalMap) -> FixedPointSet:
     """All fixed points of the map, read off the associated matrix.
 
     Fixed points are eigenvectors of the associated matrix: an eigenvector
@@ -356,7 +374,7 @@ def fixed_points(
     slice_point: np.ndarray | None = None
     whole_ball = False
 
-    for group in _cluster(eigvals, cluster_tol):
+    for group in _cluster(eigvals, TOLERANCES.eigenvalue_cluster):
         lam = complex(group.mean())
         spread = float(np.max(np.abs(group - lam))) if group.size > 1 else 0.0
         rank_tol = max(1e-9, 10.0 * spread)
@@ -386,20 +404,20 @@ def fixed_points(
             if nw > 1e-10:
                 dirs.append(wv / nw)
         if not dirs:
-            points.append(_classify_point(f, z0, boundary_tol))
+            points.append(_classify_point(f, z0))
             continue
         # affine slice of fixed points: z0 + span(dirs)
         w = np.stack(dirs, axis=1)
         coef, *_ = np.linalg.lstsq(w, -z0, rcond=None)
         p_star = z0 + w @ coef
         r = float(np.linalg.norm(p_star))
-        if r < 1.0 - boundary_tol:
+        if r < 1.0 - TOLERANCES.on_sphere:
             slice_dim = len(dirs)
             slice_point = p_star
             whole_ball = len(dirs) == n
         else:
             # slice missing the open ball: report its nearest point
-            points.append(_classify_point(f, p_star, boundary_tol))
+            points.append(_classify_point(f, p_star))
 
     points.sort(key=lambda p: ({"interior": 0, "boundary": 1, "exterior": 2}[p.kind],)
                 + tuple(x for xy in zip(p.location.real, p.location.imag) for x in xy))
@@ -412,33 +430,34 @@ def fixed_points(
     )
 
 
-def _classify_point(f: LinearFractionalMap, z: np.ndarray, boundary_tol: float) -> FixedPoint:
+def _classify_point(f: LinearFractionalMap, z: np.ndarray) -> FixedPoint:
     r = float(np.linalg.norm(z))
-    if abs(r - 1.0) <= boundary_tol:
+    if abs(r - 1.0) <= TOLERANCES.on_sphere:
         tau = z / r
         return FixedPoint(location=tau, kind="boundary", dilation=_boundary_dilation(f, tau))
     kind = "interior" if r < 1.0 else "exterior"
     return FixedPoint(location=z, kind=kind, dilation=None)
 
 
-def denjoy_wolff(f: LinearFractionalMap, tol: float = TOL_BOUNDARY) -> FixedPoint:
+def denjoy_wolff(f: LinearFractionalMap) -> FixedPoint:
     """Attracting boundary fixed point of a map with no interior fixed point.
 
     The returned point is the unique boundary fixed point whose dilation
-    lies in (0, 1]; dilation strictly below 1 is the hyperbolic case and
-    dilation 1 the parabolic case.  When rounding leaves two candidates in
-    the admissible band (a near-parabolic tie) both are reported in a
-    warning and the smaller dilation wins deterministically; ``classify``
-    makes the same choice on the fixed-point set it already has.
+    lies in (0, 1] (1 up to ``TOLERANCES.parabolic_band``); dilation strictly
+    below 1 is the hyperbolic case and dilation 1 the parabolic case.  When
+    rounding leaves two candidates in the admissible band (a near-parabolic
+    tie) both are reported in a warning and the smaller dilation wins
+    deterministically; ``classify`` makes the same choice on the fixed-point
+    set it already has.
     """
-    return _denjoy_wolff_of(f, fixed_points(f, boundary_tol=tol), tol)
+    return _denjoy_wolff_of(f, fixed_points(f))
 
 
-def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet, tol: float = TOL_BOUNDARY) -> FixedPoint:
-    """``denjoy_wolff`` on fps = ``fixed_points(f, boundary_tol=tol)``."""
+def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
+    """``denjoy_wolff`` on fps = ``fixed_points(f)``."""
     if fps.interior_point() is not None:
         raise HasInteriorFixedPoint("map fixes an interior point; no Denjoy-Wolff point")
-    cands = [p for p in fps.boundary_points() if p.dilation is not None and p.dilation <= 1.0 + tol]
+    cands = [p for p in fps.boundary_points() if p.dilation is not None and p.dilation <= 1.0 + TOLERANCES.parabolic_band]
     if not cands:
         raise NoQualifyingBoundaryPoint("no boundary fixed point with dilation <= 1")
     cands.sort(key=lambda p: (p.dilation, tuple(p.location.real), tuple(p.location.imag)))
@@ -483,7 +502,7 @@ def _j_form(n: int) -> np.ndarray:
     return j
 
 
-def is_automorphism(f: LinearFractionalMap, tol: float = 1e-9) -> bool:
+def is_automorphism(f: LinearFractionalMap) -> bool:
     """Whether the map is a ball automorphism.
 
     Automorphisms are exactly the maps whose associated matrix satisfies
@@ -497,7 +516,7 @@ def is_automorphism(f: LinearFractionalMap, tol: float = 1e-9) -> bool:
     lam = -k[n, n].real
     if lam <= 0:
         return False
-    return float(np.linalg.norm(k - lam * j)) <= tol * float(np.linalg.norm(k))
+    return float(np.linalg.norm(k - lam * j)) <= TOLERANCES.automorphism * float(np.linalg.norm(k))
 
 
 def ball_automorphism_to_origin(a) -> LinearFractionalMap:
@@ -614,7 +633,7 @@ def _sphere_maximizer(fl: np.ndarray, g: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def validate_self_map(f: LinearFractionalMap, tol: float = TOL_VALIDATION) -> ValidationReport:
+def validate_self_map(f: LinearFractionalMap, tol: float = TOLERANCES.self_map) -> ValidationReport:
     """Compute sup over the closed ball of |phi| and check it against 1 + tol.
 
     The ball involution psi swapping 0 and a = -C/d makes the denominator of
@@ -716,6 +735,22 @@ def _cayley_inverse_matrix(n: int) -> np.ndarray:
     return s
 
 
+def _rotation_block(u: np.ndarray) -> np.ndarray:
+    """Projective matrix block-diag(u, 1) of the rotation z -> u z."""
+    n = u.shape[0]
+    v = np.eye(n + 1, dtype=complex)
+    v[:n, :n] = u
+    return v
+
+
+def _ball_map_from_halfplane(m: np.ndarray, rotation: np.ndarray) -> LinearFractionalMap:
+    """The ball map whose rotation by ``rotation`` and Cayley transport give
+    the half-plane matrix m."""
+    v = _rotation_block(rotation)
+    n = rotation.shape[0]
+    return LinearFractionalMap.from_matrix(v.conj().T @ _cayley_inverse_matrix(n) @ m @ cayley_matrix(n) @ v)
+
+
 def siegel_from_ball(z) -> np.ndarray:
     """Cayley image ((1+z1)/(1-z1), w/(1-z1)) of a ball point (z1, w)."""
     z = np.asarray(z, dtype=complex).reshape(-1)
@@ -790,18 +825,10 @@ class HalfPlaneMap:
 
     def pulled_back_to_ball(self) -> LinearFractionalMap:
         """Invert the construction: the ball map this form came from."""
-        n = self.n
-        v = np.eye(n + 1, dtype=complex)
-        v[:n, :n] = self.rotation
-        m = v.conj().T @ _cayley_inverse_matrix(n) @ self.matrix @ cayley_matrix(n) @ v
-        return LinearFractionalMap.from_matrix(m)
+        return _ball_map_from_halfplane(self.matrix, self.rotation)
 
 
-def conjugate_to_halfplane(
-    f: LinearFractionalMap,
-    tau: np.ndarray | None = None,
-    tol: float = 1e-8,
-) -> HalfPlaneMap:
+def conjugate_to_halfplane(f: LinearFractionalMap, tau: np.ndarray | None = None) -> HalfPlaneMap:
     """Transport a map with boundary fixed point tau to the Siegel model.
 
     tau defaults to the Denjoy-Wolff point for maps without interior fixed
@@ -809,25 +836,25 @@ def conjugate_to_halfplane(
     use).  The boundary point is rotated to e_1 and the map conjugated by
     the Cayley transform; the result is affine because the transported map
     fixes infinity, and the residual non-affine entries (which vanish in
-    exact arithmetic) are checked against ``tol`` before being dropped.
+    exact arithmetic) are checked against ``TOLERANCES.halfplane_affine``
+    before being dropped.
     """
     n = f.n
     if tau is None:
         tau = _default_boundary_point(f)
     tau = np.asarray(tau, dtype=complex).reshape(-1)
     tau = tau / np.linalg.norm(tau)
-    if np.linalg.norm(evaluate(f, tau) - tau) > 1e-6:
+    if np.linalg.norm(evaluate(f, tau) - tau) > TOLERANCES.fixed_boundary:
         raise NotAFixedPoint("tau is not fixed by the map")
     rot = unitary_with_first_column(tau).conj().T  # rot @ tau = e_1
-    v = np.eye(n + 1, dtype=complex)
-    v[:n, :n] = rot
+    v = _rotation_block(rot)
     m1 = v @ f.matrix @ v.conj().T
     mpsi = cayley_matrix(n) @ m1 @ _cayley_inverse_matrix(n)
     if abs(mpsi[n, n]) < 1e-12:
         raise NumericalInconsistency("degenerate Cayley conjugation")
     mpsi /= mpsi[n, n]
     stray = float(np.linalg.norm(mpsi[n, :n])) + float(np.linalg.norm(mpsi[1:n, 0]))
-    if stray > tol:
+    if stray > TOLERANCES.halfplane_affine:
         raise NumericalInconsistency(
             "transported map is not affine (residual %.3g); tau is not an exact fixed point" % stray
         )

@@ -14,15 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .classify import (
     Classification,
     MapClass,
+    _rotation_fraction,
     classify,
-    rotation_order,
 )
 from .errors import (
     NumericalInconsistency,
@@ -32,6 +31,7 @@ from .errors import (
     UnsupportedParabolic,
 )
 from .maps import (
+    TOLERANCES,
     LinearFractionalMap,
     _c2pair,
     _default_boundary_point,
@@ -55,7 +55,6 @@ __all__ = [
     "cloud_to_csv",
 ]
 
-DEFAULT_TAIL_TOL = 1e-12
 MAX_FAMILY_POINTS = 100_000
 MAX_CLOUD_POINTS = 10_000_000
 
@@ -131,9 +130,7 @@ def _component_max_modulus(comp: Component) -> float:
         return abs(comp.value)
     if isinstance(comp, PointFamily):
         return max((abs(p) for p in comp.points), default=0.0)
-    if isinstance(comp, Circle):
-        return comp.radius
-    if isinstance(comp, ClosedDisk):
+    if isinstance(comp, (Circle, ClosedDisk)):
         return comp.radius
     if isinstance(comp, Annulus):
         return comp.r_outer
@@ -209,7 +206,7 @@ class SpectralSet:
     spectral_radius: float
     is_closure: bool = False
 
-    def contains(self, lam: complex, tol: float = 1e-8) -> bool:
+    def contains(self, lam: complex, tol: float = TOLERANCES.membership) -> bool:
         return any(_component_contains(c, complex(lam), tol) for c in self.components)
 
     def max_modulus(self) -> float:
@@ -250,7 +247,7 @@ def cloud_to_csv(s: SpectralSet, resolution: int = 128) -> str:
 # eigenvalue-product enumeration
 
 
-def _last_on_grid(vals: np.ndarray, max_points: int) -> np.ndarray:
+def _last_on_grid(vals: np.ndarray) -> np.ndarray:
     """The last value on each point of the 1e-13 grid, in order of the first;
     rint rounds half to even as round() does, and == merges +0 and -0."""
     keys = np.rint(vals * 1e13)
@@ -258,31 +255,31 @@ def _last_on_grid(vals: np.ndarray, max_points: int) -> np.ndarray:
     keys = keys[order]
     edge = np.concatenate(([vals.size > 0], keys[1:] != keys[:-1], [vals.size > 0]))  # [:-1] starts, [1:] ends
     first, last = order[np.flatnonzero(edge[:-1])], order[np.flatnonzero(edge[1:])]
-    if first.size > max_points:
-        raise SizeCapExceeded("eigenvalue-product family exceeds %d points; raise tail_tol" % max_points)
+    if first.size > MAX_FAMILY_POINTS:
+        raise SizeCapExceeded("eigenvalue-product family exceeds %d points; raise tail_tol" % MAX_FAMILY_POINTS)
     return vals[last[np.argsort(first)]]
 
 
-def _chain(w: complex, g: complex, tail_tol: float, max_points: int) -> np.ndarray:
+def _chain(w: complex, g: complex, tail_tol: float) -> np.ndarray:
     """w, w g, (w g) g, ... down to tail_tol in Python complex arithmetic, which
     rounds as the real form does and is faster for one value than arrays."""
-    chain, check_at = [], max_points + 1
+    chain, check_at = [], MAX_FAMILY_POINTS + 1
     while abs(w) >= tail_tol:
         chain.append(w)
         if len(chain) == check_at:
-            _last_on_grid(np.array(chain), max_points)
+            _last_on_grid(np.array(chain))
             check_at *= 2
         w = w * g
     return np.array(chain, dtype=complex)
 
 
-def _product_stage(rows: np.ndarray, g: complex, tail_tol: float, max_points: int) -> np.ndarray:
+def _product_stage(rows: np.ndarray, g: complex, tail_tol: float) -> np.ndarray:
     """One stage of _contractive_products, one power of all live rows at a time."""
     row, z = np.arange(rows.size), rows
-    cols, count, check_at = [(row[:0], z[:0])], 0, max_points + 1
+    cols, count, check_at = [(row[:0], z[:0])], 0, MAX_FAMILY_POINTS + 1
     while z.size:
         if z.size == 1:
-            z = _chain(z[0].item(), g, tail_tol, max_points)
+            z = _chain(z[0].item(), g, tail_tol)
             cols.append((np.full(z.size, row[0]), z))
             break
         live = np.hypot(z.real, z.imag) >= tail_tol
@@ -291,28 +288,25 @@ def _product_stage(rows: np.ndarray, g: complex, tail_tol: float, max_points: in
         # a subset never has more grid points than the whole
         count += row.size
         if count >= check_at:
-            _last_on_grid(np.concatenate([c for _, c in cols]), max_points)
+            _last_on_grid(np.concatenate([c for _, c in cols]))
             check_at = 2 * count
         w, z = z, np.empty_like(z)
         z.real = w.real * g.real - w.imag * g.imag
         z.imag = w.real * g.imag + w.imag * g.real
     rows_of, vals = (np.concatenate(x) for x in zip(*cols))
-    return _last_on_grid(vals[np.argsort(rows_of, kind="stable")], max_points)
+    return _last_on_grid(vals[np.argsort(rows_of, kind="stable")])
 
 
-def _contractive_products(
-    generators: tuple[complex, ...],
-    tail_tol: float,
-    max_points: int = MAX_FAMILY_POINTS,
-) -> np.ndarray:
+def _contractive_products(generators: tuple[complex, ...], tail_tol: float) -> np.ndarray:
     """All products g^gamma over multi-exponents gamma >= 0 with modulus at
     least tail_tol, including the empty product 1, by decreasing modulus.
 
     Per generator g, each value v kept so far gives v g, (v g) g, ... until
     the first product below tail_tol.  Products on one point of the 1e-13 grid
     count once, as the last written value by value, powers in order, and go
-    on in order of their first writing; SizeCapExceeded beyond max_points of
-    them in a stage.  Boundary-fixed spectra pass their essential radius."""
+    on in order of their first writing; SizeCapExceeded beyond
+    MAX_FAMILY_POINTS of them in a stage.  Boundary-fixed spectra pass their
+    essential radius."""
     if not tail_tol > 0.0:  # every chain then ends, a zero generator's at v 0 = 0
         raise ParameterConstraintViolated("tail_tol must be positive, got %r" % tail_tol)
     for g in generators:
@@ -320,27 +314,20 @@ def _contractive_products(
             raise NumericalInconsistency("product enumeration needs strictly contractive generators")
     vals = np.ones(1, dtype=complex)
     for g in generators:
-        vals = _product_stage(vals, complex(g), tail_tol, max_points)
+        vals = _product_stage(vals, complex(g), tail_tol)
     return vals[_spectral_order(vals)]
 
 
-def _unimodular_closure_points(
-    unimodular: tuple[complex, ...],
-    max_points: int = MAX_FAMILY_POINTS,
-) -> list[complex] | None:
+def _unimodular_closure_points(unimodular: tuple[complex, ...]) -> list[complex] | None:
     """Closure of the multiplicative semigroup of unimodular eigenvalues.
 
     Returns the finite subgroup of the circle they generate when every
     angle is rational (the semigroup of roots of unity is a group), or
     None when an irrational rotation makes the closure the full circle.
     """
-    fracs = []
-    for lam in unimodular:
-        q = rotation_order(lam)
-        if q is None:
-            return None
-        theta = math.atan2(lam.imag, lam.real) / (2.0 * math.pi) % 1.0
-        fracs.append(Fraction(theta).limit_denominator(64))
+    fracs = [_rotation_fraction(lam) for lam in unimodular]
+    if any(fr is None for fr in fracs):
+        return None
     if not fracs:
         return [1.0 + 0.0j]
     lcm = 1
@@ -351,7 +338,7 @@ def _unimodular_closure_points(
     for r in residues:
         g = math.gcd(g, r)
     size = lcm // g
-    if size > max_points:
+    if size > MAX_FAMILY_POINTS:
         raise SizeCapExceeded("unimodular subgroup has %d elements" % size)
     return [complex(np.exp(2j * math.pi * g * t / lcm)) for t in range(size)]
 
@@ -381,7 +368,7 @@ def _sorted_points(points: list[complex]) -> tuple[complex, ...]:
 def spectrum(
     f: LinearFractionalMap,
     cl: Classification | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    tail_tol: float = TOLERANCES.spectrum_tail,
 ) -> SpectralSet:
     """Exact spectrum for the supported classes.
 

@@ -4,11 +4,24 @@ file/stdin plumbing. Everything drives lfmspec.cli.main(argv) directly."""
 import io
 import json
 import math
+import os
+import time
 
+import numpy as np
 import pytest
 
-from lfmspec import LinearFractionalMap, map_to_json_dict
-from lfmspec.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, main
+from lfmspec import (
+    LinearFractionalMap,
+    ParameterConstraintViolated,
+    compression_spectrum,
+    eigenfunction_residual,
+    map_from_json_dict,
+    map_to_json_dict,
+    series_from_vector,
+)
+from lfmspec.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, build_parser, main
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def write_map(tmp_path, name, f):
@@ -305,6 +318,49 @@ def test_bad_numeric_flag_is_typed_error(capsys, disk_map, affine_map, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("n, b_scale", [(1, 0.0), (1, 0.2), (2, 0.0), (2, 0.2), (3, 0.0), (3, 0.2)])
+def test_verify_eigen_residuals_match_eigenfunction_residual(capsys, tmp_path, n, b_scale):
+    # sup |phi| <= (|A| + |B|) / (d - |C|) = 0.5 / 0.9 < 1; b_scale > 0 moves
+    # phi(0) off 0, so the compression is not triangular
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f = LinearFractionalMap(0.3 * a / np.linalg.norm(a, 2), b_scale * b / np.linalg.norm(b),
+                            0.1 * c / np.linalg.norm(c), 1)
+    degree = {1: 10, 2: 6, 3: 4}[n]
+    path = write_map(tmp_path, "m.json", f)
+    code, out, _ = run(capsys, ["verify-eigen", path, "--degree", str(degree)])
+    assert code == EXIT_OK
+    rows = json.loads(out)["result"]["rows"]
+    with open(path, encoding="utf-8") as fh:
+        f = map_from_json_dict(json.load(fh))  # the map as the command read it
+    eigs, vecs, comp = compression_spectrum(f, degree, return_vectors=True)
+    assert len(rows) == len(eigs)
+    for k, row in enumerate(rows):
+        ref = eigenfunction_residual(f, eigs[k], series_from_vector(comp, vecs[:, k]), degree)
+        assert row["eigenvalue"] == [eigs[k].real, eigs[k].imag]
+        assert abs(row["residual"] - ref) <= 1e-13
+        assert row["pass"] is (ref <= 1e-8)
+
+
+def test_verify_eigen_degree_12_three_variables_is_fast(capsys, tmp_path):
+    # one product gives all 455 residuals in ~0.3 s; recomposing the series
+    # per eigenpair took ~5 s.  The better of two runs: the first large eig of
+    # a process can pay a one-off BLAS start-up second.
+    a = np.array([[0.5, 0.1, 0.0], [0.0, 0.4j, 0.1], [0.05, 0.0, -0.3]])
+    f = LinearFractionalMap(a, [0, 0, 0], [0.1, -0.05j, 0.05], 1)
+    path = write_map(tmp_path, "dense3.json", f)
+    times = []
+    for _ in range(2):
+        t = time.perf_counter()
+        code, out, _ = run(capsys, ["verify-eigen", path, "--degree", "12"])
+        times.append(time.perf_counter() - t)
+        assert code == EXIT_OK
+        assert len(json.loads(out)["result"]["rows"]) == math.comb(15, 3)
+    assert min(times) < 1.0
+
+
 def test_verify_eigen_three_variables_default_degree(capsys, tmp_path):
     import numpy as np
 
@@ -353,6 +409,80 @@ def test_export_json_points(capsys, disk_map):
 def test_export_unsupported_map(capsys, parabolic_map):
     code, out, _ = run(capsys, ["export", parabolic_map])
     assert code == EXIT_UNSUPPORTED
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+FLAGS = {  # each subcommand's options besides the map path
+    "validate": {"--tol", "--out"},
+    "classify": {"--out"},
+    "spectrum": {"--out"},
+    "radius": {"--nmax", "--out"},
+    "compress": {"--degree", "--format", "--out"},
+    "verify-eigen": {"--degree", "--tol", "--format", "--out"},
+    "norms": {"--s", "--nu", "--kmax", "--out"},
+    "export": {"--resolution", "--format", "--out"},
+}
+VALUES = {"--tol": ("1e-6", 1e-6), "--out": ("out.txt", "out.txt"), "--nmax": ("5", 5), "--degree": ("3", 3),
+          "--format": ("json", "json"), "--s": ("1", 1.0), "--nu": ("0", 0.0), "--kmax": ("4", 4),
+          "--resolution": ("8", 8)}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@pytest.mark.parametrize("flag", sorted(VALUES))
+def test_subcommand_takes_exactly_its_flags(command, flag):
+    text, value = VALUES[flag]
+    argv = [command, "m.json", flag, text]
+    if flag in FLAGS[command]:
+        assert getattr(build_parser().parse_args(argv), flag[2:]) == value
+    else:
+        with pytest.raises(ParameterConstraintViolated, match="unrecognized arguments: " + flag):
+            build_parser().parse_args(argv)
+
+
+def test_subcommand_defaults():
+    defaults = {
+        "validate": {"tol": 1e-9},
+        "classify": {},
+        "spectrum": {},
+        "radius": {"nmax": 20},
+        "compress": {"degree": 8, "format": "csv"},
+        "verify-eigen": {"degree": 8, "tol": 1e-8, "format": "json"},
+        "norms": {"s": 0.5, "nu": 0.5, "kmax": 30},
+        "export": {"resolution": 128, "format": "csv"},
+    }
+    for command, want in defaults.items():
+        args = vars(build_parser().parse_args([command, "m.json"]))
+        assert {k: v for k, v in args.items() if k not in ("command", "map", "handler")} == dict(want, out=None)
+
+
+def test_parser_takes_every_cli_workload_argv(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    from cliwork import FORMS, argv_for
+
+    for form in FORMS:
+        args = build_parser().parse_args(argv_for(form, "m.json", "out.txt"))
+        assert args.out == "out.txt"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{disk}", "--degree", "4"],
+    ["spectrum", "{disk}", "--format", "csv"],
+    ["classify", "{disk}", "--format", "csv", "--degree", "3"],
+    ["validate", "{disk}", "--nmax", "3"],
+    ["norms", "{disk}", "--tol", "1e-3"],
+    ["compress", "{disk}", "--degree", "abc"],
+    ["export", "{disk}", "--format", "xml"],
+    ["validate"],
+    ["bogus", "{disk}"],
+    [],
+])
+def test_usage_error_is_one_error_line(capsys, disk_map, argv):
+    code, out, err = run(capsys, [a.format(disk=disk_map) for a in argv])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from lfmspec import (
     LinearFractionalMap,
     MapFormatError,
 )
-from lfmspec.maps import TOL_VALIDATION, _c2pair, _krein_certificate
+from lfmspec.maps import TOLERANCES, _c2pair, _krein_certificate
 
 
 def lfm_1d(a, b, c, d):
@@ -255,6 +255,14 @@ def test_non_automorphism_detected(cayley_like):
 # validation
 
 
+def test_tolerance_record_is_frozen():
+    import dataclasses
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TOLERANCES.on_sphere = 1e-3
+    assert L.validate_self_map(L.identity_map(1)).tol == TOLERANCES.self_map
+
+
 def test_validate_accepts_self_map(cayley_like):
     rep = L.validate_self_map(cayley_like)
     assert rep.ok
@@ -340,7 +348,7 @@ def test_validate_near_threshold(target):
         maps.append(_scaled(f, 1.0 / L.validate_self_map(f).max_modulus))
     for f in maps:
         rep = L.validate_self_map(_scaled(f, target))
-        assert rep.ok == (target <= 1.0 + TOL_VALIDATION)
+        assert rep.ok == (target <= 1.0 + TOLERANCES.self_map)
         if not rep.ok:
             assert float(np.linalg.norm(rep.witness)) <= 1.0 + 1e-12
             assert float(np.linalg.norm(_scaled(f, target)(rep.witness))) > 1.0
@@ -461,7 +469,7 @@ def test_validate_start_against_reference_bisection():
     for f in _start_corpus():
         rep = L.validate_self_map(f)
         ref = _reference_supremum(f)
-        assert rep.ok == (ref <= 1.0 + TOL_VALIDATION)
+        assert rep.ok == (ref <= 1.0 + TOLERANCES.self_map)
         assert rep.max_modulus == pytest.approx(ref, rel=1e-12)
         assert rep.samples <= 3
 
