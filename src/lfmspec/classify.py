@@ -1,5 +1,4 @@
-"""Classification of ball self-maps by fixed-point geometry, and the two
-normal-form constructions used by the spectral assembly.
+"""Classification of ball self-maps by fixed-point geometry.
 
 The classes are decided by (i) existence of an interior fixed point,
 (ii) the automorphism test, (iii) the unitary index p = number of
@@ -7,6 +6,13 @@ unimodular eigenvalues of the differential at an interior fixed point,
 and (iv) the count of boundary fixed points.  Maps without interior
 fixed points carry the Denjoy-Wolff dilation alpha; alpha = 1 is the
 parabolic band and alpha < 1 the hyperbolic one.
+
+``classify`` makes this case split once, from one ``fixed_points`` pass, and
+is the only place it is made: the interior fixed point, the Denjoy-Wolff
+point and alpha, the elliptic spectral data with p, and the normal form the
+spectral assembly consumes are all read off the ``Classification`` it
+returns.  The spectral-data and normal-form constructions are private
+helpers that take what ``classify`` has already found.
 """
 
 from __future__ import annotations
@@ -21,11 +27,8 @@ import numpy as np
 from .errors import (
     GapEigenvalue,
     MultipleBoundaryFixedPoints,
-    NoInteriorFixedPoint,
     NotAFixedPoint,
-    NotHyperbolic,
     NumericalInconsistency,
-    UnitaryIndexNonzero,
 )
 from .maps import (
     TOLERANCES,
@@ -55,13 +58,8 @@ __all__ = [
     "EllipticP0Form",
     "HyperbolicNormalForm",
     "Classification",
-    "unitary_index",
-    "elliptic_spectral_data",
-    "elliptic_p0_normal_form",
-    "hyperbolic_normal_form",
     "classify",
     "classification_to_json_dict",
-    "rotation_order",
 ]
 
 
@@ -112,7 +110,7 @@ class EllipticSpectralData:
         return len(self.unimodular)
 
 
-def elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray | None = None) -> EllipticSpectralData:
+def _elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray) -> EllipticSpectralData:
     """Eigenvalue data of dphi at the interior fixed point z0.
 
     Eigenvalues are sorted into a unimodular list (within
@@ -120,12 +118,7 @@ def elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray | None = None)
     below 1 - ``TOLERANCES.contractive_gap``); anything in between raises
     GapEigenvalue rather than silently picking a side.
     """
-    if z0 is None:
-        z0 = fixed_points(f).interior_point()
-        if z0 is None:
-            raise NoInteriorFixedPoint("map has no interior fixed point")
-    z0 = np.asarray(z0, dtype=complex).reshape(-1)
-    if np.linalg.norm(evaluate(f, z0) - z0) > TOLERANCES.fixed_interior:
+    if np.linalg.norm(evaluate(f, z0) - z0) > TOLERANCES.fixed_point:
         raise NotAFixedPoint("z0 is not fixed by the map")
     eigvals = np.linalg.eigvals(jacobian(f, z0))
     order = np.lexsort((eigvals.imag, eigvals.real, -np.abs(eigvals)))
@@ -139,11 +132,6 @@ def elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray | None = None)
     )
 
 
-def unitary_index(f: LinearFractionalMap, z0: np.ndarray | None = None) -> int:
-    """Number of unimodular eigenvalues of dphi at the interior fixed point."""
-    return elliptic_spectral_data(f, z0).p
-
-
 def _rotation_fraction(lam: complex) -> Fraction | None:
     """arg(lam) / 2pi as the continued-fraction approximation p/q with the
     least q <= ``TOLERANCES.root_of_unity_order``, or None when it misses
@@ -151,12 +139,6 @@ def _rotation_fraction(lam: complex) -> Fraction | None:
     theta = math.atan2(complex(lam).imag, complex(lam).real) / (2.0 * math.pi) % 1.0
     frac = Fraction(theta).limit_denominator(TOLERANCES.root_of_unity_order)
     return frac if abs(theta - float(frac)) <= TOLERANCES.root_of_unity_angle else None
-
-
-def rotation_order(lam: complex) -> int | None:
-    """Order q of a unimodular eigenvalue as a root of unity, or None."""
-    frac = _rotation_fraction(lam)
-    return None if frac is None else frac.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +167,16 @@ class EllipticP0Form:
     conjugacy_residual: float
 
 
-def elliptic_p0_normal_form(f: LinearFractionalMap, z0: np.ndarray | None = None) -> EllipticP0Form:
-    """Construct the linear model of an elliptic map with unitary index 0.
+def _elliptic_p0_form(f: LinearFractionalMap, data: EllipticSpectralData) -> EllipticP0Form:
+    """Linear model of an elliptic map with unitary index 0, at the interior
+    fixed point of data.
 
     Steps: conjugate the fixed point to the origin by the standard
     involution, scale the associated matrix to denominator constant 1,
     solve (A* - I) V = C, and rotate V to |V| e_1.  The conjugacy
     sigma o phi = A1 o sigma is then checked on 40 seeded interior points
-    in one batch and the max residual recorded.  ``classify`` hands
-    its own ``elliptic_spectral_data`` to the same construction.
+    in one batch and the max residual recorded.
     """
-    return _elliptic_p0_normal_form(f, elliptic_spectral_data(f, z0))
-
-
-def _elliptic_p0_normal_form(f: LinearFractionalMap, data: EllipticSpectralData) -> EllipticP0Form:
-    if data.p != 0:
-        raise UnitaryIndexNonzero("normal form requires unitary index 0, got %d" % data.p)
     z0 = data.fixed_point
     aut = ball_automorphism_to_origin(z0)
     g = conjugated(f, aut)  # fixes the origin
@@ -324,24 +300,17 @@ class HyperbolicNormalForm:
         return _ball_map_from_halfplane(m, self.halfplane.rotation)
 
 
-def hyperbolic_normal_form(f: LinearFractionalMap) -> HyperbolicNormalForm:
-    """Reduce a hyperbolic map to its translation-free half-plane form.
+def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) -> HyperbolicNormalForm:
+    """Reduce a hyperbolic map with Denjoy-Wolff point dw and n_boundary
+    (1 or 2) boundary fixed points to its translation-free half-plane form.
 
     The Denjoy-Wolff point goes to infinity under the Cayley conjugation;
     a Heisenberg translation with parameter k1 solving b = 2 (A* - I) k1
     removes the mixed term, and a vertical translation removes the
     imaginary part of the constant.  Maps with two boundary fixed points
     come out with c = d = 0 and are reported through the normalized block
-    A' = A / sqrt(alpha).  One ``fixed_points`` set gives both the
-    Denjoy-Wolff point and the boundary count; ``classify`` passes its own.
+    A' = A / sqrt(alpha).
     """
-    fps = fixed_points(f)
-    return _hyperbolic_normal_form(f, _denjoy_wolff_of(f, fps), len(fps.boundary_points()))
-
-
-def _hyperbolic_normal_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) -> HyperbolicNormalForm:
-    if dw.dilation >= 1.0 - TOLERANCES.parabolic_band:
-        raise NotHyperbolic("dilation %.12g is in the parabolic band" % dw.dilation)
     hp = conjugate_to_halfplane(f, dw.location)
     alpha = hp.alpha
     if abs(alpha - dw.dilation) > 1e-8:
@@ -372,7 +341,7 @@ def _hyperbolic_normal_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: 
         a_prime = None
         if c_final.real <= 0:
             raise NumericalInconsistency("one-fixed form needs c > 0, got %.3g" % c_final.real)
-    elif n_boundary == 2:
+    else:
         case = "two_fixed"
         if abs(c_final) > 1e-8 or float(np.linalg.norm(d_final)) > 1e-6:
             raise NumericalInconsistency("two-fixed form should have c = d = 0")
@@ -381,10 +350,6 @@ def _hyperbolic_normal_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: 
         a_prime = a / math.sqrt(alpha)
         if a_prime.size and float(np.linalg.norm(a_prime, 2)) > 1.0 + 1e-8:
             raise NumericalInconsistency("normalized block exceeds norm 1")
-    else:
-        raise MultipleBoundaryFixedPoints(
-            "hyperbolic map with %d boundary fixed points" % n_boundary
-        )
     return HyperbolicNormalForm(
         case=case,
         alpha=alpha,
@@ -438,7 +403,7 @@ def classify(f: LinearFractionalMap) -> Classification:
     aut = is_automorphism(f)
     bps = fps.boundary_points()
     if z0 is not None:
-        data = elliptic_spectral_data(f, z0)
+        data = _elliptic_spectral_data(f, z0)
         if aut:
             kind = MapClass.ELLIPTIC_AUTOMORPHISM
         elif data.p > 0:
@@ -453,7 +418,7 @@ def classify(f: LinearFractionalMap) -> Classification:
             )
         nf = None
         if kind in (MapClass.ELLIPTIC_INTERIOR_ONLY, MapClass.ELLIPTIC_BOUNDARY_FIXED):
-            nf = _elliptic_p0_normal_form(f, data)
+            nf = _elliptic_p0_form(f, data)
         return Classification(
             kind=kind,
             n=f.n,
@@ -485,7 +450,7 @@ def classify(f: LinearFractionalMap) -> Classification:
             kind = MapClass.HYPERBOLIC_TWO_FIXED
         else:
             raise MultipleBoundaryFixedPoints("hyperbolic map fixing %d boundary points" % count)
-        nf = _hyperbolic_normal_form(f, dw, count)
+        nf = _hyperbolic_form(f, dw, count)
     return Classification(
         kind=kind,
         n=f.n,

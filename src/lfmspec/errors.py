@@ -35,15 +35,6 @@ class NoBoundaryFixedPoint(BallMapError):
     """The map fixes no point of the unit sphere."""
 
 
-class NoInteriorFixedPoint(BallMapError):
-    """Raised when an elliptic-only operation receives a map without an
-    interior fixed point."""
-
-
-class HasInteriorFixedPoint(BallMapError):
-    """Raised when an operation requires a map without interior fixed points."""
-
-
 class NoQualifyingBoundaryPoint(BallMapError):
     """No boundary fixed point has dilation at most one."""
 
@@ -52,14 +43,6 @@ class GapEigenvalue(BallMapError):
     """A differential eigenvalue falls in the ambiguous band between
     contractive and unimodular; the unitary index is not decidable at the
     configured tolerances."""
-
-
-class UnitaryIndexNonzero(BallMapError):
-    """Raised when an operation requires unitary index zero."""
-
-
-class NotHyperbolic(BallMapError):
-    """Raised when a hyperbolic-only construction is applied elsewhere."""
 
 
 class MultipleBoundaryFixedPoints(BallMapError):

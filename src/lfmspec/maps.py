@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     DenominatorVanishes,
     DimensionMismatch,
-    HasInteriorFixedPoint,
     MapFormatError,
     NoBoundaryFixedPoint,
     NoQualifyingBoundaryPoint,
@@ -46,7 +45,6 @@ __all__ = [
     "compose",
     "jacobian",
     "fixed_points",
-    "denjoy_wolff",
     "is_automorphism",
     "validate_self_map",
     "ball_automorphism_to_origin",
@@ -54,10 +52,9 @@ __all__ = [
     "identity_map",
     "inverse",
     "conjugated",
+    "iterate_matrix",
     "conjugate_to_halfplane",
     "cayley_matrix",
-    "siegel_from_ball",
-    "ball_from_siegel",
     "unitary_with_first_column",
     "map_to_json_dict",
     "map_from_json_dict",
@@ -76,8 +73,7 @@ class Tolerances:
     denominator_margin: float = 1e-12  # d - |C| at most this: the denominator vanishes on the closed ball
     eigenvalue_cluster: float = 1e-6  # eigenvalues of the associated matrix this close: one fixed-point group
     on_sphere: float = 1e-8  # ||z| - 1| at most this: a fixed point lies on the sphere
-    fixed_interior: float = 1e-8  # |phi(z0) - z0| above this: z0 is not fixed
-    fixed_boundary: float = 1e-6  # |phi(tau) - tau| above this: tau is not fixed
+    fixed_point: float = 1e-8  # |phi(z) - z| above this: a point given as fixed is not
     parabolic_band: float = 1e-8  # a boundary dilation within this of 1 counts as 1
     automorphism: float = 1e-9  # |m* J m - lambda J| / |m* J m| at most this: an automorphism
     self_map: float = 1e-9  # sup |phi| at most 1 + this: a self-map
@@ -106,10 +102,12 @@ class LinearFractionalMap:
     ``c`` are length-N vectors, ``d`` a scalar.  The denominator
     ``<z, C> + d`` must be nonvanishing on the closed ball, which after
     normalization is exactly ``d > |C|``; constructors reject inputs that
-    violate it, and non-finite entries.
+    violate it, and non-finite entries.  ``matrix`` is the normalized
+    associated matrix; it and ``c`` are read-only, and ``a`` and ``b`` are
+    read-only views of it.
     """
 
-    __slots__ = ("n", "a", "b", "c", "d")
+    __slots__ = ("n", "matrix", "a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         a = np.asarray(a, dtype=complex)
@@ -143,10 +141,15 @@ class LinearFractionalMap:
             raise DenominatorVanishes(
                 "denominator vanishes on the closed ball (need d > |C| after normalization)"
             )
+        m[n, n] = dn
+        m.flags.writeable = False
+        c = np.conj(m[n, :n])
+        c.flags.writeable = False
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "a", m[:n, :n])
         object.__setattr__(self, "b", m[:n, n])
-        object.__setattr__(self, "c", np.conj(m[n, :n]))
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", float(dn))
 
     def __setattr__(self, name, value):
@@ -160,15 +163,6 @@ class LinearFractionalMap:
             raise MapFormatError("associated matrix must be square of size >= 2")
         n = m.shape[0] - 1
         return cls(m[:n, :n], m[:n, n], np.conj(m[n, :n]), m[n, n])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.n + 1, self.n + 1), dtype=complex)
-        m[: self.n, : self.n] = self.a
-        m[: self.n, self.n] = self.b
-        m[self.n, : self.n] = np.conj(self.c)
-        m[self.n, self.n] = self.d
-        return m
 
     @property
     def denominator_margin(self) -> float:
@@ -439,24 +433,17 @@ def _classify_point(f: LinearFractionalMap, z: np.ndarray) -> FixedPoint:
     return FixedPoint(location=z, kind=kind, dilation=None)
 
 
-def denjoy_wolff(f: LinearFractionalMap) -> FixedPoint:
-    """Attracting boundary fixed point of a map with no interior fixed point.
+def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
+    """Attracting boundary fixed point of a map with no interior fixed point,
+    read off fps = ``fixed_points(f)``.
 
     The returned point is the unique boundary fixed point whose dilation
     lies in (0, 1] (1 up to ``TOLERANCES.parabolic_band``); dilation strictly
     below 1 is the hyperbolic case and dilation 1 the parabolic case.  When
     rounding leaves two candidates in the admissible band (a near-parabolic
     tie) both are reported in a warning and the smaller dilation wins
-    deterministically; ``classify`` makes the same choice on the fixed-point
-    set it already has.
+    deterministically.  Callers check first that fps has no interior point.
     """
-    return _denjoy_wolff_of(f, fixed_points(f))
-
-
-def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
-    """``denjoy_wolff`` on fps = ``fixed_points(f)``."""
-    if fps.interior_point() is not None:
-        raise HasInteriorFixedPoint("map fixes an interior point; no Denjoy-Wolff point")
     cands = [p for p in fps.boundary_points() if p.dilation is not None and p.dilation <= 1.0 + TOLERANCES.parabolic_band]
     if not cands:
         raise NoQualifyingBoundaryPoint("no boundary fixed point with dilation <= 1")
@@ -466,7 +453,7 @@ def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
             "near-parabolic tie: %d boundary fixed points have dilation <= 1 + tol (%s); "
             "returning the smallest dilation" % (len(cands), [round(p.dilation, 12) for p in cands]),
             RuntimeWarning,
-            stacklevel=3,  # the caller of the public function
+            stacklevel=3,  # the caller of classify, or the public caller of _default_boundary_point
         )
     best = cands[0]
     # cross-check the derivative-based dilation against the radial quotient
@@ -481,11 +468,12 @@ def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
 
 def _default_boundary_point(f: LinearFractionalMap) -> np.ndarray:
     """The Denjoy-Wolff point when f fixes no interior point, else the first
-    boundary fixed point of f (elliptic diagnostic use)."""
-    try:
-        return denjoy_wolff(f).location
-    except HasInteriorFixedPoint:
-        bps = fixed_points(f).boundary_points()
+    boundary fixed point of f (elliptic diagnostic use), from one
+    ``fixed_points`` pass."""
+    fps = fixed_points(f)
+    if fps.interior_point() is None:
+        return _denjoy_wolff_of(f, fps).location
+    bps = fps.boundary_points()
     if not bps:
         raise NoBoundaryFixedPoint("map has no boundary fixed point")
     return bps[0].location
@@ -751,25 +739,6 @@ def _ball_map_from_halfplane(m: np.ndarray, rotation: np.ndarray) -> LinearFract
     return LinearFractionalMap.from_matrix(v.conj().T @ _cayley_inverse_matrix(n) @ m @ cayley_matrix(n) @ v)
 
 
-def siegel_from_ball(z) -> np.ndarray:
-    """Cayley image ((1+z1)/(1-z1), w/(1-z1)) of a ball point (z1, w)."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    den = 1.0 - z[0]
-    out = np.empty_like(z)
-    out[0] = (1.0 + z[0]) / den
-    out[1:] = z[1:] / den
-    return out
-
-
-def ball_from_siegel(zw) -> np.ndarray:
-    zw = np.asarray(zw, dtype=complex).reshape(-1)
-    den = zw[0] + 1.0
-    out = np.empty_like(zw)
-    out[0] = (zw[0] - 1.0) / den
-    out[1:] = 2.0 * zw[1:] / den
-    return out
-
-
 @dataclass(frozen=True)
 class HalfPlaneMap:
     """Affine self-map of the Siegel half-plane in the scaling-normal form
@@ -844,7 +813,7 @@ def conjugate_to_halfplane(f: LinearFractionalMap, tau: np.ndarray | None = None
         tau = _default_boundary_point(f)
     tau = np.asarray(tau, dtype=complex).reshape(-1)
     tau = tau / np.linalg.norm(tau)
-    if np.linalg.norm(evaluate(f, tau) - tau) > TOLERANCES.fixed_boundary:
+    if np.linalg.norm(evaluate(f, tau) - tau) > TOLERANCES.fixed_point:
         raise NotAFixedPoint("tau is not fixed by the map")
     rot = unitary_with_first_column(tau).conj().T  # rot @ tau = e_1
     v = _rotation_block(rot)

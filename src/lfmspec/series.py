@@ -40,7 +40,6 @@ __all__ = [
     "compression_eigenvalues",
     "compression_spectrum",
     "compression_to_csv",
-    "compression_matrix_to_csv",
     "compression_basis_json",
     "series_from_vector",
     "eigenfunction_residual",
@@ -409,15 +408,6 @@ def compression_to_csv(eigenvalues: np.ndarray) -> str:
     """Eigenvalue list as CSV text with a `re,im` header."""
     eigs = np.asarray(eigenvalues, dtype=complex).reshape(-1)
     return "re,im\n" + "".join("%s,%s\n" % (format(x.real, ".17g"), format(x.imag, ".17g")) for x in eigs)
-
-
-def compression_matrix_to_csv(comp: Compression) -> str:
-    """Nonzero matrix entries as CSV rows `row,col,re,im` in the grlex
-    basis order (see compression_basis_json for the ordering)."""
-    rows, cols = np.nonzero(comp.matrix)
-    return "row,col,re,im\n" + "".join(
-        "%d,%d,%s,%s\n" % (i, j, format(v.real, ".17g"), format(v.imag, ".17g"))
-        for i, j, v in zip(rows, cols, comp.matrix[rows, cols]))
 
 
 def compression_basis_json(comp: Compression) -> dict:

@@ -1,7 +1,6 @@
 """Classification dispatch, the two normal-form constructions, and the
 classification JSON serialization."""
 
-import dataclasses
 import math
 import sys
 
@@ -77,31 +76,31 @@ def test_involution_is_elliptic_automorphism():
 
 def test_spectral_data_splits_eigenvalues():
     f = LinearFractionalMap([[1j, 0], [0, 0.5]], [0, 0], [0, 0], 1)
-    data = L.elliptic_spectral_data(f)
+    data = L.classify(f).spectral_data
     assert data.p == 1
     assert [abs(x) for x in data.unimodular] == pytest.approx([1.0])
     assert list(data.contractive) == pytest.approx([0.5])
 
 
 def test_unitary_index_of_rotation():
-    assert L.unitary_index(lfm_1d(1j, 0, 0, 1)) == 1
-    assert L.unitary_index(lfm_1d(0.5, 0, 0, 1)) == 0
+    assert L.classify(lfm_1d(1j, 0, 0, 1)).p == 1
+    assert L.classify(lfm_1d(0.5, 0, 0, 1)).p == 0
 
 
 def test_gap_eigenvalue_raises():
     # modulus in the guard band between contractive and unimodular
     f = lfm_1d(1 - 1e-7, 0, 0, 1)
     with pytest.raises(L.GapEigenvalue):
-        L.elliptic_spectral_data(f)
+        L.classify(f)
 
 
 def test_rotation_order():
     assert L.classify(lfm_1d(1j, 0, 0, 1)).kind == MapClass.ELLIPTIC_AUTOMORPHISM
-    from lfmspec.classify import rotation_order
+    from lfmspec.classify import _rotation_fraction
 
-    assert rotation_order(1j) == 4
-    assert rotation_order(np.exp(2j * math.pi / 7)) == 7
-    assert rotation_order(np.exp(2j * math.pi * (math.sqrt(2) - 1))) is None
+    assert _rotation_fraction(1j).denominator == 4
+    assert _rotation_fraction(np.exp(2j * math.pi / 7)).denominator == 7
+    assert _rotation_fraction(np.exp(2j * math.pi * (math.sqrt(2) - 1))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +108,14 @@ def test_rotation_order():
 
 
 def test_p0_form_boundary_case():
-    nf = L.elliptic_p0_normal_form(lfm_1d(1, 0, -1, 2))
+    nf = L.classify(lfm_1d(1, 0, -1, 2)).normal_form
     assert nf.delta == pytest.approx(1.0, abs=1e-12)
     assert nf.domain == "halfplane_like"
     assert nf.conjugacy_residual < 1e-10
 
 
 def test_p0_form_ellipsoid_case():
-    nf = L.elliptic_p0_normal_form(lfm_1d(1, 0, -1, 4))
+    nf = L.classify(lfm_1d(1, 0, -1, 4)).normal_form
     assert nf.delta == pytest.approx(1 / 3, abs=1e-12)
     assert nf.domain == "ellipsoid"
     assert nf.r == pytest.approx((1 - 1 / 9) ** -0.5, abs=1e-12)
@@ -128,15 +127,9 @@ def test_p0_form_off_origin_fixed_point():
     base = lfm_1d(1, 0, -1, 4)
     s = L.ball_automorphism_to_origin(np.array([0.35 - 0.2j]))
     moved = L.conjugated(base, s)
-    nf = L.elliptic_p0_normal_form(moved)
+    nf = L.classify(moved).normal_form
     assert nf.delta == pytest.approx(1 / 3, abs=1e-9)
     assert nf.conjugacy_residual < 1e-10
-
-
-def test_p0_form_rejects_positive_index():
-    f = LinearFractionalMap([[1j, 0], [0, 0.5]], [0, 0], [0, 0], 1)
-    with pytest.raises(L.UnitaryIndexNonzero):
-        L.elliptic_p0_normal_form(f)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +138,7 @@ def test_p0_form_rejects_positive_index():
 
 def test_one_fixed_normal_form():
     f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
-    nf = L.hyperbolic_normal_form(f)
+    nf = L.classify(f).normal_form
     assert nf.case == "one_fixed"
     assert nf.alpha == pytest.approx(0.5, abs=1e-10)
     assert nf.c.real > 0 and abs(nf.c.imag) < 1e-10
@@ -154,14 +147,14 @@ def test_one_fixed_normal_form():
 
 def test_one_fixed_reconstruction():
     f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
-    nf = L.hyperbolic_normal_form(f)
+    nf = L.classify(f).normal_form
     g = nf.reconstructed_ball_map()
     assert L.proportional_residual(g.matrix, f.matrix) < 1e-9
 
 
 def test_two_fixed_normal_form_real():
     f = two_fixed_plant(0.8)
-    nf = L.hyperbolic_normal_form(f)
+    nf = L.classify(f).normal_form
     assert nf.case == "two_fixed"
     assert nf.alpha == pytest.approx(0.5, abs=1e-9)
     assert nf.eigenvalues[0] == pytest.approx(0.8, abs=1e-9)
@@ -171,14 +164,14 @@ def test_two_fixed_normal_form_real():
 def test_two_fixed_normal_form_complex():
     a = 0.5 * np.exp(1j * math.pi / 3)
     f = two_fixed_plant(a)
-    nf = L.hyperbolic_normal_form(f)
+    nf = L.classify(f).normal_form
     assert nf.case == "two_fixed"
     assert nf.eigenvalues[0] == pytest.approx(a, abs=1e-9)
 
 
 def test_two_fixed_reconstruction():
     f = two_fixed_plant(0.8)
-    nf = L.hyperbolic_normal_form(f)
+    nf = L.classify(f).normal_form
     g = nf.reconstructed_ball_map()
     assert L.proportional_residual(g.matrix, f.matrix) < 1e-9
 
@@ -199,11 +192,6 @@ def test_conjugated_one_fixed_still_normalizes():
     assert abs(nf.c.imag) < 1e-9 and nf.c.real > 0
 
 
-def test_normal_form_rejects_parabolic():
-    with pytest.raises(L.NotHyperbolic):
-        L.hyperbolic_normal_form(lfm_1d(1, 1, -1, 3))
-
-
 # ---------------------------------------------------------------------------
 # hyperbolic invariants
 
@@ -216,7 +204,7 @@ def test_alpha_matches_boundary_dilation():
 
 
 def test_two_fixed_block_is_contraction():
-    nf = L.hyperbolic_normal_form(two_fixed_plant(0.95))
+    nf = L.classify(two_fixed_plant(0.95)).normal_form
     assert abs(nf.eigenvalues[0]) <= 1.0 + 1e-9
 
 
@@ -287,31 +275,6 @@ def _p0_and_hyperbolic_maps():
             a *= rng.uniform(0.1, 0.5) / np.linalg.norm(a)
             out.append(L.conjugated(f, L.ball_automorphism_to_origin(a)))
     return out
-
-
-def _same(x, y) -> bool:
-    if dataclasses.is_dataclass(x):
-        return type(x) is type(y) and all(
-            _same(getattr(x, k.name), getattr(y, k.name)) for k in dataclasses.fields(x))
-    if isinstance(x, LinearFractionalMap):
-        return np.array_equal(x.matrix, y.matrix)
-    if isinstance(x, np.ndarray):
-        return np.array_equal(x, y)
-    return x == y
-
-
-def test_public_normal_forms_match_classify():
-    seen = set()
-    for f in _p0_and_hyperbolic_maps():
-        cl = L.classify(f)
-        if cl.kind in (MapClass.HYPERBOLIC_ONE_FIXED, MapClass.HYPERBOLIC_TWO_FIXED):
-            nf = L.hyperbolic_normal_form(f)
-        else:
-            assert cl.kind in (MapClass.ELLIPTIC_INTERIOR_ONLY, MapClass.ELLIPTIC_BOUNDARY_FIXED)
-            nf = L.elliptic_p0_normal_form(f)
-        assert _same(nf, cl.normal_form)
-        seen.add((f.n, cl.kind))
-    assert len(seen) == 9  # (N, kind): three for N = 1, two for N = 2, four for N = 3
 
 
 def test_batched_conjugacy_residual_matches_pointwise_loop():

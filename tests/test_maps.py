@@ -1,8 +1,10 @@
 """Core map algebra: evaluation, composition, fixed points, Denjoy-Wolff,
-automorphisms, half-plane transport, validation, JSON round trips."""
+automorphisms, half-plane transport, validation, JSON round trips, and the
+declared public surface."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import lfmspec as L
 from lfmspec import (
     DenominatorVanishes,
-    HasInteriorFixedPoint,
     LinearFractionalMap,
     MapFormatError,
 )
@@ -90,6 +91,19 @@ def test_immutable():
     f = lfm_1d(1, 0, -1, 2)
     with pytest.raises(AttributeError):
         f.d = 3.0
+
+
+@pytest.mark.parametrize("block", ["a", "b", "c", "matrix"])
+def test_blocks_are_read_only(block):
+    # z/(2-z): writing a = 0.9, b = 0.1 would turn it into a map with a
+    # unitary part that was never normalized or checked
+    f = lfm_1d(1, 0, -1, 2)
+    before = f.matrix.copy()
+    arr = getattr(f, block)
+    with pytest.raises(ValueError):
+        arr[(0,) * arr.ndim] = 0.9
+    assert np.array_equal(f.matrix, before)
+    assert L.classify(f).kind == L.MapClass.ELLIPTIC_BOUNDARY_FIXED
 
 
 def test_evaluate_known_values(cayley_like):
@@ -200,14 +214,14 @@ def test_fixed_slice():
 
 def test_denjoy_wolff_hyperbolic():
     f = lfm_1d(0.5, 0.5, 0, 1)
-    dw = L.denjoy_wolff(f)
+    dw = L.classify(f).denjoy_wolff_point
     assert abs(dw.location[0] - 1.0) < 1e-10
     assert abs(dw.dilation - 0.5) < 1e-10
 
 
 def test_denjoy_wolff_rejects_elliptic():
-    with pytest.raises(HasInteriorFixedPoint):
-        L.denjoy_wolff(lfm_1d(0.5, 0, 0, 1))
+    cl = L.classify(lfm_1d(0.5, 0, 0, 1))
+    assert cl.denjoy_wolff_point is None and cl.alpha is None
 
 
 def test_denjoy_wolff_picks_attracting_point():
@@ -215,7 +229,7 @@ def test_denjoy_wolff_picks_attracting_point():
     a = 0.6
     m = 0.5 * np.array([[3, 0, 1], [0, 2 * math.sqrt(2) * a, 0], [1, 0, 3]], dtype=complex)
     f = LinearFractionalMap.from_matrix(m)
-    dw = L.denjoy_wolff(f)
+    dw = L.classify(f).denjoy_wolff_point
     assert np.allclose(dw.location, [1, 0], atol=1e-9)
     assert dw.dilation <= 1.0 + 1e-12
 
@@ -223,7 +237,7 @@ def test_denjoy_wolff_picks_attracting_point():
 def test_parabolic_dilation_is_one():
     # Cayley pullback of the half-plane shift by 1
     f = lfm_1d(1, 1, -1, 3)
-    dw = L.denjoy_wolff(f)
+    dw = L.classify(f).denjoy_wolff_point
     assert abs(dw.dilation - 1.0) < 1e-8
 
 
@@ -495,18 +509,6 @@ def test_validate_accepted_first_rung_is_the_answer(monkeypatch):
 # Cayley transport
 
 
-def test_siegel_round_trip():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        z = rng.standard_normal(2) * 0.4 + 0.3j * rng.standard_normal(2)
-        if np.linalg.norm(z) >= 0.95:
-            continue
-        zw = L.siegel_from_ball(z)
-        assert zw[0].real > np.abs(zw[1:]).sum() ** 2 - 1e-12
-        back = L.ball_from_siegel(zw)
-        assert np.allclose(back, z, atol=1e-12)
-
-
 def test_halfplane_form_hyperbolic():
     f = lfm_1d(0.5, 0.5, 0, 1)
     hp = L.conjugate_to_halfplane(f)
@@ -521,6 +523,16 @@ def test_halfplane_form_boundary_fixed_diagnostic(cayley_like):
     hp = L.conjugate_to_halfplane(cayley_like)
     assert hp.alpha == pytest.approx(2.0, abs=1e-10)
     assert hp.evaluate([2.0])[0] == pytest.approx((2.0 + 1.0) / 2.0, abs=1e-10)
+
+
+def test_halfplane_rejects_point_not_fixed():
+    # (1 + z) / 2 moves tau = e^(i t) by |1 - tau| / 2 = 2e-7: not fixed at
+    # TOLERANCES.fixed_point, the one threshold for "is this point fixed?"
+    f = lfm_1d(0.5, 0.5, 0, 1)
+    tau = np.array([np.exp(2j * math.asin(2e-7))])
+    assert np.linalg.norm(f(tau) - tau) == pytest.approx(2e-7, rel=1e-6)
+    with pytest.raises(L.NotAFixedPoint):
+        L.conjugate_to_halfplane(f, tau)
 
 
 def test_halfplane_pullback_round_trip():
@@ -610,3 +622,26 @@ def test_conjugation_by_involution_round_trips(f):
     s = L.ball_automorphism_to_origin(a)
     g = L.conjugated(L.conjugated(f, s), s)  # s is an involution
     assert L.proportional_residual(g.matrix, f.matrix) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+
+PUBLIC_MODULES = ("maps", "classify", "spectra", "series")
+
+
+def test_public_surface_is_declared_once():
+    # lfmspec.classify the attribute is the function; the modules come from sys.modules
+    modules = {name: sys.modules["lfmspec." + name] for name in PUBLIC_MODULES}
+    for mod in modules.values():
+        for name in mod.__all__:
+            assert hasattr(mod, name), (mod.__name__, name)
+    for name in dir(L):
+        obj = getattr(L, name)
+        if name.startswith("_") or type(obj).__name__ == "module":
+            continue
+        if isinstance(obj, type) and issubclass(obj, L.BallMapError):
+            continue
+        home = obj.__module__.rpartition(".")[2]
+        assert home in modules and name in modules[home].__all__, (name, obj.__module__)

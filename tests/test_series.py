@@ -313,10 +313,8 @@ def test_compression_csv_formats():
     assert lines[0] == "re,im"
     assert len(lines) == 5
     comp = L.build_compression(f, 3)
-    from lfmspec.series import compression_basis_json, compression_matrix_to_csv
+    from lfmspec.series import compression_basis_json
 
-    mat_csv = compression_matrix_to_csv(comp)
-    assert mat_csv.startswith("row,col,re,im\n")
     header = compression_basis_json(comp)
     assert header["basis"][0] == [0]
     assert header["degree"] == 3

@@ -587,12 +587,29 @@ def test_estimator_nonpositive_derivative_is_typed():
 
 
 def test_estimator_does_not_swallow_numerical_faults(monkeypatch):
-    def broken(f, tol=None):
+    def broken(f, fps):
         raise L.NumericalInconsistency("radial quotient disagrees")
 
-    monkeypatch.setattr("lfmspec.maps.denjoy_wolff", broken)
+    # (1 + z) / 2 fixes no interior point, so its default tau is the Denjoy-Wolff point
+    monkeypatch.setattr("lfmspec.maps._denjoy_wolff_of", broken)
     with pytest.raises(L.NumericalInconsistency, match="radial quotient"):
-        L.essential_radius_estimate(lfm_1d(1, 0, -1, 2), n_max=5)
+        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), n_max=5)
+
+
+def test_estimator_solves_fixed_points_once(monkeypatch):
+    # z/(2-z) fixes 0: the default tau is its boundary fixed point 1, read
+    # off the same fixed-point set that showed the interior point
+    calls = []
+    solve = L.fixed_points
+
+    def counted(f):
+        calls.append(f)
+        return solve(f)
+
+    monkeypatch.setattr("lfmspec.maps.fixed_points", counted)
+    est = L.essential_radius_estimate(lfm_1d(1, 0, -1, 2), n_max=5)
+    assert est.tau == pytest.approx((1.0,))
+    assert len(calls) == 1
 
 
 def test_closed_form_only_for_disk_classes():

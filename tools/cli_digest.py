@@ -1,0 +1,133 @@
+"""Digest of the command line's output on a fixed corpus of maps.
+
+    python tools/cli_digest.py TREE
+
+TREE is the root of an lfmspec checkout; the package is imported from its
+``src``.  The corpus is built by this checkout's ``bench`` modules, which
+are imported and not changed: the triage plants of seeds 1-3 (every kind
+for N = 1, 2, 3, each conjugated, and the maps that are not self-maps), the
+12 fixed estimator probes, and the NaN and Infinity maps of the cli
+workload.  Every subcommand runs in this process on every map, with its
+default flags and with non-default ones, and one line
+
+    name form exit-code sha256
+
+is printed per run.  The hash covers stdout, stderr, the text of an
+exception that escapes ``cli.main``, and the category and message of every
+warning (not its file and line).  Two trees behave the same on the corpus
+when their digests are identical:
+
+    python tools/cli_digest.py ../parent > parent.txt
+    python tools/cli_digest.py . > change.txt
+    diff parent.txt change.txt
+
+One BLAS thread is set before numpy loads.  The map files are written to a
+temporary directory, which is the working directory during the runs and is
+removed at the end.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import tempfile  # noqa: E402
+import warnings  # noqa: E402
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+SEEDS = (1, 2, 3)
+# form -> subcommand argv after the map path
+FORMS = {
+    "validate": ["validate"],
+    "validate+tol": ["validate", "--tol", "1e-3"],
+    "classify": ["classify"],
+    "spectrum": ["spectrum"],
+    "radius": ["radius"],
+    "radius+nmax": ["radius", "--nmax", "7"],
+    "compress": ["compress"],
+    "compress+json": ["compress", "--degree", "5", "--format", "json"],
+    "verify-eigen": ["verify-eigen"],
+    "verify-eigen+csv": ["verify-eigen", "--degree", "3", "--tol", "1e-12", "--format", "csv"],
+    "norms": ["norms"],
+    "norms+flags": ["norms", "--s", "1.5", "--nu", "0.25", "--kmax", "12"],
+    "export": ["export"],
+    "export+res": ["export", "--resolution", "16"],
+    "export+json": ["export", "--resolution", "8", "--format", "json"],
+}
+
+
+def corpus(L) -> dict[str, str]:
+    """Map name -> map JSON text."""
+    import cliwork
+    import triage
+
+    maps = {}
+    for seed in SEEDS:
+        wl = triage.Triage()
+        wl.build(L, seed)
+        plants = [p for p, _, _, probe in wl.items if not probe]
+        for i, p in enumerate(plants):
+            maps["s%d.%02d.%s.n%d" % (seed, i, p.name, p.n)] = cliwork.map_json(p.m)
+    for i, (p, _) in enumerate(triage.probes()):
+        maps["probe.%02d.%s.n%d" % (i, p.name, p.n)] = cliwork.map_json(p.m)
+    maps["nan"] = cliwork.NAN_MAP
+    maps["inf"] = cliwork.INF_MAP
+    return maps
+
+
+def run(cli, argv: list[str]) -> tuple[int, str]:
+    """Exit code and sha256 of one in-process ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    # a fresh warnings registry per run, as in a fresh process, and every warning kept
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001 - a traceback is an outcome to record
+                code = 1
+                err.write("Traceback: %s: %s\n" % (type(exc).__name__, exc))
+    notes = "".join("%s: %s\n" % (w.category.__name__, w.message) for w in caught)
+    text = "\0".join((out.getvalue(), err.getvalue(), notes))
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/cli_digest.py TREE", file=sys.stderr)
+        return 1
+    src = os.path.join(os.path.abspath(argv[0]), "src")
+    sys.path[:0] = [src, BENCH]
+    import lfmspec
+    from lfmspec import cli
+
+    if os.path.dirname(os.path.dirname(os.path.abspath(lfmspec.__file__))) != src:
+        print("lfmspec was not imported from %s" % src, file=sys.stderr)
+        return 1
+    maps = corpus(lfmspec)
+    with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name, text in maps.items():
+                with open(name + ".json", "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            for name in maps:
+                for form, args in FORMS.items():
+                    code, digest = run(cli, [args[0], name + ".json"] + args[1:])
+                    print("%s %s %s %s" % (name, form, code, digest), flush=True)
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
