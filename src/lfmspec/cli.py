@@ -4,11 +4,14 @@ Each subcommand takes a map path, ``--out`` and only the options its handler
 reads (``build_parser``); any other option or a malformed value is a usage
 error, which ends as every input error does: one ``error:`` line, exit 1.
 
-Every JSON artifact is a self-contained run report: it echoes the
-normalized input map, the tool version, and the subcommand's options under
-``flags`` (``classify`` and ``spectrum`` take none and echo ``{}``), so
-feeding the echoed map back reproduces the result.  JSON output is
-deterministic: fixed key order, floats with 17 significant digits.
+A handler takes the loaded map and the parsed options and returns its
+result: a dict for a JSON report, or CSV text.  ``main`` wraps every dict in
+one envelope, ``tool``, ``version``, ``command``, ``map`` (the normalized
+input map, so feeding it back reproduces the result), ``flags`` and
+``result``, where ``flags`` echoes every parsed option but ``--format`` and
+``--out`` (``classify`` and ``spectrum`` echo ``{}``).  JSON output is
+deterministic: fixed key order, floats with 17 significant digits.  CSV
+comes from one writer (``_csv``), floats as %.17g and integers as %d.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .errors import (
     BallMapError,
     DenominatorVanishes,
     MapFormatError,
-    NoBoundaryFixedPoint,
     NotASelfMap,
     NumericalInconsistency,
     ParameterConstraintViolated,
@@ -34,15 +36,13 @@ from .errors import (
 from .maps import TOLERANCES, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
 from .series import (
     build_compression,
-    compression_basis_json,
     compression_eigenvalues,
     compression_spectrum,
-    compression_to_csv,
     norm_equivalence_interval,
     _norm_factors,
 )
 from .spectra import (
-    cloud_to_csv,
+    _check_n_max,
     essential_radius_closed_form,
     essential_radius_estimate,
     spectral_radius,
@@ -56,7 +56,7 @@ EXIT_UNSUPPORTED = 3
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON
+# deterministic JSON and CSV
 
 
 def _emit_json(obj) -> str:
@@ -66,6 +66,8 @@ def _emit_json(obj) -> str:
 
 
 def _emit(obj, parts: list[str]) -> None:
+    """Plain Python JSON types only: complex values come as ``_c2pair``
+    lists and arrays through ``.tolist()``."""
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -80,8 +82,6 @@ def _emit(obj, parts: list[str]) -> None:
         if not np.isfinite(obj):
             raise ValueError("non-finite number in JSON output")
         parts.append(format(obj, ".17g"))
-    elif isinstance(obj, complex):
-        _emit([obj.real, obj.imag], parts)
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -98,18 +98,15 @@ def _emit(obj, parts: list[str]) -> None:
                 parts.append(",")
             _emit(v, parts)
         parts.append("]")
-    elif isinstance(obj, (np.floating,)):
-        _emit(float(obj), parts)
-    elif isinstance(obj, (np.integer,)):
-        _emit(int(obj), parts)
-    elif isinstance(obj, np.complexfloating):
-        _emit(complex(obj), parts)
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 
 
-# ---------------------------------------------------------------------------
-# I/O helpers
+def _csv(header: str, *columns: np.ndarray) -> str:
+    """A header line, then one row per entry of the columns: floats as %.17g
+    (the sign of a zero kept), integer columns as %d."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    return header + "\n" + "".join([row % r for r in zip(*(c.tolist() for c in columns))])
 
 
 def _load_map(path: str):
@@ -130,43 +127,21 @@ def _load_map(path: str):
     return map_from_json_dict(obj)
 
 
-def _load_self_map(path: str):
-    """Load a map and refuse it unless it sends the ball into itself."""
-    f = _load_map(path)
+def _refuse_non_self_map(f) -> None:
     rep = validate_self_map(f)
     if not rep.ok:
         raise NotASelfMap("not a self-map of the ball: sup |phi| = %.12g exceeds 1 + %g"
                           % (rep.max_modulus, rep.tol))
-    return f
-
-
-def _write_artifact(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _report(command: str, f, flags: dict, result: dict) -> dict:
-    return {
-        "tool": "lfmspec",
-        "version": __version__,
-        "command": command,
-        "map": map_to_json_dict(f),
-        "flags": flags,
-        "result": result,
-    }
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the loaded map and the parsed options and returns
+# its result, a dict for the JSON report or the CSV text
 
 
-def _cmd_validate(args) -> int:
-    f = _load_map(args.map)
+def _cmd_validate(f, args) -> dict:
     rep = validate_self_map(f, tol=args.tol)
-    result = {
+    return {
         "ok": rep.ok,
         "max_modulus": rep.max_modulus,
         "witness": _c2pair(rep.witness),
@@ -174,54 +149,43 @@ def _cmd_validate(args) -> int:
         "tol": rep.tol,
         "denominator_margin": rep.denominator_margin,
     }
-    text = _emit_json(_report("validate", f, {"tol": args.tol}, result)) + "\n"
-    _write_artifact(text, args.out)
-    return EXIT_OK if rep.ok else EXIT_VALIDATION
 
 
-def _cmd_classify(args) -> int:
-    f = _load_map(args.map)
-    cl = classify(f)
-    result = classification_to_json_dict(cl)
-    text = _emit_json(_report("classify", f, {}, result)) + "\n"
-    _write_artifact(text, args.out)
-    return EXIT_OK
+def _cmd_classify(f, args) -> dict:
+    return classification_to_json_dict(classify(f))
 
 
-def _cmd_spectrum(args) -> int:
-    f = _load_map(args.map)
-    s = spectrum(f)
-    text = _emit_json(_report("spectrum", f, {}, s.to_json_dict())) + "\n"
-    _write_artifact(text, args.out)
-    return EXIT_OK
+def _cmd_spectrum(f, args) -> dict:
+    return spectrum(f).to_json_dict()
 
 
-def _cmd_radius(args) -> int:
-    f = _load_map(args.map)
+def _cmd_radius(f, args) -> dict:
     cl = classify(f)
     sr = spectral_radius(f, cl)
     closed = essential_radius_closed_form(cl)
-    estimate = None
-    note = None
-    try:
-        est = essential_radius_estimate(f, n_max=args.nmax)
-        estimate = {
-            "limit": est.limit,
-            "roots": list(est.roots),
-            "spread": est.spread,
-            "tau": _c2pair(est.tau),
-            "n_max": est.n_max,
-        }
-    except NoBoundaryFixedPoint:
+    # tau as the estimator picks it, the Denjoy-Wolff point or else the first
+    # boundary fixed point, read off the classification
+    tau = cl.denjoy_wolff_point or next(iter(cl.boundary_fixed_points), None)
+    estimate = note = agree = disagreement = None
+    if tau is None:
+        _check_n_max(args.nmax)
         note = "no boundary fixed point: the contact-point estimator does not apply"
-    except NumericalInconsistency as exc:
-        note = "estimator failed: %s" % exc
-    agree = None
-    disagreement = None
+    else:
+        try:
+            est = essential_radius_estimate(f, tau.location, n_max=args.nmax)
+            estimate = {
+                "limit": est.limit,
+                "roots": list(est.roots),
+                "spread": est.spread,
+                "tau": _c2pair(est.tau),
+                "n_max": est.n_max,
+            }
+        except NumericalInconsistency as exc:
+            note = "estimator failed: %s" % exc
     if estimate is not None and closed is not None:
         disagreement = abs(estimate["limit"] - closed) / abs(closed)
         agree = bool(disagreement <= 0.05)
-    result = {
+    return {
         "kind": cl.kind.value,
         "spectral_radius": sr,
         "essential_radius_closed_form": closed,
@@ -230,86 +194,66 @@ def _cmd_radius(args) -> int:
         "relative_disagreement": disagreement,
         "agrees_within_5_percent": agree,
     }
-    text = _emit_json(_report("radius", f, {"nmax": args.nmax}, result)) + "\n"
-    _write_artifact(text, args.out)
-    return EXIT_OK
 
 
-def _cmd_compress(args) -> int:
-    f = _load_self_map(args.map)
+def _cmd_compress(f, args) -> dict | str:
+    _refuse_non_self_map(f)
     comp = build_compression(f, args.degree)
     eigs = compression_eigenvalues(comp)
-    if args.format == "json":
-        result = {
-            "degree": args.degree,
-            "eigenvalues": _c2pair(eigs),
-            "basis": compression_basis_json(comp),
-        }
-        text = _emit_json(_report("compress", f, {"degree": args.degree}, result)) + "\n"
-    else:
-        text = compression_to_csv(eigs)
-    _write_artifact(text, args.out)
-    return EXIT_OK
+    if args.format == "csv":
+        return _csv("re,im", eigs.real, eigs.imag)
+    return {
+        "degree": args.degree,
+        "eigenvalues": _c2pair(eigs),
+        "basis": {
+            "n": comp.n,
+            "degree": comp.degree,
+            "ordering": "graded by total degree, lexicographically descending within each degree",
+            "basis": [list(alpha) for alpha in comp.basis],
+            "norms": comp.norms.tolist(),
+        },
+    }
 
 
-def _cmd_verify_eigen(args) -> int:
-    f = _load_self_map(args.map)
-    degree, tol = args.degree, args.tol
-    eigs, vecs, comp = compression_spectrum(f, degree, return_vectors=True)
+def _cmd_verify_eigen(f, args) -> dict | str:
+    _refuse_non_self_map(f)
+    eigs, vecs, comp = compression_spectrum(f, args.degree, return_vectors=True)
     # ||M v - lambda v|| / ||v|| in the orthonormal basis: eigenfunction_residual
     # of each eigenpair through the degree, from one product for all of them
     residuals = np.linalg.norm(comp.matrix @ vecs - vecs * eigs, axis=0) / np.linalg.norm(vecs, axis=0)
     if args.format == "csv":
-        text = "re,im,residual\n" + "".join("%.17g,%.17g,%.17g\n" % (lam.real, lam.imag, res)
-                                            for lam, res in zip(eigs, residuals))
-    else:
-        rows = [{
-            "eigenvalue": _c2pair(lam),
-            "modulus": abs(complex(lam)),
-            "residual": float(res),
-            "pass": bool(res <= tol),
-        } for lam, res in zip(eigs, residuals)]
-        result = {"degree": degree, "tol": tol, "rows": rows}
-        text = _emit_json(_report("verify-eigen", f, {"degree": degree, "tol": tol}, result)) + "\n"
-    _write_artifact(text, args.out)
-    return EXIT_OK
+        return _csv("re,im,residual", eigs.real, eigs.imag, residuals)
+    rows = [{
+        "eigenvalue": pair,
+        "modulus": abs(complex(*pair)),
+        "residual": res,
+        "pass": res <= args.tol,
+    } for pair, res in zip(_c2pair(eigs), residuals.tolist())]
+    return {"degree": args.degree, "tol": args.tol, "rows": rows}
 
 
-def _cmd_norms(args) -> int:
-    f = _load_map(args.map)
-    s = args.s
-    nu = args.nu
-    k_max = args.kmax
-    lo, hi = norm_equivalence_interval(s, nu, k_max)
+def _cmd_norms(f, args) -> dict:
+    lo, hi = norm_equivalence_interval(args.s, args.nu, args.kmax)
     rows = [{"k": k, "weighted_factor": wf, "sobolev_factor": sf, "ratio": r}
-            for k, (wf, sf, r) in enumerate(_norm_factors(s, nu, k_max))]
-    result = {
-        "s": s,
-        "nu": nu,
-        "c": 2.0 * s - 2.0 * nu - 1.0,
-        "k_max": k_max,
+            for k, (wf, sf, r) in enumerate(_norm_factors(args.s, args.nu, args.kmax))]
+    return {
+        "s": args.s,
+        "nu": args.nu,
+        "c": 2.0 * args.s - 2.0 * args.nu - 1.0,
+        "k_max": args.kmax,
         "interval": [lo, hi],
         "rows": rows,
     }
-    text = _emit_json(_report("norms", f, {"s": s, "nu": nu, "kmax": k_max}, result)) + "\n"
-    _write_artifact(text, args.out)
-    return EXIT_OK
 
 
-def _cmd_export(args) -> int:
-    f = _load_map(args.map)
-    s = spectrum(f)
-    if args.format == "json":
-        values, index = s.discretize(args.resolution)
-        result = {
-            "resolution": args.resolution,
-            "points": [[v.real, v.imag, int(i)] for v, i in zip(values, index)],
-        }
-        text = _emit_json(_report("export", f, {"resolution": args.resolution}, result)) + "\n"
-    else:
-        text = cloud_to_csv(s, args.resolution)
-    _write_artifact(text, args.out)
-    return EXIT_OK
+def _cmd_export(f, args) -> dict | str:
+    values, index = spectrum(f).discretize(args.resolution)
+    if args.format == "csv":
+        return _csv("re,im,component_index", values.real, values.imag, index)
+    return {
+        "resolution": args.resolution,
+        "points": [list(p) for p in zip(values.real.tolist(), values.imag.tolist(), index.tolist())],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +314,21 @@ def main(argv=None) -> int:
         for name in ("tol", "s", "nu"):  # the float flags of the subcommands that have them
             if not np.isfinite(getattr(args, name, 0.0)):
                 raise ParameterConstraintViolated("--%s must be a finite number" % name)
-        return args.handler(args)
+        f = _load_map(args.map)
+        result = args.handler(f, args)
+        if isinstance(result, str):
+            text = result
+        else:
+            # the one report envelope; flags echoes every option but the artifact's format and path
+            flags = {k: v for k, v in vars(args).items() if k not in ("command", "map", "format", "out", "handler")}
+            text = _emit_json({"tool": "lfmspec", "version": __version__, "command": args.command,
+                               "map": map_to_json_dict(f), "flags": flags, "result": result}) + "\n"
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return EXIT_VALIDATION if args.command == "validate" and not result["ok"] else EXIT_OK
     except (DenominatorVanishes, NotASelfMap) as exc:
         print("validation failure: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION

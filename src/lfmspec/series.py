@@ -39,8 +39,6 @@ __all__ = [
     "build_compression",
     "compression_eigenvalues",
     "compression_spectrum",
-    "compression_to_csv",
-    "compression_basis_json",
     "series_from_vector",
     "eigenfunction_residual",
     "weighted_norm_sq",
@@ -402,23 +400,6 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
     eigs, vecs = np.linalg.eig(comp.matrix)
     order = _spectral_order(eigs)
     return eigs[order], vecs[:, order], comp
-
-
-def compression_to_csv(eigenvalues: np.ndarray) -> str:
-    """Eigenvalue list as CSV text with a `re,im` header."""
-    eigs = np.asarray(eigenvalues, dtype=complex).reshape(-1)
-    return "re,im\n" + "".join("%s,%s\n" % (format(x.real, ".17g"), format(x.imag, ".17g")) for x in eigs)
-
-
-def compression_basis_json(comp: Compression) -> dict:
-    """Header describing the basis ordering of the compression matrix."""
-    return {
-        "n": comp.n,
-        "degree": comp.degree,
-        "ordering": "graded by total degree, lexicographically descending within each degree",
-        "basis": [list(alpha) for alpha in comp.basis],
-        "norms": [float(x) for x in comp.norms],
-    }
 
 
 def series_from_vector(comp: Compression, vec: np.ndarray) -> TruncatedSeries:

@@ -52,7 +52,6 @@ __all__ = [
     "spectrum",
     "essential_radius_estimate",
     "essential_radius_closed_form",
-    "cloud_to_csv",
 ]
 
 MAX_FAMILY_POINTS = 100_000
@@ -234,13 +233,6 @@ class SpectralSet:
             "is_closure": self.is_closure,
             "components": [_component_json(c) for c in self.components],
         }
-
-
-def cloud_to_csv(s: SpectralSet, resolution: int = 128) -> str:
-    """Discretized cloud as CSV text with a `re,im,component_index` header."""
-    values, index = s.discretize(resolution)
-    rows = zip(values.real.tolist(), values.imag.tolist(), index.tolist())
-    return "re,im,component_index\n" + "".join(["%.17g,%.17g,%d\n" % row for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +511,14 @@ def spectrum(
 MAX_ITERATE_ORDER = 10_000
 
 
+def _check_n_max(n_max: int) -> None:
+    """The iterate orders the estimator accepts, checked before it looks for tau."""
+    if n_max < 2:
+        raise ParameterConstraintViolated("the spread needs n_max >= 2, got %d" % n_max)
+    if n_max > MAX_ITERATE_ORDER:
+        raise SizeCapExceeded("n_max %d exceeds %d iterates" % (n_max, MAX_ITERATE_ORDER))
+
+
 @dataclass(frozen=True)
 class EssentialRadiusEstimate:
     """Output of the contact-point estimator.
@@ -552,10 +552,7 @@ def essential_radius_estimate(
     quotient (1-|phi^n(z)|^2)/(1-|z|^2) as z -> tau.  The roots
     d_n^(-N/(2n)) are taken in logs, so no power overflows.
     """
-    if n_max < 2:
-        raise ParameterConstraintViolated("the spread needs n_max >= 2, got %d" % n_max)
-    if n_max > MAX_ITERATE_ORDER:
-        raise SizeCapExceeded("n_max %d exceeds %d iterates" % (n_max, MAX_ITERATE_ORDER))
+    _check_n_max(n_max)
     tau = _default_boundary_point(f) if tau is None else tau
     tau = np.asarray(tau, dtype=complex).reshape(-1)
     tau = tau / np.linalg.norm(tau)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 import time
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_radius_small_dilation_n3(capsys, tmp_path):
 def test_radius_estimator_failure_is_reported(capsys, monkeypatch, affine_map):
     from lfmspec import NumericalInconsistency
 
-    def broken(f, n_max):
+    def broken(f, tau, n_max):
         raise NumericalInconsistency("angular derivative 0 at order 1 gives no finite positive root")
 
     monkeypatch.setattr("lfmspec.cli.essential_radius_estimate", broken)
@@ -224,6 +225,32 @@ def test_radius_estimator_failure_is_reported(capsys, monkeypatch, affine_map):
     res = json.loads(out)["result"]
     assert res["estimate"] is None
     assert res["estimate_note"].startswith("estimator failed: angular derivative")
+
+
+def test_radius_solves_fixed_points_once(capsys, monkeypatch, disk_map):
+    # the estimator's tau is read off classify, which solved the fixed points
+    from lfmspec import fixed_points
+
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return fixed_points(f)
+
+    for module in ("lfmspec.maps", "lfmspec.classify"):  # the attribute lfmspec.classify is the function
+        monkeypatch.setattr(sys.modules[module], "fixed_points", counted)
+    code, out, _ = run(capsys, ["radius", disk_map])
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["estimate"]["tau"] == [[1.0, 0.0]]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nmax", ["1", "10001"])
+def test_radius_checks_nmax_without_boundary_point(capsys, diag_map2, nmax):
+    # the estimator does not run, but its n_max range is still checked
+    code, out, err = run(capsys, ["radius", diag_map2, "--nmax", nmax])
+    assert code == EXIT_ERROR
+    assert out == "" and err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +482,29 @@ def test_subcommand_defaults():
     for command, want in defaults.items():
         args = vars(build_parser().parse_args([command, "m.json"]))
         assert {k: v for k, v in args.items() if k not in ("command", "map", "handler")} == dict(want, out=None)
+
+
+ECHO_CASES = [
+    (["validate", "--tol", "1e-3"], {"tol": 1e-3}),
+    (["classify"], {}),
+    (["spectrum"], {}),
+    (["radius", "--nmax", "7"], {"nmax": 7}),
+    (["compress", "--degree", "3", "--format", "json"], {"degree": 3}),
+    (["verify-eigen", "--degree", "3", "--tol", "1e-6"], {"degree": 3, "tol": 1e-6}),
+    (["norms", "--s", "1.5", "--nu", "0.25", "--kmax", "12"], {"s": 1.5, "nu": 0.25, "kmax": 12}),
+    (["export", "--resolution", "8", "--format", "json"], {"resolution": 8}),
+]
+
+
+@pytest.mark.parametrize("argv, flags", ECHO_CASES, ids=[argv[0] for argv, _ in ECHO_CASES])
+def test_report_echoes_exactly_the_given_flags(capsys, tmp_path, disk_map, argv, flags):
+    dest = tmp_path / "report.json"
+    code, out, _ = run(capsys, [argv[0], disk_map] + argv[1:] + ["--out", str(dest)])
+    assert code == EXIT_OK and out == ""
+    rep = json.loads(dest.read_text())
+    assert rep["command"] == argv[0]
+    # key order too: the options in the order the parser declares them
+    assert list(rep["flags"].items()) == list(flags.items())
 
 
 def test_parser_takes_every_cli_workload_argv(monkeypatch):

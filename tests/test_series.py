@@ -5,6 +5,7 @@ evaluation for series and compositions, and exact eigenstructure for
 diagonal maps."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -305,17 +306,21 @@ def test_compression_caps():
         L.build_compression(lfm_1d(1, 0, -1, 2), -1)
 
 
-def test_compression_csv_formats():
+def test_compression_csv_formats(tmp_path, capsys):
+    from lfmspec.cli import main
+
     f = lfm_1d(0.5, 0, 0, 1)
-    eigs = L.compression_spectrum(f, 3)
-    text = L.compression_to_csv(eigs)
-    lines = text.strip().split("\n")
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(L.map_to_json_dict(f)))
+    assert main(["compress", str(path), "--degree", "3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "re,im"
     assert len(lines) == 5
-    comp = L.build_compression(f, 3)
-    from lfmspec.series import compression_basis_json
-
-    header = compression_basis_json(comp)
+    # %.17g carries each eigenvalue to the last bit
+    eigs = L.compression_spectrum(f, 3)
+    assert [tuple(map(float, line.split(","))) for line in lines[1:]] == [(x.real, x.imag) for x in eigs]
+    assert main(["compress", str(path), "--degree", "3", "--format", "json"]) == 0
+    header = json.loads(capsys.readouterr().out)["result"]["basis"]
     assert header["basis"][0] == [0]
     assert header["degree"] == 3
 

@@ -10,8 +10,9 @@ import pytest
 import lfmspec as L
 from lfmspec import LinearFractionalMap
 from lfmspec.spectra import (
-    MAX_FAMILY_POINTS, Annulus, Circle, ClosedDisk, Point, PointFamily, _contractive_products, cloud_to_csv,
+    MAX_FAMILY_POINTS, Annulus, Circle, ClosedDisk, Point, PointFamily, _contractive_products,
 )
+from lfmspec.cli import _csv
 
 
 def lfm_1d(a, b, c, d):
@@ -425,9 +426,15 @@ def test_discretize_refuses_huge_annulus_cloud():
         s.discretize(128)
 
 
+def _cloud_csv(s, resolution=128):
+    """The CSV that ``lfmspec export`` writes for the cloud of s."""
+    values, index = s.discretize(resolution)
+    return _csv("re,im,component_index", values.real, values.imag, index)
+
+
 def test_cloud_csv_format():
     s = L.spectrum(lfm_1d(1, 0, -1, 2))
-    text = cloud_to_csv(s, resolution=16)
+    text = _cloud_csv(s, resolution=16)
     lines = text.strip().split("\n")
     assert lines[0] == "re,im,component_index"
     row = lines[1].split(",")
@@ -458,9 +465,10 @@ def test_cloud_csv_matches_per_point_format():
                      np.array([0, 0, 1, 1, 2])),
               _Cloud(np.zeros(0, dtype=complex), np.zeros(0, dtype=int))]
     for s in clouds:
-        assert cloud_to_csv(s, resolution=16) == _csv_reference(s, 16)
+        assert _cloud_csv(s, resolution=16) == _csv_reference(s, 16)
     assert clouds[0].kind == L.MapClass.HYPERBOLIC_TWO_FIXED.value
-    signed = cloud_to_csv(clouds[1])
+    assert _cloud_csv(clouds[2]) == "re,im,component_index\n"
+    signed = _cloud_csv(clouds[1])
     assert "\n-0,0,0\n" in signed and "\n0,-0,1\n" in signed
 
 

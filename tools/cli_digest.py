@@ -14,8 +14,10 @@ default flags and with non-default ones, and one line
 
 is printed per run.  The hash covers stdout, stderr, the text of an
 exception that escapes ``cli.main``, and the category and message of every
-warning (not its file and line).  Two trees behave the same on the corpus
-when their digests are identical:
+warning (not its file and line).  An escaped exception is also named on
+stderr, and once every line is printed the tool exits 1 if any run had one:
+every input must end in a report or an ``error:`` line, never a traceback.
+Two trees behave the same on the corpus when their digests are identical:
 
     python tools/cli_digest.py ../parent > parent.txt
     python tools/cli_digest.py . > change.txt
@@ -81,9 +83,11 @@ def corpus(L) -> dict[str, str]:
     return maps
 
 
-def run(cli, argv: list[str]) -> tuple[int, str]:
-    """Exit code and sha256 of one in-process ``cli.main(argv)``."""
+def run(cli, argv: list[str]) -> tuple[int, str, str | None]:
+    """Exit code and sha256 of one in-process ``cli.main(argv)``, and the
+    exception that escaped it, if one did."""
     out, err = io.StringIO(), io.StringIO()
+    escaped = None
     # a fresh warnings registry per run, as in a fresh process, and every warning kept
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -94,10 +98,11 @@ def run(cli, argv: list[str]) -> tuple[int, str]:
                 code = exc.code
             except Exception as exc:  # noqa: BLE001 - a traceback is an outcome to record
                 code = 1
-                err.write("Traceback: %s: %s\n" % (type(exc).__name__, exc))
+                escaped = "%s: %s" % (type(exc).__name__, exc)
+                err.write("Traceback: %s\n" % escaped)
     notes = "".join("%s: %s\n" % (w.category.__name__, w.message) for w in caught)
     text = "\0".join((out.getvalue(), err.getvalue(), notes))
-    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest(), escaped
 
 
 def main(argv: list[str]) -> int:
@@ -113,6 +118,7 @@ def main(argv: list[str]) -> int:
         print("lfmspec was not imported from %s" % src, file=sys.stderr)
         return 1
     maps = corpus(lfmspec)
+    escapes = 0
     with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
         here = os.getcwd()
         os.chdir(tmp)
@@ -122,11 +128,16 @@ def main(argv: list[str]) -> int:
                     fh.write(text)
             for name in maps:
                 for form, args in FORMS.items():
-                    code, digest = run(cli, [args[0], name + ".json"] + args[1:])
+                    code, digest, escaped = run(cli, [args[0], name + ".json"] + args[1:])
                     print("%s %s %s %s" % (name, form, code, digest), flush=True)
+                    if escaped is not None:
+                        escapes += 1
+                        print("escaped cli.main: %s %s: %s" % (name, form, escaped), file=sys.stderr)
         finally:
             os.chdir(here)
-    return 0
+    if escapes:
+        print("%d runs ended in an exception that escaped cli.main" % escapes, file=sys.stderr)
+    return 1 if escapes else 0
 
 
 if __name__ == "__main__":
