@@ -1,8 +1,8 @@
 """Galerkin compression against the exact spectrum.
 
 For a map fixing the origin the compression onto polynomials of total
-degree <= D is block upper triangular, so its eigenvalues are exact
-eigenvalues of the full operator. The demo builds the compression for
+degree <= D is block lower triangular in the graded basis order, so its
+eigenvalues are exact eigenvalues of the full operator. The demo builds the compression for
 (z/2, w/3), compares its eigenvalues to the exact point family, and
 verifies the compression eigenvectors as approximate eigenfunctions.
 

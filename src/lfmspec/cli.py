@@ -35,10 +35,9 @@ from .errors import (
 )
 from .maps import TOLERANCES, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
 from .series import (
-    build_compression,
-    compression_eigenvalues,
     compression_spectrum,
     norm_equivalence_interval,
+    _graded,
     _norm_factors,
 )
 from .spectra import (
@@ -198,19 +197,19 @@ def _cmd_radius(f, args) -> dict:
 
 def _cmd_compress(f, args) -> dict | str:
     _refuse_non_self_map(f)
-    comp = build_compression(f, args.degree)
-    eigs = compression_eigenvalues(comp)
+    eigs = compression_spectrum(f, args.degree)
     if args.format == "csv":
         return _csv("re,im", eigs.real, eigs.imag)
+    g = _graded(f.n, args.degree)  # the basis, its size caps checked by compression_spectrum
     return {
         "degree": args.degree,
         "eigenvalues": _c2pair(eigs),
         "basis": {
-            "n": comp.n,
-            "degree": comp.degree,
+            "n": f.n,
+            "degree": args.degree,
             "ordering": "graded by total degree, lexicographically descending within each degree",
-            "basis": [list(alpha) for alpha in comp.basis],
-            "norms": comp.norms.tolist(),
+            "basis": [list(alpha) for alpha in g.basis],
+            "norms": g.norms.tolist(),
         },
     }
 

@@ -235,6 +235,8 @@ class _Graded:
             raise ZeroConstantTerm("cannot divide by an affine function vanishing at the origin")
         x /= const
         terms = [(up, a / const) for up, a in zip(self.up, lin) if a != 0]
+        if not terms:
+            return x
         k = int(np.searchsorted(self.level, lo))
         for a, b in zip(self.level[k:-2], self.level[k + 1:-1]):
             for up, t in terms:
@@ -275,24 +277,30 @@ def _chains(support):
     return levels, plan
 
 
-def _power_levels(f: LinearFractionalMap, g: _Graded, plan):
+def _power_levels(f: LinearFractionalMap, g: _Graded, plan, diagonal: bool = False):
     """Yield, level by level, (lo, block): the truncated series of phi^beta
     for the exponents of the plan, one column each, of which block holds
     rows lo:lo + len(block); the other rows are zero, those below degree
     |beta| when phi(0) = 0 and those above it when den is constant.
 
     phi^beta = phi^(beta - e_j) num_j / den, with num_j = b_j + (A z)_j and
-    den = d + <z, c> both affine; one division serves a whole level."""
+    den = d + <z, c> both affine; one division serves a whole level.
+
+    With diagonal, for phi(0) = 0 only, each block keeps just the rows of
+    degree |beta|, the diagonal block of the compression before its norm
+    scaling; as every lower degree is zero there, dividing by den reduces
+    to dividing by d."""
     top, fixes_origin, den_constant = g.degree + 1, not f.b.any(), not f.c.any()
 
     def window(k):
-        return (g.level[min(k, top)] if fixes_origin else 0, g.level[min(k + 1, top)] if den_constant else g.size)
+        return (g.level[min(k, top)] if fixes_origin else 0,
+                g.level[min(k + 1, top)] if den_constant or diagonal else g.size)
 
     lo, hi = window(0)
     block = np.zeros((hi - lo, 1), dtype=complex)
     block[0, 0] = 1.0
     yield lo, block
-    den_lin = np.conj(f.c)
+    den_lin = () if diagonal else np.conj(f.c)
     for k, runs in enumerate(plan, 1):
         nlo, nhi = window(k)
         nxt = np.empty((nhi - nlo, runs[-1][2]), dtype=complex)
@@ -378,22 +386,38 @@ def _spectral_order(eigs: np.ndarray) -> np.ndarray:
     return np.lexsort((eigs.imag, eigs.real, -np.hypot(eigs.real, eigs.imag)))
 
 
+def _block_eigenvalues(blocks) -> np.ndarray:
+    """Eigenvalues of the square blocks together, in _spectral_order: a 1 x 1
+    block read off, a larger one from eigvals."""
+    eigs = np.concatenate([block[0] if len(block) == 1 else np.linalg.eigvals(block) for block in blocks])
+    return eigs[_spectral_order(eigs)]
+
+
 def compression_eigenvalues(comp: Compression) -> np.ndarray:
     """Eigenvalues of a compression by decreasing modulus, ties by real then
     imaginary part: of the diagonal blocks by degree when every entry right
-    of them is zero (block triangular, as when phi(0) = 0), else of the whole."""
+    of them is zero (block triangular, as when phi(0) = 0), else of the whole.
+    compression_spectrum gives the same array for phi(0) = 0 from the
+    diagonal blocks alone, without the matrix."""
     m, level = comp.matrix, _graded(comp.n, comp.degree).level
     blocks = list(zip(level, level[1:]))
     if any(m[a:b, b:].any() for a, b in blocks):
         blocks = [(0, m.shape[0])]
-    eigs = np.concatenate([m[a:b, a] if b - a == 1 else np.linalg.eigvals(m[a:b, a:b]) for a, b in blocks])
-    return eigs[_spectral_order(eigs)]
+    return _block_eigenvalues([m[a:b, a:b] for a, b in blocks])
 
 
 def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bool = False):
     """Eigenvalues of the compression, as compression_eigenvalues gives them.
-    With return_vectors, the eigenvalues and eigenvector columns of one solve
-    of the whole matrix in the same order, and the Compression itself."""
+    For phi(0) = 0 only the diagonal blocks by degree are built, never the
+    whole matrix.  For phi(0) != 0, or with return_vectors, the whole matrix
+    is built; with return_vectors the result is the eigenvalues and the
+    eigenvector columns of one solve of it, in the same order, and the
+    Compression itself."""
+    if not (return_vectors or f.b.any()):
+        _check_compression_cap(f.n, degree)
+        g = _graded(f.n, degree)
+        levels = zip(g.level, g.level[1:], _power_levels(f, g, g.plan, diagonal=True))
+        return _block_eigenvalues([block * g.norms[a:b, None] / g.norms[a:b] for a, b, (_, block) in levels])
     comp = build_compression(f, degree)
     if not return_vectors:
         return compression_eigenvalues(comp)

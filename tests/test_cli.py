@@ -294,11 +294,13 @@ def test_verify_eigen_rows(capsys, disk_map):
 
 
 def test_compress_json_builds_once(capsys, disk_map, monkeypatch):
-    import lfmspec.cli as cli
+    # one pass over the map powers gives the eigenvalues; the basis and the
+    # norms come from the shared tables, not from a second build
+    import lfmspec.series as series
 
     calls = []
-    build = cli.build_compression
-    monkeypatch.setattr(cli, "build_compression", lambda *a: calls.append(a) or build(*a))
+    levels = series._power_levels
+    monkeypatch.setattr(series, "_power_levels", lambda *a, **k: calls.append(a) or levels(*a, **k))
     code, _, _ = run(capsys, ["compress", disk_map, "--degree", "4", "--format", "json"])
     assert code == EXIT_OK
     assert len(calls) == 1

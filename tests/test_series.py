@@ -208,6 +208,20 @@ def test_reciprocal_needs_constant_term():
     g = _graded(1, 4)
     with pytest.raises(L.ZeroConstantTerm):
         g.div_affine(np.ones(g.size, dtype=complex), 0, 0.0, [1.0])
+    with pytest.raises(L.ZeroConstantTerm):
+        g.div_affine(np.ones(g.size, dtype=complex), 0, 0.0, [0.0])
+
+
+@pytest.mark.parametrize("lin", [(), (0.0, 0.0), (0.0, -0.0)])
+def test_division_by_a_constant_is_elementwise(lin):
+    # no linear term: the quotient is x / const, to the last bit, at any offset
+    rng = np.random.default_rng(11)
+    g = _graded(2, 9)
+    x = rng.standard_normal((g.size, 4)) + 1j * rng.standard_normal((g.size, 4))
+    const = 1.3 - 0.7j
+    for lo in (0, g.level[3]):
+        got = g.div_affine(x[lo:].copy(), lo, const, lin)
+        assert np.array_equal(got.view(np.uint8), (x[lo:] / const).view(np.uint8))
 
 
 def test_compose_series_is_linear_in_terms():
@@ -402,6 +416,64 @@ def test_full_eigensolve_when_not_block_triangular(monkeypatch):
     sizes.clear()
     compression_eigenvalues(dataclasses.replace(comp, matrix=m))
     assert sizes == [28]
+
+
+def _build_calls(monkeypatch):
+    calls = []
+    build = S.build_compression
+    monkeypatch.setattr(S, "build_compression", lambda *a: calls.append(a) or build(*a))
+    return calls
+
+
+@pytest.mark.parametrize("f, degree", [
+    (_dense_origin_map(1, 6), 60),
+    (_dense_origin_map(2, 7), 25),
+    (_dense_origin_map(3, 8), 12),
+    (_sparse_map(1, 9), 60),
+    (_sparse_map(2, 10), 25),
+    (_sparse_map(3, 11), 12),
+    (lfm_1d(1, 0, -1, 2), 30),
+], ids=["dense-n1-d60", "dense-n2-d25", "dense-n3-d12", "sparse-n1-d60", "sparse-n2-d25",
+        "sparse-n3-d12", "z-over-2-minus-z-d30"])
+def test_diagonal_blocks_give_the_full_build_eigenvalues(monkeypatch, f, degree):
+    # phi(0) = 0: the eigenvalues from the diagonal blocks alone are those of
+    # the whole matrix, bit for bit, and the whole matrix is never built
+    want = compression_eigenvalues(L.build_compression(f, degree))
+    calls = _build_calls(monkeypatch)
+    got = L.compression_spectrum(f, degree)
+    assert calls == []
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("f, return_vectors", [
+    (_general_map(2, seed=4), False),
+    (_dense_origin_map(2, 3), True),
+], ids=["general", "origin-fixed-vectors"])
+def test_whole_compression_built_once_otherwise(monkeypatch, f, return_vectors):
+    # phi(0) != 0, or eigenvectors asked for: one build of the whole matrix
+    calls = _build_calls(monkeypatch)
+    L.compression_spectrum(f, 6, return_vectors=return_vectors)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("f, degree, error", [
+    (lfm_1d(1, 0, -1, 2), 61, L.SizeCapExceeded),
+    (_sparse_map(3, 1), 13, L.SizeCapExceeded),
+    (_dense_origin_map(2, 1), 26, L.SizeCapExceeded),
+    (_sparse_map(4, 1), 20, L.SizeCapExceeded),  # no degree cap for N = 4; comb(24, 4) > MAX_BASIS_SIZE
+    (lfm_1d(1, 0, -1, 2), -1, L.ParameterConstraintViolated),
+    (_sparse_map(3, 1), -2, L.ParameterConstraintViolated),
+])
+def test_diagonal_path_refuses_before_building(monkeypatch, f, degree, error):
+    with pytest.raises(error):
+        L.build_compression(f, degree)
+    touched = []
+    monkeypatch.setattr(S, "_graded", lambda *a: touched.append(a))
+    monkeypatch.setattr(S, "_power_levels", lambda *a, **k: touched.append(a))
+    with pytest.raises(error):
+        L.compression_spectrum(f, degree)
+    assert touched == []
 
 
 @pytest.mark.parametrize("eigs", [
