@@ -288,8 +288,9 @@ def _power_levels(f: LinearFractionalMap, g: _Graded, plan, diagonal: bool = Fal
 
     With diagonal, for phi(0) = 0 only, each block keeps just the rows of
     degree |beta|, the diagonal block of the compression before its norm
-    scaling; as every lower degree is zero there, dividing by den reduces
-    to dividing by d."""
+    scaling, which is all that compression_spectrum builds for eigenvalues
+    alone; as every lower degree is zero there, dividing by den reduces to
+    dividing by d."""
     top, fixes_origin, den_constant = g.degree + 1, not f.b.any(), not f.c.any()
 
     def window(k):
