@@ -49,7 +49,6 @@ __all__ = [
     "validate_self_map",
     "ball_automorphism_to_origin",
     "unitary_map",
-    "identity_map",
     "inverse",
     "conjugated",
     "iterate_matrix",
@@ -58,7 +57,6 @@ __all__ = [
     "unitary_with_first_column",
     "map_to_json_dict",
     "map_from_json_dict",
-    "proportional_residual",
 ]
 
 
@@ -180,10 +178,6 @@ class LinearFractionalMap:
         )
 
 
-def identity_map(n: int) -> LinearFractionalMap:
-    return LinearFractionalMap(np.eye(n), np.zeros(n), np.zeros(n), 1.0)
-
-
 def unitary_map(u) -> LinearFractionalMap:
     """The rotation z -> U z for a unitary U."""
     u = np.asarray(u, dtype=complex)
@@ -259,18 +253,6 @@ def jacobian(f: LinearFractionalMap, z) -> np.ndarray:
         raise DenominatorVanishes("denominator ~ 0 at the requested point")
     num = f.a @ z + f.b
     return f.a / den - np.outer(num, np.conj(f.c)) / (den * den)
-
-
-def proportional_residual(m1: np.ndarray, m2: np.ndarray) -> float:
-    """Distance of m1 from the complex line spanned by m2, relative to |m1|.
-
-    Zero exactly when the matrices are scalar multiples, i.e. when the two
-    maps agree projectively.
-    """
-    m1 = np.asarray(m1, dtype=complex)
-    m2 = np.asarray(m2, dtype=complex)
-    t = np.vdot(m2, m1) / np.vdot(m2, m2)
-    return float(np.linalg.norm(m1 - t * m2) / np.linalg.norm(m1))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ __all__ = [
     "basis_multi_indices",
     "monomial_norm_sq",
     "binomial_series",
-    "map_power_series",
-    "compose_series",
     "build_compression",
     "compression_eigenvalues",
     "compression_spectrum",
@@ -196,7 +194,8 @@ class _Graded:
 
     ``level[k]`` is the offset of the degree-k monomials, ``up[i][s]`` the
     position of basis[s] + e_i for every s of degree below D, and ``plan``
-    the predecessor chains of the whole basis (see _chains).  Arrays here
+    the predecessor chains of the whole basis (see _chains).  ``down``, made
+    on first use, holds the gather tables of _diagonal_blocks.  Arrays here
     are shared through _graded and must not be written to.
     """
 
@@ -209,6 +208,25 @@ class _Graded:
         self.up = [_positions(low + unit) for unit in np.eye(n, dtype=np.intp)]
         self.norm_sq = np.array([monomial_norm_sq(alpha) for alpha in self.basis])
         self.norms = np.sqrt(self.norm_sq)
+
+    @functools.cached_property
+    def down(self) -> list[tuple[np.ndarray, list]]:
+        """Gather tables of _diagonal_blocks, a (table, runs) pair for each
+        degree k = 1..D.  With m_k monomials of degree k, row i of the table
+        holds, for each degree-k alpha, the index within degree k - 1 of
+        alpha - e_i, or m_(k-1) when alpha_i = 0, and then one more m_(k-1);
+        index m_(k-1) names a zero row kept below the degree-(k-1) block.
+        The runs are those of plan[k - 1] as (j, lo, hi, p0, p1): run j's
+        predecessors are the slice p0:p1 of degree k - 1, its monomials in
+        z_j..z_(n-1) alone, which come last in lex-descending order."""
+        out = []
+        for k, runs in enumerate(self.plan, 1):
+            lo, mid, hi = self.level[k - 1:k + 2]
+            tab = np.full((len(self.up), hi - mid + 1), mid - lo, dtype=np.intp)
+            for row, up in zip(tab, self.up):
+                row[up[lo:mid] - mid] = np.arange(mid - lo)
+            out.append((tab, [(j, a, b, int(pred[0]), int(pred[-1]) + 1) for j, a, b, pred in runs]))
+        return out
 
     def mul_affine(self, x: np.ndarray, lo: int, const: complex, lin, out_lo: int, out_hi: int) -> np.ndarray:
         """(const + sum_i lin[i] z_i) times each column of x, truncated.
@@ -277,31 +295,25 @@ def _chains(support):
     return levels, plan
 
 
-def _power_levels(f: LinearFractionalMap, g: _Graded, plan, diagonal: bool = False):
+def _power_levels(f: LinearFractionalMap, g: _Graded, plan):
     """Yield, level by level, (lo, block): the truncated series of phi^beta
     for the exponents of the plan, one column each, of which block holds
     rows lo:lo + len(block); the other rows are zero, those below degree
     |beta| when phi(0) = 0 and those above it when den is constant.
 
     phi^beta = phi^(beta - e_j) num_j / den, with num_j = b_j + (A z)_j and
-    den = d + <z, c> both affine; one division serves a whole level.
-
-    With diagonal, for phi(0) = 0 only, each block keeps just the rows of
-    degree |beta|, the diagonal block of the compression before its norm
-    scaling, which is all that compression_spectrum builds for eigenvalues
-    alone; as every lower degree is zero there, dividing by den reduces to
-    dividing by d."""
+    den = d + <z, c> both affine; one division serves a whole level."""
     top, fixes_origin, den_constant = g.degree + 1, not f.b.any(), not f.c.any()
 
     def window(k):
         return (g.level[min(k, top)] if fixes_origin else 0,
-                g.level[min(k + 1, top)] if den_constant or diagonal else g.size)
+                g.level[min(k + 1, top)] if den_constant else g.size)
 
     lo, hi = window(0)
     block = np.zeros((hi - lo, 1), dtype=complex)
     block[0, 0] = 1.0
     yield lo, block
-    den_lin = () if diagonal else np.conj(f.c)
+    den_lin = np.conj(f.c)
     for k, runs in enumerate(plan, 1):
         nlo, nhi = window(k)
         nxt = np.empty((nhi - nlo, runs[-1][2]), dtype=complex)
@@ -311,7 +323,40 @@ def _power_levels(f: LinearFractionalMap, g: _Graded, plan, diagonal: bool = Fal
         yield lo, block
 
 
+def _diagonal_blocks(f: LinearFractionalMap, g: _Graded):
+    """Yield, degree by degree, the diagonal block of the compression before
+    its norm scaling, for phi(0) = 0: column beta holds the degree-|beta|
+    part of phi^beta, which is (A z / d)^beta, so c plays no part.
+
+    Column beta of degree k is sum_i A[j, i] z_i / d times column beta - e_j
+    of degree k - 1, whose entry in row alpha - e_i g.down gathers (from the
+    zero row when alpha_i = 0).  Each block is kept as its transpose, a
+    C-ordered array with the zero row as one more column, so that a run of
+    the plan is a contiguous slab: one gather and one scaled add per nonzero
+    A[j, i].  Every entry is +0 plus these products in increasing i, then
+    divided by d: the operations, and so the bits, of the rows of degree
+    |beta| that _power_levels gives for the whole matrix."""
+    terms = [[(i, a) for i, a in enumerate(row) if a != 0] for row in f.a]
+    cols = np.zeros((1, 2), dtype=complex)
+    cols[0, 0] = 1.0
+    yield cols[:, :-1].T
+    for tab, runs in g.down:
+        nxt = np.zeros((tab.shape[1] - 1, tab.shape[1]), dtype=complex)
+        for j, lo, hi, p0, p1 in runs:
+            pred = cols[p0:p1]
+            for i, a in terms[j]:
+                nxt[lo:hi] += a * pred.take(tab[i], axis=1)
+        nxt /= f.d
+        cols = nxt
+        yield cols[:, :-1].T
+
+
 def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded) -> np.ndarray:
+    """Coefficient vector of series(phi(z)) through g's degree.
+
+    Every term of the input contributes, including terms above that degree:
+    a monomial phi^beta generally has components of all degrees, so
+    truncating the input first would corrupt low-order coefficients."""
     if series.n != f.n:
         raise DimensionMismatch("series in %d variables, map on the %d-ball" % (series.n, f.n))
     support = _exponents(series.n, series.degree)[np.flatnonzero(series.vector)]
@@ -322,21 +367,6 @@ def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded)
     for c, (lo, block) in zip(coeffs, _power_levels(f, g, plan)):
         out[lo:lo + len(block)] += block @ c
     return out
-
-
-def map_power_series(f: LinearFractionalMap, beta: tuple[int, ...], degree: int) -> TruncatedSeries:
-    """Truncated series of the monomial (phi(z))^beta."""
-    return compose_series(TruncatedSeries(f.n, max(sum(beta), 0), {tuple(beta): 1.0}), f, degree)
-
-
-def compose_series(series: TruncatedSeries, f: LinearFractionalMap, degree: int) -> TruncatedSeries:
-    """Series of series(phi(z)) through the given degree.
-
-    Every term of the input contributes, including terms above the output
-    degree: a monomial phi^beta generally has components of all degrees,
-    so truncating the input first would corrupt low-order coefficients.
-    """
-    return TruncatedSeries(f.n, degree, _compose_vector(series, f, _graded(f.n, degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,38 +417,71 @@ def _spectral_order(eigs: np.ndarray) -> np.ndarray:
     return np.lexsort((eigs.imag, eigs.real, -np.hypot(eigs.real, eigs.imag)))
 
 
+# zgeev rescales a matrix whose largest entry lies outside [2^-459, 2^459]
+# (sqrt(safe minimum) / eps and its reciprocal); a factor 2 is kept spare
+_UNSCALED = (2.0 ** -458, 2.0 ** 458)
+
+
+def _eigenvalues(block: np.ndarray, norms=None) -> np.ndarray:
+    """Eigenvalues of block * norms[:, None] / norms, the scaling of
+    build_compression (of block itself without norms).
+
+    A block with no nonzero entry on one side of its diagonal has those of
+    its diagonal, read off as np.diagonal(block) * norms / norms, which is
+    the scaled block's diagonal to the bit.  np.linalg.eigvals gives these
+    same bits, as LAPACK's balancing isolates every eigenvalue of a
+    triangular matrix, unless zgeev first rescales the block: so a block
+    whose largest scaled entry may lie outside _UNSCALED, like any other,
+    goes to eigvals.  A 1 x 1 block is always read off."""
+    diag = np.diagonal(block)
+    read = diag if norms is None else diag * norms / norms
+    if len(block) == 1:
+        return read
+    if np.count_nonzero(block) == np.count_nonzero(diag):
+        low = high = np.abs(read).max()  # the largest scaled entry
+    elif not (np.triu(block, 1).any() and np.tril(block, -1).any()):
+        spread = 1.0 if norms is None else norms.max() / norms.min()
+        big = np.abs(block).max()
+        low, high = big / spread, big * spread  # bounds on the largest scaled entry
+    else:
+        low = high = math.nan  # not triangular
+    if _UNSCALED[0] <= low and high <= _UNSCALED[1]:
+        return read
+    return np.linalg.eigvals(block if norms is None else block * norms[:, None] / norms)
+
+
 def _block_eigenvalues(blocks) -> np.ndarray:
-    """Eigenvalues of the square blocks together, in _spectral_order: a 1 x 1
-    block read off, a larger one from eigvals."""
-    eigs = np.concatenate([block[0] if len(block) == 1 else np.linalg.eigvals(block) for block in blocks])
+    """The _eigenvalues of the (block, norms) pairs together, in _spectral_order."""
+    eigs = np.concatenate([_eigenvalues(*pair) for pair in blocks])
     return eigs[_spectral_order(eigs)]
 
 
 def compression_eigenvalues(comp: Compression) -> np.ndarray:
     """Eigenvalues of a compression by decreasing modulus, ties by real then
     imaginary part: of the diagonal blocks by degree when every entry right
-    of them is zero (block triangular, as when phi(0) = 0), else of the whole.
-    compression_spectrum gives the same array for phi(0) = 0 from the
-    diagonal blocks alone, without the matrix."""
+    of them is zero (block triangular, as when phi(0) = 0), else of the whole,
+    each by the rule of _eigenvalues.  compression_spectrum gives the same
+    array for phi(0) = 0 from the diagonal blocks alone, without the matrix."""
     m, level = comp.matrix, _graded(comp.n, comp.degree).level
     blocks = list(zip(level, level[1:]))
     if any(m[a:b, b:].any() for a, b in blocks):
         blocks = [(0, m.shape[0])]
-    return _block_eigenvalues([m[a:b, a:b] for a, b in blocks])
+    return _block_eigenvalues([(m[a:b, a:b],) for a, b in blocks])
 
 
 def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bool = False):
     """Eigenvalues of the compression, as compression_eigenvalues gives them.
-    For phi(0) = 0 only the diagonal blocks by degree are built, never the
-    whole matrix.  For phi(0) != 0, or with return_vectors, the whole matrix
-    is built; with return_vectors the result is the eigenvalues and the
-    eigenvector columns of one solve of it, in the same order, and the
-    Compression itself."""
+    For phi(0) = 0 only the diagonal blocks by degree are built (see
+    _diagonal_blocks), never the whole matrix, and each is scaled only if it
+    goes to eigvals: those of a diagonal map, say, are read off.  For
+    phi(0) != 0, or with return_vectors, the whole matrix is built; with
+    return_vectors the result is the eigenvalues and the eigenvector columns
+    of one solve of it, in the same order, and the Compression itself."""
     if not (return_vectors or f.b.any()):
         _check_compression_cap(f.n, degree)
         g = _graded(f.n, degree)
-        levels = zip(g.level, g.level[1:], _power_levels(f, g, g.plan, diagonal=True))
-        return _block_eigenvalues([block * g.norms[a:b, None] / g.norms[a:b] for a, b, (_, block) in levels])
+        norms = (g.norms[a:b] for a, b in zip(g.level, g.level[1:]))
+        return _block_eigenvalues(zip(_diagonal_blocks(f, g), norms))
     comp = build_compression(f, degree)
     if not return_vectors:
         return compression_eigenvalues(comp)
@@ -449,8 +512,15 @@ def eigenfunction_residual(
 
     The composition uses every supplied term of F, so F may (and for
     boundary-singular eigenfunctions should) carry far more terms than the
-    comparison degree; see compose_series.
+    comparison degree; see _compose_vector.  A non-finite eigenvalue or
+    coefficient, or a residual that leaves the float range, is refused
+    rather than returned as nan or inf.
     """
+    lam = complex(eigenvalue)
+    if not np.isfinite(lam):
+        raise ParameterConstraintViolated("the eigenvalue %r is not finite" % lam)
+    if not np.isfinite(func.vector).all():
+        raise ParameterConstraintViolated("the candidate eigenfunction has a non-finite coefficient")
     if not func.vector.any():
         raise ZeroFunction("candidate eigenfunction is identically zero")
     g = _graded(f.n, degree)
@@ -459,8 +529,11 @@ def eigenfunction_residual(
     denom = float(g.norm_sq @ np.abs(ftrunc) ** 2)
     if denom == 0.0:
         raise ZeroFunction("candidate eigenfunction vanishes through the comparison degree")
-    diff = comp - ftrunc * complex(eigenvalue)
-    return math.sqrt(float(g.norm_sq @ np.abs(diff) ** 2) / denom)
+    diff = comp - ftrunc * lam
+    residual = math.sqrt(float(g.norm_sq @ np.abs(diff) ** 2) / denom)
+    if not math.isfinite(residual):
+        raise ParameterConstraintViolated("the residual leaves the float range")
+    return residual
 
 
 def _refuse_overflow(what: str, *logs: float) -> None:

@@ -149,7 +149,7 @@ def test_one_fixed_reconstruction():
     f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
     nf = L.classify(f).normal_form
     g = nf.reconstructed_ball_map()
-    assert L.proportional_residual(g.matrix, f.matrix) < 1e-9
+    assert np.linalg.norm(g.matrix - f.matrix) < 1e-9  # both normalized: equal maps, equal matrices
 
 
 def test_two_fixed_normal_form_real():
@@ -173,7 +173,7 @@ def test_two_fixed_reconstruction():
     f = two_fixed_plant(0.8)
     nf = L.classify(f).normal_form
     g = nf.reconstructed_ball_map()
-    assert L.proportional_residual(g.matrix, f.matrix) < 1e-9
+    assert np.linalg.norm(g.matrix - f.matrix) < 1e-9  # both normalized: equal maps, equal matrices
 
 
 def test_conjugated_one_fixed_still_normalizes():

@@ -294,16 +294,18 @@ def test_verify_eigen_rows(capsys, disk_map):
 
 
 def test_compress_json_builds_once(capsys, disk_map, monkeypatch):
-    # one pass over the map powers gives the eigenvalues; the basis and the
-    # norms come from the shared tables, not from a second build
+    # one pass over the diagonal blocks gives the eigenvalues (the disk map
+    # fixes 0); the basis and the norms come from the shared tables, not from
+    # a second build, and no map power of the whole matrix is made
     import lfmspec.series as series
 
     calls = []
-    levels = series._power_levels
-    monkeypatch.setattr(series, "_power_levels", lambda *a, **k: calls.append(a) or levels(*a, **k))
+    for name in ("_power_levels", "_diagonal_blocks"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     code, _, _ = run(capsys, ["compress", disk_map, "--degree", "4", "--format", "json"])
     assert code == EXIT_OK
-    assert len(calls) == 1
+    assert calls == ["_diagonal_blocks"]
 
 
 @pytest.mark.parametrize("command", ["compress", "verify-eigen"])

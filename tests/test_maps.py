@@ -128,13 +128,20 @@ def test_evaluate_matches_projective_matrix(cayley_like):
         assert abs(cayley_like(z)[0] - out[0] / out[1]) < 1e-14
 
 
+def proportional_residual(m1, m2):
+    """Distance of m1 from the complex line through m2, relative to |m1|:
+    zero exactly when the two maps agree projectively."""
+    t = np.vdot(m2, m1) / np.vdot(m2, m2)
+    return float(np.linalg.norm(m1 - t * m2) / np.linalg.norm(m1))
+
+
 def test_compose_is_matrix_product():
     f = lfm_1d(1, 0, -1, 2)
     g = lfm_1d(0.5, 0.5, 0, 1)
     fg = L.compose(f, g)
     z = 0.2 - 0.3j
     assert abs(fg([z])[0] - f(g([z]))[0]) < 1e-14
-    assert L.proportional_residual(fg.matrix, f.matrix @ g.matrix) < 1e-13
+    assert proportional_residual(fg.matrix, f.matrix @ g.matrix) < 1e-13
 
 
 def test_inverse_of_automorphism():
@@ -200,7 +207,7 @@ def test_fixed_point_at_infinity():
 
 
 def test_identity_fixes_whole_ball():
-    fs = L.fixed_points(L.identity_map(2))
+    fs = L.fixed_points(L.unitary_map(np.eye(2)))
     assert fs.whole_ball
 
 
@@ -274,7 +281,7 @@ def test_tolerance_record_is_frozen():
 
     with pytest.raises(dataclasses.FrozenInstanceError):
         TOLERANCES.on_sphere = 1e-3
-    assert L.validate_self_map(L.identity_map(1)).tol == TOLERANCES.self_map
+    assert L.validate_self_map(L.unitary_map(np.eye(1))).tol == TOLERANCES.self_map
 
 
 def test_validate_accepts_self_map(cayley_like):
@@ -336,7 +343,7 @@ def test_validate_against_sphere_sampling(n):
     (L.LinearFractionalMap(np.diag([0.9, 0, 0]), np.zeros(3), np.zeros(3), 1), 0.9),
     (L.ball_automorphism_to_origin(np.array([0.3, 0.2j, -0.1])), 1.0),
     (L.LinearFractionalMap(np.diag([1j, 0.5, 0.3]), np.zeros(3), np.zeros(3), 1), 1.0),
-    (L.identity_map(3), 1.0),
+    (L.unitary_map(np.eye(3)), 1.0),
 ])
 def test_validate_known_suprema(f, sup):
     rep = L.validate_self_map(f)
@@ -452,7 +459,7 @@ def _start_corpus():
             centre = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             centre *= rng.uniform(0.1, 0.5) / np.linalg.norm(centre)
             maps.append(L.conjugated(f, L.ball_automorphism_to_origin(centre)))
-        maps += [L.identity_map(n), LinearFractionalMap(np.zeros((n, n)), 0.3 * np.eye(n)[-1], np.zeros(n), 1),
+        maps += [L.unitary_map(np.eye(n)), LinearFractionalMap(np.zeros((n, n)), 0.3 * np.eye(n)[-1], np.zeros(n), 1),
                  L.ball_automorphism_to_origin(np.full(n, 0.4 / math.sqrt(n))),
                  LinearFractionalMap(0.7 * _unitary(rng, n), 0.6 * np.eye(n)[0], np.zeros(n), 1)]  # sup 1.3
     return maps
@@ -601,7 +608,7 @@ def test_composition_associates_with_matrices(f, g):
     if f.n != g.n:
         return
     fg = L.compose(f, g)
-    assert L.proportional_residual(fg.matrix, f.matrix @ g.matrix) < 1e-12
+    assert proportional_residual(fg.matrix, f.matrix @ g.matrix) < 1e-12
 
 
 @given(small_linear_maps())
@@ -621,7 +628,7 @@ def test_conjugation_by_involution_round_trips(f):
     a[0] = 0.3
     s = L.ball_automorphism_to_origin(a)
     g = L.conjugated(L.conjugated(f, s), s)  # s is an involution
-    assert L.proportional_residual(g.matrix, f.matrix) < 1e-10
+    assert proportional_residual(g.matrix, f.matrix) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,16 @@ def lfm_1d(a, b, c, d):
     return LinearFractionalMap([[a]], [b], [c], d)
 
 
+def compose(series, f, degree):
+    """series(phi(z)) through the given degree."""
+    return TruncatedSeries(f.n, degree, S._compose_vector(series, f, _graded(f.n, degree)))
+
+
+def map_power(f, beta, degree):
+    """The truncated series of the monomial (phi(z))^beta."""
+    return compose(TruncatedSeries(f.n, sum(beta), {beta: 1.0}), f, degree)
+
+
 # ---------------------------------------------------------------------------
 # basis ordering
 
@@ -126,7 +136,7 @@ def test_series_evaluate_two_variables():
 def test_series_dimension_mismatch():
     fa = TruncatedSeries(1, 3, {(1,): 1.0})
     with pytest.raises(L.DimensionMismatch):
-        L.compose_series(fa, LinearFractionalMap(np.eye(2) * 0.5, [0, 0], [0, 0], 1), 3)
+        compose(fa, LinearFractionalMap(np.eye(2) * 0.5, [0, 0], [0, 0], 1), 3)
     with pytest.raises(L.DimensionMismatch):
         fa.evaluate([0.1, 0.2])
 
@@ -176,7 +186,7 @@ def test_binomial_series_other_variable():
 def test_map_series_geometric_expansion():
     # z/(2-z) = sum_k z^k / 2^k, k >= 1
     f = lfm_1d(1, 0, -1, 2)
-    s = L.map_power_series(f, (1,), 20)
+    s = map_power(f, (1,), 20)
     for k in range(1, 21):
         assert s.coefficient((k,)) == pytest.approx(2.0 ** -k, rel=1e-13)
     assert s.coefficient((0,)) == 0
@@ -185,7 +195,7 @@ def test_map_series_geometric_expansion():
 def test_map_power_series_pointwise():
     f = LinearFractionalMap([[0.4, 0.1], [0, 0.35]], [0.05, 0], [0.1, -0.05], 1.2)
     rng = np.random.default_rng(3)
-    s = L.map_power_series(f, (2, 1), 18)
+    s = map_power(f, (2, 1), 18)
     for _ in range(5):
         z = 0.25 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         w = f(z)
@@ -227,8 +237,8 @@ def test_division_by_a_constant_is_elementwise(lin):
 def test_compose_series_is_linear_in_terms():
     f = lfm_1d(1, 0, -1, 2)
     terms = {(0,): 2.0, (1,): -1.0j, (4,): 0.7}
-    direct = L.compose_series(TruncatedSeries(1, 30, terms), f, 15)
-    parts = sum(c * L.map_power_series(f, a, 15).vector for a, c in terms.items())
+    direct = compose(TruncatedSeries(1, 30, terms), f, 15)
+    parts = sum(c * map_power(f, a, 15).vector for a, c in terms.items())
     assert np.max(np.abs(direct.vector - parts)) <= 1e-14
 
 
@@ -237,8 +247,8 @@ def test_compose_uses_terms_above_output_degree():
     # phi(0) != 0; dropping them first would corrupt the result
     f = lfm_1d(0.5, 0.5, 0, 1)
     F = L.binomial_series(0.5, 80)
-    full = L.compose_series(F, f, 10)
-    clipped = L.compose_series(TruncatedSeries(1, 10, {(k,): F.coefficient((k,)) for k in range(81)}), f, 10)
+    full = compose(F, f, 10)
+    clipped = compose(TruncatedSeries(1, 10, {(k,): F.coefficient((k,)) for k in range(81)}), f, 10)
     diff = np.max(np.abs(full.vector - clipped.vector))
     assert diff > 1e-6
 
@@ -471,9 +481,98 @@ def test_diagonal_path_refuses_before_building(monkeypatch, f, degree, error):
     touched = []
     monkeypatch.setattr(S, "_graded", lambda *a: touched.append(a))
     monkeypatch.setattr(S, "_power_levels", lambda *a, **k: touched.append(a))
+    monkeypatch.setattr(S, "_diagonal_blocks", lambda *a: touched.append(a))
     with pytest.raises(error):
         L.compression_spectrum(f, degree)
     assert touched == []
+
+
+@pytest.mark.parametrize("n, degree", [(1, 6), (2, 7), (3, 5), (4, 4)])
+def test_gather_tables_match_the_plan_and_the_basis(n, degree):
+    # each run's predecessors are the slice p0:p1 of the degree below, and
+    # row i of a table takes alpha to alpha - e_i, or to the zero row
+    g = _graded(n, degree)
+    assert len(g.down) == len(g.plan) == degree
+    for k, ((tab, runs), plan) in enumerate(zip(g.down, g.plan), 1):
+        assert [run[:3] for run in runs] == [run[:3] for run in plan]
+        for (_, _, _, p0, p1), (_, _, _, pred) in zip(runs, plan):
+            assert np.array_equal(np.arange(p0, p1), pred)
+        below, here = g.basis[g.level[k - 1]:g.level[k]], g.basis[g.level[k]:g.level[k + 1]]
+        assert tab.shape == (n, len(here) + 1)
+        for i, row in enumerate(tab):
+            assert row[-1] == len(below)
+            for alpha, r in zip(here, row):
+                assert r == (below.index(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]) if alpha[i] else len(below))
+
+
+def _sorted_bytes(eigs):
+    return np.sort_complex(np.asarray(eigs)).tobytes()
+
+
+@pytest.mark.parametrize("cut", [np.triu, np.tril], ids=["upper", "lower"])
+def test_triangular_blocks_have_eigvals_bits_on_their_diagonal(cut):
+    # LAPACK's balancing isolates every eigenvalue of a triangular matrix, so
+    # eigvals returns the diagonal itself, to the bit
+    rng = np.random.default_rng(5)
+    for size in range(1, 92):
+        block = cut(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        assert _sorted_bytes(np.diagonal(block)) == _sorted_bytes(np.linalg.eigvals(block)), size
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-140, 1e-300, 1e140, 1e300])
+def test_block_rule_gives_the_bits_of_eigvals(scale):
+    # a triangular block is read off only where eigvals returns its diagonal:
+    # with the largest entry out of [2^-459, 2^459] zgeev rescales the block,
+    # and the eigenvalues it gives back are rounded
+    rng = np.random.default_rng(6)
+    rounded = 0
+    for size in (2, 5, 17, 40):
+        for cut in (np.triu, np.tril, lambda m: np.diag(np.diagonal(m))):
+            block = scale * cut(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+            norms = rng.uniform(0.1, 1.0, size)
+            scaled = block * norms[:, None] / norms
+            want = np.linalg.eigvals(scaled)
+            assert _sorted_bytes(S._eigenvalues(block, norms)) == _sorted_bytes(want)
+            assert _sorted_bytes(S._eigenvalues(scaled)) == _sorted_bytes(np.linalg.eigvals(scaled))
+            rounded += _sorted_bytes(np.diagonal(scaled)) != _sorted_bytes(want)
+    assert (rounded == 0) == (scale == 1.0)
+
+
+def test_diagonal_map_reads_every_block_off(monkeypatch):
+    # diag(lambda) z: every diagonal block is diagonal, and no eigvals is
+    # called on either path; a dense map still solves each block above 1 x 1
+    sizes = _eigvals_sizes(monkeypatch)
+    f = _sparse_map(3, 12)
+    L.compression_spectrum(f, 12)
+    compression_eigenvalues(L.build_compression(f, 12))
+    assert sizes == []
+    L.compression_spectrum(_dense_origin_map(3, 5), 8)
+    assert sizes == [math.comb(k + 2, 2) for k in range(1, 9)]
+
+
+def _per_block_eigvals(comp):
+    """Each diagonal block of a block lower triangular compression by eigvals,
+    a 1 x 1 block read off."""
+    level = _graded(comp.n, comp.degree).level
+    m = comp.matrix
+    eigs = np.concatenate([m[a, a:b] if b - a == 1 else np.linalg.eigvals(m[a:b, a:b])
+                           for a, b in zip(level, level[1:])])
+    return eigs[_spectral_order(eigs)]
+
+
+@pytest.mark.parametrize("f, degree", [
+    (LinearFractionalMap(np.diag([1e-8, 2e-8j]), np.zeros(2), np.zeros(2), 1), 25),  # blocks below 2^-459
+    (LinearFractionalMap(np.diag([0.0, 0.5, 0.3j]), np.zeros(3), np.zeros(3), 1), 8),  # zero diagonals
+    (LinearFractionalMap(np.triu(np.full((3, 3), 0.2 + 0.1j)), np.zeros(3), np.zeros(3), 1), 10),
+    (LinearFractionalMap(np.tril(np.full((2, 2), 0.3j)), np.zeros(2), [0.1, 0.2j], 1), 20),
+    (_sparse_map(3, 3), 12),
+    (_dense_origin_map(2, 4), 12),
+], ids=["tiny", "zero-eigenvalue", "upper", "lower", "sparse", "dense"])
+def test_spectrum_keeps_the_bits_of_per_block_eigvals(f, degree):
+    # reading triangular blocks off gives what eigvals gave for each block,
+    # down to the bits of eigenvalues that round to zero or below 2^-459
+    got = L.compression_spectrum(f, degree)
+    assert got.tobytes() == _per_block_eigvals(L.build_compression(f, degree)).tobytes()
 
 
 @pytest.mark.parametrize("eigs", [
@@ -525,6 +624,20 @@ def test_degree_300_residual_stays_below_the_compression_caps(monkeypatch):
     assert L.eigenfunction_residual(f, 2.0 ** -s, F, 60) < 1e-9
     assert set(seen) == {(2, 60)}
     assert all(degree <= max(S.MAX_COMPRESSION_DEGREE[n], 60) for n, degree in seen)
+
+
+@pytest.mark.parametrize("eigenvalue, coeffs", [
+    (math.nan, {(1,): 1.0}),
+    (complex(math.inf, 0.0), {(1,): 1.0}),
+    (0.5, {(1,): 1.0, (3,): math.nan}),
+    (0.5, {(1,): 1.0, (3,): math.inf}),
+    (0.4, {(1,): 1e200}),  # |F|^2 overflows
+], ids=["nan-eigenvalue", "inf-eigenvalue", "nan-coefficient", "inf-coefficient", "overflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_residual_refuses_non_finite(eigenvalue, coeffs):
+    # each of these used to come back as a nan residual
+    with pytest.raises(L.ParameterConstraintViolated):
+        L.eigenfunction_residual(lfm_1d(0.5, 0, 0, 1), eigenvalue, TruncatedSeries(1, 5, coeffs), 5)
 
 
 def test_residual_rejects_zero_function():

@@ -1,6 +1,6 @@
 """Digest of the command line's output on a fixed corpus of maps.
 
-    python tools/cli_digest.py TREE
+    python tools/cli_digest.py TREE [--against OTHER]
 
 TREE is the root of an lfmspec checkout; the package is imported from its
 ``src``.  The corpus is built by this checkout's ``bench`` modules, which
@@ -17,11 +17,12 @@ exception that escapes ``cli.main``, and the category and message of every
 warning (not its file and line).  An escaped exception is also named on
 stderr, and once every line is printed the tool exits 1 if any run had one:
 every input must end in a report or an ``error:`` line, never a traceback.
-Two trees behave the same on the corpus when their digests are identical:
+Two trees behave the same on the corpus when their digests are identical.
+With ``--against OTHER`` the tool also runs this script on OTHER in a child
+process, alongside its own runs, and prints only the lines that differ (OTHER's
+marked ``-``, TREE's ``+``) and a count; it exits 1 when any differ:
 
-    python tools/cli_digest.py ../parent > parent.txt
-    python tools/cli_digest.py . > change.txt
-    diff parent.txt change.txt
+    python tools/cli_digest.py . --against ../parent
 
 One BLAS thread is set before numpy loads.  The map files are written to a
 temporary directory, which is the working directory during the runs and is
@@ -36,9 +37,11 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
 
@@ -105,11 +108,11 @@ def run(cli, argv: list[str]) -> tuple[int, str, str | None]:
     return code, hashlib.sha256(text.encode("utf-8")).hexdigest(), escaped
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/cli_digest.py TREE", file=sys.stderr)
-        return 1
-    src = os.path.join(os.path.abspath(argv[0]), "src")
+def digests(tree: str, emit) -> int:
+    """Pass the digest line of every run on TREE, imported in this process,
+    to emit; return the number of runs whose exception escaped cli.main (each
+    named on stderr), or 1 if lfmspec was not imported from TREE."""
+    src = os.path.join(os.path.abspath(tree), "src")
     sys.path[:0] = [src, BENCH]
     import lfmspec
     from lfmspec import cli
@@ -129,7 +132,7 @@ def main(argv: list[str]) -> int:
             for name in maps:
                 for form, args in FORMS.items():
                     code, digest, escaped = run(cli, [args[0], name + ".json"] + args[1:])
-                    print("%s %s %s %s" % (name, form, code, digest), flush=True)
+                    emit("%s %s %s %s" % (name, form, code, digest))
                     if escaped is not None:
                         escapes += 1
                         print("escaped cli.main: %s %s: %s" % (name, form, escaped), file=sys.stderr)
@@ -137,7 +140,35 @@ def main(argv: list[str]) -> int:
             os.chdir(here)
     if escapes:
         print("%d runs ended in an exception that escaped cli.main" % escapes, file=sys.stderr)
-    return 1 if escapes else 0
+    return escapes
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(prog="python tools/cli_digest.py")
+    parser.add_argument("tree", help="root of the lfmspec checkout to run")
+    parser.add_argument("--against", metavar="OTHER", help="print only the runs whose line differs on OTHER")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        return 1 if digests(args.tree, lambda line: print(line, flush=True)) else 0
+    # the other tree runs in a child process, at the same time as this one
+    child = subprocess.Popen([sys.executable, os.path.abspath(__file__), args.against],
+                             stdout=subprocess.PIPE, text=True)
+    ours: list[str] = []
+    escapes = digests(args.tree, ours.append)
+    theirs = child.communicate()[0].splitlines()
+    if not theirs:
+        print("no runs on %s (exit code %d)" % (args.against, child.returncode), file=sys.stderr)
+        return 1
+    other, mine = ({line.rsplit(" ", 2)[0]: line for line in lines} for lines in (theirs, ours))
+    differ = 0
+    for name_form in list(other) + [k for k in mine if k not in other]:
+        if other.get(name_form) != mine.get(name_form):
+            differ += 1
+            for mark, line in (("-", other.get(name_form)), ("+", mine.get(name_form))):
+                if line is not None:
+                    print(mark, line)
+    print("%d of %d runs differ" % (differ, len(other.keys() | mine.keys())))
+    return 1 if differ or escapes else 0
 
 
 if __name__ == "__main__":
