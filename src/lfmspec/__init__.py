@@ -30,7 +30,6 @@ from .maps import (
     LinearFractionalMap,
     ValidationReport,
     ball_automorphism_to_origin,
-    cayley_matrix,
     compose,
     conjugate_to_halfplane,
     conjugated,
@@ -43,7 +42,6 @@ from .maps import (
     map_from_json_dict,
     map_to_json_dict,
     unitary_map,
-    unitary_with_first_column,
     validate_self_map,
 )
 from .classify import (

@@ -38,9 +38,10 @@ from .maps import (
     LinearFractionalMap,
     _ball_map_from_halfplane,
     _c2pair,
+    _cayley_matrix,
     _rotation_block,
+    _unitary_with_first_column,
     ball_automorphism_to_origin,
-    cayley_matrix,
     conjugate_to_halfplane,
     conjugated,
     _denjoy_wolff_of,
@@ -49,7 +50,6 @@ from .maps import (
     is_automorphism,
     jacobian,
     unitary_map,
-    unitary_with_first_column,
 )
 
 __all__ = [
@@ -192,7 +192,7 @@ def _elliptic_p0_form(f: LinearFractionalMap, data: EllipticSpectralData) -> Ell
     if delta < 1e-12:
         u = np.eye(f.n, dtype=complex)
     else:
-        u = unitary_with_first_column(v / delta)
+        u = _unitary_with_first_column(v / delta)
     a1 = u.conj().T @ a @ u
 
     # residual of sigma o phi_tilde = A1 o sigma on interior samples
@@ -480,7 +480,7 @@ def _chain_steps(nf: EllipticP0Form | HyperbolicNormalForm | None, n: int) -> li
         ]
     return [
         {"kind": "rotation_to_e1", "matrix": _c2pair(_rotation_block(nf.halfplane.rotation))},
-        {"kind": "cayley", "matrix": _c2pair(cayley_matrix(n))},
+        {"kind": "cayley", "matrix": _c2pair(_cayley_matrix(n))},
         {"kind": "heisenberg_translation", "matrix": _c2pair(_eta_matrix(n, nf.k1, nf.k2, inverse=True))},
         {"kind": "vertical_translation", "matrix": _c2pair(_nu_matrix(n, nf.vertical_shift, inverse=True))},
         {"kind": "normal_form", "matrix": _c2pair(nf.normal_matrix())},

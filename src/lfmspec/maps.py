@@ -53,8 +53,6 @@ __all__ = [
     "conjugated",
     "iterate_matrix",
     "conjugate_to_halfplane",
-    "cayley_matrix",
-    "unitary_with_first_column",
     "map_to_json_dict",
     "map_from_json_dict",
 ]
@@ -671,7 +669,7 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOLERANCES.self_map) 
 # half-plane model
 
 
-def unitary_with_first_column(u: np.ndarray) -> np.ndarray:
+def _unitary_with_first_column(u: np.ndarray) -> np.ndarray:
     """A deterministic unitary whose first column is the given unit vector."""
     u = np.asarray(u, dtype=complex).reshape(-1)
     u = u / np.linalg.norm(u)
@@ -685,7 +683,7 @@ def unitary_with_first_column(u: np.ndarray) -> np.ndarray:
     return q
 
 
-def cayley_matrix(n: int) -> np.ndarray:
+def _cayley_matrix(n: int) -> np.ndarray:
     """Projective matrix of the Cayley map from the ball onto the Siegel
     half-plane { (z, w) : Re z > |w|^2 }, sending e_1 to infinity."""
     s = np.eye(n + 1, dtype=complex)
@@ -718,7 +716,7 @@ def _ball_map_from_halfplane(m: np.ndarray, rotation: np.ndarray) -> LinearFract
     the half-plane matrix m."""
     v = _rotation_block(rotation)
     n = rotation.shape[0]
-    return LinearFractionalMap.from_matrix(v.conj().T @ _cayley_inverse_matrix(n) @ m @ cayley_matrix(n) @ v)
+    return LinearFractionalMap.from_matrix(v.conj().T @ _cayley_inverse_matrix(n) @ m @ _cayley_matrix(n) @ v)
 
 
 @dataclass(frozen=True)
@@ -797,10 +795,10 @@ def conjugate_to_halfplane(f: LinearFractionalMap, tau: np.ndarray | None = None
     tau = tau / np.linalg.norm(tau)
     if np.linalg.norm(evaluate(f, tau) - tau) > TOLERANCES.fixed_point:
         raise NotAFixedPoint("tau is not fixed by the map")
-    rot = unitary_with_first_column(tau).conj().T  # rot @ tau = e_1
+    rot = _unitary_with_first_column(tau).conj().T  # rot @ tau = e_1
     v = _rotation_block(rot)
     m1 = v @ f.matrix @ v.conj().T
-    mpsi = cayley_matrix(n) @ m1 @ _cayley_inverse_matrix(n)
+    mpsi = _cayley_matrix(n) @ m1 @ _cayley_inverse_matrix(n)
     if abs(mpsi[n, n]) < 1e-12:
         raise NumericalInconsistency("degenerate Cayley conjugation")
     mpsi /= mpsi[n, n]

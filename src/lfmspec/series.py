@@ -194,13 +194,13 @@ class _Graded:
 
     ``level[k]`` is the offset of the degree-k monomials, ``up[i][s]`` the
     position of basis[s] + e_i for every s of degree below D, and ``plan``
-    the predecessor chains of the whole basis (see _chains).  ``down``, made
-    on first use, holds the gather tables of _diagonal_blocks.  Arrays here
-    are shared through _graded and must not be written to.
+    the predecessor chains of the whole basis (see _basis_plan).  ``down``,
+    made on first use, holds the gather tables of _diagonal_blocks.  Arrays
+    here are shared through _graded and must not be written to.
     """
 
     def __init__(self, n: int, degree: int):
-        levels, self.plan = _chains(basis_multi_indices(n, degree))
+        levels, self.plan = _basis_plan(n, degree)
         self.basis = tuple(alpha for level in levels for alpha in level)
         self.degree, self.size = degree, len(self.basis)
         self.level = np.cumsum([0] + [len(level) for level in levels])
@@ -248,17 +248,23 @@ class _Graded:
 
         x holds rows lo:size, lo the start of a degree.  Degree k of the
         quotient y is x_k / const minus the degree-k part of
-        sum_i (lin[i] / const) z_i y, which needs only degree k - 1 of y."""
+        sum_i (lin[i] / const) z_i y, which needs only degree k - 1 of y.
+        z_1 takes the degree-m rows a:b onto rows b:2b - a, the first of
+        degree m + 1 in the same order (up[0][a:b] = b + arange(b - a)), so
+        its update is a slice; z_i for i > 0 scatters through up[i]."""
         if const == 0:
             raise ZeroConstantTerm("cannot divide by an affine function vanishing at the origin")
         x /= const
-        terms = [(up, a / const) for up, a in zip(self.up, lin) if a != 0]
+        terms = [(i, up, a / const) for i, (up, a) in enumerate(zip(self.up, lin)) if a != 0]
         if not terms:
             return x
         k = int(np.searchsorted(self.level, lo))
         for a, b in zip(self.level[k:-2], self.level[k + 1:-1]):
-            for up, t in terms:
-                x[up[a:b] - lo] -= t * x[a - lo:b - lo]
+            for i, up, t in terms:
+                if i == 0:
+                    x[b - lo:2 * b - a - lo] -= t * x[a - lo:b - lo]
+                else:
+                    x[up[a:b] - lo] -= t * x[a - lo:b - lo]
         return x
 
 
@@ -295,15 +301,40 @@ def _chains(support):
     return levels, plan
 
 
-def _power_levels(f: LinearFractionalMap, g: _Graded, plan):
+@functools.lru_cache(maxsize=32)
+def _basis_plan(n: int, degree: int):
+    """_chains of the whole basis through degree: its levels, which are
+    basis_multi_indices(n, degree) by degree, and their runs.  It is also
+    the closure of any support holding every monomial of its top degree
+    (each alpha of degree k - 1 is the predecessor of alpha + e_1).  Shared
+    by _Graded and _compose_vector, and must not be written to."""
+    return _chains(basis_multi_indices(n, degree))
+
+
+@functools.lru_cache(maxsize=32)
+def _embedding(n: int, keep: tuple[int, ...], degree: int) -> np.ndarray:
+    """Positions in basis_multi_indices(n, degree) of the monomials in the
+    variables keep alone, in basis_multi_indices(len(keep), degree) order:
+    leaving out variables that are 0 keeps both the grading and the
+    lex-descending order within a degree.  Read-only, shared."""
+    exps = np.zeros((math.comb(len(keep) + degree, degree), n), dtype=np.intp)
+    exps[:, list(keep)] = _exponents(len(keep), degree)
+    out = _positions(exps)
+    out.flags.writeable = False
+    return out
+
+
+def _power_levels(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, g: _Graded, plan):
     """Yield, level by level, (lo, block): the truncated series of phi^beta
     for the exponents of the plan, one column each, of which block holds
     rows lo:lo + len(block); the other rows are zero, those below degree
-    |beta| when phi(0) = 0 and those above it when den is constant.
+    |beta| when b = 0 and those above it when c = 0.
 
-    phi^beta = phi^(beta - e_j) num_j / den, with num_j = b_j + (A z)_j and
+    phi = (A z + b) / (d + <z, c>) is given by its blocks, in g's variables
+    (all of a map's, or those _compose_vector keeps).  phi^beta =
+    phi^(beta - e_j) num_j / den, with num_j = b_j + (A z)_j and
     den = d + <z, c> both affine; one division serves a whole level."""
-    top, fixes_origin, den_constant = g.degree + 1, not f.b.any(), not f.c.any()
+    top, fixes_origin, den_constant = g.degree + 1, not b.any(), not c.any()
 
     def window(k):
         return (g.level[min(k, top)] if fixes_origin else 0,
@@ -313,13 +344,13 @@ def _power_levels(f: LinearFractionalMap, g: _Graded, plan):
     block = np.zeros((hi - lo, 1), dtype=complex)
     block[0, 0] = 1.0
     yield lo, block
-    den_lin = np.conj(f.c)
+    den_lin = np.conj(c)
     for k, runs in enumerate(plan, 1):
         nlo, nhi = window(k)
         nxt = np.empty((nhi - nlo, runs[-1][2]), dtype=complex)
-        for j, a, b, pred in runs:
-            nxt[:, a:b] = g.mul_affine(block[:, pred], lo, f.b[j], f.a[j], nlo, nhi)
-        lo, block = nlo, g.div_affine(nxt, nlo, f.d, den_lin)
+        for j, c0, c1, pred in runs:
+            nxt[:, c0:c1] = g.mul_affine(block[:, pred], lo, b[j], a[j], nlo, nhi)
+        lo, block = nlo, g.div_affine(nxt, nlo, d, den_lin)
         yield lo, block
 
 
@@ -356,16 +387,45 @@ def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded)
 
     Every term of the input contributes, including terms above that degree:
     a monomial phi^beta generally has components of all degrees, so
-    truncating the input first would corrupt low-order coefficients."""
+    truncating the input first would corrupt low-order coefficients.
+
+    The composition is made in the variables it couples: the smallest set S
+    holding the variables of the series' terms and every i with c_i != 0,
+    and holding i whenever A[j, i] != 0 for some j in S.  Then phi^beta, for
+    beta in z_S, is a series in z_S, made in the graded space of z_S from
+    the blocks A[S, S], b[S], c[S], d and scattered back; every other
+    coefficient is 0.  The rows kept see the same operations in the same
+    order as in all n variables, so they keep those bits.  A constant under
+    c = 0 couples no variable and is composed in z_1.  When the support
+    holds every monomial of its top degree, its predecessor closure is the
+    whole basis through that degree: the plan is _basis_plan's and the
+    coefficients are read off the vector, with no _chains."""
     if series.n != f.n:
         raise DimensionMismatch("series in %d variables, map on the %d-ball" % (series.n, f.n))
-    support = _exponents(series.n, series.degree)[np.flatnonzero(series.vector)]
-    levels, plan = _chains([tuple(beta) for beta in support.tolist()])
-    chained = np.array([beta for betas in levels for beta in betas], dtype=np.intp).reshape(-1, f.n)
-    coeffs = np.split(series.vector[_positions(chained)], np.cumsum([len(betas) for betas in levels[:-1]]))
+    idx = np.flatnonzero(series.vector)
+    support = _exponents(f.n, series.degree)[idx]
+    used = support.any(axis=0) | (f.c != 0)
+    for _ in range(f.n):  # each pass adds the variables that those used read
+        used = used | (f.a[used] != 0).any(axis=0)
+    keep = tuple(np.flatnonzero(used).tolist()) or (0,)
+    rows, degrees = list(keep), support.sum(axis=1)
+    top = int(degrees[-1]) if len(idx) else -1
+    if top >= 0 and np.count_nonzero(degrees == top) == math.comb(len(keep) - 1 + top, top):
+        levels, plan = _basis_plan(len(keep), top)
+        coeffs = series.vector[_embedding(f.n, keep, top)]
+    else:
+        levels, plan = _chains([tuple(beta) for beta in support[:, rows].tolist()])
+        chained = np.zeros((sum(map(len, levels)), f.n), dtype=np.intp)
+        chained[:, rows] = np.array([beta for betas in levels for beta in betas], dtype=np.intp).reshape(-1, len(keep))
+        coeffs = series.vector[_positions(chained)]
+    bounds = np.cumsum([0] + [len(betas) for betas in levels])
+    gs = _graded(len(keep), g.degree)
+    part = np.zeros(gs.size, dtype=complex)
+    blocks = _power_levels(f.a[np.ix_(rows, rows)], f.b[rows], f.c[rows], f.d, gs, plan)
+    for c0, c1, (lo, block) in zip(bounds, bounds[1:], blocks):
+        part[lo:lo + len(block)] += block @ coeffs[c0:c1]
     out = np.zeros(g.size, dtype=complex)
-    for c, (lo, block) in zip(coeffs, _power_levels(f, g, plan)):
-        out[lo:lo + len(block)] += block @ c
+    out[_embedding(f.n, keep, g.degree)] = part
     return out
 
 
@@ -406,7 +466,7 @@ def build_compression(f: LinearFractionalMap, degree: int) -> Compression:
     _check_compression_cap(f.n, degree)
     g = _graded(f.n, degree)
     m = np.zeros((g.size, g.size), dtype=complex)
-    for c0, c1, (lo, block) in zip(g.level, g.level[1:], _power_levels(f, g, g.plan)):
+    for c0, c1, (lo, block) in zip(g.level, g.level[1:], _power_levels(f.a, f.b, f.c, f.d, g, g.plan)):
         rows = slice(lo, lo + len(block))
         m[rows, c0:c1] = block * g.norms[rows, None] / g.norms[c0:c1]
     return Compression(matrix=m, basis=g.basis, norms=g.norms.copy(), n=f.n, degree=degree)
@@ -447,12 +507,22 @@ def _eigenvalues(block: np.ndarray, norms=None) -> np.ndarray:
         low = high = math.nan  # not triangular
     if _UNSCALED[0] <= low and high <= _UNSCALED[1]:
         return read
-    return np.linalg.eigvals(block if norms is None else block * norms[:, None] / norms)
+    return np.linalg.eigvals(_finite(block if norms is None else block * norms[:, None] / norms))
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x, refused with ParameterConstraintViolated if an entry is nan or
+    inf: so it is when the powers of a map that is not a self-map overflow,
+    and LAPACK would raise an untyped LinAlgError on it."""
+    if not np.isfinite(x).all():
+        raise ParameterConstraintViolated("the compression leaves the float range")
+    return x
 
 
 def _block_eigenvalues(blocks) -> np.ndarray:
-    """The _eigenvalues of the (block, norms) pairs together, in _spectral_order."""
-    eigs = np.concatenate([_eigenvalues(*pair) for pair in blocks])
+    """The _eigenvalues of the (block, norms) pairs together, in
+    _spectral_order; refused if one is not finite (see _finite)."""
+    eigs = _finite(np.concatenate([_eigenvalues(*pair) for pair in blocks]))
     return eigs[_spectral_order(eigs)]
 
 
@@ -476,7 +546,9 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
     goes to eigvals: those of a diagonal map, say, are read off.  For
     phi(0) != 0, or with return_vectors, the whole matrix is built; with
     return_vectors the result is the eigenvalues and the eigenvector columns
-    of one solve of it, in the same order, and the Compression itself."""
+    of one solve of it, in the same order, and the Compression itself.  A
+    compression that leaves the float range, as the powers of a map that is
+    not a self-map can, is refused with ParameterConstraintViolated."""
     if not (return_vectors or f.b.any()):
         _check_compression_cap(f.n, degree)
         g = _graded(f.n, degree)
@@ -485,7 +557,7 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
     comp = build_compression(f, degree)
     if not return_vectors:
         return compression_eigenvalues(comp)
-    eigs, vecs = np.linalg.eig(comp.matrix)
+    eigs, vecs = np.linalg.eig(_finite(comp.matrix))
     order = _spectral_order(eigs)
     return eigs[order], vecs[:, order], comp
 

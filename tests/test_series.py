@@ -612,18 +612,163 @@ def test_residual_detects_wrong_eigenvalue():
 def test_degree_300_residual_stays_below_the_compression_caps(monkeypatch):
     # a degree-300 series in two variables is placed and composed without
     # the graded tables of its own degree (about 0.5 s to build); the only
-    # ones built are those of the comparison degree, which the residual needs
-    seen = []
+    # ones built are those of the comparison degree: in both variables for
+    # the residual's norms, and in z_1 alone, the one variable that
+    # (1 - z_1)^s and this map couple, for the composition
+    seen, plans = [], []
     S._graded.cache_clear()
-    graded = S._graded
+    graded, basis_plan = S._graded, S._basis_plan
     monkeypatch.setattr(S, "_graded", lambda n, degree: seen.append((n, degree)) or graded(n, degree))
+    monkeypatch.setattr(S, "_basis_plan", lambda n, degree: plans.append((n, degree)) or basis_plan(n, degree))
     f = LinearFractionalMap(np.diag([0.5, 0.5]), [0.5, 0], [0, 0], 1)
     s = 1.3 + 0.4j
     F = L.binomial_series(s, 300, n=2)
     assert np.count_nonzero(F.vector) == 301
     assert L.eigenfunction_residual(f, 2.0 ** -s, F, 60) < 1e-9
-    assert set(seen) == {(2, 60)}
-    assert all(degree <= max(S.MAX_COMPRESSION_DEGREE[n], 60) for n, degree in seen)
+    assert set(seen) == {(2, 60), (1, 60)}
+    assert set(plans) == {(2, 60), (1, 60), (1, 300)}  # the series' plan in z_1 alone
+
+
+def _compose_in_every_variable(series, f, g):
+    """series(phi(z)) through g's degree, composed in all n variables with
+    the predecessor chains of the support: the reference that composing in
+    the coupled variables alone must match to the bit."""
+    support = S._exponents(series.n, series.degree)[np.flatnonzero(series.vector)]
+    levels, plan = S._chains([tuple(beta) for beta in support.tolist()])
+    chained = np.array([beta for betas in levels for beta in betas], dtype=np.intp).reshape(-1, f.n)
+    coeffs = np.split(series.vector[_positions(chained)], np.cumsum([len(betas) for betas in levels[:-1]]))
+    out = np.zeros(g.size, dtype=complex)
+    for c, (lo, block) in zip(coeffs, S._power_levels(f.a, f.b, f.c, f.d, g, plan)):
+        out[lo:lo + len(block)] += block @ c
+    return out
+
+
+def _binomial_case(n, var, coupling):
+    """(1 - z_var)^s under phi_var = (1 + z_var) / 2, the other phi_i = z_i / 2,
+    and coupled back in: phi_var reading z_w, or c_w != 0, w = var + 1 mod n."""
+    a, c, w = 0.5 * np.eye(n, dtype=complex), np.zeros(n, dtype=complex), (var + 1) % n
+    if coupling == "offdiagonal":
+        a[var, w] = 0.1
+    if coupling == "denominator":
+        c[w] = 0.2
+    f = LinearFractionalMap(a, 0.5 * np.eye(n)[var], c, 1)
+    s = 1.3 + 0.4j
+    degree = 20 if n == 2 else 12
+    kept = 1 if coupling == "decoupled" else 2
+    return f, 2.0 ** -s, L.binomial_series(s, 120 if n == 2 else 50, n=n, var=var), degree, kept
+
+
+def _residual_cases():
+    cases = [(("binomial", n, var, coupling), _binomial_case(n, var, coupling))
+             for n in (2, 3) for var in range(n) for coupling in ("decoupled", "offdiagonal", "denominator")]
+    for n in (1, 2, 3):
+        # a constant couples no variable when c = 0 (it is composed in z_1)
+        f = LinearFractionalMap(0.5 * np.eye(n), 0.1 * np.ones(n), np.zeros(n), 1)
+        cases.append((("constant", n), (f, 1.0, TruncatedSeries(n, 4, {(0,) * n: 2.0 - 1j}), 6, 1)))
+    for kind, make in (("dense", _dense_origin_map), ("diagonal", _sparse_map)):
+        for n, degree in ((2, 8), (3, 6)):
+            f = make(n, 5)
+            eigs, vecs, comp = L.compression_spectrum(f, degree, return_vectors=True)
+            for k in range(0, len(eigs), 7):
+                func = L.series_from_vector(comp, vecs[:, k])
+                kept = n if kind == "dense" else max(np.count_nonzero(comp.basis[np.argmax(np.abs(vecs[:, k]))]), 1)
+                cases.append(((kind, n, degree, k), (f, eigs[k], func, degree, kept)))
+    return cases
+
+
+@pytest.mark.parametrize("case", [pytest.param(case, id="-".join(map(str, key))) for key, case in _residual_cases()])
+def test_coupled_variables_keep_the_bits_of_every_variable(monkeypatch, case):
+    # the composition made in the variables the series and the map couple
+    # equals, to the bit, the one made in all of them; so does the residual
+    f, lam, func, degree, kept = case
+    g = _graded(f.n, degree)
+    seen = []
+    graded = S._graded
+    monkeypatch.setattr(S, "_graded", lambda n, d: seen.append(n) or graded(n, d))
+    got = S._compose_vector(func, f, g)
+    assert seen == [kept]
+    want = _compose_in_every_variable(func, f, g)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    residual = L.eigenfunction_residual(f, lam, func, degree)
+    monkeypatch.setattr(S, "_compose_vector", _compose_in_every_variable)
+    assert residual.hex() == L.eigenfunction_residual(f, lam, func, degree).hex()
+
+
+def test_whole_bases_take_the_cached_plan(monkeypatch):
+    # a support holding every monomial of its top degree, in the variables
+    # kept, closes to the whole basis through it, whose plan is cached: no
+    # _chains; any other support is chained, such as (1 - z_2)^s once z_3
+    # is coupled in
+    whole = [_binomial_case(2, 0, "decoupled"), _binomial_case(3, 2, "decoupled")]
+    f = _dense_origin_map(3, 5)
+    eigs, vecs, comp = L.compression_spectrum(f, 6, return_vectors=True)
+    whole.append((f, eigs[1], L.series_from_vector(comp, vecs[:, 1]), 6, 3))
+    sparse = [(f, 0.5, TruncatedSeries(3, 6, {(0, 0, 0): 1.0, (2, 1, 0): 0.5}), 6, 3),
+              _binomial_case(3, 1, "offdiagonal")]
+    chained = []
+    chains = S._chains
+    for cases, calls in ((whole, 0), (sparse, 1)):
+        for f, lam, func, degree, _ in cases:
+            L.eigenfunction_residual(f, lam, func, degree)  # warms the caches
+            monkeypatch.setattr(S, "_chains", lambda support: chained.append(support) or chains(support))
+            L.eigenfunction_residual(f, lam, func, degree)
+            monkeypatch.setattr(S, "_chains", chains)
+            assert len(chained) == calls
+            chained.clear()
+
+
+@pytest.mark.parametrize("coupling", ["decoupled", "offdiagonal", "denominator"])
+def test_coupled_composition_agrees_with_pointwise_evaluation(coupling):
+    # a different path: F(phi(z)) from maps.evaluate and the series' own
+    # evaluate, at small interior points, against the composed series; and,
+    # where F = (1 - z_2)^s is an eigenfunction with eigenvalue 2^-s, the
+    # pointwise |F(phi(z)) - mu F(z)| / |F(z)| against the residual for mu
+    f, lam, func, degree, _ = _binomial_case(2, 1, coupling)
+    composed = TruncatedSeries(2, degree, S._compose_vector(func, f, _graded(2, degree)))
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        z = 0.05 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        image = func.evaluate(L.evaluate(f, z))
+        assert composed.evaluate(z) == pytest.approx(image, rel=1e-12)
+        if coupling == "decoupled":
+            for mu in (lam, 0.3, lam + 0.1j):
+                pointwise = abs(image - mu * func.evaluate(z)) / abs(func.evaluate(z))
+                assert pointwise == pytest.approx(L.eigenfunction_residual(f, mu, func, degree), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_z1_takes_each_degree_onto_the_start_of_the_next(n):
+    # the z_1 update of div_affine is a slice because of this
+    g = _graded(n, 7)
+    for a, b in zip(g.level[:-2], g.level[1:-1]):
+        assert np.array_equal(g.up[0][a:b], b + np.arange(b - a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_division_keeps_the_bits_of_the_scatter(n):
+    # every z_i update as the fancy-index scatter it was, against div_affine
+    rng = np.random.default_rng(13)
+    g = _graded(n, 8)
+    x = rng.standard_normal((g.size, 3)) + 1j * rng.standard_normal((g.size, 3))
+    const, lin = 1.2 - 0.3j, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for lo in (0, g.level[3]):
+        want = x[lo:] / const
+        k = int(np.searchsorted(g.level, lo))
+        for a, b in zip(g.level[k:-2], g.level[k + 1:-1]):
+            for up, t in zip(g.up, lin / const):
+                want[up[a:b] - lo] -= t * want[a - lo:b - lo]
+        got = g.div_affine(x[lo:].copy(), lo, const, lin)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 9), (2, 7), (3, 5), (4, 4)])
+def test_basis_plan_is_the_chains_of_the_basis(n, degree):
+    levels, plan = S._basis_plan(n, degree)
+    want_levels, want_plan = S._chains(basis_multi_indices(n, degree))
+    assert levels == want_levels
+    assert [[run[:3] for run in runs] for runs in plan] == [[run[:3] for run in runs] for runs in want_plan]
+    for runs, want in zip(plan, want_plan):
+        assert all(np.array_equal(run[3], other[3]) for run, other in zip(runs, want))
 
 
 @pytest.mark.parametrize("eigenvalue, coeffs", [
@@ -638,6 +783,44 @@ def test_residual_refuses_non_finite(eigenvalue, coeffs):
     # each of these used to come back as a nan residual
     with pytest.raises(L.ParameterConstraintViolated):
         L.eigenfunction_residual(lfm_1d(0.5, 0, 0, 1), eigenvalue, TruncatedSeries(1, 5, coeffs), 5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("return_vectors", [False, True])
+def test_overflowing_compression_is_refused_in_one_variable(return_vectors):
+    # phi(z) = 1e6 z (d = 1e-6 after normalization) is no self-map, and its
+    # powers leave the float range at degree 60: nine eigenvalues came back
+    # as nan, and the matrix went to eig
+    f = lfm_1d(1e6, 0, 0, 1)
+    assert np.isfinite(L.compression_spectrum(f, 50)).all()
+    with pytest.raises(L.ParameterConstraintViolated, match="float range"):
+        L.compression_spectrum(f, 60, return_vectors=return_vectors)
+    with pytest.raises(L.ParameterConstraintViolated, match="float range"):
+        compression_eigenvalues(L.build_compression(f, 60))
+
+
+def _unnormalized_map(a):
+    """z -> A z with d = 1, the blocks kept as given."""
+    n = len(a)
+    f = object.__new__(LinearFractionalMap)
+    for name, value in (("n", n), ("a", np.asarray(a, dtype=complex)), ("b", np.zeros(n, dtype=complex)),
+                        ("c", np.zeros(n, dtype=complex)), ("d", 1.0)):
+        object.__setattr__(f, name, value)
+    return f
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a", [np.diag([1e13, 1e13]), [[1e13, 2e12], [3e12, -1e13j]]], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("return_vectors", [False, True])
+def test_overflowing_compression_is_refused_in_two_variables(a, return_vectors):
+    # the constructor refuses diag(1e13, 1e13) z, whose d - |C| after
+    # normalization is below its margin; no map it accepts has an entry of
+    # A / d much above 1e12, nor overflows at the N >= 2 caps.  So the
+    # blocks go in as given.  LAPACK raised an untyped LinAlgError on them
+    with pytest.raises(L.DenominatorVanishes):
+        LinearFractionalMap(a, [0, 0], [0, 0], 1)
+    with pytest.raises(L.ParameterConstraintViolated, match="float range"):
+        L.compression_spectrum(_unnormalized_map(a), 25, return_vectors=return_vectors)
 
 
 def test_residual_rejects_zero_function():
