@@ -124,6 +124,17 @@ def monomial_norm_sq(alpha: tuple[int, ...]) -> float:
     return math.exp(logv)
 
 
+def _series_size(n: int, degree: int) -> int:
+    """comb(n + degree, n), the number of terms through degree in n
+    variables, refused above MAX_SERIES_TERMS."""
+    if n < 1 or degree < 0:
+        raise ParameterConstraintViolated("need n >= 1 and degree >= 0")
+    size = math.comb(n + degree, n)
+    if size > MAX_SERIES_TERMS:
+        raise SizeCapExceeded("series has %d terms, cap is %d" % (size, MAX_SERIES_TERMS))
+    return size
+
+
 class TruncatedSeries:
     """Polynomial truncation of a power series in n complex variables.
 
@@ -137,11 +148,7 @@ class TruncatedSeries:
     __slots__ = ("n", "degree", "vector")
 
     def __init__(self, n: int, degree: int, coeffs=None):
-        if n < 1 or degree < 0:
-            raise ParameterConstraintViolated("need n >= 1 and degree >= 0")
-        size = math.comb(n + degree, n)
-        if size > MAX_SERIES_TERMS:
-            raise SizeCapExceeded("series has %d terms, cap is %d" % (size, MAX_SERIES_TERMS))
+        size = _series_size(n, degree)
         self.n, self.degree = n, degree
         if coeffs is None or isinstance(coeffs, dict):
             terms = coeffs or {}
@@ -233,14 +240,19 @@ class _Graded:
 
         x holds rows lo:lo + len(x) of the coefficient vectors, zero
         elsewhere; the result holds rows out_lo:out_hi, which must cover
-        every row the product reaches."""
+        every row the product reaches.  z_i scatters through up[i]; in one
+        variable up[0] = arange + 1, so z_1 shifts the rows by one, a slice
+        with the same arithmetic in the same order."""
         out = np.zeros((out_hi - out_lo,) + x.shape[1:], dtype=complex)
         if const != 0:
             out[lo - out_lo:lo - out_lo + len(x)] = const * x
         low = x[: max(min(len(x), self.level[-2] - lo), 0)]
         for up, a in zip(self.up, lin):
             if a != 0:
-                out[up[lo:lo + len(low)] - out_lo] += a * low
+                if len(self.up) == 1:
+                    out[lo + 1 - out_lo:lo + 1 - out_lo + len(low)] += a * low
+                else:
+                    out[up[lo:lo + len(low)] - out_lo] += a * low
         return out
 
     def div_affine(self, x: np.ndarray, lo: int, const: complex, lin) -> np.ndarray:
@@ -357,7 +369,9 @@ def _power_levels(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, g: _Gra
 def _diagonal_blocks(f: LinearFractionalMap, g: _Graded):
     """Yield, degree by degree, the diagonal block of the compression before
     its norm scaling, for phi(0) = 0: column beta holds the degree-|beta|
-    part of phi^beta, which is (A z / d)^beta, so c plays no part.
+    part of phi^beta, which is (A z / d)^beta, so c plays no part.  Used
+    when A has an off-diagonal entry; a diagonal A makes every block
+    diagonal, and _diagonal_map_eigenvalues carries just those diagonals.
 
     Column beta of degree k is sum_i A[j, i] z_i / d times column beta - e_j
     of degree k - 1, whose entry in row alpha - e_i g.down gathers (from the
@@ -380,6 +394,36 @@ def _diagonal_blocks(f: LinearFractionalMap, g: _Graded):
         nxt /= f.d
         cols = nxt
         yield cols[:, :-1].T
+
+
+def _diagonal_map_eigenvalues(f: LinearFractionalMap, g: _Graded) -> np.ndarray:
+    """compression_spectrum for phi(0) = 0 and a diagonal A, lambda its
+    diagonal, from one vector: every diagonal block is then diagonal, its
+    entry at z^beta lambda^beta / d^|beta|.
+
+    v holds the diagonals of all blocks over the basis, v[0] = 1.  Degree k
+    is +0 plus A[j, j] times the slice of degree k - 1 of each run of
+    g.down, then divided by d: the operations of _diagonal_blocks on a
+    diagonal entry, in the same order, so the same bits (its off-diagonal
+    terms add exact zeros).  The scaled diagonal v * norms / norms is read
+    off, as _eigenvalues would read each block, when the largest entry of
+    every block above 1 x 1 lies within _UNSCALED; otherwise every block
+    goes to _block_eigenvalues as a diagonal matrix, under the rule of
+    _eigenvalues itself."""
+    v, lam, level = np.zeros(g.size, dtype=complex), np.diagonal(f.a), g.level
+    v[0] = 1.0
+    for k, (_, runs) in enumerate(g.down, 1):
+        below, cur = v[level[k - 1]:level[k]], v[level[k]:level[k + 1]]
+        for j, lo, hi, p0, p1 in runs:
+            if lam[j] != 0:
+                cur[lo:hi] += lam[j] * below[p0:p1]
+        cur /= f.d
+    read = v * g.norms / g.norms
+    top = np.maximum.reduceat(np.abs(read), level[:-1])
+    if ((_UNSCALED[0] <= top) & (top <= _UNSCALED[1]))[np.diff(level) > 1].all():
+        eigs = _finite(read)
+        return eigs[_spectral_order(eigs)]
+    return _block_eigenvalues((np.diag(v[a:b]), g.norms[a:b]) for a, b in zip(level, level[1:]))
 
 
 def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded) -> np.ndarray:
@@ -543,8 +587,10 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
     """Eigenvalues of the compression, as compression_eigenvalues gives them.
     For phi(0) = 0 only the diagonal blocks by degree are built (see
     _diagonal_blocks), never the whole matrix, and each is scaled only if it
-    goes to eigvals: those of a diagonal map, say, are read off.  For
-    phi(0) != 0, or with return_vectors, the whole matrix is built; with
+    goes to eigvals.  When A is also diagonal, as in one variable, every
+    block is diagonal and one vector carries all their diagonals (see
+    _diagonal_map_eigenvalues) and no block is built.  For phi(0) != 0, or
+    with return_vectors, the whole matrix is built; with
     return_vectors the result is the eigenvalues and the eigenvector columns
     of one solve of it, in the same order, and the Compression itself.  A
     compression that leaves the float range, as the powers of a map that is
@@ -552,6 +598,8 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
     if not (return_vectors or f.b.any()):
         _check_compression_cap(f.n, degree)
         g = _graded(f.n, degree)
+        if np.count_nonzero(f.a) == np.count_nonzero(np.diagonal(f.a)):
+            return _diagonal_map_eigenvalues(f, g)
         norms = (g.norms[a:b] for a, b in zip(g.level, g.level[1:]))
         return _block_eigenvalues(zip(_diagonal_blocks(f, g), norms))
     comp = build_compression(f, degree)
@@ -586,7 +634,9 @@ def eigenfunction_residual(
     boundary-singular eigenfunctions should) carry far more terms than the
     comparison degree; see _compose_vector.  A non-finite eigenvalue or
     coefficient, or a residual that leaves the float range, is refused
-    rather than returned as nan or inf.
+    rather than returned as nan or inf.  A comparison degree with more than
+    MAX_SERIES_TERMS monomials is refused with SizeCapExceeded before any
+    table is built.
     """
     lam = complex(eigenvalue)
     if not np.isfinite(lam):
@@ -595,6 +645,7 @@ def eigenfunction_residual(
         raise ParameterConstraintViolated("the candidate eigenfunction has a non-finite coefficient")
     if not func.vector.any():
         raise ZeroFunction("candidate eigenfunction is identically zero")
+    _series_size(f.n, degree)
     g = _graded(f.n, degree)
     comp = _compose_vector(func, f, g)
     ftrunc = np.pad(func.vector[:g.size], (0, max(g.size - func.vector.size, 0)))

@@ -294,18 +294,19 @@ def test_verify_eigen_rows(capsys, disk_map):
 
 
 def test_compress_json_builds_once(capsys, disk_map, monkeypatch):
-    # one pass over the diagonal blocks gives the eigenvalues (the disk map
-    # fixes 0); the basis and the norms come from the shared tables, not from
-    # a second build, and no map power of the whole matrix is made
+    # one pass over the diagonals of the blocks gives the eigenvalues (the
+    # disk map fixes 0 and is in one variable, so A is diagonal); the basis
+    # and the norms come from the shared tables, not from a second build, and
+    # neither a block nor a map power of the whole matrix is made
     import lfmspec.series as series
 
     calls = []
-    for name in ("_power_levels", "_diagonal_blocks"):
+    for name in ("_power_levels", "_diagonal_blocks", "_diagonal_map_eigenvalues"):
         real = getattr(series, name)
         monkeypatch.setattr(series, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     code, _, _ = run(capsys, ["compress", disk_map, "--degree", "4", "--format", "json"])
     assert code == EXIT_OK
-    assert calls == ["_diagonal_blocks"]
+    assert calls == ["_diagonal_map_eigenvalues"]
 
 
 @pytest.mark.parametrize("command", ["compress", "verify-eigen"])

@@ -376,6 +376,12 @@ def _sparse_map(n, seed):
     return LinearFractionalMap(np.diag(lam), np.zeros(n), np.zeros(n), 1)
 
 
+def _diagonal_map(lam, c=None):
+    """diag(lam) z / (1 - <z, c>)."""
+    n = len(lam)
+    return LinearFractionalMap(np.diag(lam), np.zeros(n), np.zeros(n) if c is None else c, 1)
+
+
 def _matched_distance(x, y):
     """Largest distance under the best one-to-one matching of two multisets."""
     from scipy.optimize import linear_sum_assignment
@@ -443,11 +449,29 @@ def _build_calls(monkeypatch):
     (_sparse_map(2, 10), 25),
     (_sparse_map(3, 11), 12),
     (lfm_1d(1, 0, -1, 2), 30),
+    (_sparse_map(3, 24), 8),
+    (_sparse_map(2, 25), 12),
+    (_sparse_map(1, 26), 30),
+    (_sparse_map(4, 27), 6),
+    (_dense_origin_map(1, 29), 30),
+    (lfm_1d(1, 0, -1, 2), 60),
+    (_diagonal_map([0.0, 0.5, -0.3j]), 12),
+    (_diagonal_map([0.0, 0.0]), 12),
+    (_diagonal_map([0.4, -0.5j], [0.2, 0.1j]), 25),
+    (_diagonal_map([0.3j, 0.2, -0.4], [0.1, 0.2j, -0.1]), 12),
+    (_diagonal_map([1e-8, 2e-8j]), 25),
+    (_diagonal_map([1e-30, 0.5j]), 25),
+    (_diagonal_map([1e-200, 0.5]), 25),
 ], ids=["dense-n1-d60", "dense-n2-d25", "dense-n3-d12", "sparse-n1-d60", "sparse-n2-d25",
-        "sparse-n3-d12", "z-over-2-minus-z-d30"])
+        "sparse-n3-d12", "z-over-2-minus-z-d30", "sparse-n3-d8", "sparse-n2-d12", "sparse-n1-d30",
+        "sparse-n4-d6", "dense-n1-d30", "z-over-2-minus-z-d60", "zero-eigenvalue", "zero-map", "c-n2-d25",
+        "c-n3-d12", "tiny", "tiny-and-half", "tinier-and-half"])
 def test_diagonal_blocks_give_the_full_build_eigenvalues(monkeypatch, f, degree):
-    # phi(0) = 0: the eigenvalues from the diagonal blocks alone are those of
-    # the whole matrix, bit for bit, and the whole matrix is never built
+    # phi(0) = 0: the eigenvalues from the diagonal blocks alone, or for a
+    # diagonal A (every map in one variable) from their diagonals carried as
+    # one vector, are those of the whole matrix, bit for bit, zeros, c and
+    # blocks out of the range where zgeev keeps the scale included; the
+    # whole matrix is never built
     want = compression_eigenvalues(L.build_compression(f, degree))
     calls = _build_calls(monkeypatch)
     got = L.compression_spectrum(f, degree)
@@ -482,6 +506,7 @@ def test_diagonal_path_refuses_before_building(monkeypatch, f, degree, error):
     monkeypatch.setattr(S, "_graded", lambda *a: touched.append(a))
     monkeypatch.setattr(S, "_power_levels", lambda *a, **k: touched.append(a))
     monkeypatch.setattr(S, "_diagonal_blocks", lambda *a: touched.append(a))
+    monkeypatch.setattr(S, "_diagonal_map_eigenvalues", lambda *a: touched.append(a))
     with pytest.raises(error):
         L.compression_spectrum(f, degree)
     assert touched == []
@@ -540,13 +565,26 @@ def test_block_rule_gives_the_bits_of_eigvals(scale):
 
 def test_diagonal_map_reads_every_block_off(monkeypatch):
     # diag(lambda) z: every diagonal block is diagonal, and no eigvals is
-    # called on either path; a dense map still solves each block above 1 x 1
+    # called on either path; compression_spectrum builds no block either, for
+    # any c and in one variable, and blocks out of the range where zgeev
+    # keeps the scale go to eigvals unbuilt.  A dense map still builds its
+    # blocks and solves each one above 1 x 1
     sizes = _eigvals_sizes(monkeypatch)
+    built = []
+    blocks = S._diagonal_blocks
+    monkeypatch.setattr(S, "_diagonal_blocks", lambda f, g: built.append(f.n) or blocks(f, g))
     f = _sparse_map(3, 12)
     L.compression_spectrum(f, 12)
     compression_eigenvalues(L.build_compression(f, 12))
-    assert sizes == []
+    for f, degree in [(_sparse_map(2, 32), 25), (_dense_origin_map(1, 33), 60),
+                      (_diagonal_map([0.4, 0.3j], [0.2, 0.1]), 25)]:
+        L.compression_spectrum(f, degree)
+    assert built == [] and sizes == []
+    L.compression_spectrum(_diagonal_map([1e-8, 2e-8j]), 25)
+    assert built == [] and sizes != []
+    sizes.clear()
     L.compression_spectrum(_dense_origin_map(3, 5), 8)
+    assert built == [3]
     assert sizes == [math.comb(k + 2, 2) for k in range(1, 9)]
 
 
@@ -821,6 +859,29 @@ def test_overflowing_compression_is_refused_in_two_variables(a, return_vectors):
         LinearFractionalMap(a, [0, 0], [0, 0], 1)
     with pytest.raises(L.ParameterConstraintViolated, match="float range"):
         L.compression_spectrum(_unnormalized_map(a), 25, return_vectors=return_vectors)
+
+
+def test_residual_refuses_a_comparison_degree_over_the_term_cap(monkeypatch):
+    # comb(3 + 250, 3) = 2,667,126 terms, above the cap: refused before any
+    # table is built, as building one that size takes tens of seconds
+    top = max(d for d in range(400) if math.comb(3 + d, 3) <= S.MAX_SERIES_TERMS)
+    tables = []
+
+    def graded(n, degree):
+        tables.append(degree)
+        raise RuntimeError("table")
+
+    monkeypatch.setattr(S, "_graded", graded)
+    f, func = _sparse_map(3, 1), TruncatedSeries(3, 2, {(1, 0, 0): 1.0})
+    for degree in (top + 1, 250, 10_000):
+        with pytest.raises(L.SizeCapExceeded):
+            L.eigenfunction_residual(f, 0.5, func, degree)
+    with pytest.raises(L.ParameterConstraintViolated):
+        L.eigenfunction_residual(f, 0.5, func, -1)
+    assert tables == []
+    with pytest.raises(RuntimeError, match="table"):
+        L.eigenfunction_residual(f, 0.5, func, top)
+    assert tables == [top]
 
 
 def test_residual_rejects_zero_function():
