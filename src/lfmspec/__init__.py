@@ -38,7 +38,6 @@ from .maps import (
     inverse,
     is_automorphism,
     iterate_matrix,
-    jacobian,
     map_from_json_dict,
     map_to_json_dict,
     unitary_map,

@@ -39,6 +39,7 @@ from .maps import (
     _ball_map_from_halfplane,
     _c2pair,
     _cayley_matrix,
+    _jacobian,
     _rotation_block,
     _unitary_with_first_column,
     ball_automorphism_to_origin,
@@ -48,7 +49,6 @@ from .maps import (
     evaluate,
     fixed_points,
     is_automorphism,
-    jacobian,
     unitary_map,
 )
 
@@ -120,7 +120,7 @@ def _elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray) -> EllipticS
     """
     if np.linalg.norm(evaluate(f, z0) - z0) > TOLERANCES.fixed_point:
         raise NotAFixedPoint("z0 is not fixed by the map")
-    eigvals = np.linalg.eigvals(jacobian(f, z0))
+    eigvals = np.linalg.eigvals(_jacobian(f, z0))
     order = np.lexsort((eigvals.imag, eigvals.real, -np.abs(eigvals)))
     eigvals = eigvals[order]
     unimodular, contractive = _split_eigenvalues(eigvals)

@@ -43,7 +43,6 @@ __all__ = [
     "HalfPlaneMap",
     "evaluate",
     "compose",
-    "jacobian",
     "fixed_points",
     "is_automorphism",
     "validate_self_map",
@@ -81,6 +80,8 @@ class Tolerances:
     membership: float = 1e-8  # default distance at which a point lies in a spectral set
     spectrum_tail: float = 1e-12  # default modulus below which eigenvalue products are left out
     eigen_residual: float = 1e-8  # default residual up to which verify-eigen passes an eigenpair
+    eigenvalue_resonance: float = 1e-8  # |mu - lambda| at most this times max(|mu|, |lambda|): two degrees resonate
+    block_eigenpair_residual: float = 1e-12  # some unit block eigenpair has ||M v - lambda v|| above this: solve M whole
 
 
 TOLERANCES = Tolerances()
@@ -241,7 +242,7 @@ def _iterate_matrices(f: LinearFractionalMap, orders) -> list[np.ndarray]:
     return [product(k) for k in orders]
 
 
-def jacobian(f: LinearFractionalMap, z) -> np.ndarray:
+def _jacobian(f: LinearFractionalMap, z) -> np.ndarray:
     """Holomorphic Jacobian matrix (d phi_i / d z_j) at z."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape != (f.n,):
@@ -324,7 +325,7 @@ def _null_space(m: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _boundary_dilation(f: LinearFractionalMap, tau: np.ndarray) -> float:
-    jt = jacobian(f, tau) @ tau
+    jt = _jacobian(f, tau) @ tau
     val = _inner(jt, tau)
     return float(val.real)
 

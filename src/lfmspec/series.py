@@ -26,7 +26,7 @@ from .errors import (
     ZeroConstantTerm,
     ZeroFunction,
 )
-from .maps import LinearFractionalMap
+from .maps import TOLERANCES, LinearFractionalMap
 
 __all__ = [
     "TruncatedSeries",
@@ -201,9 +201,10 @@ class _Graded:
 
     ``level[k]`` is the offset of the degree-k monomials, ``up[i][s]`` the
     position of basis[s] + e_i for every s of degree below D, and ``plan``
-    the predecessor chains of the whole basis (see _basis_plan).  ``down``,
-    made on first use, holds the gather tables of _diagonal_blocks.  Arrays
-    here are shared through _graded and must not be written to.
+    the predecessor chains of the whole basis (see _basis_plan).  ``down``
+    and ``steps``, made on first use, hold the gather tables of
+    _diagonal_blocks and _diagonal_map_eigenvalues.  Arrays here are shared
+    through _graded and must not be written to.
     """
 
     def __init__(self, n: int, degree: int):
@@ -235,24 +236,28 @@ class _Graded:
             out.append((tab, [(j, a, b, int(pred[0]), int(pred[-1]) + 1) for j, a, b, pred in runs]))
         return out
 
+    @functools.cached_property
+    def steps(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each degree k = 1..D, (first, pred) from plan[k - 1]: the
+        first nonzero index j of each degree-k alpha, and the position in
+        the whole basis of its predecessor alpha - e_j."""
+        return [(np.concatenate([np.full(hi - lo, j) for j, lo, hi, _ in runs]),
+                 np.concatenate([pred for *_, pred in runs]) + self.level[k - 1])
+                for k, runs in enumerate(self.plan, 1)]
+
     def mul_affine(self, x: np.ndarray, lo: int, const: complex, lin, out_lo: int, out_hi: int) -> np.ndarray:
         """(const + sum_i lin[i] z_i) times each column of x, truncated.
 
         x holds rows lo:lo + len(x) of the coefficient vectors, zero
         elsewhere; the result holds rows out_lo:out_hi, which must cover
-        every row the product reaches.  z_i scatters through up[i]; in one
-        variable up[0] = arange + 1, so z_1 shifts the rows by one, a slice
-        with the same arithmetic in the same order."""
+        every row the product reaches.  z_i scatters through up[i]."""
         out = np.zeros((out_hi - out_lo,) + x.shape[1:], dtype=complex)
         if const != 0:
             out[lo - out_lo:lo - out_lo + len(x)] = const * x
         low = x[: max(min(len(x), self.level[-2] - lo), 0)]
         for up, a in zip(self.up, lin):
             if a != 0:
-                if len(self.up) == 1:
-                    out[lo + 1 - out_lo:lo + 1 - out_lo + len(low)] += a * low
-                else:
-                    out[up[lo:lo + len(low)] - out_lo] += a * low
+                out[up[lo:lo + len(low)] - out_lo] += a * low
         return out
 
     def div_affine(self, x: np.ndarray, lo: int, const: complex, lin) -> np.ndarray:
@@ -343,27 +348,85 @@ def _power_levels(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, g: _Gra
     |beta| when b = 0 and those above it when c = 0.
 
     phi = (A z + b) / (d + <z, c>) is given by its blocks, in g's variables
-    (all of a map's, or those _compose_vector keeps).  phi^beta =
-    phi^(beta - e_j) num_j / den, with num_j = b_j + (A z)_j and
+    (all of a map's, or those _compose_vector keeps).  In one variable every
+    level is one column, and _power_table fills all of them at once; in more,
+    _power_recurrence makes one level from the one below.  Both give each
+    entry the same operations in the same order, so the same bits."""
+    count = len(plan) + 1
+    deg = np.minimum(np.arange(count + 1), g.degree + 1)
+    lo = g.level[deg[:-1]] if not b.any() else np.zeros(count, dtype=int)
+    hi = g.level[deg[1:]] if not c.any() else np.full(count, g.size)
+    levels = _power_table if len(g.up) == 1 else _power_recurrence
+    return levels(a, b, c, d, g, plan, list(zip(lo.tolist(), hi.tolist())))
+
+
+def _power_recurrence(a, b, c, d, g: _Graded, plan, windows):
+    """_power_levels level by level, windows[k] the rows (lo, hi) of level k:
+    phi^beta = phi^(beta - e_j) num_j / den, with num_j = b_j + (A z)_j and
     den = d + <z, c> both affine; one division serves a whole level."""
-    top, fixes_origin, den_constant = g.degree + 1, not b.any(), not c.any()
-
-    def window(k):
-        return (g.level[min(k, top)] if fixes_origin else 0,
-                g.level[min(k + 1, top)] if den_constant else g.size)
-
-    lo, hi = window(0)
+    lo, hi = windows[0]
     block = np.zeros((hi - lo, 1), dtype=complex)
     block[0, 0] = 1.0
     yield lo, block
     den_lin = np.conj(c)
-    for k, runs in enumerate(plan, 1):
-        nlo, nhi = window(k)
+    for runs, (nlo, nhi) in zip(plan, windows[1:]):
         nxt = np.empty((nhi - nlo, runs[-1][2]), dtype=complex)
         for j, c0, c1, pred in runs:
             nxt[:, c0:c1] = g.mul_affine(block[:, pred], lo, b[j], a[j], nlo, nhi)
         lo, block = nlo, g.div_affine(nxt, nlo, d, den_lin)
         yield lo, block
+
+
+def _power_table(a, b, c, d, g: _Graded, plan, windows):
+    """_power_levels in one variable, phi = (a z + b) / (d + conj(c) z): the
+    table T[k, r], the coefficient of z^r in phi^k, is filled whole and level
+    k is the view T[k, lo:hi, None], (lo, hi) = windows[k].
+
+    Entry (k, r) of a window gets the operations _power_recurrence gives it,
+    in its order: b T[k-1, r] (or +0 when b = 0, or when row r lies above
+    level k - 1's window), plus a T[k-1, r-1] when a != 0 and r - 1 lies in
+    that window below the top degree, divided by d, less t T[k, r-1] with
+    t = conj(c) / d when r is not the window's first row.  Entries outside
+    the windows are never computed: they stay zero.  With c = 0, or D = 0,
+    there is no last term and rows k are filled one at a time.  Otherwise T[k, r] reads
+    T[k-1, r], T[k-1, r-1] and T[k, r-1], so each anti-diagonal k + r = s
+    needs only the two before it; on the flat C-ordered table it, and each
+    of those three sources, is a slice of stride D, the top degree."""
+    a, b, c = a[0, 0], b[0], c[0]
+    rows, count, by_a, by_b = g.size, len(windows), bool(a != 0), bool(b != 0)
+    tab = np.zeros((count, rows), dtype=complex)
+    tab[0, 0] = 1.0
+    if c == 0 or rows == 1:
+        for prev, row, (plo, phi), (lo, hi) in zip(tab, tab[1:], windows, windows[1:]):
+            if lo == hi:
+                continue
+            if by_b:
+                np.multiply(b, prev[plo:phi], out=row[plo:phi])
+            low = min(phi, rows - 1)
+            if by_a and low > plo:
+                row[plo + 1:low + 1] += a * prev[plo:low]
+            row[lo:hi] /= d
+    else:
+        t, flat, step = np.conj(c) / d, tab.reshape(-1), rows - 1
+        for s in range(1, count + step):
+            k0, k1 = max(1, s - step), min(count - 1, s if by_b else s // 2)
+            if k1 < k0:
+                continue
+
+            def run(k_last, shift):  # entries (k, s - k), k = k0..k_last, moved by shift
+                return flat[s + k0 * step + shift:s + k_last * step + shift + 1:step]
+
+            new = b * run(k1, -rows) if by_b else np.zeros(k1 - k0 + 1, dtype=complex)
+            k_add = min(k1, s - 1)  # r >= 1
+            if by_a and k_add >= k0:
+                new[:k_add - k0 + 1] += a * run(k_add, -rows - 1)
+            new /= d
+            k_sub = min(k1, s - 1 if by_b else (s - 1) // 2)  # r above the window's first row
+            if k_sub >= k0:
+                new[:k_sub - k0 + 1] -= t * run(k_sub, -1)
+            run(k1, 0)[:] = new
+    for k, (lo, hi) in enumerate(windows):
+        yield lo, tab[k, lo:hi, None]
 
 
 def _diagonal_blocks(f: LinearFractionalMap, g: _Graded):
@@ -402,21 +465,20 @@ def _diagonal_map_eigenvalues(f: LinearFractionalMap, g: _Graded) -> np.ndarray:
     entry at z^beta lambda^beta / d^|beta|.
 
     v holds the diagonals of all blocks over the basis, v[0] = 1.  Degree k
-    is +0 plus A[j, j] times the slice of degree k - 1 of each run of
-    g.down, then divided by d: the operations of _diagonal_blocks on a
-    diagonal entry, in the same order, so the same bits (its off-diagonal
-    terms add exact zeros).  The scaled diagonal v * norms / norms is read
-    off, as _eigenvalues would read each block, when the largest entry of
-    every block above 1 x 1 lies within _UNSCALED; otherwise every block
-    goes to _block_eigenvalues as a diagonal matrix, under the rule of
-    _eigenvalues itself."""
+    is +0 plus lambda_j v[beta - e_j] for j the first nonzero index of beta,
+    one gather through g.steps, then divided by d: the operations of
+    _diagonal_blocks on a diagonal entry, in the same order, so the same
+    bits (its off-diagonal terms add exact zeros, and a zero lambda_j adds
+    +0 times a finite entry, a zero, to +0).  The scaled diagonal
+    v * norms / norms is read off, as _eigenvalues would read each block,
+    when the largest entry of every block above 1 x 1 lies within _UNSCALED;
+    otherwise every block goes to _block_eigenvalues as a diagonal matrix,
+    under the rule of _eigenvalues itself."""
     v, lam, level = np.zeros(g.size, dtype=complex), np.diagonal(f.a), g.level
     v[0] = 1.0
-    for k, (_, runs) in enumerate(g.down, 1):
-        below, cur = v[level[k - 1]:level[k]], v[level[k]:level[k + 1]]
-        for j, lo, hi, p0, p1 in runs:
-            if lam[j] != 0:
-                cur[lo:hi] += lam[j] * below[p0:p1]
+    for k, (first, pred) in enumerate(g.steps, 1):
+        cur = v[level[k]:level[k + 1]]
+        cur += lam[first] * v[pred]
         cur /= f.d
     read = v * g.norms / g.norms
     top = np.maximum.reduceat(np.abs(read), level[:-1])
@@ -583,6 +645,49 @@ def compression_eigenvalues(comp: Compression) -> np.ndarray:
     return _block_eigenvalues([(m[a:b, a:b],) for a, b in blocks])
 
 
+def _block_eigenpairs(m: np.ndarray, level: np.ndarray):
+    """Eigenvalues and unit eigenvector columns of a block lower triangular
+    m, its diagonal blocks m[a:b, a:b] for a, b consecutive in level, by
+    block forward substitution; None when a check fails.
+
+    Block k gives its columns' eigenvalues mu = _eigenvalues(m_kk), the
+    bits compression_eigenvalues gives, and their vectors W from
+    eig(m_kk), whose columns are paired with mu in _spectral_order: eig's
+    own eigenvalues may differ from mu in the last bits, and its balancing
+    may permute a triangular block's diagonal.  A 1 x 1 block has W = 1.  Each earlier column j, eigenvalue lambda_j, needs rows
+    a:b with (m_kk - lambda_j) x = -m[a:b, :a] v_j, so
+    x = W (W^-1 (-m[a:b, :a] v_j) / (mu - lambda_j)), one solve for all j.
+
+    Before dividing, a resonance, some |mu - lambda_j| at most
+    TOLERANCES.eigenvalue_resonance times max(|mu|, |lambda_j|), gives None;
+    so does a singular W, or, once the columns are scaled to unit 2-norm, a
+    largest ||m v - lambda v|| that is not at most
+    TOLERANCES.block_eigenpair_residual (nan included: an overflow here
+    leaves nan or inf, not a warning)."""
+    size = len(m)
+    lam, vecs = np.empty(size, dtype=complex), np.zeros((size, size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(level, level[1:]):
+            block = m[a:b, a:b]
+            mu, w = _eigenvalues(block), np.ones((1, 1))
+            if b - a > 1:
+                found, w = np.linalg.eig(block)
+                w[:, _spectral_order(mu)] = w[:, _spectral_order(found)]
+            if a:
+                gap = mu[:, None] - lam[:a]
+                if (np.abs(gap) <= TOLERANCES.eigenvalue_resonance
+                        * np.maximum(np.abs(mu)[:, None], np.abs(lam[:a]))).any():
+                    return None
+                try:
+                    vecs[a:b, :a] = w @ (np.linalg.solve(w, -m[a:b, :a] @ vecs[:a, :a]) / gap)
+                except np.linalg.LinAlgError:
+                    return None
+            lam[a:b], vecs[a:b, a:b] = mu, w
+        vecs /= np.linalg.norm(vecs, axis=0)
+        worst = np.linalg.norm(m @ vecs - vecs * lam, axis=0).max()
+    return (lam, vecs) if worst <= TOLERANCES.block_eigenpair_residual else None
+
+
 def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bool = False):
     """Eigenvalues of the compression, as compression_eigenvalues gives them.
     For phi(0) = 0 only the diagonal blocks by degree are built (see
@@ -590,9 +695,15 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
     goes to eigvals.  When A is also diagonal, as in one variable, every
     block is diagonal and one vector carries all their diagonals (see
     _diagonal_map_eigenvalues) and no block is built.  For phi(0) != 0, or
-    with return_vectors, the whole matrix is built; with
-    return_vectors the result is the eigenvalues and the eigenvector columns
-    of one solve of it, in the same order, and the Compression itself.  A
+    with return_vectors, the whole matrix is built.
+
+    With return_vectors the result is the eigenvalues and the unit
+    eigenvector columns, in that order, and the Compression itself.  For
+    phi(0) = 0 in two or more variables they come from the degree blocks by
+    _block_eigenpairs, the eigenvalues with the bits of the eigenvalue-only
+    path; on a resonance between two degrees, when its checks fail, and
+    otherwise, from one eig of the whole matrix.  In one variable the matrix
+    is triangular, and LAPACK's eig does that substitution itself.  A
     compression that leaves the float range, as the powers of a map that is
     not a self-map can, is refused with ParameterConstraintViolated."""
     if not (return_vectors or f.b.any()):
@@ -605,7 +716,9 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
     comp = build_compression(f, degree)
     if not return_vectors:
         return compression_eigenvalues(comp)
-    eigs, vecs = np.linalg.eig(_finite(comp.matrix))
+    m = _finite(comp.matrix)
+    pairs = _block_eigenpairs(m, _graded(f.n, degree).level) if f.n > 1 and not f.b.any() else None
+    eigs, vecs = pairs or np.linalg.eig(m)
     order = _spectral_order(eigs)
     return eigs[order], vecs[:, order], comp
 

@@ -393,6 +393,23 @@ def test_verify_eigen_degree_12_three_variables_is_fast(capsys, tmp_path):
     assert min(times) < 1.0
 
 
+def test_verify_eigen_passes_every_row_at_the_two_variable_cap(capsys, tmp_path):
+    # A z / (1 - <z, c>) with dense A fixes 0: every eigenpair of the
+    # compression is exact through the degree.  One eig of the whole
+    # 351 x 351 matrix failed 98 of these rows (residual up to 0.56); the
+    # eigenpairs from the degree blocks pass them all
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    f = LinearFractionalMap(0.6 * a / np.linalg.norm(a, 2), [0, 0], 0.3 * c / np.linalg.norm(c), 1)
+    code, out, _ = run(capsys, ["verify-eigen", write_map(tmp_path, "dense2.json", f), "--degree", "25"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["result"]["rows"]
+    assert len(rows) == math.comb(27, 2)
+    assert all(row["pass"] for row in rows)
+    assert max(row["residual"] for row in rows) <= 1e-14
+
+
 def test_verify_eigen_three_variables_default_degree(capsys, tmp_path):
     import numpy as np
 

@@ -7,6 +7,8 @@ diagonal maps."""
 import itertools
 import json
 import math
+import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +19,14 @@ from scipy import integrate
 import lfmspec as L
 from lfmspec import LinearFractionalMap, TruncatedSeries
 from lfmspec import series as S
+from lfmspec.maps import TOLERANCES
 from lfmspec.series import (
     _graded, _norm_factors, _positions, _spectral_order, basis_multi_indices, compression_eigenvalues,
     monomial_norm_sq,
 )
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def lfm_1d(a, b, c, d):
@@ -611,6 +617,147 @@ def test_spectrum_keeps_the_bits_of_per_block_eigvals(f, degree):
     # down to the bits of eigenvalues that round to zero or below 2^-459
     got = L.compression_spectrum(f, degree)
     assert got.tobytes() == _per_block_eigvals(L.build_compression(f, degree)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one-variable power table and block eigenpairs
+
+
+def _one_variable_maps():
+    """(a z + b) / (1 + conj(c) z) with each of a, b and c zero or not, a and b not both."""
+    return [pytest.param(lfm_1d(a, b, c, 1), id="a%d-b%d-c%d" % (a != 0, b != 0, c != 0))
+            for a, b, c in itertools.product((0, 0.4 - 0.3j), (0, 0.2 + 0.1j), (0, -0.3 + 0.2j)) if a or b]
+
+
+@pytest.mark.parametrize("f", _one_variable_maps())
+def test_one_variable_table_keeps_the_bits_of_the_recurrence(monkeypatch, f):
+    # the table fills every level at once (by anti-diagonals when c != 0)
+    # with the operations of the level-by-level recurrence, in its order
+    degrees = (0, 1, 2, 17, 40, 60)
+    got = [L.build_compression(f, degree).matrix for degree in degrees]
+    monkeypatch.setattr(S, "_power_table", S._power_recurrence)
+    for degree, m in zip(degrees, got):
+        assert m.tobytes() == L.build_compression(f, degree).matrix.tobytes(), degree
+
+
+@pytest.mark.parametrize("f", _one_variable_maps())
+def test_one_variable_compositions_keep_the_bits_of_the_recurrence(monkeypatch, f):
+    # a series of degree K composed through degree D: K above D, below it,
+    # K = 0 and D = 0; in one variable, and in z_1 of two decoupled ones
+    rng = np.random.default_rng(21)
+    two = LinearFractionalMap(np.diag([f.a[0, 0], 0.5]), [f.b[0], 0], [f.c[0], 0], f.d)
+    cases = []
+    for top, degree in ((30, 12), (5, 20), (0, 7), (9, 0), (0, 0)):
+        coeffs = rng.standard_normal(top + 1) + 1j * rng.standard_normal(top + 1)
+        cases.append((TruncatedSeries(1, top, coeffs), f, degree))
+        cases.append((TruncatedSeries(2, top, {(k, 0): x for k, x in enumerate(coeffs)}), two, degree))
+    got = [S._compose_vector(series, g, _graded(g.n, degree)) for series, g, degree in cases]
+    monkeypatch.setattr(S, "_power_table", S._power_recurrence)
+    for (series, g, degree), vec in zip(cases, got):
+        assert vec.tobytes() == S._compose_vector(series, g, _graded(g.n, degree)).tobytes()
+
+
+def _eig_sizes(monkeypatch):
+    sizes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: sizes.append(m.shape[0]) or eig(m))
+    return sizes
+
+
+def _residuals(eigs, vecs, comp):
+    """||M v - lambda v|| / ||v|| for each returned eigenpair."""
+    return np.linalg.norm(comp.matrix @ vecs - vecs * eigs, axis=0) / np.linalg.norm(vecs, axis=0)
+
+
+@pytest.mark.parametrize("f, degree", [
+    (_dense_origin_map(2, 11), 6),
+    (_dense_origin_map(2, 12), 25),
+    (_dense_origin_map(3, 13), 5),
+    (_dense_origin_map(3, 14), 12),
+    (_diagonal_map([0.6, -0.5j]), 8),
+    (_diagonal_map([0.6, -0.5j]), 25),
+    (_diagonal_map([0.4j, 0.5, -0.3], [0.1, 0.2j, -0.1]), 6),
+    (_diagonal_map([0.4j, 0.5, -0.3], [0.1, 0.2j, -0.1]), 12),
+    (_sparse_map(2, 15), 25),
+    (_sparse_map(3, 16), 12),
+    (LinearFractionalMap([[0.5, 0.2], [0, -0.4j]], [0, 0], [0.1, 0.2j], 1), 12),
+    (LinearFractionalMap([[0.5, 0.2, 0.1], [0, -0.3j, 0.1], [0, 0, 0.35]], [0, 0, 0], [0.1, 0, 0.1j], 1), 8),
+], ids=["dense-n2-d6", "dense-n2-d25", "dense-n3-d5", "dense-n3-d12", "diagonal-n2-d8", "diagonal-n2-d25",
+        "diagonal-c-n3-d6", "diagonal-c-n3-d12", "sparse-n2-d25", "sparse-n3-d12", "upper-n2-d12", "upper-n3-d8"])
+def test_block_eigenpairs_when_origin_fixed(monkeypatch, f, degree):
+    # phi(0) = 0 in two or more variables: eigenvectors from the degree
+    # blocks, never from an eig of the whole matrix; the eigenvalues are
+    # those of the eigenvalue-only path to the bit (eig gives the diagonal
+    # of an upper triangular A's lower triangular blocks in another order),
+    # every column has unit norm, and the largest residual is within the
+    # field
+    want = L.compression_spectrum(f, degree)
+    sizes = _eig_sizes(monkeypatch)
+    eigs, vecs, comp = L.compression_spectrum(f, degree, return_vectors=True)
+    assert sizes and max(sizes) < len(comp.basis)
+    assert eigs.tobytes() == want.tobytes()
+    assert np.abs(np.linalg.norm(vecs, axis=0) - 1.0).max() <= 1e-14
+    assert _residuals(eigs, vecs, comp).max() <= TOLERANCES.block_eigenpair_residual
+
+
+@pytest.mark.parametrize("n, degree, seed", [(2, 25, seed) for seed in range(6)] + [(3, 12, 0), (3, 12, 1)])
+def test_eigenpairs_at_the_caps(n, degree, seed):
+    # one eig of the whole 351 x 351 matrix left 67-101 of these eigenpairs
+    # with a residual above 1e-8 (up to 0.56) at the two-variable cap; the
+    # pairs from the degree blocks are all within 1e-14
+    eigs, vecs, comp = L.compression_spectrum(_dense_origin_map(n, seed), degree, return_vectors=True)
+    assert _residuals(eigs, vecs, comp).max() <= 1e-14
+
+
+@pytest.mark.parametrize("f, degree", [
+    (_diagonal_map([0.5, 0.25], [0.2, 0.1j]), 6),
+    (LinearFractionalMap([[0.3, 0.2], [0, 0]], [0, 0], [0.1, 0.1j], 1), 6),
+    (LinearFractionalMap([[0.5, 0.3], [1e-6, 0.5]], [0, 0], [0.1, 0.05j], 1), 8),
+    (_general_map(2, seed=3), 6),
+    (_dense_origin_map(1, 4), 30),
+], ids=["resonance", "zero-eigenvalue", "near-defective", "b-nonzero", "one-variable"])
+def test_whole_eig_otherwise(monkeypatch, f, degree):
+    # 0.5^2 = 0.25 across degrees 1 and 2, and 0 = 0^2, are resonances; a
+    # near-defective A leaves ill-conditioned block eigenvectors, and the
+    # residual check sends them back; phi(0) != 0 gives no block triangle,
+    # and in one variable LAPACK's eig substitutes in the triangle itself.
+    # Each solves the whole matrix once, with no division by zero or overflow
+    sizes = _eig_sizes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        eigs, vecs, comp = L.compression_spectrum(f, degree, return_vectors=True)
+    assert sizes.count(len(comp.basis)) == 1 and sizes[-1] == len(comp.basis)
+    assert _residuals(eigs, vecs, comp).max() <= 1e-12
+
+
+def test_resonance_stops_before_dividing(monkeypatch):
+    # 0.5^2 = 0.25: the degree-2 block has the degree-1 eigenvalue 0.25, and
+    # the substitution stops before its solve and division
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda w, r: solves.append(len(w)) or solve(w, r))
+    comp = L.build_compression(_diagonal_map([0.5, 0.25], [0.2, 0.1j]), 6)
+    assert S._block_eigenpairs(comp.matrix, _graded(2, 6).level) is None
+    assert solves == [2]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_galerkin_vector_maps_take_the_block_path(monkeypatch, seed):
+    # the benchmark's eigenvector maps, and this file's dense maps of the
+    # same sizes, must not fall back to the whole eig: the speed of the
+    # block path would go without any other test failing
+    monkeypatch.syspath_prepend(BENCH)
+    import galerkin
+
+    wl = galerkin.Galerkin()
+    wl.build(L, seed)
+    cases = [(wl.maps[id(p)], d) for p, _, d in wl.vectors]
+    assert [(f.n, d) for f, d in cases] == [(2, 8), (3, 6)]
+    cases += [(_dense_origin_map(2, seed), 8), (_dense_origin_map(3, seed), 6)]
+    sizes = _eig_sizes(monkeypatch)
+    for f, degree in cases:
+        comp = L.compression_spectrum(f, degree, return_vectors=True)[2]
+        assert len(comp.basis) not in sizes
 
 
 @pytest.mark.parametrize("eigs", [
