@@ -35,7 +35,6 @@ __all__ = [
     "monomial_norm_sq",
     "binomial_series",
     "build_compression",
-    "compression_eigenvalues",
     "compression_spectrum",
     "series_from_vector",
     "eigenfunction_residual",
@@ -179,15 +178,19 @@ class TruncatedSeries:
 
 def binomial_series(exponent: complex, degree: int, n: int = 1, var: int = 0) -> TruncatedSeries:
     """(1 - z_var)^exponent through the given degree, as a series in n
-    variables.  Coefficients follow c_{k+1} = c_k (k - exponent)/(k + 1)."""
+    variables.  Coefficients follow c_{k+1} = c_k (k - exponent)/(k + 1); a
+    non-finite exponent or coefficient is refused (see _finite)."""
     if not 0 <= var < n:
         raise ParameterConstraintViolated("variable index out of range")
+    s, c = complex(exponent), 1.0 + 0.0j
+    if not np.isfinite(s):
+        raise ParameterConstraintViolated("the exponent %r is not finite" % s)
     out, exps = TruncatedSeries(n, degree), np.zeros((degree + 1, n), dtype=np.intp)
     exps[:, var] = np.arange(degree + 1)
-    s, c = complex(exponent), 1.0 + 0.0j
     for k, pos in enumerate(_positions(exps)):
         out.vector[pos] = c
         c = c * (k - s) / (k + 1)
+    _finite(out.vector, "a binomial coefficient")
     return out
 
 
@@ -469,23 +472,17 @@ def _diagonal_map_eigenvalues(f: LinearFractionalMap, g: _Graded) -> np.ndarray:
     one gather through g.steps, then divided by d: the operations of
     _diagonal_blocks on a diagonal entry, in the same order, so the same
     bits (its off-diagonal terms add exact zeros, and a zero lambda_j adds
-    +0 times a finite entry, a zero, to +0).  The scaled diagonal
-    v * norms / norms is read off, as _eigenvalues would read each block,
-    when the largest entry of every block above 1 x 1 lies within _UNSCALED;
-    otherwise every block goes to _block_eigenvalues as a diagonal matrix,
-    under the rule of _eigenvalues itself."""
+    +0 times a finite entry, a zero, to +0).  The eigenvalues are the scaled
+    diagonal v * norms / norms, read off at every scale as _eigenvalues
+    reads each block."""
     v, lam, level = np.zeros(g.size, dtype=complex), np.diagonal(f.a), g.level
     v[0] = 1.0
     for k, (first, pred) in enumerate(g.steps, 1):
         cur = v[level[k]:level[k + 1]]
         cur += lam[first] * v[pred]
         cur /= f.d
-    read = v * g.norms / g.norms
-    top = np.maximum.reduceat(np.abs(read), level[:-1])
-    if ((_UNSCALED[0] <= top) & (top <= _UNSCALED[1]))[np.diff(level) > 1].all():
-        eigs = _finite(read)
-        return eigs[_spectral_order(eigs)]
-    return _block_eigenvalues((np.diag(v[a:b]), g.norms[a:b]) for a, b in zip(level, level[1:]))
+    eigs = _finite(v * g.norms / g.norms)
+    return eigs[_spectral_order(eigs)]
 
 
 def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded) -> np.ndarray:
@@ -583,45 +580,23 @@ def _spectral_order(eigs: np.ndarray) -> np.ndarray:
     return np.lexsort((eigs.imag, eigs.real, -np.hypot(eigs.real, eigs.imag)))
 
 
-# zgeev rescales a matrix whose largest entry lies outside [2^-459, 2^459]
-# (sqrt(safe minimum) / eps and its reciprocal); a factor 2 is kept spare
-_UNSCALED = (2.0 ** -458, 2.0 ** 458)
-
-
 def _eigenvalues(block: np.ndarray, norms=None) -> np.ndarray:
     """Eigenvalues of block * norms[:, None] / norms, the scaling of
-    build_compression (of block itself without norms).
-
-    A block with no nonzero entry on one side of its diagonal has those of
-    its diagonal, read off as np.diagonal(block) * norms / norms, which is
-    the scaled block's diagonal to the bit.  np.linalg.eigvals gives these
-    same bits, as LAPACK's balancing isolates every eigenvalue of a
-    triangular matrix, unless zgeev first rescales the block: so a block
-    whose largest scaled entry may lie outside _UNSCALED, like any other,
-    goes to eigvals.  A 1 x 1 block is always read off."""
-    diag = np.diagonal(block)
-    read = diag if norms is None else diag * norms / norms
-    if len(block) == 1:
-        return read
-    if np.count_nonzero(block) == np.count_nonzero(diag):
-        low = high = np.abs(read).max()  # the largest scaled entry
-    elif not (np.triu(block, 1).any() and np.tril(block, -1).any()):
-        spread = 1.0 if norms is None else norms.max() / norms.min()
-        big = np.abs(block).max()
-        low, high = big / spread, big * spread  # bounds on the largest scaled entry
-    else:
-        low = high = math.nan  # not triangular
-    if _UNSCALED[0] <= low and high <= _UNSCALED[1]:
-        return read
+    build_compression (of block itself without norms).  A triangular block,
+    with no nonzero entry on one side of its diagonal, has its scaled
+    diagonal, read off at every scale; any other block goes to eigvals."""
+    if not (np.triu(block, 1).any() and np.tril(block, -1).any()):
+        diag = np.diagonal(block)
+        return diag if norms is None else diag * norms / norms
     return np.linalg.eigvals(_finite(block if norms is None else block * norms[:, None] / norms))
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
+def _finite(x: np.ndarray, what: str = "the compression") -> np.ndarray:
     """x, refused with ParameterConstraintViolated if an entry is nan or
     inf: so it is when the powers of a map that is not a self-map overflow,
     and LAPACK would raise an untyped LinAlgError on it."""
     if not np.isfinite(x).all():
-        raise ParameterConstraintViolated("the compression leaves the float range")
+        raise ParameterConstraintViolated("%s leaves the float range" % what)
     return x
 
 
@@ -632,30 +607,15 @@ def _block_eigenvalues(blocks) -> np.ndarray:
     return eigs[_spectral_order(eigs)]
 
 
-def compression_eigenvalues(comp: Compression) -> np.ndarray:
-    """Eigenvalues of a compression by decreasing modulus, ties by real then
-    imaginary part: of the diagonal blocks by degree when every entry right
-    of them is zero (block triangular, as when phi(0) = 0), else of the whole,
-    each by the rule of _eigenvalues.  compression_spectrum gives the same
-    array for phi(0) = 0 from the diagonal blocks alone, without the matrix."""
-    m, level = comp.matrix, _graded(comp.n, comp.degree).level
-    blocks = list(zip(level, level[1:]))
-    if any(m[a:b, b:].any() for a, b in blocks):
-        blocks = [(0, m.shape[0])]
-    return _block_eigenvalues([(m[a:b, a:b],) for a, b in blocks])
-
-
 def _block_eigenpairs(m: np.ndarray, level: np.ndarray):
     """Eigenvalues and unit eigenvector columns of a block lower triangular
     m, its diagonal blocks m[a:b, a:b] for a, b consecutive in level, by
     block forward substitution; None when a check fails.
 
-    Block k gives its columns' eigenvalues mu = _eigenvalues(m_kk), the
-    bits compression_eigenvalues gives, and their vectors W from
-    eig(m_kk), whose columns are paired with mu in _spectral_order: eig's
-    own eigenvalues may differ from mu in the last bits, and its balancing
-    may permute a triangular block's diagonal.  A 1 x 1 block has W = 1.  Each earlier column j, eigenvalue lambda_j, needs rows
-    a:b with (m_kk - lambda_j) x = -m[a:b, :a] v_j, so
+    Block k gives its columns' eigenvalues mu and vectors W from one
+    eig(m_kk); on blocks of 75 x 75 and up, mu may differ in the last bits
+    from the eigenvalue-only path's.  Each earlier column j, eigenvalue
+    lambda_j, needs rows a:b with (m_kk - lambda_j) x = -m[a:b, :a] v_j, so
     x = W (W^-1 (-m[a:b, :a] v_j) / (mu - lambda_j)), one solve for all j.
 
     Before dividing, a resonance, some |mu - lambda_j| at most
@@ -669,10 +629,7 @@ def _block_eigenpairs(m: np.ndarray, level: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(level, level[1:]):
             block = m[a:b, a:b]
-            mu, w = _eigenvalues(block), np.ones((1, 1))
-            if b - a > 1:
-                found, w = np.linalg.eig(block)
-                w[:, _spectral_order(mu)] = w[:, _spectral_order(found)]
+            mu, w = np.linalg.eig(block)
             if a:
                 gap = mu[:, None] - lam[:a]
                 if (np.abs(gap) <= TOLERANCES.eigenvalue_resonance
@@ -689,23 +646,24 @@ def _block_eigenpairs(m: np.ndarray, level: np.ndarray):
 
 
 def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bool = False):
-    """Eigenvalues of the compression, as compression_eigenvalues gives them.
-    For phi(0) = 0 only the diagonal blocks by degree are built (see
-    _diagonal_blocks), never the whole matrix, and each is scaled only if it
-    goes to eigvals.  When A is also diagonal, as in one variable, every
-    block is diagonal and one vector carries all their diagonals (see
-    _diagonal_map_eigenvalues) and no block is built.  For phi(0) != 0, or
-    with return_vectors, the whole matrix is built.
+    """Eigenvalues of the compression by decreasing modulus, ties by real
+    then imaginary part.  For phi(0) = 0 only the diagonal blocks by degree
+    are built (see _diagonal_blocks), never the whole matrix, and each gives
+    its eigenvalues by _eigenvalues: a triangular block its scaled diagonal.
+    When A is also diagonal, as in one variable, one vector carries every
+    block's diagonal (see _diagonal_map_eigenvalues) and no block is built.
+    For phi(0) != 0, or with return_vectors, the whole matrix is built.
 
     With return_vectors the result is the eigenvalues and the unit
     eigenvector columns, in that order, and the Compression itself.  For
     phi(0) = 0 in two or more variables they come from the degree blocks by
-    _block_eigenpairs, the eigenvalues with the bits of the eigenvalue-only
-    path; on a resonance between two degrees, when its checks fail, and
-    otherwise, from one eig of the whole matrix.  In one variable the matrix
-    is triangular, and LAPACK's eig does that substitution itself.  A
-    compression that leaves the float range, as the powers of a map that is
-    not a self-map can, is refused with ParameterConstraintViolated."""
+    _block_eigenpairs, one eig per block, so the eigenvalues may differ from
+    the eigenvalue-only path's in the last bits; on a resonance between two
+    degrees, when its checks fail, and otherwise, from one eig of the whole
+    matrix.  In one variable the matrix is triangular, and LAPACK's eig does
+    that substitution itself.  A compression that leaves the float range, as
+    the powers of a map that is not a self-map can, is refused with
+    ParameterConstraintViolated."""
     if not (return_vectors or f.b.any()):
         _check_compression_cap(f.n, degree)
         g = _graded(f.n, degree)
@@ -715,7 +673,7 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
         return _block_eigenvalues(zip(_diagonal_blocks(f, g), norms))
     comp = build_compression(f, degree)
     if not return_vectors:
-        return compression_eigenvalues(comp)
+        return _block_eigenvalues([(comp.matrix,)])
     m = _finite(comp.matrix)
     pairs = _block_eigenpairs(m, _graded(f.n, degree).level) if f.n > 1 and not f.b.any() else None
     eigs, vecs = pairs or np.linalg.eig(m)

@@ -21,8 +21,7 @@ from lfmspec import LinearFractionalMap, TruncatedSeries
 from lfmspec import series as S
 from lfmspec.maps import TOLERANCES
 from lfmspec.series import (
-    _graded, _norm_factors, _positions, _spectral_order, basis_multi_indices, compression_eigenvalues,
-    monomial_norm_sq,
+    _graded, _norm_factors, _positions, _spectral_order, basis_multi_indices, monomial_norm_sq,
 )
 
 
@@ -79,9 +78,14 @@ def test_graded_positions_match_basis(n, degree):
     (lambda: TruncatedSeries(1, 3).coefficient((1, 0)), L.DimensionMismatch),
     (lambda: TruncatedSeries(3, 10**4), L.SizeCapExceeded),
     (lambda: L.binomial_series(0.5, 10, n=2, var=2), L.ParameterConstraintViolated),
+    (lambda: L.binomial_series(math.nan, 6), L.ParameterConstraintViolated),
+    (lambda: L.binomial_series(math.inf, 6), L.ParameterConstraintViolated),
+    (lambda: L.binomial_series(complex(0.5, -math.inf), 0), L.ParameterConstraintViolated),
+    (lambda: L.binomial_series(1e308, 6), L.ParameterConstraintViolated),  # c_2 overflows
 ], ids=["basis-n", "basis-degree", "norm-empty", "norm-negative", "series-n", "series-degree",
         "series-index-length", "series-index-negative", "series-vector-length", "coefficient-length",
-        "series-too-large", "binomial-var"])
+        "series-too-large", "binomial-var", "binomial-nan", "binomial-inf", "binomial-inf-degree-0",
+        "binomial-overflow"])
 def test_series_inputs_raise_typed_errors(make, error):
     with pytest.raises(error):
         make()
@@ -388,6 +392,30 @@ def _diagonal_map(lam, c=None):
     return LinearFractionalMap(np.diag(lam), np.zeros(n), np.zeros(n) if c is None else c, 1)
 
 
+def _compression_eigenvalues(comp):
+    """Eigenvalues of a compression in _spectral_order: of its diagonal
+    blocks by degree when every entry right of them is zero (block
+    triangular, as when phi(0) = 0), else of the whole matrix, each by the
+    rule of _eigenvalues.  The reference for compression_spectrum, which
+    builds only the diagonal blocks."""
+    m, level = comp.matrix, _graded(comp.n, comp.degree).level
+    blocks = list(zip(level, level[1:]))
+    if any(m[a:b, b:].any() for a, b in blocks):
+        blocks = [(0, len(m))]
+    return S._block_eigenvalues([(m[a:b, a:b],) for a, b in blocks])
+
+
+def _exact_products(monkeypatch, f, degree):
+    """lambda^beta for |beta| <= degree, lambda the eigenvalues of phi'(0) =
+    A / d, from the benchmark's oracle, in _spectral_order: the compression's
+    eigenvalues when phi(0) = 0."""
+    monkeypatch.syspath_prepend(BENCH)
+    import oracles
+
+    want = oracles.expected_compression_eigenvalues(np.linalg.eigvals(f.a / f.d), f.n, degree)
+    return want[_spectral_order(want)]
+
+
 def _matched_distance(x, y):
     """Largest distance under the best one-to-one matching of two multisets."""
     from scipy.optimize import linear_sum_assignment
@@ -405,7 +433,7 @@ def _matched_distance(x, y):
 ], ids=["dense-n2-d25", "dense-n3-d12", "sparse-n3-d12", "dense-n1-d60"])
 def test_block_eigenvalues_match_full_solve(f, degree):
     comp = L.build_compression(f, degree)
-    eigs = compression_eigenvalues(comp)
+    eigs = _compression_eigenvalues(comp)
     assert eigs.shape == (len(comp.basis),)
     assert _matched_distance(eigs, np.linalg.eigvals(comp.matrix)) < 1e-12
 
@@ -436,7 +464,7 @@ def test_full_eigensolve_when_not_block_triangular(monkeypatch):
     m = comp.matrix.copy()
     m[1, 3] = 1e-300  # degree-1 row, degree-2 column: above the blocks
     sizes.clear()
-    compression_eigenvalues(dataclasses.replace(comp, matrix=m))
+    _compression_eigenvalues(dataclasses.replace(comp, matrix=m))
     assert sizes == [28]
 
 
@@ -476,9 +504,8 @@ def test_diagonal_blocks_give_the_full_build_eigenvalues(monkeypatch, f, degree)
     # phi(0) = 0: the eigenvalues from the diagonal blocks alone, or for a
     # diagonal A (every map in one variable) from their diagonals carried as
     # one vector, are those of the whole matrix, bit for bit, zeros, c and
-    # blocks out of the range where zgeev keeps the scale included; the
-    # whole matrix is never built
-    want = compression_eigenvalues(L.build_compression(f, degree))
+    # blocks of any scale included; the whole matrix is never built
+    want = _compression_eigenvalues(L.build_compression(f, degree))
     calls = _build_calls(monkeypatch)
     got = L.compression_spectrum(f, degree)
     assert calls == []
@@ -552,9 +579,10 @@ def test_triangular_blocks_have_eigvals_bits_on_their_diagonal(cut):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-140, 1e-300, 1e140, 1e300])
 def test_block_rule_gives_the_bits_of_eigvals(scale):
-    # a triangular block is read off only where eigvals returns its diagonal:
-    # with the largest entry out of [2^-459, 2^459] zgeev rescales the block,
-    # and the eigenvalues it gives back are rounded
+    # a triangular block's eigenvalues are its scaled diagonal, read off at
+    # every scale.  eigvals gives the same bits while zgeev keeps the scale;
+    # with the largest entry out of [2^-459, 2^459] it rescales the block,
+    # and what it gives back is rounded, within a few ulps
     rng = np.random.default_rng(6)
     rounded = 0
     for size in (2, 5, 17, 40):
@@ -562,18 +590,19 @@ def test_block_rule_gives_the_bits_of_eigvals(scale):
             block = scale * cut(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
             norms = rng.uniform(0.1, 1.0, size)
             scaled = block * norms[:, None] / norms
-            want = np.linalg.eigvals(scaled)
-            assert _sorted_bytes(S._eigenvalues(block, norms)) == _sorted_bytes(want)
-            assert _sorted_bytes(S._eigenvalues(scaled)) == _sorted_bytes(np.linalg.eigvals(scaled))
-            rounded += _sorted_bytes(np.diagonal(scaled)) != _sorted_bytes(want)
+            read = np.diagonal(block) * norms / norms
+            assert S._eigenvalues(block, norms).tobytes() == read.tobytes()
+            assert S._eigenvalues(scaled).tobytes() == np.diagonal(scaled).tobytes()
+            read, lapack = np.sort_complex(read), np.sort_complex(np.linalg.eigvals(scaled))
+            assert (np.abs(lapack - read) <= 4 * np.finfo(float).eps * np.abs(read)).all()
+            rounded += read.tobytes() != lapack.tobytes()
     assert (rounded == 0) == (scale == 1.0)
 
 
 def test_diagonal_map_reads_every_block_off(monkeypatch):
     # diag(lambda) z: every diagonal block is diagonal, and no eigvals is
     # called on either path; compression_spectrum builds no block either, for
-    # any c and in one variable, and blocks out of the range where zgeev
-    # keeps the scale go to eigvals unbuilt.  A dense map still builds its
+    # any c, in one variable and at any scale.  A dense map still builds its
     # blocks and solves each one above 1 x 1
     sizes = _eigvals_sizes(monkeypatch)
     built = []
@@ -581,14 +610,11 @@ def test_diagonal_map_reads_every_block_off(monkeypatch):
     monkeypatch.setattr(S, "_diagonal_blocks", lambda f, g: built.append(f.n) or blocks(f, g))
     f = _sparse_map(3, 12)
     L.compression_spectrum(f, 12)
-    compression_eigenvalues(L.build_compression(f, 12))
+    _compression_eigenvalues(L.build_compression(f, 12))
     for f, degree in [(_sparse_map(2, 32), 25), (_dense_origin_map(1, 33), 60),
-                      (_diagonal_map([0.4, 0.3j], [0.2, 0.1]), 25)]:
+                      (_diagonal_map([0.4, 0.3j], [0.2, 0.1]), 25), (_diagonal_map([1e-8, 2e-8j]), 25)]:
         L.compression_spectrum(f, degree)
     assert built == [] and sizes == []
-    L.compression_spectrum(_diagonal_map([1e-8, 2e-8j]), 25)
-    assert built == [] and sizes != []
-    sizes.clear()
     L.compression_spectrum(_dense_origin_map(3, 5), 8)
     assert built == [3]
     assert sizes == [math.comb(k + 2, 2) for k in range(1, 9)]
@@ -604,19 +630,25 @@ def _per_block_eigvals(comp):
     return eigs[_spectral_order(eigs)]
 
 
-@pytest.mark.parametrize("f, degree", [
-    (LinearFractionalMap(np.diag([1e-8, 2e-8j]), np.zeros(2), np.zeros(2), 1), 25),  # blocks below 2^-459
-    (LinearFractionalMap(np.diag([0.0, 0.5, 0.3j]), np.zeros(3), np.zeros(3), 1), 8),  # zero diagonals
-    (LinearFractionalMap(np.triu(np.full((3, 3), 0.2 + 0.1j)), np.zeros(3), np.zeros(3), 1), 10),
-    (LinearFractionalMap(np.tril(np.full((2, 2), 0.3j)), np.zeros(2), [0.1, 0.2j], 1), 20),
-    (_sparse_map(3, 3), 12),
-    (_dense_origin_map(2, 4), 12),
+@pytest.mark.parametrize("f, degree, exact", [
+    (LinearFractionalMap(np.diag([1e-8, 2e-8j]), np.zeros(2), np.zeros(2), 1), 25, True),  # blocks below 2^-459
+    (LinearFractionalMap(np.diag([0.0, 0.5, 0.3j]), np.zeros(3), np.zeros(3), 1), 8, False),  # zero diagonals
+    (LinearFractionalMap(np.triu(np.full((3, 3), 0.2 + 0.1j)), np.zeros(3), np.zeros(3), 1), 10, False),
+    (LinearFractionalMap(np.tril(np.full((2, 2), 0.3j)), np.zeros(2), [0.1, 0.2j], 1), 20, False),
+    (_sparse_map(3, 3), 12, False),
+    (_dense_origin_map(2, 4), 12, False),
 ], ids=["tiny", "zero-eigenvalue", "upper", "lower", "sparse", "dense"])
-def test_spectrum_keeps_the_bits_of_per_block_eigvals(f, degree):
+def test_spectrum_keeps_the_bits_of_per_block_eigvals(monkeypatch, f, degree, exact):
     # reading triangular blocks off gives what eigvals gave for each block,
-    # down to the bits of eigenvalues that round to zero or below 2^-459
+    # down to the bits of eigenvalues that round to zero.  Blocks below
+    # 2^-459, which zgeev rescales and so rounds, are read off too: they are
+    # held to the exact products lambda^beta instead, within a few ulps
     got = L.compression_spectrum(f, degree)
-    assert got.tobytes() == _per_block_eigvals(L.build_compression(f, degree)).tobytes()
+    if exact:
+        want = _exact_products(monkeypatch, f, degree)
+        assert (np.abs(got - want) <= 8 * np.finfo(float).eps * np.abs(want)).all()
+    else:
+        assert got.tobytes() == _per_block_eigvals(L.build_compression(f, degree)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +706,7 @@ def _residuals(eigs, vecs, comp):
     (_dense_origin_map(2, 12), 25),
     (_dense_origin_map(3, 13), 5),
     (_dense_origin_map(3, 14), 12),
+    (_dense_origin_map(3, 0), 12),  # eig's eigenvalues differ from eigvals' in the last bits
     (_diagonal_map([0.6, -0.5j]), 8),
     (_diagonal_map([0.6, -0.5j]), 25),
     (_diagonal_map([0.4j, 0.5, -0.3], [0.1, 0.2j, -0.1]), 6),
@@ -682,20 +715,23 @@ def _residuals(eigs, vecs, comp):
     (_sparse_map(3, 16), 12),
     (LinearFractionalMap([[0.5, 0.2], [0, -0.4j]], [0, 0], [0.1, 0.2j], 1), 12),
     (LinearFractionalMap([[0.5, 0.2, 0.1], [0, -0.3j, 0.1], [0, 0, 0.35]], [0, 0, 0], [0.1, 0, 0.1j], 1), 8),
-], ids=["dense-n2-d6", "dense-n2-d25", "dense-n3-d5", "dense-n3-d12", "diagonal-n2-d8", "diagonal-n2-d25",
+], ids=["dense-n2-d6", "dense-n2-d25", "dense-n3-d5", "dense-n3-d12", "dense-n3-d12-seed0",
+        "diagonal-n2-d8", "diagonal-n2-d25",
         "diagonal-c-n3-d6", "diagonal-c-n3-d12", "sparse-n2-d25", "sparse-n3-d12", "upper-n2-d12", "upper-n3-d8"])
 def test_block_eigenpairs_when_origin_fixed(monkeypatch, f, degree):
-    # phi(0) = 0 in two or more variables: eigenvectors from the degree
-    # blocks, never from an eig of the whole matrix; the eigenvalues are
-    # those of the eigenvalue-only path to the bit (eig gives the diagonal
-    # of an upper triangular A's lower triangular blocks in another order),
-    # every column has unit norm, and the largest residual is within the
-    # field
+    # phi(0) = 0 in two or more variables: eigenpairs from one eig per
+    # degree block and no other solve, never from an eig of the whole
+    # matrix; the eigenvalues agree with the eigenvalue-only path's (to the
+    # bit below 75 x 75 blocks, not always above) and with the exact
+    # products lambda^beta, every column has unit norm, and the largest
+    # residual is within the field
     want = L.compression_spectrum(f, degree)
-    sizes = _eig_sizes(monkeypatch)
+    sizes, solves = _eig_sizes(monkeypatch), _eigvals_sizes(monkeypatch)
     eigs, vecs, comp = L.compression_spectrum(f, degree, return_vectors=True)
     assert sizes and max(sizes) < len(comp.basis)
-    assert eigs.tobytes() == want.tobytes()
+    assert sizes == np.diff(_graded(f.n, degree).level).tolist() and solves == []  # one eig per block
+    assert _matched_distance(eigs, want) <= 1e-13 * np.abs(want).max()
+    assert _matched_distance(eigs, _exact_products(monkeypatch, f, degree)) <= 1e-13 * np.abs(want).max()
     assert np.abs(np.linalg.norm(vecs, axis=0) - 1.0).max() <= 1e-14
     assert _residuals(eigs, vecs, comp).max() <= TOLERANCES.block_eigenpair_residual
 
@@ -981,7 +1017,7 @@ def test_overflowing_compression_is_refused_in_one_variable(return_vectors):
     with pytest.raises(L.ParameterConstraintViolated, match="float range"):
         L.compression_spectrum(f, 60, return_vectors=return_vectors)
     with pytest.raises(L.ParameterConstraintViolated, match="float range"):
-        compression_eigenvalues(L.build_compression(f, 60))
+        _compression_eigenvalues(L.build_compression(f, 60))
 
 
 def _unnormalized_map(a):

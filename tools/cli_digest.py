@@ -7,8 +7,11 @@ TREE is the root of an lfmspec checkout; the package is imported from its
 are imported and not changed: the triage plants of seeds 1-3 (every kind
 for N = 1, 2, 3, each conjugated, and the maps that are not self-maps), the
 12 fixed estimator probes, and the NaN and Infinity maps of the cli
-workload.  Every subcommand runs in this process on every map, with its
-default flags and with non-default ones, and one line
+workload; and, made here, three dense maps fixing 0 in three variables,
+whose degree blocks at degree 12 (up to 91 x 91) the ``verify-eigen+cap``
+form reaches, as no bench map fixes 0 with a non-diagonal A at N = 3.
+Every subcommand runs in this process on every map, with its default flags
+and with non-default ones, and one line
 
     name form exit-code sha256
 
@@ -47,6 +50,7 @@ import warnings  # noqa: E402
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 SEEDS = (1, 2, 3)
+ORIGIN_SEEDS = (0, 1, 2)
 # form -> subcommand argv after the map path
 FORMS = {
     "validate": ["validate"],
@@ -59,6 +63,7 @@ FORMS = {
     "compress+json": ["compress", "--degree", "5", "--format", "json"],
     "verify-eigen": ["verify-eigen"],
     "verify-eigen+csv": ["verify-eigen", "--degree", "3", "--tol", "1e-12", "--format", "csv"],
+    "verify-eigen+cap": ["verify-eigen", "--degree", "12", "--format", "csv"],
     "norms": ["norms"],
     "norms+flags": ["norms", "--s", "1.5", "--nu", "0.25", "--kmax", "12"],
     "export": ["export"],
@@ -81,9 +86,26 @@ def corpus(L) -> dict[str, str]:
             maps["s%d.%02d.%s.n%d" % (seed, i, p.name, p.n)] = cliwork.map_json(p.m)
     for i, (p, _) in enumerate(triage.probes()):
         maps["probe.%02d.%s.n%d" % (i, p.name, p.n)] = cliwork.map_json(p.m)
+    for seed in ORIGIN_SEEDS:
+        maps["origin.%d.dense.n3" % seed] = cliwork.map_json(dense_origin_matrix(seed))
     maps["nan"] = cliwork.NAN_MAP
     maps["inf"] = cliwork.INF_MAP
     return maps
+
+
+def dense_origin_matrix(seed: int):
+    """Associated matrix of A z / (1 + <z, c>) on the 3-ball, A a seeded
+    dense complex matrix scaled to norm 0.6 and c a seeded vector of length
+    0.3, so |phi| <= 0.6 / 0.7 < 1."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    m = np.eye(4, dtype=complex)
+    m[:3, :3] = 0.6 * a / np.linalg.norm(a, 2)
+    m[3, :3] = 0.3 * np.conj(c) / np.linalg.norm(c)
+    return m
 
 
 def run(cli, argv: list[str]) -> tuple[int, str, str | None]:
