@@ -72,7 +72,6 @@ from .series import (
     build_compression,
     compression_spectrum,
     eigenfunction_residual,
-    monomial_norm_sq,
     norm_equivalence_interval,
     series_from_vector,
     sobolev_norm_sq,

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .maps import TOLERANCES, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
 from .series import (
+    basis_multi_indices,
     compression_spectrum,
     norm_equivalence_interval,
     _graded,
@@ -200,7 +201,7 @@ def _cmd_compress(f, args) -> dict | str:
     eigs = compression_spectrum(f, args.degree)
     if args.format == "csv":
         return _csv("re,im", eigs.real, eigs.imag)
-    g = _graded(f.n, args.degree)  # the basis, its size caps checked by compression_spectrum
+    g = _graded(f.n, args.degree)  # its size caps checked by compression_spectrum
     return {
         "degree": args.degree,
         "eigenvalues": _c2pair(eigs),
@@ -208,7 +209,7 @@ def _cmd_compress(f, args) -> dict | str:
             "n": f.n,
             "degree": args.degree,
             "ordering": "graded by total degree, lexicographically descending within each degree",
-            "basis": [list(alpha) for alpha in g.basis],
+            "basis": [list(alpha) for alpha in basis_multi_indices(f.n, args.degree)],
             "norms": g.norms.tolist(),
         },
     }

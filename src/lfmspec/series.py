@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "TruncatedSeries",
     "Compression",
     "basis_multi_indices",
-    "monomial_norm_sq",
     "binomial_series",
     "build_compression",
     "compression_spectrum",
@@ -47,7 +45,7 @@ __all__ = [
 MAX_COMPRESSION_DEGREE = {1: 60, 2: 25, 3: 12}
 MAX_BASIS_SIZE = 3000
 MAX_NORM_DEGREE = 10_000
-MAX_SERIES_TERMS = 2_000_000
+MAX_SERIES_TERMS = 2_000_000  # N = 3 accepts degree 226: _Graded in 4.5-6 s, 532 MB peak RSS, 2 vCPUs
 
 
 @functools.lru_cache(maxsize=32)
@@ -59,10 +57,9 @@ def _exponents(n: int, degree: int) -> np.ndarray:
     if n == 1:
         out = np.arange(degree + 1)[:, None]
     else:
-        rest = _exponents(n - 1, degree)
-        runs = [math.comb(n - 2 + j, n - 2) for j in range(degree + 1)]
+        rest, below = _exponents(n - 1, degree), _levels(n - 1, degree)
         out = np.concatenate([
-            np.column_stack((np.repeat(np.arange(k, -1, -1), runs[:k + 1]), rest[:math.comb(n - 1 + k, n - 1)]))
+            np.column_stack((np.repeat(np.arange(k, -1, -1), np.diff(below[:k + 2])), rest[:below[k + 1]]))
             for k in range(degree + 1)
         ])
     out.flags.writeable = False
@@ -77,9 +74,6 @@ def basis_multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
     return [tuple(alpha) for alpha in _exponents(n, degree).tolist()]
 
 
-_comb = np.frompyfunc(math.comb, 2, 1)  # exact, elementwise, as object arrays
-
-
 def _positions(exps: np.ndarray) -> np.ndarray:
     """Position of each row alpha of exps in basis_multi_indices(n, d),
     for any d >= |alpha| = k: the comb(n + k - 1, n) monomials of lower
@@ -87,11 +81,12 @@ def _positions(exps: np.ndarray) -> np.ndarray:
     n - i - 1, n - i - 1) of degree k that agree with alpha before i and
     exceed it at i, r = k - alpha_0 - ... - alpha_(i-1)."""
     n, rem = exps.shape[1], exps.sum(axis=1)
-    pos = _comb(rem + n - 1, n)
-    for i in range(n - 1):
-        rem = rem - exps[:, i]
-        pos = pos + _comb(rem + n - i - 2, n - i - 1)
-    return pos.astype(np.intp)
+    comb = np.zeros((int(rem.max(initial=0)) + n, n + 1), dtype=np.intp)
+    comb[:, 0] = 1
+    for r in range(1, n + 1):  # Pascal's rule mod 2^64: exact below 2^63, as every entry read is
+        comb[1:, r] = np.cumsum(comb[:-1, r - 1])
+    rems = rem[:, None] - np.cumsum(exps[:, :-1], axis=1)  # r - alpha_i for each i < n - 1
+    return comb[rem + n - 1, n] + comb[rems + np.arange(n - 2, -1, -1), np.arange(n - 1, 0, -1)].sum(axis=1)
 
 
 def _checked_exponents(n: int, alphas) -> np.ndarray:
@@ -104,23 +99,19 @@ def _checked_exponents(n: int, alphas) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(rows), n)
 
 
-def monomial_norm_sq(alpha: tuple[int, ...]) -> float:
-    """Squared Hardy-space norm of z^alpha on the unit sphere of C^n,
-    n = len(alpha): (n-1)! alpha! / (n-1+|alpha|)!."""
-    n = len(alpha)
-    if n < 1 or any(a < 0 for a in alpha):
-        raise ParameterConstraintViolated("alpha must be a nonempty tuple of nonnegative ints")
-    k = sum(alpha)
-    if n - 1 + k <= 200:
-        num = math.factorial(n - 1)
-        for a in alpha:
-            num *= math.factorial(a)
-        return float(Fraction(num, math.factorial(n - 1 + k)))
-    logv = math.lgamma(n)
-    for a in alpha:
-        logv += math.lgamma(a + 1)
-    logv -= math.lgamma(n + k)
-    return math.exp(logv)
+_comb = np.frompyfunc(math.comb, 2, 1)  # exact, elementwise, as object arrays
+
+
+def _norm_sq(exps: np.ndarray) -> np.ndarray:
+    """||z^alpha||^2 = (n-1)! alpha! / (n-1+k)! on the sphere of C^n for each
+    row alpha of exps, k = |alpha|: one correctly rounded division 1 / M by
+    the exact integer M = comb(n-1+k, n-1) prod_i comb(k - alpha_0 - ... -
+    alpha_(i-1), alpha_i)."""
+    n, rem = exps.shape[1], exps.sum(axis=1)
+    m = _comb(rem + n - 1, n - 1)
+    for i in range(n - 1):
+        m, rem = m * _comb(rem, exps[:, i]), rem - exps[:, i]
+    return (1 / m).astype(float)
 
 
 def _series_size(n: int, degree: int) -> int:
@@ -185,9 +176,8 @@ def binomial_series(exponent: complex, degree: int, n: int = 1, var: int = 0) ->
     s, c = complex(exponent), 1.0 + 0.0j
     if not np.isfinite(s):
         raise ParameterConstraintViolated("the exponent %r is not finite" % s)
-    out, exps = TruncatedSeries(n, degree), np.zeros((degree + 1, n), dtype=np.intp)
-    exps[:, var] = np.arange(degree + 1)
-    for k, pos in enumerate(_positions(exps)):
+    out = TruncatedSeries(n, degree)
+    for k, pos in enumerate(_embedding(n, (var,), degree)):
         out.vector[pos] = c
         c = c * (k - s) / (k + 1)
     _finite(out.vector, "a binomial coefficient")
@@ -202,22 +192,20 @@ class _Graded:
     """Index tables for dense coefficient vectors of polynomials in n
     variables through a degree D, laid out in the compression basis order.
 
-    ``level[k]`` is the offset of the degree-k monomials, ``up[i][s]`` the
-    position of basis[s] + e_i for every s of degree below D, and ``plan``
-    the predecessor chains of the whole basis (see _basis_plan).  ``down``
-    and ``steps``, made on first use, hold the gather tables of
-    _diagonal_blocks and _diagonal_map_eigenvalues.  Arrays here are shared
-    through _graded and must not be written to.
+    Every table comes from the rows of _exponents(n, D).  ``level[k]`` is
+    the offset of degree k, ``up[i][s]`` the position of row s + e_i for s
+    of degree below D, ``first`` and ``pred`` are _predecessors', ``plan``
+    their runs (see _basis_plan), and ``down``, made on first use, the
+    gather tables of _diagonal_blocks.  Arrays here are shared through
+    _graded and must not be written to.
     """
 
     def __init__(self, n: int, degree: int):
-        levels, self.plan = _basis_plan(n, degree)
-        self.basis = tuple(alpha for level in levels for alpha in level)
-        self.degree, self.size = degree, len(self.basis)
-        self.level = np.cumsum([0] + [len(level) for level in levels])
-        low = _exponents(n, degree)[: self.level[degree]]
-        self.up = [_positions(low + unit) for unit in np.eye(n, dtype=np.intp)]
-        self.norm_sq = np.array([monomial_norm_sq(alpha) for alpha in self.basis])
+        exps, self.level = _exponents(n, degree), _levels(n, degree)
+        self.degree, self.size = degree, len(exps)
+        self.up = [_positions(exps[: self.level[degree]] + unit) for unit in np.eye(n, dtype=np.intp)]
+        (self.first, self.pred), self.plan = _predecessors(n, degree), _basis_plan(n, degree)
+        self.norm_sq = _norm_sq(exps)
         self.norms = np.sqrt(self.norm_sq)
 
     @functools.cached_property
@@ -238,15 +226,6 @@ class _Graded:
                 row[up[lo:mid] - mid] = np.arange(mid - lo)
             out.append((tab, [(j, a, b, int(pred[0]), int(pred[-1]) + 1) for j, a, b, pred in runs]))
         return out
-
-    @functools.cached_property
-    def steps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """For each degree k = 1..D, (first, pred) from plan[k - 1]: the
-        first nonzero index j of each degree-k alpha, and the position in
-        the whole basis of its predecessor alpha - e_j."""
-        return [(np.concatenate([np.full(hi - lo, j) for j, lo, hi, _ in runs]),
-                 np.concatenate([pred for *_, pred in runs]) + self.level[k - 1])
-                for k, runs in enumerate(self.plan, 1)]
 
     def mul_affine(self, x: np.ndarray, lo: int, const: complex, lin, out_lo: int, out_hi: int) -> np.ndarray:
         """(const + sum_i lin[i] z_i) times each column of x, truncated.
@@ -291,44 +270,63 @@ class _Graded:
 _graded = functools.lru_cache(maxsize=32)(_Graded)  # _graded(n, degree), shared tables
 
 
-def _predecessor(beta: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(j, beta - e_j) for j the first nonzero index of beta."""
-    j = next(t for t, b in enumerate(beta) if b)
-    return j, beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-
-
-def _chains(support):
-    """The support and all its predecessors down to 0, by total degree, each
-    level in lex-descending order; and for each level k >= 1 the runs
-    (j, lo, hi, pred): exponents lo:hi of level k have j as their first
-    nonzero index, and pred holds the positions in level k - 1 of their
-    predecessors.  Runs are contiguous since j is nondecreasing in
-    lex-descending order."""
-    found: list[set] = [set() for _ in range(max(map(sum, support), default=-1) + 1)]
-    for beta in support:
-        found[sum(beta)].add(beta)
-    for k in range(len(found) - 1, 0, -1):
-        found[k - 1].update(_predecessor(beta)[1] for beta in found[k])
-    levels = [sorted(level, reverse=True) for level in found]
-    plan = []
-    for prev, cur in zip(levels, levels[1:]):
-        where = {beta: i for i, beta in enumerate(prev)}
-        runs: dict[int, tuple[int, list]] = {}
-        for i, beta in enumerate(cur):
-            j, pred = _predecessor(beta)
-            runs.setdefault(j, (i, []))[1].append(where[pred])
-        plan.append([(j, lo, lo + len(p), np.array(p, dtype=np.intp)) for j, (lo, p) in runs.items()])
-    return levels, plan
+def _levels(n: int, degree: int) -> np.ndarray:
+    """Offsets comb(n - 1 + k, n) of degrees k = 0..degree + 1 in the basis."""
+    return np.array([math.comb(n - 1 + k, n) for k in range(degree + 2)])
 
 
 @functools.lru_cache(maxsize=32)
-def _basis_plan(n: int, degree: int):
-    """_chains of the whole basis through degree: its levels, which are
-    basis_multi_indices(n, degree) by degree, and their runs.  It is also
-    the closure of any support holding every monomial of its top degree
-    (each alpha of degree k - 1 is the predecessor of alpha + e_1).  Shared
-    by _Graded and _compose_vector, and must not be written to."""
-    return _chains(basis_multi_indices(n, degree))
+def _predecessors(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, pred) over basis_multi_indices(n, degree): the first nonzero
+    index j of each alpha, and the position of its predecessor alpha - e_j
+    (both 0 at alpha = 0).  Read-only, shared."""
+    exps = _exponents(n, degree)
+    first = np.argmax(exps != 0, axis=1)
+    pred = _positions(np.maximum(exps - np.eye(n, dtype=np.intp)[first], 0))
+    first.flags.writeable = pred.flags.writeable = False
+    return first, pred
+
+
+def _runs(first: np.ndarray, pred: np.ndarray, start) -> list:
+    """The plan of a set of monomials closed under predecessors, degree k at
+    entries start[k]:start[k + 1] in lex-descending order, first and pred
+    each entry's first nonzero index j and its predecessor's entry: for each
+    k >= 1 the runs (j, lo, hi, pred) of degree k, where entries lo:hi have
+    first nonzero index j (j is nondecreasing in lex-descending order) and
+    pred holds their predecessors' entries within degree k - 1."""
+    plan, start = [], np.asarray(start).tolist()
+    for a, b, c in zip(start, start[1:], start[2:]):
+        cuts = [b, *(b + 1 + np.flatnonzero(np.diff(first[b:c]))).tolist(), c]
+        plan.append([(int(first[lo]), lo - b, hi - b, pred[lo:hi] - a) for lo, hi in zip(cuts, cuts[1:])])
+    return plan
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_plan(n: int, degree: int) -> list:
+    """_runs of the whole basis through degree.  Shared by _Graded and
+    _closure, and must not be written to."""
+    return _runs(*_predecessors(n, degree), _levels(n, degree))
+
+
+def _closure(n: int, exps: np.ndarray):
+    """The rows exps in n variables and all their predecessors down to 0,
+    each degree from the top marking its marked entries' predecessors: their
+    positions through the top degree, the offsets of each degree among them
+    and their plan (see _runs).  A support filling its top degree closes to
+    the whole basis (alpha precedes alpha + e_1): _basis_plan, cached."""
+    degrees = exps.sum(axis=1)
+    top = int(degrees.max(initial=-1))
+    level = _levels(n, top)
+    if top >= 0 and np.count_nonzero(degrees == top) == level[-1] - level[-2]:
+        return np.arange(level[-1]), level, _basis_plan(n, top)
+    first, pred = _predecessors(n, max(top, 0))
+    mask = np.zeros(level[-1], dtype=bool)
+    mask[_positions(exps)] = True
+    for lo, hi in zip(level[-2:0:-1], level[:0:-1]):
+        mask[pred[lo:hi][mask[lo:hi]]] = True
+    rows = np.flatnonzero(mask)
+    start = np.searchsorted(rows, level)
+    return rows, start, _runs(first[rows], np.searchsorted(rows, pred[rows]), start)
 
 
 @functools.lru_cache(maxsize=32)
@@ -463,23 +461,21 @@ def _diagonal_blocks(f: LinearFractionalMap, g: _Graded):
 
 
 def _diagonal_map_eigenvalues(f: LinearFractionalMap, g: _Graded) -> np.ndarray:
-    """compression_spectrum for phi(0) = 0 and a diagonal A, lambda its
-    diagonal, from one vector: every diagonal block is then diagonal, its
-    entry at z^beta lambda^beta / d^|beta|.
+    """compression_spectrum for phi(0) = 0 and a diagonal A = diag(lambda),
+    from one vector: every diagonal block is diagonal, entry lambda^beta / d^|beta|.
 
     v holds the diagonals of all blocks over the basis, v[0] = 1.  Degree k
-    is +0 plus lambda_j v[beta - e_j] for j the first nonzero index of beta,
-    one gather through g.steps, then divided by d: the operations of
+    is +0 plus lambda_j v[beta - e_j] (a slice of lambda[g.first] times v
+    gathered through g.pred), then divided by d: the operations of
     _diagonal_blocks on a diagonal entry, in the same order, so the same
     bits (its off-diagonal terms add exact zeros, and a zero lambda_j adds
     +0 times a finite entry, a zero, to +0).  The eigenvalues are the scaled
-    diagonal v * norms / norms, read off at every scale as _eigenvalues
-    reads each block."""
-    v, lam, level = np.zeros(g.size, dtype=complex), np.diagonal(f.a), g.level
+    diagonal v * norms / norms, read off at every scale as in _eigenvalues."""
+    v, lam, pred = np.zeros(g.size, dtype=complex), np.diagonal(f.a)[g.first], g.pred
     v[0] = 1.0
-    for k, (first, pred) in enumerate(g.steps, 1):
-        cur = v[level[k]:level[k + 1]]
-        cur += lam[first] * v[pred]
+    for lo, hi in zip(g.level[1:-1].tolist(), g.level[2:].tolist()):
+        cur = v[lo:hi]
+        cur += lam[lo:hi] * v[pred[lo:hi]]
         cur /= f.d
     eigs = _finite(v * g.norms / g.norms)
     return eigs[_spectral_order(eigs)]
@@ -499,36 +495,23 @@ def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded)
     the blocks A[S, S], b[S], c[S], d and scattered back; every other
     coefficient is 0.  The rows kept see the same operations in the same
     order as in all n variables, so they keep those bits.  A constant under
-    c = 0 couples no variable and is composed in z_1.  When the support
-    holds every monomial of its top degree, its predecessor closure is the
-    whole basis through that degree: the plan is _basis_plan's and the
-    coefficients are read off the vector, with no _chains."""
-    if series.n != f.n:
-        raise DimensionMismatch("series in %d variables, map on the %d-ball" % (series.n, f.n))
+    c = 0 couples no variable and is composed in z_1.  The plan is that of
+    the support's predecessor closure in z_S (see _closure)."""
     idx = np.flatnonzero(series.vector)
     support = _exponents(f.n, series.degree)[idx]
     used = support.any(axis=0) | (f.c != 0)
     for _ in range(f.n):  # each pass adds the variables that those used read
         used = used | (f.a[used] != 0).any(axis=0)
-    keep = tuple(np.flatnonzero(used).tolist()) or (0,)
-    rows, degrees = list(keep), support.sum(axis=1)
-    top = int(degrees[-1]) if len(idx) else -1
-    if top >= 0 and np.count_nonzero(degrees == top) == math.comb(len(keep) - 1 + top, top):
-        levels, plan = _basis_plan(len(keep), top)
-        coeffs = series.vector[_embedding(f.n, keep, top)]
-    else:
-        levels, plan = _chains([tuple(beta) for beta in support[:, rows].tolist()])
-        chained = np.zeros((sum(map(len, levels)), f.n), dtype=np.intp)
-        chained[:, rows] = np.array([beta for betas in levels for beta in betas], dtype=np.intp).reshape(-1, len(keep))
-        coeffs = series.vector[_positions(chained)]
-    bounds = np.cumsum([0] + [len(betas) for betas in levels])
+    keep = np.flatnonzero(used).tolist() or [0]
+    rows, bounds, plan = _closure(len(keep), support[:, keep])
+    coeffs = series.vector[_embedding(f.n, tuple(keep), series.degree)[rows]]  # through top, a prefix
     gs = _graded(len(keep), g.degree)
     part = np.zeros(gs.size, dtype=complex)
-    blocks = _power_levels(f.a[np.ix_(rows, rows)], f.b[rows], f.c[rows], f.d, gs, plan)
+    blocks = _power_levels(f.a[np.ix_(keep, keep)], f.b[keep], f.c[keep], f.d, gs, plan)
     for c0, c1, (lo, block) in zip(bounds, bounds[1:], blocks):
         part[lo:lo + len(block)] += block @ coeffs[c0:c1]
     out = np.zeros(g.size, dtype=complex)
-    out[_embedding(f.n, keep, g.degree)] = part
+    out[_embedding(f.n, tuple(keep), g.degree)] = part
     return out
 
 
@@ -572,7 +555,8 @@ def build_compression(f: LinearFractionalMap, degree: int) -> Compression:
     for c0, c1, (lo, block) in zip(g.level, g.level[1:], _power_levels(f.a, f.b, f.c, f.d, g, g.plan)):
         rows = slice(lo, lo + len(block))
         m[rows, c0:c1] = block * g.norms[rows, None] / g.norms[c0:c1]
-    return Compression(matrix=m, basis=g.basis, norms=g.norms.copy(), n=f.n, degree=degree)
+    basis = tuple(basis_multi_indices(f.n, degree))  # tuples only at the API edge
+    return Compression(matrix=m, basis=basis, norms=g.norms.copy(), n=f.n, degree=degree)
 
 
 def _spectral_order(eigs: np.ndarray) -> np.ndarray:
@@ -712,6 +696,8 @@ def eigenfunction_residual(
     lam = complex(eigenvalue)
     if not np.isfinite(lam):
         raise ParameterConstraintViolated("the eigenvalue %r is not finite" % lam)
+    if func.n != f.n:
+        raise DimensionMismatch("series in %d variables, map on the %d-ball" % (func.n, f.n))
     if not np.isfinite(func.vector).all():
         raise ParameterConstraintViolated("the candidate eigenfunction has a non-finite coefficient")
     if not func.vector.any():
@@ -746,7 +732,7 @@ def _terms(series: TruncatedSeries, log_power):
     fits = (2.0 * np.log(mod) <= 700.0) & (log_power(k) <= 700.0)
     if not fits.all():
         raise ParameterConstraintViolated("a degree-%d term leaves the float range" % k[np.argmin(fits)])
-    return k, mod, np.array([monomial_norm_sq(alpha) for alpha in map(tuple, exps.tolist())])
+    return k, mod, _norm_sq(exps)
 
 
 def weighted_norm_sq(series: TruncatedSeries, nu: float) -> float:

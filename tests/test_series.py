@@ -21,7 +21,7 @@ from lfmspec import LinearFractionalMap, TruncatedSeries
 from lfmspec import series as S
 from lfmspec.maps import TOLERANCES
 from lfmspec.series import (
-    _graded, _norm_factors, _positions, _spectral_order, basis_multi_indices, monomial_norm_sq,
+    _graded, _norm_factors, _norm_sq, _positions, _spectral_order, basis_multi_indices,
 )
 
 
@@ -65,11 +65,31 @@ def test_graded_positions_match_basis(n, degree):
     assert list(_positions(np.array(basis))) == list(range(len(basis)))
 
 
+def _positions_by_comb(exps):
+    """_positions from math.comb on Python ints, one row at a time: the
+    reference for its int64 Pascal table."""
+    n, out = exps.shape[1], []
+    for alpha in exps.tolist():
+        rem = sum(alpha)
+        pos = math.comb(rem + n - 1, n)
+        for i in range(n - 1):
+            rem -= alpha[i]
+            pos += math.comb(rem + n - i - 2, n - i - 1)
+        out.append(pos)
+    return out
+
+
+@pytest.mark.parametrize("n, degree", [(1, 5000), (3, 40), (40, 2), (70, 1)])
+def test_positions_match_exact_binomials(n, degree):
+    # the int64 Pascal table wraps above 2^63 (comb(70, 35) is about 1.1e20
+    # at n = 70), but every entry a position reads is below it
+    exps = S._exponents(n, degree)
+    assert S._positions(exps).tolist() == _positions_by_comb(exps) == list(range(len(exps)))
+
+
 @pytest.mark.parametrize("make, error", [
     (lambda: basis_multi_indices(0, 3), L.ParameterConstraintViolated),
     (lambda: basis_multi_indices(2, -1), L.ParameterConstraintViolated),
-    (lambda: monomial_norm_sq(()), L.ParameterConstraintViolated),
-    (lambda: monomial_norm_sq((1, -1)), L.ParameterConstraintViolated),
     (lambda: TruncatedSeries(0, 3), L.ParameterConstraintViolated),
     (lambda: TruncatedSeries(2, -1), L.ParameterConstraintViolated),
     (lambda: TruncatedSeries(2, 3, {(1, 0, 0): 1.0}), L.DimensionMismatch),
@@ -82,7 +102,7 @@ def test_graded_positions_match_basis(n, degree):
     (lambda: L.binomial_series(math.inf, 6), L.ParameterConstraintViolated),
     (lambda: L.binomial_series(complex(0.5, -math.inf), 0), L.ParameterConstraintViolated),
     (lambda: L.binomial_series(1e308, 6), L.ParameterConstraintViolated),  # c_2 overflows
-], ids=["basis-n", "basis-degree", "norm-empty", "norm-negative", "series-n", "series-degree",
+], ids=["basis-n", "basis-degree", "series-n", "series-degree",
         "series-index-length", "series-index-negative", "series-vector-length", "coefficient-length",
         "series-too-large", "binomial-var", "binomial-nan", "binomial-inf", "binomial-inf-degree-0",
         "binomial-overflow"])
@@ -95,10 +115,23 @@ def test_series_inputs_raise_typed_errors(make, error):
 # monomial norms
 
 
+def monomial_norm_sq(alpha):
+    """||z^alpha||^2 from _norm_sq, for one multi-index."""
+    return float(_norm_sq(np.array([alpha], dtype=np.intp))[0])
+
+
+def _exact_norm_sq(alpha):
+    """(n-1)! alpha! / (n-1+|alpha|)! as an exact rational, rounded once."""
+    num = math.factorial(len(alpha) - 1)
+    for a in alpha:
+        num *= math.factorial(a)
+    return float(Fraction(num, math.factorial(len(alpha) - 1 + sum(alpha))))
+
+
 def test_monomial_norm_one_variable():
     # in one variable the monomials are orthonormal
     for k in (0, 1, 5, 40, 300):
-        assert monomial_norm_sq((k,)) == pytest.approx(1.0, rel=1e-12)
+        assert monomial_norm_sq((k,)) == 1.0
 
 
 def test_monomial_norm_beta_integral():
@@ -124,8 +157,19 @@ def test_monomial_norm_gaussian_moments():
 
 
 def test_monomial_norm_large_degree_stable():
-    v = monomial_norm_sq((250, 250))
-    assert 0 < v < 1e-100
+    # the exact rational rounded once; a log-gamma sum is 1.6e-13 off here
+    assert monomial_norm_sq((250, 250)) == 1.7097260543732234e-152
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("top", [199, 200, 201, 250, 400])
+def test_norms_are_the_exact_rationals_rounded_once(n, top):
+    # every monomial of degree k = top - n + 1 (every 17th in three
+    # variables), to the bit, on both sides of n - 1 + k = 200
+    k = top - n + 1
+    exps = S._exponents(n, k)[math.comb(n - 1 + k, n):][::1 if n == 2 else 17]
+    want = np.array([_exact_norm_sq(alpha) for alpha in map(tuple, exps.tolist())])
+    assert np.array_equal(_norm_sq(exps).view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +190,7 @@ def test_series_evaluate_two_variables():
 def test_series_dimension_mismatch():
     fa = TruncatedSeries(1, 3, {(1,): 1.0})
     with pytest.raises(L.DimensionMismatch):
-        compose(fa, LinearFractionalMap(np.eye(2) * 0.5, [0, 0], [0, 0], 1), 3)
+        L.eigenfunction_residual(LinearFractionalMap(np.eye(2) * 0.5, [0, 0], [0, 0], 1), 0.5, fa, 3)
     with pytest.raises(L.DimensionMismatch):
         fa.evaluate([0.1, 0.2])
 
@@ -555,7 +599,8 @@ def test_gather_tables_match_the_plan_and_the_basis(n, degree):
         assert [run[:3] for run in runs] == [run[:3] for run in plan]
         for (_, _, _, p0, p1), (_, _, _, pred) in zip(runs, plan):
             assert np.array_equal(np.arange(p0, p1), pred)
-        below, here = g.basis[g.level[k - 1]:g.level[k]], g.basis[g.level[k]:g.level[k + 1]]
+        basis = basis_multi_indices(n, degree)
+        below, here = basis[g.level[k - 1]:g.level[k]], basis[g.level[k]:g.level[k + 1]]
         assert tab.shape == (n, len(here) + 1)
         for i, row in enumerate(tab):
             assert row[-1] == len(below)
@@ -832,30 +877,71 @@ def test_residual_detects_wrong_eigenvalue():
 
 def test_degree_300_residual_stays_below_the_compression_caps(monkeypatch):
     # a degree-300 series in two variables is placed and composed without
-    # the graded tables of its own degree (about 0.5 s to build); the only
+    # the graded tables of its own degree (about 0.1 s to build); the only
     # ones built are those of the comparison degree: in both variables for
     # the residual's norms, and in z_1 alone, the one variable that
     # (1 - z_1)^s and this map couple, for the composition
     seen, plans = [], []
     S._graded.cache_clear()
-    graded, basis_plan = S._graded, S._basis_plan
+    S._basis_plan.cache_clear()
+    graded, runs = S._graded, S._runs
     monkeypatch.setattr(S, "_graded", lambda n, degree: seen.append((n, degree)) or graded(n, degree))
-    monkeypatch.setattr(S, "_basis_plan", lambda n, degree: plans.append((n, degree)) or basis_plan(n, degree))
+    monkeypatch.setattr(S, "_runs", lambda first, pred, start: plans.append((len(start) - 2, int(start[-1])))
+                        or runs(first, pred, start))
     f = LinearFractionalMap(np.diag([0.5, 0.5]), [0.5, 0], [0, 0], 1)
     s = 1.3 + 0.4j
     F = L.binomial_series(s, 300, n=2)
     assert np.count_nonzero(F.vector) == 301
     assert L.eigenfunction_residual(f, 2.0 ** -s, F, 60) < 1e-9
     assert set(seen) == {(2, 60), (1, 60)}
-    assert set(plans) == {(2, 60), (1, 60), (1, 300)}  # the series' plan in z_1 alone
+    # runs only of whole bases, (top degree, size): (2, 60) and (1, 60) for
+    # the tables, and the series' own through degree 300 in z_1 alone
+    assert set(plans) == {(60, math.comb(62, 2)), (60, 61), (300, 301)}
+
+
+def _predecessor(beta: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(j, beta - e_j) for j the first nonzero index of beta."""
+    j = next(t for t, b in enumerate(beta) if b)
+    return j, beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+
+
+def _chains(support):
+    """The support and all its predecessors down to 0, by total degree, each
+    level in lex-descending order; and for each level k >= 1 the runs
+    (j, lo, hi, pred): exponents lo:hi of level k have j as their first
+    nonzero index, and pred holds the positions in level k - 1 of their
+    predecessors.  Runs are contiguous since j is nondecreasing in
+    lex-descending order."""
+    found: list[set] = [set() for _ in range(max(map(sum, support), default=-1) + 1)]
+    for beta in support:
+        found[sum(beta)].add(beta)
+    for k in range(len(found) - 1, 0, -1):
+        found[k - 1].update(_predecessor(beta)[1] for beta in found[k])
+    levels = [sorted(level, reverse=True) for level in found]
+    plan = []
+    for prev, cur in zip(levels, levels[1:]):
+        where = {beta: i for i, beta in enumerate(prev)}
+        runs: dict[int, tuple[int, list]] = {}
+        for i, beta in enumerate(cur):
+            j, pred = _predecessor(beta)
+            runs.setdefault(j, (i, []))[1].append(where[pred])
+        plan.append([(j, lo, lo + len(p), np.array(p, dtype=np.intp)) for j, (lo, p) in runs.items()])
+    return levels, plan
+
+
+def _assert_same_plan(plan, want):
+    assert [[run[:3] for run in runs] for runs in plan] == [[run[:3] for run in runs] for runs in want]
+    for runs, other in zip(plan, want):
+        assert all(np.array_equal(run[3], ref[3]) for run, ref in zip(runs, other))
 
 
 def _compose_in_every_variable(series, f, g):
     """series(phi(z)) through g's degree, composed in all n variables with
-    the predecessor chains of the support: the reference that composing in
-    the coupled variables alone must match to the bit."""
+    the predecessor chains of the support, made from tuples by _chains: the
+    reference that composing in the coupled variables alone, with plans
+    made from exponent arrays, must match to the bit."""
     support = S._exponents(series.n, series.degree)[np.flatnonzero(series.vector)]
-    levels, plan = S._chains([tuple(beta) for beta in support.tolist()])
+    levels, plan = _chains([tuple(beta) for beta in support.tolist()])
     chained = np.array([beta for betas in levels for beta in betas], dtype=np.intp).reshape(-1, f.n)
     coeffs = np.split(series.vector[_positions(chained)], np.cumsum([len(betas) for betas in levels[:-1]]))
     out = np.zeros(g.size, dtype=complex)
@@ -918,24 +1004,24 @@ def test_coupled_variables_keep_the_bits_of_every_variable(monkeypatch, case):
 def test_whole_bases_take_the_cached_plan(monkeypatch):
     # a support holding every monomial of its top degree, in the variables
     # kept, closes to the whole basis through it, whose plan is cached: no
-    # _chains; any other support is chained, such as (1 - z_2)^s once z_3
-    # is coupled in
+    # _runs; any other support is closed and given runs of its own, such as
+    # (1 - z_2)^s once z_3 is coupled in
     whole = [_binomial_case(2, 0, "decoupled"), _binomial_case(3, 2, "decoupled")]
     f = _dense_origin_map(3, 5)
     eigs, vecs, comp = L.compression_spectrum(f, 6, return_vectors=True)
     whole.append((f, eigs[1], L.series_from_vector(comp, vecs[:, 1]), 6, 3))
     sparse = [(f, 0.5, TruncatedSeries(3, 6, {(0, 0, 0): 1.0, (2, 1, 0): 0.5}), 6, 3),
               _binomial_case(3, 1, "offdiagonal")]
-    chained = []
-    chains = S._chains
+    planned = []
+    runs = S._runs
     for cases, calls in ((whole, 0), (sparse, 1)):
         for f, lam, func, degree, _ in cases:
             L.eigenfunction_residual(f, lam, func, degree)  # warms the caches
-            monkeypatch.setattr(S, "_chains", lambda support: chained.append(support) or chains(support))
+            monkeypatch.setattr(S, "_runs", lambda *a: planned.append(a) or runs(*a))
             L.eigenfunction_residual(f, lam, func, degree)
-            monkeypatch.setattr(S, "_chains", chains)
-            assert len(chained) == calls
-            chained.clear()
+            monkeypatch.setattr(S, "_runs", runs)
+            assert len(planned) == calls
+            planned.clear()
 
 
 @pytest.mark.parametrize("coupling", ["decoupled", "offdiagonal", "denominator"])
@@ -982,14 +1068,34 @@ def test_division_keeps_the_bits_of_the_scatter(n):
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
-@pytest.mark.parametrize("n, degree", [(1, 9), (2, 7), (3, 5), (4, 4)])
+@pytest.mark.parametrize("n, degree", [(1, 9), (1, 300), (2, 7), (2, 25), (3, 5), (3, 12), (4, 4)])
 def test_basis_plan_is_the_chains_of_the_basis(n, degree):
-    levels, plan = S._basis_plan(n, degree)
-    want_levels, want_plan = S._chains(basis_multi_indices(n, degree))
-    assert levels == want_levels
-    assert [[run[:3] for run in runs] for runs in plan] == [[run[:3] for run in runs] for runs in want_plan]
-    for runs, want in zip(plan, want_plan):
-        assert all(np.array_equal(run[3], other[3]) for run, other in zip(runs, want))
+    levels, want = _chains(basis_multi_indices(n, degree))
+    _assert_same_plan(S._basis_plan(n, degree), want)
+    rows, start, plan = S._closure(n, S._exponents(n, degree)[S._levels(n, degree)[-2]:])
+    assert plan is S._basis_plan(n, degree)
+    assert rows.tolist() == list(range(sum(map(len, levels))))
+    assert np.diff(start).tolist() == list(map(len, levels))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closures_from_arrays_are_the_chains(n):
+    # random sparse supports, and the empty one, closed by marking
+    # predecessors degree by degree: the same monomials, by degree in
+    # lex-descending order, and the same runs as the tuple reference
+    rng = np.random.default_rng(n)
+    supports = [np.zeros((0, n), dtype=np.intp)]
+    for degree in (1, 3, 6, 9):
+        basis = S._exponents(n, degree)
+        for size in (1, 2, 5):
+            supports.append(basis[rng.choice(len(basis), min(size, len(basis)), replace=False)])
+    for exps in supports:
+        levels, want = _chains([tuple(beta) for beta in exps.tolist()])
+        rows, start, plan = S._closure(n, exps)
+        assert len(start) == len(levels) + 1
+        basis = S._exponents(n, max(len(levels) - 1, 0))[rows].tolist()
+        assert [list(map(tuple, basis[a:b])) for a, b in zip(start, start[1:])] == levels
+        _assert_same_plan(plan, want)
 
 
 @pytest.mark.parametrize("eigenvalue, coeffs", [
@@ -1046,7 +1152,8 @@ def test_overflowing_compression_is_refused_in_two_variables(a, return_vectors):
 
 def test_residual_refuses_a_comparison_degree_over_the_term_cap(monkeypatch):
     # comb(3 + 250, 3) = 2,667,126 terms, above the cap: refused before any
-    # table is built, as building one that size takes tens of seconds
+    # table is built, as building one that size takes tens of seconds; so
+    # is a series in other variables than the map's
     top = max(d for d in range(400) if math.comb(3 + d, 3) <= S.MAX_SERIES_TERMS)
     tables = []
 
@@ -1061,6 +1168,8 @@ def test_residual_refuses_a_comparison_degree_over_the_term_cap(monkeypatch):
             L.eigenfunction_residual(f, 0.5, func, degree)
     with pytest.raises(L.ParameterConstraintViolated):
         L.eigenfunction_residual(f, 0.5, func, -1)
+    with pytest.raises(L.DimensionMismatch):  # a series in 2 variables, a map on the 3-ball
+        L.eigenfunction_residual(f, 0.5, L.binomial_series(0.5, 40, n=2), 40)
     assert tables == []
     with pytest.raises(RuntimeError, match="table"):
         L.eigenfunction_residual(f, 0.5, func, top)
