@@ -186,14 +186,21 @@ def unitary_map(u) -> LinearFractionalMap:
     return LinearFractionalMap(u, np.zeros(n), np.zeros(n), 1.0)
 
 
-def evaluate(f: LinearFractionalMap, z) -> np.ndarray:
-    """Apply the map at a point of C^N (not restricted to the ball)."""
+def _point(f: LinearFractionalMap, z) -> tuple[np.ndarray, complex]:
+    """z as a point of C^N and the denominator <z, C> + d there, refused
+    when z has another dimension or the denominator is about 0."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape != (f.n,):
         raise DimensionMismatch("point has dimension %d, map has %d" % (z.size, f.n))
     den = _inner(z, f.c) + f.d
     if abs(den) < 1e-13:
         raise DenominatorVanishes("denominator ~ 0 at the requested point")
+    return z, den
+
+
+def evaluate(f: LinearFractionalMap, z) -> np.ndarray:
+    """Apply the map at a point of C^N (not restricted to the ball)."""
+    z, den = _point(f, z)
     return (f.a @ z + f.b) / den
 
 
@@ -244,12 +251,7 @@ def _iterate_matrices(f: LinearFractionalMap, orders) -> list[np.ndarray]:
 
 def _jacobian(f: LinearFractionalMap, z) -> np.ndarray:
     """Holomorphic Jacobian matrix (d phi_i / d z_j) at z."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape != (f.n,):
-        raise DimensionMismatch("point has dimension %d, map has %d" % (z.size, f.n))
-    den = _inner(z, f.c) + f.d
-    if abs(den) < 1e-13:
-        raise DenominatorVanishes("denominator ~ 0 at the requested point")
+    z, den = _point(f, z)
     num = f.a @ z + f.b
     return f.a / den - np.outer(num, np.conj(f.c)) / (den * den)
 
@@ -458,6 +460,18 @@ def _default_boundary_point(f: LinearFractionalMap) -> np.ndarray:
     if not bps:
         raise NoBoundaryFixedPoint("map has no boundary fixed point")
     return bps[0].location
+
+
+def _unit_tau(f: LinearFractionalMap, tau) -> np.ndarray:
+    """tau scaled to the unit sphere; refused unless its norm is finite and nonzero in floats."""
+    tau = np.asarray(tau, dtype=complex).reshape(-1)
+    if tau.shape != (f.n,):
+        raise DimensionMismatch("tau has dimension %d, map has %d" % (tau.size, f.n))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+        norm = np.linalg.norm(tau) if np.isfinite(tau).all() else math.nan
+    if not 0.0 < norm < math.inf:
+        raise ParameterConstraintViolated("tau must have a finite nonzero norm, got %r" % float(norm))
+    return tau / norm
 
 
 # ---------------------------------------------------------------------------
@@ -790,10 +804,7 @@ def conjugate_to_halfplane(f: LinearFractionalMap, tau: np.ndarray | None = None
     before being dropped.
     """
     n = f.n
-    if tau is None:
-        tau = _default_boundary_point(f)
-    tau = np.asarray(tau, dtype=complex).reshape(-1)
-    tau = tau / np.linalg.norm(tau)
+    tau = _unit_tau(f, _default_boundary_point(f) if tau is None else tau)
     if np.linalg.norm(evaluate(f, tau) - tau) > TOLERANCES.fixed_point:
         raise NotAFixedPoint("tau is not fixed by the map")
     rot = _unitary_with_first_column(tau).conj().T  # rot @ tau = e_1

@@ -195,9 +195,8 @@ class _Graded:
     Every table comes from the rows of _exponents(n, D).  ``level[k]`` is
     the offset of degree k, ``up[i][s]`` the position of row s + e_i for s
     of degree below D, ``first`` and ``pred`` are _predecessors', ``plan``
-    their runs (see _basis_plan), and ``down``, made on first use, the
-    gather tables of _diagonal_blocks.  Arrays here are shared through
-    _graded and must not be written to.
+    their runs (see _basis_plan).  Arrays here are shared through _graded
+    and must not be written to.
     """
 
     def __init__(self, n: int, degree: int):
@@ -207,25 +206,6 @@ class _Graded:
         (self.first, self.pred), self.plan = _predecessors(n, degree), _basis_plan(n, degree)
         self.norm_sq = _norm_sq(exps)
         self.norms = np.sqrt(self.norm_sq)
-
-    @functools.cached_property
-    def down(self) -> list[tuple[np.ndarray, list]]:
-        """Gather tables of _diagonal_blocks, a (table, runs) pair for each
-        degree k = 1..D.  With m_k monomials of degree k, row i of the table
-        holds, for each degree-k alpha, the index within degree k - 1 of
-        alpha - e_i, or m_(k-1) when alpha_i = 0, and then one more m_(k-1);
-        index m_(k-1) names a zero row kept below the degree-(k-1) block.
-        The runs are those of plan[k - 1] as (j, lo, hi, p0, p1): run j's
-        predecessors are the slice p0:p1 of degree k - 1, its monomials in
-        z_j..z_(n-1) alone, which come last in lex-descending order."""
-        out = []
-        for k, runs in enumerate(self.plan, 1):
-            lo, mid, hi = self.level[k - 1:k + 2]
-            tab = np.full((len(self.up), hi - mid + 1), mid - lo, dtype=np.intp)
-            for row, up in zip(tab, self.up):
-                row[up[lo:mid] - mid] = np.arange(mid - lo)
-            out.append((tab, [(j, a, b, int(pred[0]), int(pred[-1]) + 1) for j, a, b, pred in runs]))
-        return out
 
     def mul_affine(self, x: np.ndarray, lo: int, const: complex, lin, out_lo: int, out_hi: int) -> np.ndarray:
         """(const + sum_i lin[i] z_i) times each column of x, truncated.
@@ -430,47 +410,17 @@ def _power_table(a, b, c, d, g: _Graded, plan, windows):
         yield lo, tab[k, lo:hi, None]
 
 
-def _diagonal_blocks(f: LinearFractionalMap, g: _Graded):
-    """Yield, degree by degree, the diagonal block of the compression before
-    its norm scaling, for phi(0) = 0: column beta holds the degree-|beta|
-    part of phi^beta, which is (A z / d)^beta, so c plays no part.  Used
-    when A has an off-diagonal entry; a diagonal A makes every block
-    diagonal, and _diagonal_map_eigenvalues carries just those diagonals.
-
-    Column beta of degree k is sum_i A[j, i] z_i / d times column beta - e_j
-    of degree k - 1, whose entry in row alpha - e_i g.down gathers (from the
-    zero row when alpha_i = 0).  Each block is kept as its transpose, a
-    C-ordered array with the zero row as one more column, so that a run of
-    the plan is a contiguous slab: one gather and one scaled add per nonzero
-    A[j, i].  Every entry is +0 plus these products in increasing i, then
-    divided by d: the operations, and so the bits, of the rows of degree
-    |beta| that _power_levels gives for the whole matrix."""
-    terms = [[(i, a) for i, a in enumerate(row) if a != 0] for row in f.a]
-    cols = np.zeros((1, 2), dtype=complex)
-    cols[0, 0] = 1.0
-    yield cols[:, :-1].T
-    for tab, runs in g.down:
-        nxt = np.zeros((tab.shape[1] - 1, tab.shape[1]), dtype=complex)
-        for j, lo, hi, p0, p1 in runs:
-            pred = cols[p0:p1]
-            for i, a in terms[j]:
-                nxt[lo:hi] += a * pred.take(tab[i], axis=1)
-        nxt /= f.d
-        cols = nxt
-        yield cols[:, :-1].T
-
-
 def _diagonal_map_eigenvalues(f: LinearFractionalMap, g: _Graded) -> np.ndarray:
     """compression_spectrum for phi(0) = 0 and a diagonal A = diag(lambda),
     from one vector: every diagonal block is diagonal, entry lambda^beta / d^|beta|.
 
     v holds the diagonals of all blocks over the basis, v[0] = 1.  Degree k
     is +0 plus lambda_j v[beta - e_j] (a slice of lambda[g.first] times v
-    gathered through g.pred), then divided by d: the operations of
-    _diagonal_blocks on a diagonal entry, in the same order, so the same
-    bits (its off-diagonal terms add exact zeros, and a zero lambda_j adds
-    +0 times a finite entry, a zero, to +0).  The eigenvalues are the scaled
-    diagonal v * norms / norms, read off at every scale as in _eigenvalues."""
+    gathered through g.pred), then divided by d: the operations that
+    _power_levels with c = 0 gives a diagonal entry, in the same order, so
+    the same bits (a zero lambda_j adds +0 times a finite entry, a zero, to
+    +0).  The eigenvalues are the scaled diagonal v * norms / norms, read
+    off at every scale as in _eigenvalues."""
     v, lam, pred = np.zeros(g.size, dtype=complex), np.diagonal(f.a)[g.first], g.pred
     v[0] = 1.0
     for lo, hi in zip(g.level[1:-1].tolist(), g.level[2:].tolist()):
@@ -632,8 +582,10 @@ def _block_eigenpairs(m: np.ndarray, level: np.ndarray):
 def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bool = False):
     """Eigenvalues of the compression by decreasing modulus, ties by real
     then imaginary part.  For phi(0) = 0 only the diagonal blocks by degree
-    are built (see _diagonal_blocks), never the whole matrix, and each gives
-    its eigenvalues by _eigenvalues: a triangular block its scaled diagonal.
+    are built, by _power_levels with c = 0: column beta of block |beta| is
+    the degree-|beta| part of phi^beta, (A z / d)^beta whatever c is, with
+    the operations and bits of the whole build.  Each gives its eigenvalues
+    by _eigenvalues: a triangular block its scaled diagonal.
     When A is also diagonal, as in one variable, one vector carries every
     block's diagonal (see _diagonal_map_eigenvalues) and no block is built.
     For phi(0) != 0, or with return_vectors, the whole matrix is built.
@@ -653,8 +605,8 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
         g = _graded(f.n, degree)
         if np.count_nonzero(f.a) == np.count_nonzero(np.diagonal(f.a)):
             return _diagonal_map_eigenvalues(f, g)
-        norms = (g.norms[a:b] for a, b in zip(g.level, g.level[1:]))
-        return _block_eigenvalues(zip(_diagonal_blocks(f, g), norms))
+        levels = _power_levels(f.a, f.b, np.zeros_like(f.c), f.d, g, g.plan)
+        return _block_eigenvalues((block, g.norms[a:b]) for a, b, (_, block) in zip(g.level, g.level[1:], levels))
     comp = build_compression(f, degree)
     if not return_vectors:
         return _block_eigenvalues([(comp.matrix,)])

@@ -37,6 +37,7 @@ from .maps import (
     _default_boundary_point,
     _iterate_matrices,
     _j_form,
+    _unit_tau,
 )
 from .series import _spectral_order
 
@@ -553,9 +554,7 @@ def essential_radius_estimate(
     d_n^(-N/(2n)) are taken in logs, so no power overflows.
     """
     _check_n_max(n_max)
-    tau = _default_boundary_point(f) if tau is None else tau
-    tau = np.asarray(tau, dtype=complex).reshape(-1)
-    tau = tau / np.linalg.norm(tau)
+    tau = _unit_tau(f, _default_boundary_point(f) if tau is None else tau)
     uv = np.zeros((f.n + 1, 2), dtype=complex)
     uv[: f.n] = tau[:, None]
     uv[f.n, 1] = 1.0

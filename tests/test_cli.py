@@ -301,7 +301,7 @@ def test_compress_json_builds_once(capsys, disk_map, monkeypatch):
     import lfmspec.series as series
 
     calls = []
-    for name in ("_power_levels", "_diagonal_blocks", "_diagonal_map_eigenvalues"):
+    for name in ("_power_levels", "_diagonal_map_eigenvalues"):
         real = getattr(series, name)
         monkeypatch.setattr(series, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     code, _, _ = run(capsys, ["compress", disk_map, "--degree", "4", "--format", "json"])

@@ -582,30 +582,10 @@ def test_diagonal_path_refuses_before_building(monkeypatch, f, degree, error):
     touched = []
     monkeypatch.setattr(S, "_graded", lambda *a: touched.append(a))
     monkeypatch.setattr(S, "_power_levels", lambda *a, **k: touched.append(a))
-    monkeypatch.setattr(S, "_diagonal_blocks", lambda *a: touched.append(a))
     monkeypatch.setattr(S, "_diagonal_map_eigenvalues", lambda *a: touched.append(a))
     with pytest.raises(error):
         L.compression_spectrum(f, degree)
     assert touched == []
-
-
-@pytest.mark.parametrize("n, degree", [(1, 6), (2, 7), (3, 5), (4, 4)])
-def test_gather_tables_match_the_plan_and_the_basis(n, degree):
-    # each run's predecessors are the slice p0:p1 of the degree below, and
-    # row i of a table takes alpha to alpha - e_i, or to the zero row
-    g = _graded(n, degree)
-    assert len(g.down) == len(g.plan) == degree
-    for k, ((tab, runs), plan) in enumerate(zip(g.down, g.plan), 1):
-        assert [run[:3] for run in runs] == [run[:3] for run in plan]
-        for (_, _, _, p0, p1), (_, _, _, pred) in zip(runs, plan):
-            assert np.array_equal(np.arange(p0, p1), pred)
-        basis = basis_multi_indices(n, degree)
-        below, here = basis[g.level[k - 1]:g.level[k]], basis[g.level[k]:g.level[k + 1]]
-        assert tab.shape == (n, len(here) + 1)
-        for i, row in enumerate(tab):
-            assert row[-1] == len(below)
-            for alpha, r in zip(here, row):
-                assert r == (below.index(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]) if alpha[i] else len(below))
 
 
 def _sorted_bytes(eigs):
@@ -646,22 +626,25 @@ def test_block_rule_gives_the_bits_of_eigvals(scale):
 
 def test_diagonal_map_reads_every_block_off(monkeypatch):
     # diag(lambda) z: every diagonal block is diagonal, and no eigvals is
-    # called on either path; compression_spectrum builds no block either, for
-    # any c, in one variable and at any scale.  A dense map still builds its
-    # blocks and solves each one above 1 x 1
+    # called on either path; compression_spectrum makes no map power either,
+    # for any c, in one variable and at any scale.  A dense map still builds
+    # its blocks, by one power recurrence with c = 0, and solves each one
+    # above 1 x 1
     sizes = _eigvals_sizes(monkeypatch)
     built = []
-    blocks = S._diagonal_blocks
-    monkeypatch.setattr(S, "_diagonal_blocks", lambda f, g: built.append(f.n) or blocks(f, g))
+    levels = S._power_levels
+    monkeypatch.setattr(S, "_power_levels", lambda *a: built.append(a[2]) or levels(*a))
     f = _sparse_map(3, 12)
-    L.compression_spectrum(f, 12)
     _compression_eigenvalues(L.build_compression(f, 12))
-    for f, degree in [(_sparse_map(2, 32), 25), (_dense_origin_map(1, 33), 60),
+    built.clear()
+    for f, degree in [(f, 12), (_sparse_map(2, 32), 25), (_dense_origin_map(1, 33), 60),
                       (_diagonal_map([0.4, 0.3j], [0.2, 0.1]), 25), (_diagonal_map([1e-8, 2e-8j]), 25)]:
         L.compression_spectrum(f, degree)
     assert built == [] and sizes == []
-    L.compression_spectrum(_dense_origin_map(3, 5), 8)
-    assert built == [3]
+    f = _dense_origin_map(3, 5)
+    assert f.c.any()
+    L.compression_spectrum(f, 8)
+    assert len(built) == 1 and built[0].shape == (3,) and not built[0].any()
     assert sizes == [math.comb(k + 2, 2) for k in range(1, 9)]
 
 

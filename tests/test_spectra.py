@@ -3,6 +3,7 @@ the essential radius estimator against closed forms."""
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -592,6 +593,28 @@ def test_estimator_nonpositive_derivative_is_typed():
     # pairing is 0 at order 1
     with pytest.raises(L.NumericalInconsistency, match="order 1"):
         L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), tau=np.array([-1.0]), n_max=3)
+
+
+@pytest.mark.parametrize("use", [L.essential_radius_estimate, L.conjugate_to_halfplane],
+                         ids=["estimator", "halfplane"])
+@pytest.mark.parametrize("tau, error", [
+    ([1.0, 0.0, 0.0], L.DimensionMismatch),
+    ([0.0, 0.0], L.ParameterConstraintViolated),
+    ([math.nan, 0.0], L.ParameterConstraintViolated),
+    ([math.inf, 0.0], L.ParameterConstraintViolated),
+    ([1e200, 1e200], L.ParameterConstraintViolated),  # the norm overflows
+], ids=["wrong-length", "zeros", "nan", "inf", "overflow"])
+def test_bad_tau_is_refused_typed_and_silently(use, tau, error):
+    # hyperbolic on the 2-ball with Denjoy-Wolff point e_1: a tau of the
+    # wrong length, or one with no unit direction, ends in a typed error,
+    # never a numpy ValueError, a RuntimeWarning or a half-plane alpha of nan
+    f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error):
+            use(f, np.array(tau))
+    assert issubclass(error, L.BallMapError)
+    assert caught == []
 
 
 def test_estimator_does_not_swallow_numerical_faults(monkeypatch):

@@ -9,7 +9,8 @@ for N = 1, 2, 3, each conjugated, and the maps that are not self-maps), the
 12 fixed estimator probes, and the NaN and Infinity maps of the cli
 workload; and, made here, three dense maps fixing 0 in three variables,
 whose degree blocks at degree 12 (up to 91 x 91) the ``verify-eigen+cap``
-form reaches, as no bench map fixes 0 with a non-diagonal A at N = 3.
+form reaches through the whole matrix and the ``compress+cap`` form through
+the blocks alone, as no bench map fixes 0 with a non-diagonal A at N = 3.
 Every subcommand runs in this process on every map, with its default flags
 and with non-default ones, and one line
 
@@ -61,6 +62,7 @@ FORMS = {
     "radius+nmax": ["radius", "--nmax", "7"],
     "compress": ["compress"],
     "compress+json": ["compress", "--degree", "5", "--format", "json"],
+    "compress+cap": ["compress", "--degree", "12"],
     "verify-eigen": ["verify-eigen"],
     "verify-eigen+csv": ["verify-eigen", "--degree", "3", "--tol", "1e-12", "--format", "csv"],
     "verify-eigen+cap": ["verify-eigen", "--degree", "12", "--format", "csv"],
