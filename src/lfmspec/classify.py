@@ -402,65 +402,43 @@ def classify(f: LinearFractionalMap) -> Classification:
     z0 = fps.interior_point()
     aut = is_automorphism(f)
     bps = fps.boundary_points()
+    dw = alpha = data = nf = None
     if z0 is not None:
         data = _elliptic_spectral_data(f, z0)
         if aut:
             kind = MapClass.ELLIPTIC_AUTOMORPHISM
         elif data.p > 0:
             kind = MapClass.ELLIPTIC_UNITARY_PART
-        elif not bps:
-            kind = MapClass.ELLIPTIC_INTERIOR_ONLY
-        elif len(bps) == 1:
-            kind = MapClass.ELLIPTIC_BOUNDARY_FIXED
-        else:
+        elif len(bps) > 1:
             raise MultipleBoundaryFixedPoints(
                 "elliptic map with unitary index 0 cannot fix %d boundary points" % len(bps)
             )
-        nf = None
-        if kind in (MapClass.ELLIPTIC_INTERIOR_ONLY, MapClass.ELLIPTIC_BOUNDARY_FIXED):
-            nf = _elliptic_p0_form(f, data)
-        return Classification(
-            kind=kind,
-            n=f.n,
-            fixed_set=fps,
-            interior_fixed_point=z0,
-            boundary_fixed_points=bps,
-            denjoy_wolff_point=None,
-            alpha=None,
-            automorphism=aut,
-            spectral_data=data,
-            normal_form=nf,
-        )
-    dw = _denjoy_wolff_of(f, fps)
-    alpha = dw.dilation
-    if alpha >= 1.0 - TOLERANCES.parabolic_band:
-        # parabolic band asserts dilation 1; drop the numerical dust
-        alpha = 1.0
-    if aut:
-        kind = MapClass.OTHER_AUTOMORPHISM
-        nf = None
-    elif alpha == 1.0:
-        kind = MapClass.PARABOLIC
-        nf = None
-    else:
-        count = len(bps)
-        if count == 1:
-            kind = MapClass.HYPERBOLIC_ONE_FIXED
-        elif count == 2:
-            kind = MapClass.HYPERBOLIC_TWO_FIXED
         else:
-            raise MultipleBoundaryFixedPoints("hyperbolic map fixing %d boundary points" % count)
-        nf = _hyperbolic_form(f, dw, count)
+            kind = MapClass.ELLIPTIC_BOUNDARY_FIXED if bps else MapClass.ELLIPTIC_INTERIOR_ONLY
+            nf = _elliptic_p0_form(f, data)
+    else:
+        dw = _denjoy_wolff_of(f, fps)
+        # the parabolic band asserts dilation 1; drop the numerical dust
+        alpha = 1.0 if dw.dilation >= 1.0 - TOLERANCES.parabolic_band else dw.dilation
+        if aut:
+            kind = MapClass.OTHER_AUTOMORPHISM
+        elif alpha == 1.0:
+            kind = MapClass.PARABOLIC
+        elif len(bps) not in (1, 2):
+            raise MultipleBoundaryFixedPoints("hyperbolic map fixing %d boundary points" % len(bps))
+        else:
+            kind = MapClass.HYPERBOLIC_ONE_FIXED if len(bps) == 1 else MapClass.HYPERBOLIC_TWO_FIXED
+            nf = _hyperbolic_form(f, dw, len(bps))
     return Classification(
         kind=kind,
         n=f.n,
         fixed_set=fps,
-        interior_fixed_point=None,
+        interior_fixed_point=z0,
         boundary_fixed_points=bps,
         denjoy_wolff_point=dw,
         alpha=alpha,
         automorphism=aut,
-        spectral_data=None,
+        spectral_data=data,
         normal_form=nf,
     )
 

@@ -9,15 +9,17 @@ result: a dict for a JSON report, or CSV text.  ``main`` wraps every dict in
 one envelope, ``tool``, ``version``, ``command``, ``map`` (the normalized
 input map, so feeding it back reproduces the result), ``flags`` and
 ``result``, where ``flags`` echoes every parsed option but ``--format`` and
-``--out`` (``classify`` and ``spectrum`` echo ``{}``).  JSON output is
-deterministic: fixed key order, floats with 17 significant digits.  CSV
-comes from one writer (``_csv``), floats as %.17g and integers as %d.
+``--out`` (``classify`` and ``spectrum`` echo ``{}``).  JSON output comes
+from one writer (``_emit_json``) and is deterministic: fixed key order,
+floats with 17 significant digits.  CSV comes from one writer (``_csv``),
+floats as %.17g and integers as %d.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,7 +39,6 @@ from .maps import TOLERANCES, _c2pair, map_from_json_dict, map_to_json_dict, val
 from .series import (
     basis_multi_indices,
     compression_spectrum,
-    norm_equivalence_interval,
     _graded,
     _norm_factors,
 )
@@ -60,46 +61,20 @@ EXIT_UNSUPPORTED = 3
 
 
 def _emit_json(obj) -> str:
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
-
-
-def _emit(obj, parts: list[str]) -> None:
-    """Plain Python JSON types only: complex values come as ``_c2pair``
-    lists and arrays through ``.tolist()``."""
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if not np.isfinite(obj):
+    """The one JSON writer, for plain Python types: complex values come as
+    ``_c2pair`` lists, arrays through ``.tolist()``.  A float must be finite
+    and is written as %.17g; None, bool, int and str go to ``json.dumps``."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
             raise ValueError("non-finite number in JSON output")
-        parts.append(format(obj, ".17g"))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError("cannot serialize %r" % type(obj))
+        return format(obj, ".17g")
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _emit_json(v) for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([_emit_json(v) for v in obj]) + "]"
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
+        return json.dumps(obj)
+    raise TypeError("cannot serialize %r" % type(obj))
 
 
 def _csv(header: str, *columns: np.ndarray) -> str:
@@ -233,15 +208,15 @@ def _cmd_verify_eigen(f, args) -> dict | str:
 
 
 def _cmd_norms(f, args) -> dict:
-    lo, hi = norm_equivalence_interval(args.s, args.nu, args.kmax)
     rows = [{"k": k, "weighted_factor": wf, "sobolev_factor": sf, "ratio": r}
             for k, (wf, sf, r) in enumerate(_norm_factors(args.s, args.nu, args.kmax))]
+    ratios = [row["ratio"] for row in rows]
     return {
         "s": args.s,
         "nu": args.nu,
         "c": 2.0 * args.s - 2.0 * args.nu - 1.0,
         "k_max": args.kmax,
-        "interval": [lo, hi],
+        "interval": [min(ratios), max(ratios)],
         "rows": rows,
     }
 

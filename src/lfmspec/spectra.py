@@ -321,8 +321,6 @@ def _unimodular_closure_points(unimodular: tuple[complex, ...]) -> list[complex]
     fracs = [_rotation_fraction(lam) for lam in unimodular]
     if any(fr is None for fr in fracs):
         return None
-    if not fracs:
-        return [1.0 + 0.0j]
     lcm = 1
     for fr in fracs:
         lcm = lcm * fr.denominator // math.gcd(lcm, fr.denominator)
@@ -452,7 +450,7 @@ def spectrum(
         bp = cl.boundary_fixed_points[0]
         if bp.dilation is None or bp.dilation <= 1.0:
             raise NumericalInconsistency("boundary dilation should exceed 1 here")
-        rho = float(bp.dilation ** (-cl.n / 2.0))
+        rho = essential_radius_closed_form(cl)
         if rho >= 1.0:
             raise NumericalInconsistency("essential radius bound %.6g should be below 1" % rho)
         prods = _contractive_products(data.contractive, max(tail_tol, rho))

@@ -225,6 +225,16 @@ def test_serialization_all_kinds(make, expected):
         assert "matrix" in step and "kind" in step
 
 
+@pytest.mark.parametrize("f, kind, dim, whole", [
+    (LinearFractionalMap(np.diag([1, 0.5]), [0, 0], [0, 0], 1), MapClass.ELLIPTIC_UNITARY_PART, 1, False),
+    (LinearFractionalMap(np.eye(3), [0, 0, 0], [0, 0, 0], 1), MapClass.ELLIPTIC_AUTOMORPHISM, 3, True),
+], ids=["slice.n2", "identity.n3"])
+def test_serialized_fixed_slice(f, kind, dim, whole):
+    d = classification_to_json_dict(L.classify(f))
+    assert d["kind"] == kind.value
+    assert d["fixed_slice"] == {"dimension": dim, "whole_ball": whole, "representative": [[0.0, 0.0]] * f.n}
+
+
 def test_serialized_chain_reproduces_two_fixed():
     cl = L.classify(two_fixed_plant(0.6))
     d = classification_to_json_dict(cl)

@@ -20,7 +20,7 @@ from lfmspec import (
     map_to_json_dict,
     series_from_vector,
 )
-from lfmspec.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, build_parser, main
+from lfmspec.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, _emit_json, build_parser, main
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -110,6 +110,31 @@ def test_non_finite_map_is_format_error(capsys, tmp_path, command, text):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:") and "finite" in err
+
+
+GOOD_MAP = {"N": 2, "A": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "B": [[0, 0], [0, 0]],
+            "C": [[0, 0], [0, 0]], "d": [1, 0]}
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda m: [m], "object"),
+    (lambda m: dict(m, N=0), "N must"),
+    (lambda m: dict(m, N=True), "N must"),
+    (lambda m: dict(m, N=1.5), "N must"),
+    (lambda m: dict(m, A=[m["A"][0], m["A"][1][:1]]), "A row 1"),
+    (lambda m: dict(m, B=m["B"][:1]), "B must"),
+    (lambda m: dict(m, C=m["C"] + [[0, 0]]), "C must"),
+    (lambda m: dict(m, A=[[[True, 0], [0, 0]], m["A"][1]]), "A[0][0]"),
+    (lambda m: dict(m, B=[m["B"][0], ["1", 0]]), "B[1]"),
+], ids=["list", "N0", "Ntrue", "Nfloat", "Arow", "B", "C", "bool-entry", "str-entry"])
+def test_malformed_map_names_field(capsys, tmp_path, change, field):
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(change(GOOD_MAP)))
+    code, out, err = run(capsys, ["classify", str(p)])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and field in err
 
 
 def test_malformed_json_reports_position(capsys, tmp_path):
@@ -575,6 +600,21 @@ def test_stdin_dash(capsys, monkeypatch):
     code, out, _ = run(capsys, ["classify", "-"])
     assert code == EXIT_OK
     assert json.loads(out)["result"]["kind"] == "elliptic_boundary_fixed"
+
+
+def test_json_writer_contract():
+    value = {"none": None, "flags": [True, False], "text": "é", "int": 7,
+             "floats": [0.1, -0.0, 1.0, 1e300, 5e-324], "pair": (1, 2.5), "nested": {"k": {"deep": []}, 3: "x"}}
+    assert _emit_json(value) == (
+        '{"none":null,"flags":[true,false],"text":"\\u00e9","int":7,'
+        '"floats":[0.10000000000000001,-0,1,1.0000000000000001e+300,4.9406564584124654e-324],'
+        '"pair":[1,2.5],"nested":{"k":{"deep":[]},"3":"x"}}')
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _emit_json({"x": [bad]})
+    for bad in (np.int64(1), np.bool_(True), 1j):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _emit_json({"x": [bad]})
 
 
 def test_output_is_deterministic(capsys, disk_map):

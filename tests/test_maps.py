@@ -512,6 +512,28 @@ def test_validate_accepted_first_rung_is_the_answer(monkeypatch):
     assert accepted >= 40
 
 
+def test_validate_climbs_and_bisects_from_a_poor_start(monkeypatch):
+    # from the normalized all-ones start, lo sits well below the supremum, so
+    # the search climbs past the first rung and then bisects; the answer must
+    # be the one the sphere maximizer's start gives
+    def seeded(seed, n):
+        rng = np.random.default_rng(seed)
+        a, b, c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in ((n, n), n, n))
+        return LinearFractionalMap(rng.uniform(0.3, 1.0) * a / np.linalg.norm(a, 2), 0.3 * b / np.linalg.norm(b),
+                                   0.5 * c / np.linalg.norm(c), 1.3)
+
+    maps = [seeded(seed, n) for n in (1, 2, 3) for seed in range(11)]
+    refs = [L.validate_self_map(f) for f in maps]
+    monkeypatch.setattr(L.maps, "_sphere_maximizer", lambda f, g: np.full(f.shape[1], 1 / math.sqrt(f.shape[1])))
+    for f, ref in zip(maps, refs):
+        rep = L.validate_self_map(f)
+        scale = 2e-13 * max(1.0, ref.max_modulus)
+        assert rep.samples > 1
+        assert rep.ok == ref.ok
+        assert abs(rep.max_modulus - ref.max_modulus) <= scale
+        assert abs(float(np.linalg.norm(f(rep.witness))) - rep.max_modulus) <= scale
+
+
 # ---------------------------------------------------------------------------
 # Cayley transport
 
@@ -583,6 +605,18 @@ def test_json_rejects_bad_fields():
         L.map_from_json_dict(
             {"N": 2, "A": [[[1, 0]]], "B": [[0, 0]], "C": [[0, 0]], "d": [1, 0]}
         )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinearFractionalMap(np.zeros((2, 3)), [0, 0], [0, 0], 1),
+    lambda: LinearFractionalMap(np.eye(2), [0, 0, 0], [0, 0], 1),
+    lambda: LinearFractionalMap(np.zeros((2, 2)), [0, 0], [0, 0], 0),
+    lambda: LinearFractionalMap.from_matrix([[1]]),
+    lambda: LinearFractionalMap.from_matrix(np.eye(2, 3)),
+], ids=["non-square", "b-length", "all-zero", "from-1x1", "from-2x3"])
+def test_constructor_rejects_bad_shapes(make):
+    with pytest.raises(MapFormatError):
+        make()
 
 
 # ---------------------------------------------------------------------------

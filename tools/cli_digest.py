@@ -10,7 +10,9 @@ for N = 1, 2, 3, each conjugated, and the maps that are not self-maps), the
 workload; and, made here, three dense maps fixing 0 in three variables,
 whose degree blocks at degree 12 (up to 91 x 91) the ``verify-eigen+cap``
 form reaches through the whole matrix and the ``compress+cap`` form through
-the blocks alone, as no bench map fixes 0 with a non-diagonal A at N = 3.
+the blocks alone, as no bench map fixes 0 with a non-diagonal A at N = 3;
+and two maps whose fixed set is a slice, diag(1, 0.5) z (a line through 0)
+and the identity of the 3-ball (the whole ball), as no bench map has one.
 Every subcommand runs in this process on every map, with its default flags
 and with non-default ones, and one line
 
@@ -77,6 +79,7 @@ FORMS = {
 def corpus(L) -> dict[str, str]:
     """Map name -> map JSON text."""
     import cliwork
+    import numpy as np
     import triage
 
     maps = {}
@@ -90,6 +93,8 @@ def corpus(L) -> dict[str, str]:
         maps["probe.%02d.%s.n%d" % (i, p.name, p.n)] = cliwork.map_json(p.m)
     for seed in ORIGIN_SEEDS:
         maps["origin.%d.dense.n3" % seed] = cliwork.map_json(dense_origin_matrix(seed))
+    maps["slice.n2"] = cliwork.map_json(np.diag([1.0, 0.5, 1.0]).astype(complex))
+    maps["identity.n3"] = cliwork.map_json(np.eye(4, dtype=complex))
     maps["nan"] = cliwork.NAN_MAP
     maps["inf"] = cliwork.INF_MAP
     return maps
