@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -130,15 +129,6 @@ def _elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray) -> EllipticS
         unimodular=tuple(unimodular),
         contractive=tuple(contractive),
     )
-
-
-def _rotation_fraction(lam: complex) -> Fraction | None:
-    """arg(lam) / 2pi as the continued-fraction approximation p/q with the
-    least q <= ``TOLERANCES.root_of_unity_order``, or None when it misses
-    the angle by more than ``TOLERANCES.root_of_unity_angle``."""
-    theta = math.atan2(complex(lam).imag, complex(lam).real) / (2.0 * math.pi) % 1.0
-    frac = Fraction(theta).limit_denominator(TOLERANCES.root_of_unity_order)
-    return frac if abs(theta - float(frac)) <= TOLERANCES.root_of_unity_angle else None
 
 
 # ---------------------------------------------------------------------------

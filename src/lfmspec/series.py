@@ -89,6 +89,25 @@ def _positions(exps: np.ndarray) -> np.ndarray:
     return comb[rem + n - 1, n] + comb[rems + np.arange(n - 2, -1, -1), np.arange(n - 1, 0, -1)].sum(axis=1)
 
 
+def _support(series) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the nonzero terms of series and their exponents, by
+    inverting _positions without a table: degree k is the last _levels
+    offset at or below the position; then for each i < n - 1, the r
+    monomials before alpha whose rest has degree below t = k - alpha_0 -
+    ... - alpha_i are the _levels(n - 1 - i) offset of t."""
+    idx = np.flatnonzero(series.vector)
+    exps = np.empty((len(idx), series.n), dtype=np.intp)
+    level = _levels(series.n, series.degree)
+    rem = np.searchsorted(level, idx, side="right") - 1
+    r = idx - level[rem]
+    for i in range(series.n - 1):
+        level = _levels(series.n - 1 - i, series.degree)
+        t = np.searchsorted(level, r, side="right") - 1
+        exps[:, i], r, rem = rem - t, r - level[t], t
+    exps[:, -1] = rem
+    return idx, exps
+
+
 def _checked_exponents(n: int, alphas) -> np.ndarray:
     """The multi-indices as an (m, n) int array, checked."""
     rows = [tuple(int(a) for a in alpha) for alpha in alphas]
@@ -160,8 +179,8 @@ class TruncatedSeries:
         z = np.asarray(z, dtype=complex).reshape(-1)
         if z.shape[0] != self.n:
             raise DimensionMismatch("point has %d coordinates, series has %d variables" % (z.shape[0], self.n))
-        idx = np.flatnonzero(self.vector)
-        return complex(self.vector[idx] @ np.prod(z ** _exponents(self.n, self.degree)[idx], axis=1))
+        idx, exps = _support(self)
+        return complex(self.vector[idx] @ np.prod(z ** exps, axis=1))
 
     def __repr__(self):
         return "TruncatedSeries(n=%d, degree=%d, terms=%d)" % (self.n, self.degree, np.count_nonzero(self.vector))
@@ -290,23 +309,31 @@ def _basis_plan(n: int, degree: int) -> list:
 
 def _closure(n: int, exps: np.ndarray):
     """The rows exps in n variables and all their predecessors down to 0,
-    each degree from the top marking its marked entries' predecessors: their
+    each degree from the top marking its marked rows' predecessors: their
     positions through the top degree, the offsets of each degree among them
-    and their plan (see _runs).  A support filling its top degree closes to
+    and their plan (see _runs).  Only the marked rows are placed, so no table
+    of the top degree is built.  A support filling its top degree closes to
     the whole basis (alpha precedes alpha + e_1): _basis_plan, cached."""
     degrees = exps.sum(axis=1)
     top = int(degrees.max(initial=-1))
     level = _levels(n, top)
-    if top >= 0 and np.count_nonzero(degrees == top) == level[-1] - level[-2]:
+    if top < 0:
+        return np.zeros(0, dtype=np.intp), level, []
+    if np.count_nonzero(degrees == top) == level[-1] - level[-2]:
         return np.arange(level[-1]), level, _basis_plan(n, top)
-    first, pred = _predecessors(n, max(top, 0))
-    mask = np.zeros(level[-1], dtype=bool)
-    mask[_positions(exps)] = True
-    for lo, hi in zip(level[-2:0:-1], level[:0:-1]):
-        mask[pred[lo:hi][mask[lo:hi]]] = True
-    rows = np.flatnonzero(mask)
+    rows, firsts, preds = [], [], []
+    at, marked, marked_at = _positions(exps), exps[:0], exps[:0, 0]
+    for k in range(top, -1, -1):
+        here = degrees == k
+        pos, pick = np.unique(np.concatenate((at[here], marked_at)), return_index=True)
+        cur = np.concatenate((exps[here], marked))[pick]
+        first = np.argmax(cur != 0, axis=1)
+        marked = np.maximum(cur - np.eye(n, dtype=np.intp)[first], 0)
+        marked_at = _positions(marked)
+        rows.append(pos), firsts.append(first), preds.append(marked_at)
+    rows, first, pred = (np.concatenate(x[::-1]) for x in (rows, firsts, preds))
     start = np.searchsorted(rows, level)
-    return rows, start, _runs(first[rows], np.searchsorted(rows, pred[rows]), start)
+    return rows, start, _runs(first, np.searchsorted(rows, pred), start)
 
 
 @functools.lru_cache(maxsize=32)
@@ -447,14 +474,14 @@ def _compose_vector(series: TruncatedSeries, f: LinearFractionalMap, g: _Graded)
     order as in all n variables, so they keep those bits.  A constant under
     c = 0 couples no variable and is composed in z_1.  The plan is that of
     the support's predecessor closure in z_S (see _closure)."""
-    idx = np.flatnonzero(series.vector)
-    support = _exponents(f.n, series.degree)[idx]
+    idx, support = _support(series)
     used = support.any(axis=0) | (f.c != 0)
     for _ in range(f.n):  # each pass adds the variables that those used read
         used = used | (f.a[used] != 0).any(axis=0)
     keep = np.flatnonzero(used).tolist() or [0]
     rows, bounds, plan = _closure(len(keep), support[:, keep])
-    coeffs = series.vector[_embedding(f.n, tuple(keep), series.degree)[rows]]  # through top, a prefix
+    coeffs = np.zeros(len(rows), dtype=complex)  # the closure's other rows are 0
+    coeffs[np.searchsorted(rows, _positions(support[:, keep]))] = series.vector[idx]
     gs = _graded(len(keep), g.degree)
     part = np.zeros(gs.size, dtype=complex)
     blocks = _power_levels(f.a[np.ix_(keep, keep)], f.b[keep], f.c[keep], f.d, gs, plan)
@@ -678,8 +705,7 @@ def _terms(series: TruncatedSeries, log_power):
     """Degrees k, moduli and squared monomial norms of the nonzero terms,
     each sized in logs first as _refuse_overflow does: a term whose 2 log|c|
     or log_power(k) is above 700 (or nan) is refused by its degree."""
-    idx = np.flatnonzero(series.vector)
-    exps = _exponents(series.n, series.degree)[idx]
+    idx, exps = _support(series)
     k, mod = exps.sum(axis=1), np.abs(series.vector[idx])
     fits = (2.0 * np.log(mod) <= 700.0) & (log_power(k) <= 700.0)
     if not fits.all():

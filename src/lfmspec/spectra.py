@@ -20,7 +20,6 @@ import numpy as np
 from .classify import (
     Classification,
     MapClass,
-    _rotation_fraction,
     classify,
 )
 from .errors import (
@@ -120,9 +119,7 @@ def _component_contains(comp: Component, lam: complex, tol: float) -> bool:
         return abs(r - comp.radius) <= tol
     if isinstance(comp, ClosedDisk):
         return r <= comp.radius + tol
-    if isinstance(comp, Annulus):
-        return comp.r_inner - tol <= r <= comp.r_outer + tol
-    raise TypeError("unknown component %r" % (comp,))
+    return comp.r_inner - tol <= r <= comp.r_outer + tol
 
 
 def _component_max_modulus(comp: Component) -> float:
@@ -132,9 +129,7 @@ def _component_max_modulus(comp: Component) -> float:
         return max((abs(p) for p in comp.points), default=0.0)
     if isinstance(comp, (Circle, ClosedDisk)):
         return comp.radius
-    if isinstance(comp, Annulus):
-        return comp.r_outer
-    raise TypeError("unknown component %r" % (comp,))
+    return comp.r_outer
 
 
 def _cloud_size(comp: Component, resolution: int) -> int:
@@ -180,15 +175,13 @@ def _component_json(comp: Component) -> dict:
         return {"type": "circle", "radius": comp.radius}
     if isinstance(comp, ClosedDisk):
         return {"type": "disk", "radius": comp.radius}
-    if isinstance(comp, Annulus):
-        return {
-            "type": "annulus",
-            "r_in": comp.r_inner,
-            "r_out": comp.r_outer,
-            "open_inner": comp.open_inner,
-            "open_outer": comp.open_outer,
-        }
-    raise TypeError("unknown component %r" % (comp,))
+    return {
+        "type": "annulus",
+        "r_in": comp.r_inner,
+        "r_out": comp.r_outer,
+        "open_inner": comp.open_inner,
+        "open_outer": comp.open_outer,
+    }
 
 
 @dataclass(frozen=True)
@@ -311,6 +304,19 @@ def _contractive_products(generators: tuple[complex, ...], tail_tol: float) -> n
     return vals[_spectral_order(vals)]
 
 
+def _rotation_fraction(lam: complex) -> tuple[int, int] | None:
+    """theta = arg(lam) / 2pi in [0, 1) as (p, q), p = round(theta q), for the
+    least q <= ``TOLERANCES.root_of_unity_order`` with |theta - p/q| <=
+    ``TOLERANCES.root_of_unity_angle``, or None.  Fractions with q <= 64 are
+    >= 1/4096 apart: at most one is that close, and least q is lowest terms."""
+    theta = math.atan2(complex(lam).imag, complex(lam).real) / (2.0 * math.pi) % 1.0
+    for q in range(1, TOLERANCES.root_of_unity_order + 1):
+        p = round(theta * q)
+        if abs(theta - p / q) <= TOLERANCES.root_of_unity_angle:
+            return p, q
+    return None
+
+
 def _unimodular_closure_points(unimodular: tuple[complex, ...]) -> list[complex] | None:
     """Closure of the multiplicative semigroup of unimodular eigenvalues.
 
@@ -322,9 +328,9 @@ def _unimodular_closure_points(unimodular: tuple[complex, ...]) -> list[complex]
     if any(fr is None for fr in fracs):
         return None
     lcm = 1
-    for fr in fracs:
-        lcm = lcm * fr.denominator // math.gcd(lcm, fr.denominator)
-    residues = [fr.numerator * (lcm // fr.denominator) for fr in fracs]
+    for _, q in fracs:
+        lcm = lcm * q // math.gcd(lcm, q)
+    residues = [p * (lcm // q) for p, q in fracs]
     g = lcm
     for r in residues:
         g = math.gcd(g, r)

@@ -96,10 +96,10 @@ def test_gap_eigenvalue_raises():
 
 def test_rotation_order():
     assert L.classify(lfm_1d(1j, 0, 0, 1)).kind == MapClass.ELLIPTIC_AUTOMORPHISM
-    from lfmspec.classify import _rotation_fraction
+    from lfmspec.spectra import _rotation_fraction
 
-    assert _rotation_fraction(1j).denominator == 4
-    assert _rotation_fraction(np.exp(2j * math.pi / 7)).denominator == 7
+    assert _rotation_fraction(1j) == (1, 4)
+    assert _rotation_fraction(np.exp(2j * math.pi / 7)) == (1, 7)
     assert _rotation_fraction(np.exp(2j * math.pi * (math.sqrt(2) - 1))) is None
 
 
@@ -190,6 +190,12 @@ def test_conjugated_one_fixed_still_normalizes():
     # the normal form has no linear-in-w numerator term and real c
     assert np.allclose(nf.normal_matrix()[0, 1:-1], 0, atol=1e-9)
     assert abs(nf.c.imag) < 1e-9 and nf.c.real > 0
+
+
+def test_one_fixed_form_has_no_block_eigenvalues():
+    nf = L.classify(lfm_1d(0.5, 0.5, 0, 1)).normal_form
+    assert nf.case == "one_fixed" and nf.a_prime is None
+    assert nf.eigenvalues == ()
 
 
 # ---------------------------------------------------------------------------

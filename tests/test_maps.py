@@ -619,6 +619,28 @@ def test_constructor_rejects_bad_shapes(make):
         make()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: L.compose(lfm_1d(0.5, 0, 0, 1), L.unitary_map(np.eye(2))),
+    lambda: L.conjugated(lfm_1d(0.5, 0, 0, 1), L.unitary_map(np.eye(2))),
+    lambda: L.evaluate(lfm_1d(0.5, 0, 0, 1), [0.1, 0.2]),
+], ids=["compose", "conjugated", "evaluate"])
+def test_operands_of_other_dimensions_are_refused(call):
+    with pytest.raises(L.DimensionMismatch):
+        call()
+
+
+def test_public_refusals():
+    # z/(2 - z) has its pole at 2, outside the ball but in C^N, where evaluate is defined
+    with pytest.raises(DenominatorVanishes):
+        L.evaluate(lfm_1d(1, 0, -1, 2), [2.0])
+    with pytest.raises(L.PointNotInterior):
+        L.ball_automorphism_to_origin([0.6, 0.8])
+    with pytest.raises(MapFormatError, match="not unitary"):
+        L.unitary_map([[1, 0], [0, 0.5]])
+    # z + 2 has |B| > d, so m* J m has a nonnegative corner and no lambda > 0
+    assert not L.is_automorphism(lfm_1d(1, 2, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # hypothesis properties
 
@@ -686,3 +708,15 @@ def test_public_surface_is_declared_once():
             continue
         home = obj.__module__.rpartition(".")[2]
         assert home in modules and name in modules[home].__all__, (name, obj.__module__)
+
+
+def test_root_is_the_modules_all():
+    # the root declares no names of its own: each module's __all__, and the
+    # error classes, which errors.py gives without one
+    errors = sys.modules["lfmspec.errors"]
+    declared = {name for mod in PUBLIC_MODULES for name in sys.modules["lfmspec." + mod].__all__}
+    declared |= {name for name in vars(errors) if not name.startswith("_")}
+    public = {name for name in dir(L) if not name.startswith("_") and type(getattr(L, name)).__name__ != "module"}
+    assert public == declared
+    assert all(getattr(L, name) is getattr(errors, name) for name in vars(errors) if not name.startswith("_"))
+    assert L.classify is sys.modules["lfmspec.classify"].classify

@@ -882,6 +882,41 @@ def test_degree_300_residual_stays_below_the_compression_caps(monkeypatch):
     assert set(plans) == {(60, math.comb(62, 2)), (60, 61), (300, 301)}
 
 
+def _closure_through_the_basis(n, exps):
+    """_closure as it was made by marking over the whole basis through the
+    top degree, with _predecessors of that degree."""
+    degrees = exps.sum(axis=1)
+    top = int(degrees.max(initial=-1))
+    level = S._levels(n, top)
+    first, pred = S._predecessors(n, max(top, 0))
+    mask = np.zeros(level[-1], dtype=bool)
+    mask[S._positions(exps)] = True
+    for lo, hi in zip(level[-2:0:-1], level[:0:-1]):
+        mask[pred[lo:hi][mask[lo:hi]]] = True
+    rows = np.flatnonzero(mask)
+    start = np.searchsorted(rows, level)
+    return rows, start, S._runs(first[rows], np.searchsorted(rows, pred[rows]), start)
+
+
+def test_sparse_residual_builds_no_table_above_the_comparison_degree(monkeypatch):
+    # two terms of degrees 226 and 1 in three variables: the closure is the
+    # 227 powers of z_3 and z_1, placed by _positions alone; every table is
+    # of the comparison degree, and the residual keeps the bits it had when
+    # the closure was marked over the whole basis (2.0M monomials)
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    f = LinearFractionalMap(0.3 * a / np.linalg.norm(a, 2), [0.1, 0.05j, 0], [0.1, 0, 0.05], 1)
+    func = TruncatedSeries(3, 226, {(0, 0, 226): 1.0, (1, 0, 0): 0.5})
+    degrees = []
+    for name in ("_exponents", "_predecessors", "_embedding", "_graded"):
+        table = getattr(S, name)
+        monkeypatch.setattr(S, name, lambda *args, table=table: degrees.append(args[-1]) or table(*args))
+    got = L.eigenfunction_residual(f, 0.7, func, 8)
+    assert degrees and max(degrees) == 8
+    monkeypatch.setattr(S, "_closure", _closure_through_the_basis)
+    assert L.eigenfunction_residual(f, 0.7, func, 8) == got
+
+
 def _predecessor(beta: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(j, beta - e_j) for j the first nonzero index of beta."""
     j = next(t for t, b in enumerate(beta) if b)
@@ -1161,8 +1196,11 @@ def test_residual_refuses_a_comparison_degree_over_the_term_cap(monkeypatch):
 
 def test_residual_rejects_zero_function():
     f = lfm_1d(0.5, 0, 0, 1)
-    with pytest.raises(L.ZeroFunction):
+    with pytest.raises(L.ZeroFunction, match="identically zero"):
         L.eigenfunction_residual(f, 0.5, TruncatedSeries(1, 5), 5)
+    # z^4 is not zero, but it is through degree 2, where the residual is relative to nothing
+    with pytest.raises(L.ZeroFunction, match="through the comparison degree"):
+        L.eigenfunction_residual(f, 0.5, TruncatedSeries(1, 5, {(4,): 1.0}), 2)
 
 
 # ---------------------------------------------------------------------------

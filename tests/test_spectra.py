@@ -4,14 +4,17 @@ the essential radius estimator against closed forms."""
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap
+from lfmspec.maps import TOLERANCES
 from lfmspec.spectra import (
     MAX_FAMILY_POINTS, Annulus, Circle, ClosedDisk, Point, PointFamily, _contractive_products,
+    _rotation_fraction,
 )
 from lfmspec.cli import _csv
 
@@ -647,3 +650,40 @@ def test_closed_form_only_for_disk_classes():
     assert L.essential_radius_closed_form(L.classify(diag_map(0.5))) is None
     cl = L.classify(lfm_1d(1, 0, -1, 2))
     assert L.essential_radius_closed_form(cl) == pytest.approx(2 ** -0.5)
+
+
+@pytest.mark.parametrize("contractive", [[], [0.5]], ids=["subgroup", "family"])
+def test_finite_families_above_the_cap_are_refused(contractive):
+    # rotations by 1/61 and 1/59 turns generate 3599 roots of unity, times
+    # about 40 powers of 0.5 above the tail; with 1/53 as well, 190,747
+    turns = [61, 59] + ([] if contractive else [53])
+    f = diag_map(*np.exp(2j * math.pi / np.array(turns)), *contractive)
+    assert L.classify(f).kind == (L.MapClass.ELLIPTIC_UNITARY_PART if contractive
+                                  else L.MapClass.ELLIPTIC_AUTOMORPHISM)
+    with pytest.raises(L.SizeCapExceeded):
+        L.spectrum(f)
+
+
+def _limit_denominator(lam):
+    """The reference: arg(lam) / 2pi as Fraction.limit_denominator gives it,
+    kept within the root-of-unity angle."""
+    theta = math.atan2(complex(lam).imag, complex(lam).real) / (2.0 * math.pi) % 1.0
+    frac = Fraction(theta).limit_denominator(TOLERANCES.root_of_unity_order)
+    if abs(theta - float(frac)) > TOLERANCES.root_of_unity_angle:
+        return None
+    return frac.numerator, frac.denominator
+
+
+def test_rotation_fraction_is_the_limit_denominator():
+    # every p/q with q <= 64, those shifted just inside (0.5e-9) and just
+    # outside (2e-9) the angle, and random angles
+    fracs = {Fraction(p, q) for q in range(1, TOLERANCES.root_of_unity_order + 1) for p in range(q)}
+    angles = [float(fr) + shift for fr in fracs for shift in (0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9)]
+    angles += np.random.default_rng(7).uniform(0.0, 1.0, 1000).tolist()
+    found = 0
+    for theta in angles:
+        lam = complex(np.exp(2j * math.pi * theta))
+        want = _limit_denominator(lam)
+        assert _rotation_fraction(lam) == want, theta
+        found += want is not None
+    assert found == 3 * len(fracs)
