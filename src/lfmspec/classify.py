@@ -40,6 +40,7 @@ from .maps import (
     _cayley_matrix,
     _jacobian,
     _rotation_block,
+    _spectral_order,
     _unitary_with_first_column,
     ball_automorphism_to_origin,
     conjugate_to_halfplane,
@@ -53,7 +54,6 @@ from .maps import (
 
 __all__ = [
     "MapClass",
-    "EllipticSpectralData",
     "EllipticP0Form",
     "HyperbolicNormalForm",
     "Classification",
@@ -120,8 +120,7 @@ def _elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray) -> EllipticS
     if np.linalg.norm(evaluate(f, z0) - z0) > TOLERANCES.fixed_point:
         raise NotAFixedPoint("z0 is not fixed by the map")
     eigvals = np.linalg.eigvals(_jacobian(f, z0))
-    order = np.lexsort((eigvals.imag, eigvals.real, -np.abs(eigvals)))
-    eigvals = eigvals[order]
+    eigvals = eigvals[_spectral_order(eigvals)]
     unimodular, contractive = _split_eigenvalues(eigvals)
     return EllipticSpectralData(
         fixed_point=z0,
@@ -268,8 +267,7 @@ class HyperbolicNormalForm:
         if self.a_prime is None:
             return ()
         vals = np.linalg.eigvals(self.a_prime)
-        order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
-        return tuple(complex(v) for v in vals[order])
+        return tuple(complex(v) for v in vals[_spectral_order(vals)])
 
     def normal_matrix(self) -> np.ndarray:
         n = self.halfplane.n

@@ -34,12 +34,8 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
     "TOLERANCES",
     "LinearFractionalMap",
-    "FixedPoint",
-    "FixedPointSet",
-    "ValidationReport",
     "HalfPlaneMap",
     "evaluate",
     "compose",
@@ -90,6 +86,11 @@ TOLERANCES = Tolerances()
 def _inner(u: np.ndarray, v: np.ndarray) -> complex:
     """Hermitian inner product <u, v> = sum u_j conj(v_j)."""
     return complex(np.vdot(v, u))
+
+
+def _spectral_order(eigs: np.ndarray) -> np.ndarray:
+    """Decreasing modulus (hypot, as abs() of one entry), ties by real then imaginary part."""
+    return np.lexsort((eigs.imag, eigs.real, -np.hypot(eigs.real, eigs.imag)))
 
 
 class LinearFractionalMap:
@@ -168,13 +169,6 @@ class LinearFractionalMap:
 
     def __call__(self, z) -> np.ndarray:
         return evaluate(self, z)
-
-    def __repr__(self):
-        return "LinearFractionalMap(n=%d, d=%.6g, |C|=%.6g)" % (
-            self.n,
-            self.d,
-            float(np.linalg.norm(self.c)),
-        )
 
 
 def unitary_map(u) -> LinearFractionalMap:

@@ -25,11 +25,10 @@ from .errors import (
     ZeroConstantTerm,
     ZeroFunction,
 )
-from .maps import TOLERANCES, LinearFractionalMap
+from .maps import TOLERANCES, LinearFractionalMap, _spectral_order
 
 __all__ = [
     "TruncatedSeries",
-    "Compression",
     "basis_multi_indices",
     "binomial_series",
     "build_compression",
@@ -181,9 +180,6 @@ class TruncatedSeries:
             raise DimensionMismatch("point has %d coordinates, series has %d variables" % (z.shape[0], self.n))
         idx, exps = _support(self)
         return complex(self.vector[idx] @ np.prod(z ** exps, axis=1))
-
-    def __repr__(self):
-        return "TruncatedSeries(n=%d, degree=%d, terms=%d)" % (self.n, self.degree, np.count_nonzero(self.vector))
 
 
 def binomial_series(exponent: complex, degree: int, n: int = 1, var: int = 0) -> TruncatedSeries:
@@ -534,11 +530,6 @@ def build_compression(f: LinearFractionalMap, degree: int) -> Compression:
         m[rows, c0:c1] = block * g.norms[rows, None] / g.norms[c0:c1]
     basis = tuple(basis_multi_indices(f.n, degree))  # tuples only at the API edge
     return Compression(matrix=m, basis=basis, norms=g.norms.copy(), n=f.n, degree=degree)
-
-
-def _spectral_order(eigs: np.ndarray) -> np.ndarray:
-    """Decreasing modulus (hypot, as abs() of one entry), ties by real then imaginary part."""
-    return np.lexsort((eigs.imag, eigs.real, -np.hypot(eigs.real, eigs.imag)))
 
 
 def _eigenvalues(block: np.ndarray, norms=None) -> np.ndarray:

@@ -36,9 +36,9 @@ from .maps import (
     _default_boundary_point,
     _iterate_matrices,
     _j_form,
+    _spectral_order,
     _unit_tau,
 )
-from .series import _spectral_order
 
 __all__ = [
     "Point",
@@ -47,7 +47,6 @@ __all__ = [
     "ClosedDisk",
     "Annulus",
     "SpectralSet",
-    "EssentialRadiusEstimate",
     "spectral_radius",
     "spectrum",
     "essential_radius_estimate",
@@ -483,30 +482,29 @@ def spectrum(
                 "disk of radius alpha^(-N/2)")
         return SpectralSet(comps, kind.value, prov, radius)
 
-    if kind == MapClass.HYPERBOLIC_TWO_FIXED:
-        nf = cl.normal_form
-        lo = float(cl.alpha ** (cl.n / 2.0))
-        hi = radius
-        # distinct moduli of products of the linear-part eigenvalues; moduli
-        # at 1 add nothing beyond the empty product
-        gens = tuple(
-            complex(abs(v)) for v in nf.eigenvalues if abs(v) < 1.0 - 1e-12
-        )
-        moduli = sorted(
-            {float(abs(p)) for p in _contractive_products(gens, tail_tol / hi).tolist()},
-            reverse=True,
-        )
-        annuli = tuple(
-            Annulus(m * lo, m * hi, open_inner=False, open_outer=False)
-            for m in moduli
-            if m * hi >= tail_tol
-        )
-        comps = annuli + (Point(0.0 + 0.0j),)
-        prov = ("hyperbolic, two boundary fixed points: closure of the annuli with radii "
-                "|product| * alpha^(+-N/2) over products of the linear-part eigenvalues, "
-                "plus 0")
-        return SpectralSet(comps, kind.value, prov, radius, is_closure=True)
-    raise NumericalInconsistency("unhandled classification %r" % kind)
+    # HYPERBOLIC_TWO_FIXED, the last of the eight classes
+    nf = cl.normal_form
+    lo = float(cl.alpha ** (cl.n / 2.0))
+    hi = radius
+    # distinct moduli of products of the linear-part eigenvalues; moduli
+    # at 1 add nothing beyond the empty product
+    gens = tuple(
+        complex(abs(v)) for v in nf.eigenvalues if abs(v) < 1.0 - 1e-12
+    )
+    moduli = sorted(
+        {float(abs(p)) for p in _contractive_products(gens, tail_tol / hi).tolist()},
+        reverse=True,
+    )
+    annuli = tuple(
+        Annulus(m * lo, m * hi, open_inner=False, open_outer=False)
+        for m in moduli
+        if m * hi >= tail_tol
+    )
+    comps = annuli + (Point(0.0 + 0.0j),)
+    prov = ("hyperbolic, two boundary fixed points: closure of the annuli with radii "
+            "|product| * alpha^(+-N/2) over products of the linear-part eigenvalues, "
+            "plus 0")
+    return SpectralSet(comps, kind.value, prov, radius, is_closure=True)
 
 
 # ---------------------------------------------------------------------------

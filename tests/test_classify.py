@@ -10,6 +10,7 @@ import pytest
 import lfmspec as L
 from lfmspec import LinearFractionalMap, MapClass
 from lfmspec.classify import classification_to_json_dict
+from lfmspec.maps import _ball_map_from_halfplane, _spectral_order
 
 
 def lfm_1d(a, b, c, d):
@@ -212,6 +213,85 @@ def test_alpha_matches_boundary_dilation():
 def test_two_fixed_block_is_contraction():
     nf = L.classify(two_fixed_plant(0.95)).normal_form
     assert abs(nf.eigenvalues[0]) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("eigenvalues", [
+    lambda: L.classify(LinearFractionalMap(
+        np.diag(np.exp(2j * np.pi * np.random.default_rng(7).random(2))), [0, 0], [0, 0], 1,
+    )).spectral_data.eigenvalues,
+    lambda: L.classify(two_fixed_plant(
+        *0.9 * np.exp(2j * np.pi * np.random.default_rng(6).random(2)),
+    )).normal_form.eigenvalues,
+], ids=["elliptic", "two_fixed"])
+def test_eigenvalues_in_spectral_order(eigenvalues):
+    # two eigenvalues of one modulus, which np.abs and np.hypot round apart
+    # in opposite directions: classify orders them as spectra and series do
+    eigs = np.array(eigenvalues())
+    assert list(_spectral_order(eigs)) == list(range(eigs.size))
+
+
+# ---------------------------------------------------------------------------
+# maps that do not send the open ball into itself
+
+
+def siegel_plant(m):
+    """The ball map whose Cayley transport at e_1 is the projective matrix m
+    on the Siegel half-plane, with no self-map constraint checked."""
+    m = np.asarray(m, dtype=complex)
+    return _ball_map_from_halfplane(m, np.eye(len(m) - 1))
+
+
+def eigenvector_plant(points, eigenvalues):
+    """The map whose associated matrix has eigenvector (p, 1) for p in points."""
+    p = np.array([list(pt) + [1] for pt in points], dtype=complex).T
+    return LinearFractionalMap.from_matrix(p @ np.diag(eigenvalues) @ np.linalg.inv(p))
+
+
+# each reaches a refusal that a self-map never meets; Siegel plants read
+# (zeta, omega) -> ((zeta + c) / alpha, (a omega + d) / alpha)
+NOT_SELF_MAPS = {
+    "expanding_at_interior_point": (lambda: lfm_1d(2, 0, 0, 1), L.NumericalInconsistency,
+                                    "eigenvalue .* exceeds modulus 1"),
+    # 0.5 z / (1 - 0.6 z): (A* - I) V = C has |V| = 1.2
+    "V_outside_ball": (lambda: lfm_1d(0.5, 0, -0.6, 1), L.NumericalInconsistency, r"\|V\| = 1.2 exceeds 1"),
+    "elliptic_two_boundary_points": (
+        lambda: eigenvector_plant([(0, 0), (1, 0), (0, 1)], [1, 0.5, 0.6]),
+        L.MultipleBoundaryFixedPoints, "unitary index 0 cannot fix 2"),
+    # dilations 0.3 at e_1, 1.3 and 10 / 3: one Denjoy-Wolff candidate
+    "hyperbolic_three_boundary_points": (
+        lambda: eigenvector_plant([(1, 0), (-1, 0), (0, 1)], [0.3, 1, 0.5]),
+        L.MultipleBoundaryFixedPoints, "fixing 3 boundary points"),
+    # the constant 1, onto the sphere: Denjoy-Wolff dilation 0, no finite Cayley denominator
+    "constant_on_sphere": (lambda: lfm_1d(0, 1, 0, 1), L.NumericalInconsistency, "degenerate Cayley"),
+    # angular derivative 0.5 + 20i at 1; the quotient at 1 - 1e-6 is 0.499
+    "complex_angular_derivative": (lambda: siegel_plant([[1 / (0.5 + 20j), -100j], [0, 1]]),
+                                   L.NumericalInconsistency, "radial quotient"),
+    "complex_halfplane_scaling": (lambda: siegel_plant([[2 + 1j, 1], [0, 1]]),
+                                  L.NumericalInconsistency, "not real positive"),
+    # alpha 0.5, c 0.1, d 1
+    "alpha_c_below_d_squared": (lambda: siegel_plant([[2, 0, 0.2], [0, 1, 2], [0, 0, 1]]),
+                                L.NumericalInconsistency, r"alpha Re c >= \|d\|\^2 fails"),
+    # alpha 0.5, a 1
+    "block_above_sqrt_alpha": (lambda: siegel_plant(np.diag([2, 2, 1])),
+                               L.NumericalInconsistency, r"\|A\| <= sqrt\(alpha\) fails"),
+    # alpha 1e-4, a 0.01 (1 + 5e-8): inside the 1e-9 band of |A| <= sqrt(alpha)
+    "block_above_sqrt_alpha_in_band": (lambda: siegel_plant(np.diag([1e4, 100 * (1 + 5e-8), 1])),
+                                       L.NumericalInconsistency, "normalized block exceeds norm 1"),
+    # alpha 0.25, c -1e-10, a 0.25, d 1e-5: the finite fixed point leaves for infinity
+    "one_fixed_c_negative": (lambda: siegel_plant([[4, 0, -4e-10], [0, 1, 4e-5], [0, 0, 1]]),
+                             L.NumericalInconsistency, "one-fixed form needs c > 0"),
+    # alpha 0.5, c -2e-10, a 0, d 1e-5: the second fixed point (4e-10, 2e-5) is on the boundary
+    "two_fixed_d_nonzero": (lambda: siegel_plant([[2, 0, -4e-10], [0, 0, 2e-5], [0, 0, 1]]),
+                            L.NumericalInconsistency, "two-fixed form should have c = d = 0"),
+}
+
+
+@pytest.mark.parametrize("make,error,match", NOT_SELF_MAPS.values(), ids=NOT_SELF_MAPS.keys())
+def test_classify_refuses_non_self_map(make, error, match):
+    f = make()
+    assert L.validate_self_map(f).max_modulus >= 1.0
+    with pytest.raises(error, match=match):
+        L.classify(f)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import sys
 import time
 
@@ -83,6 +84,24 @@ def test_validate_rejects_expansion(capsys, tmp_path):
     assert rep["result"]["ok"] is False
     w = rep["result"]["witness"]
     assert math.hypot(*w[0]) <= 1 + 1e-12  # witness lies in the closed ball
+
+
+def test_classify_refuses_expansion(capsys, tmp_path):
+    # 2z fixes 0 with differential 2: not a self-map, and classify says why
+    path = write_map(tmp_path, "bad.json", LinearFractionalMap([[2]], [0], [0], 1))
+    code, out, err = run(capsys, ["classify", path])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: differential eigenvalue (2+0j) exceeds modulus 1 at an interior fixed point\n"
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch, disk_map):
+    # python -m lfmspec.cli, in this process: a fresh module, so none in sys.modules
+    monkeypatch.delitem(sys.modules, "lfmspec.cli", raising=False)
+    monkeypatch.setattr(sys, "argv", ["lfmspec.cli", "classify", disk_map])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("lfmspec.cli", run_name="__main__")
+    assert exc.value.code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["kind"] == "elliptic_boundary_fixed"
 
 
 def test_invalid_map_shape_is_validation_error(capsys, tmp_path):

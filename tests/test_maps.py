@@ -16,7 +16,7 @@ from lfmspec import (
     LinearFractionalMap,
     MapFormatError,
 )
-from lfmspec.maps import TOLERANCES, _c2pair, _jacobian, _krein_certificate
+from lfmspec.maps import TOLERANCES, _ball_map_from_halfplane, _c2pair, _jacobian, _krein_certificate
 
 
 def lfm_1d(a, b, c, d):
@@ -639,6 +639,14 @@ def test_public_refusals():
         L.unitary_map([[1, 0], [0, 0.5]])
     # z + 2 has |B| > d, so m* J m has a nonnegative corner and no lambda > 0
     assert not L.is_automorphism(lfm_1d(1, 2, 0, 1))
+    # fixes e_1, but its Cayley transport (zeta, omega) -> (0.5 zeta + 1, 0.3 omega) / (0.2 omega + 1)
+    # moves the hyperplane at infinity, which no self-map does
+    f = _ball_map_from_halfplane(np.array([[0.5, 0, 1], [0, 0.3, 0], [0, 0.2, 1]], dtype=complex), np.eye(2))
+    with pytest.raises(L.NumericalInconsistency, match="not affine"):
+        L.conjugate_to_halfplane(f, [1, 0])
+    with pytest.raises(L.NumericalInconsistency, match="scaling must be positive"):
+        L.HalfPlaneMap(n=1, alpha=-1.0, b=np.zeros(0), c=0j, a_block=np.zeros((0, 0)), d=np.zeros(0),
+                       rotation=np.eye(1), tau=np.ones(1))
 
 
 # ---------------------------------------------------------------------------

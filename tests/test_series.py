@@ -19,10 +19,8 @@ from scipy import integrate
 import lfmspec as L
 from lfmspec import LinearFractionalMap, TruncatedSeries
 from lfmspec import series as S
-from lfmspec.maps import TOLERANCES
-from lfmspec.series import (
-    _graded, _norm_factors, _norm_sq, _positions, _spectral_order, basis_multi_indices,
-)
+from lfmspec.maps import TOLERANCES, _spectral_order
+from lfmspec.series import _graded, _norm_factors, _norm_sq, _positions, basis_multi_indices
 
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")

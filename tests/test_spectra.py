@@ -11,6 +11,7 @@ import pytest
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap
+from lfmspec import spectra as S
 from lfmspec.maps import TOLERANCES
 from lfmspec.spectra import (
     MAX_FAMILY_POINTS, Annulus, Circle, ClosedDisk, Point, PointFamily, _contractive_products,
@@ -157,6 +158,16 @@ def test_boundary_fixed_disk_and_one():
     assert s.contains(2 ** -0.5 * np.exp(1j))
     assert not s.contains(0.9)
     assert s.spectral_radius == pytest.approx(1.0)
+
+
+def test_boundary_fixed_refuses_dilation_at_most_one():
+    # lam z / (1 - (1 - lam) z) fixes 0 and 1 with angular derivative 1 / lam at 1:
+    # dilation Re(1 / lam) = 0.82, below the 1 of every self-map fixing 0 too
+    lam = 0.5 + 0.6j
+    f = lfm_1d(lam, 0, np.conj(lam) - 1, 1)
+    assert L.classify(f).kind == L.MapClass.ELLIPTIC_BOUNDARY_FIXED
+    with pytest.raises(L.NumericalInconsistency, match="boundary dilation should exceed 1"):
+        L.spectrum(f)
 
 
 def test_one_fixed_pure_disk():
@@ -375,6 +386,17 @@ def test_products_need_a_positive_tail_tol(tail_tol):
     # every chain would run on through 0 forever
     with pytest.raises(L.ParameterConstraintViolated):
         _contractive_products((), tail_tol)
+
+
+def test_long_chain_counts_its_grid_points_twice(monkeypatch):
+    # 0.99975^k stays above 1e-30 for 276k powers, on 90547 points of the
+    # 1e-13 grid: the chain counts them at 100001 and 200002 powers and goes on
+    sizes, count = [], S._last_on_grid
+    monkeypatch.setattr(S, "_last_on_grid", lambda vals: sizes.append(vals.size) or count(vals))
+    s = L.spectrum(diag_map(0.99975), tail_tol=1e-30)
+    assert sizes[:2] == [MAX_FAMILY_POINTS + 1, 2 * MAX_FAMILY_POINTS + 2]
+    (fam,) = [c for c in s.components if isinstance(c, PointFamily)]
+    assert np.array(fam.points).tobytes() == _reference_products(fam.generators, 1e-30)[1:].tobytes()
 
 
 def _reference_cloud(comp, resolution):

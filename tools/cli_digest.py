@@ -11,8 +11,10 @@ workload; and, made here, three dense maps fixing 0 in three variables,
 whose degree blocks at degree 12 (up to 91 x 91) the ``verify-eigen+cap``
 form reaches through the whole matrix and the ``compress+cap`` form through
 the blocks alone, as no bench map fixes 0 with a non-diagonal A at N = 3;
-and two maps whose fixed set is a slice, diag(1, 0.5) z (a line through 0)
-and the identity of the 3-ball (the whole ball), as no bench map has one.
+two maps whose fixed set is a slice, diag(1, 0.5) z (a line through 0)
+and the identity of the 3-ball (the whole ball), as no bench map has one;
+and seven maps that do not send the open ball into itself (``outside.*``),
+each refused by ``classify`` or ``spectrum`` on a line no self-map reaches.
 Every subcommand runs in this process on every map, with its default flags
 and with non-default ones, and one line
 
@@ -95,6 +97,8 @@ def corpus(L) -> dict[str, str]:
         maps["origin.%d.dense.n3" % seed] = cliwork.map_json(dense_origin_matrix(seed))
     maps["slice.n2"] = cliwork.map_json(np.diag([1.0, 0.5, 1.0]).astype(complex))
     maps["identity.n3"] = cliwork.map_json(np.eye(4, dtype=complex))
+    for name, m in non_self_maps().items():
+        maps["outside." + name] = cliwork.map_json(m)
     maps["nan"] = cliwork.NAN_MAP
     maps["inf"] = cliwork.INF_MAP
     return maps
@@ -113,6 +117,30 @@ def dense_origin_matrix(seed: int):
     m[:3, :3] = 0.6 * a / np.linalg.norm(a, 2)
     m[3, :3] = 0.3 * np.conj(c) / np.linalg.norm(c)
     return m
+
+
+def non_self_maps() -> dict:
+    """Name -> associated matrix of maps that do not send the open ball into
+    itself, each refused by classify or spectrum on a line no self-map reaches."""
+    import numpy as np
+
+    def fixing(points, eigenvalues):
+        # the matrix with eigenvector (p, 1) for each p in points
+        p = np.array([list(pt) + [1] for pt in points], dtype=complex).T
+        return p @ np.diag(np.asarray(eigenvalues, dtype=complex)) @ np.linalg.inv(p)
+
+    cayley = np.array([[1, 1], [-1, 1]], dtype=complex)  # the disk onto the right half-plane
+    lam = 0.5 + 0.6j
+    return {
+        "expanding.n1": np.array([[2, 0], [0, 1]], dtype=complex),  # 2 z
+        "v.n1": np.array([[0.5, 0], [-0.6, 1]], dtype=complex),  # 0.5 z / (1 - 0.6 z)
+        "constant.n1": np.array([[0, 1], [0, 1]], dtype=complex),  # 1
+        "two-boundary.n2": fixing([(0, 0), (1, 0), (0, 1)], [1, 0.5, 0.6]),
+        "three-boundary.n2": fixing([(1, 0), (-1, 0), (0, 1)], [0.3, 1, 0.5]),
+        # zeta -> zeta / (0.5 + 20i) - 100i on the half-plane
+        "angular.n1": np.linalg.inv(cayley) @ np.array([[1 / (0.5 + 20j), -100j], [0, 1]]) @ cayley,
+        "dilation.n1": np.array([[lam, 0], [lam - 1, 1]]),  # lam z / (1 - (1 - lam) z)
+    }
 
 
 def run(cli, argv: list[str]) -> tuple[int, str, str | None]:

@@ -15,8 +15,11 @@ object, nested ones included, compiled from each module's source.  One line
 is printed for each executable line that never ran, in file and line order,
 keyed by its function and text rather than its number, so that an edit
 elsewhere in a file leaves the key unchanged.  The tool exits 1 when the
-suite fails or a digest run escapes ``cli.main``.  Line tables differ between
-interpreter versions, so compare lists made by the same minor version.
+suite fails or a digest run escapes ``cli.main``.  The committed
+``tools/unreached.txt`` is this output, and the list is exact: CI diffs a
+fresh run against it, so a line that starts to run leaves the list in the
+same change.  Line tables differ between interpreter versions, so compare
+lists made by the same minor version.
 """
 
 import os
