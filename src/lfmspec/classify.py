@@ -320,7 +320,7 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
     shift = -1j * c1.imag / (1.0 - alpha)
     m2 = _nu_matrix(n, shift, inverse=True) @ m1 @ _nu_matrix(n, shift)
     c_final = complex(m2[0, n]) * alpha
-    if abs(c_final.imag) > 1e-10:
+    if abs(c_final.imag) > 1e-10 * max(1.0, abs(c1.imag)):  # the shift's rounding scales with |Im c1|
         raise NumericalInconsistency("vertical translation left Im c = %.3g" % c_final.imag)
     d_final = m2[1:n, n] * alpha
 

@@ -89,8 +89,13 @@ def _inner(u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def _spectral_order(eigs: np.ndarray) -> np.ndarray:
-    """Decreasing modulus (hypot, as abs() of one entry), ties by real then imaginary part."""
-    return np.lexsort((eigs.imag, eigs.real, -np.hypot(eigs.real, eigs.imag)))
+    """Decreasing modulus (hypot, as abs() of one entry), ties by real then imaginary part.
+    When the sorted moduli strictly decrease the other keys never count, so one stable
+    argsort gives the three-key lexsort's order; ties and NaN take that lexsort."""
+    key = -np.hypot(eigs.real, eigs.imag)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    return order if (ranked[1:] > ranked[:-1]).all() else np.lexsort((eigs.imag, eigs.real, key))
 
 
 class LinearFractionalMap:
@@ -544,7 +549,8 @@ def _krein_certificate(pp: np.ndarray, j: np.ndarray, rho: float) -> np.ndarray 
     k = pp.copy()
     k[-1, -1] -= rho * rho
     roots = np.linalg.eigvals(j @ k).real
-    ends = np.unique(np.concatenate([[0.0], roots[roots > 0.0]]))
+    ends = np.sort(np.concatenate([[0.0], roots[roots > 0.0]]))
+    ends = ends[np.concatenate([[True], ends[1:] > ends[:-1]])]  # np.unique would import numpy.ma
     roundoff = 10.0 * j.shape[0] * np.finfo(float).eps
     size = float(np.linalg.norm(pp)) + rho * rho
     for lam in 0.5 * (ends[:-1] + ends[1:]):

@@ -438,18 +438,22 @@ def _diagonal_map_eigenvalues(f: LinearFractionalMap, g: _Graded) -> np.ndarray:
     from one vector: every diagonal block is diagonal, entry lambda^beta / d^|beta|.
 
     v holds the diagonals of all blocks over the basis, v[0] = 1.  Degree k
-    is +0 plus lambda_j v[beta - e_j] (a slice of lambda[g.first] times v
-    gathered through g.pred), then divided by d: the operations that
-    _power_levels with c = 0 gives a diagonal entry, in the same order, so
-    the same bits (a zero lambda_j adds +0 times a finite entry, a zero, to
-    +0).  The eigenvalues are the scaled diagonal v * norms / norms, read
-    off at every scale as in _eigenvalues."""
+    is lambda_j v[beta - e_j] (lambda[g.first] times v gathered through
+    g.pred), its float parts times 1 / d.  _power_levels with c = 0 gives
+    +0 plus that product over the real d, which numpy does as (x_r + x_i 0)
+    (1 / d) and (x_i - x_r 0) (1 / d): the same bits on finite entries up to
+    the sign of zeros, which no nonzero product or sum sees and v += 0
+    clears, as that +0 does (true division of the parts by d moves bits).  A
+    non-finite entry stays non-finite, and _finite refuses it.  The
+    eigenvalues are the scaled diagonal v * norms / norms, read off at every
+    scale as in _eigenvalues."""
     v, lam, pred = np.zeros(g.size, dtype=complex), np.diagonal(f.a)[g.first], g.pred
+    parts, scale = v.view(float), 1.0 / f.d
     v[0] = 1.0
     for lo, hi in zip(g.level[1:-1].tolist(), g.level[2:].tolist()):
-        cur = v[lo:hi]
-        cur += lam[lo:hi] * v[pred[lo:hi]]
-        cur /= f.d
+        np.multiply(lam[lo:hi], v[pred[lo:hi]], out=v[lo:hi])
+        parts[2 * lo:2 * hi] *= scale
+    v += 0.0
     eigs = _finite(v * g.norms / g.norms)
     return eigs[_spectral_order(eigs)]
 
@@ -521,7 +525,8 @@ def build_compression(f: LinearFractionalMap, degree: int) -> Compression:
 
     When phi(0) = 0 the matrix is exactly block lower triangular in the
     graded order (phi^beta has no components below degree |beta|), so its
-    eigenvalues are those of the diagonal blocks."""
+    eigenvalues are those of the diagonal blocks.  A matrix that leaves the
+    float range is refused (see _finite)."""
     _check_compression_cap(f.n, degree)
     g = _graded(f.n, degree)
     m = np.zeros((g.size, g.size), dtype=complex)
@@ -529,7 +534,7 @@ def build_compression(f: LinearFractionalMap, degree: int) -> Compression:
         rows = slice(lo, lo + len(block))
         m[rows, c0:c1] = block * g.norms[rows, None] / g.norms[c0:c1]
     basis = tuple(basis_multi_indices(f.n, degree))  # tuples only at the API edge
-    return Compression(matrix=m, basis=basis, norms=g.norms.copy(), n=f.n, degree=degree)
+    return Compression(matrix=_finite(m), basis=basis, norms=g.norms.copy(), n=f.n, degree=degree)
 
 
 def _eigenvalues(block: np.ndarray, norms=None) -> np.ndarray:
@@ -628,9 +633,8 @@ def compression_spectrum(f: LinearFractionalMap, degree: int, return_vectors: bo
     comp = build_compression(f, degree)
     if not return_vectors:
         return _block_eigenvalues([(comp.matrix,)])
-    m = _finite(comp.matrix)
-    pairs = _block_eigenpairs(m, _graded(f.n, degree).level) if f.n > 1 and not f.b.any() else None
-    eigs, vecs = pairs or np.linalg.eig(m)
+    pairs = _block_eigenpairs(comp.matrix, _graded(f.n, degree).level) if f.n > 1 and not f.b.any() else None
+    eigs, vecs = pairs or np.linalg.eig(comp.matrix)
     order = _spectral_order(eigs)
     return eigs[order], vecs[:, order], comp
 

@@ -193,6 +193,20 @@ def test_conjugated_one_fixed_still_normalizes():
     assert abs(nf.c.imag) < 1e-9 and nf.c.real > 0
 
 
+@pytest.mark.parametrize("c", [1 + 100j, 1 - 100j], ids=["up", "down"])
+def test_large_vertical_shift_keeps_its_normal_form(c):
+    # ((zeta + c) / 0.9999, 0.5 omega / 0.9999): the vertical translation
+    # removes a shift of |Im c| / (1 - alpha) = 1e6, and what it leaves of
+    # Im c is rounding relative to that size
+    alpha = 0.9999
+    f = siegel_plant([[1 / alpha, 0, c / alpha], [0, 0.5 / alpha, 0], [0, 0, 1]])
+    assert L.validate_self_map(f).ok
+    cl = L.classify(f)
+    assert cl.kind == MapClass.HYPERBOLIC_ONE_FIXED
+    assert cl.alpha == pytest.approx(alpha, abs=1e-6)
+    assert cl.normal_form.c == pytest.approx(1.0, abs=1e-6)
+
+
 def test_one_fixed_form_has_no_block_eigenvalues():
     nf = L.classify(lfm_1d(0.5, 0.5, 0, 1)).normal_form
     assert nf.case == "one_fixed" and nf.a_prime is None

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import runpy
+import subprocess
 import sys
 import time
 
@@ -102,6 +103,31 @@ def test_module_runs_as_a_script(capsys, monkeypatch, disk_map):
         runpy.run_module("lfmspec.cli", run_name="__main__")
     assert exc.value.code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["result"]["kind"] == "elliptic_boundary_fixed"
+
+
+# in a fresh process: numpy.ma costs about 15 ms to import, and np.unique
+# imports it on its first call
+MA_PROBE = """
+import contextlib, io, sys
+import lfmspec.cli
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [lfmspec.cli.main(argv) for argv in (["validate", sys.argv[1]], ["compress", sys.argv[1], "--degree", "6"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_self_map_commands_do_not_import_numpy_ma(diag_map2):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", MA_PROBE, diag_map2], env=env, capture_output=True, text=True,
+                          timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("importing lfmspec.cli already imports numpy.ma")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[%d, %d] False\n" % (EXIT_OK, EXIT_OK)
 
 
 def test_invalid_map_shape_is_validation_error(capsys, tmp_path):

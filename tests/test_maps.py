@@ -16,7 +16,14 @@ from lfmspec import (
     LinearFractionalMap,
     MapFormatError,
 )
-from lfmspec.maps import TOLERANCES, _ball_map_from_halfplane, _c2pair, _jacobian, _krein_certificate
+from lfmspec.maps import (
+    TOLERANCES,
+    _ball_map_from_halfplane,
+    _c2pair,
+    _jacobian,
+    _krein_certificate,
+    _spectral_order,
+)
 
 
 def lfm_1d(a, b, c, d):
@@ -693,6 +700,23 @@ def test_conjugation_by_involution_round_trips(f):
     s = L.ball_automorphism_to_origin(a)
     g = L.conjugated(L.conjugated(f, s), s)  # s is an involution
     assert proportional_residual(g.matrix, f.matrix) < 1e-10
+
+
+# roots of unity times a few radii share moduli that hypot rounds equal or
+# apart; zeros of both signs and NaN in either part tie or refuse to compare
+ORDER_POOL = [complex(r * np.exp(2j * math.pi * k / q)) for q in (3, 4, 8) for k in range(q) for r in (0.5, 1.0, 3.0)]
+ORDER_POOL += [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(math.nan, 0.0), complex(0.0, math.nan),
+               complex(math.nan, math.nan), 1.0, -1.0, 1j, -1j, 0.6 + 0.8j, 0.8 - 0.6j]
+
+
+@given(st.lists(st.one_of(st.sampled_from(ORDER_POOL),
+                          st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)),
+                max_size=600))
+@settings(max_examples=200, deadline=None)
+def test_spectral_order_is_the_three_key_lexsort(values):
+    e = np.array(values, dtype=complex)
+    want = np.lexsort((e.imag, e.real, -np.hypot(e.real, e.imag)))
+    assert np.array_equal(_spectral_order(e), want)
 
 
 # ---------------------------------------------------------------------------

@@ -538,10 +538,15 @@ def _build_calls(monkeypatch):
     (_diagonal_map([1e-8, 2e-8j]), 25),
     (_diagonal_map([1e-30, 0.5j]), 25),
     (_diagonal_map([1e-200, 0.5]), 25),
+    (_diagonal_map([-0.5], [0.3]), 60),
+    (_diagonal_map([-0.5, 0.4, -0.3]), 12),  # negative lambda: -0 mid-chain
+    (_diagonal_map([0.5, 0.5j]), 25),  # equal moduli: _spectral_order's lexsort fallback
+    (_diagonal_map([-1e-200, -0.5, 0.5j]), 12),  # underflow: a -0 that only the final v += 0 clears
 ], ids=["dense-n1-d60", "dense-n2-d25", "dense-n3-d12", "sparse-n1-d60", "sparse-n2-d25",
         "sparse-n3-d12", "z-over-2-minus-z-d30", "sparse-n3-d8", "sparse-n2-d12", "sparse-n1-d30",
         "sparse-n4-d6", "dense-n1-d30", "z-over-2-minus-z-d60", "zero-eigenvalue", "zero-map", "c-n2-d25",
-        "c-n3-d12", "tiny", "tiny-and-half", "tinier-and-half"])
+        "c-n3-d12", "tiny", "tiny-and-half", "tinier-and-half", "negative-c-n1-d60", "negative-n3-d12",
+        "equal-moduli", "tinier-negative-n3-d12"])
 def test_diagonal_blocks_give_the_full_build_eigenvalues(monkeypatch, f, degree):
     # phi(0) = 0: the eigenvalues from the diagonal blocks alone, or for a
     # diagonal A (every map in one variable) from their diagonals carried as
@@ -553,6 +558,16 @@ def test_diagonal_blocks_give_the_full_build_eigenvalues(monkeypatch, f, degree)
     assert calls == []
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_diagonal_map_overflow_is_refused():
+    # 1e6 z is not a self-map: its powers leave the float range by degree
+    # 60, and the diagonal vector and the whole matrix both refuse them
+    f = lfm_1d(1e6, 0, 0, 1)
+    with np.errstate(all="ignore"):
+        for make in (L.compression_spectrum, L.build_compression):
+            with pytest.raises(L.ParameterConstraintViolated, match="float range"):
+                make(f, 60)
 
 
 @pytest.mark.parametrize("f, return_vectors", [

@@ -13,6 +13,8 @@ form reaches through the whole matrix and the ``compress+cap`` form through
 the blocks alone, as no bench map fixes 0 with a non-diagonal A at N = 3;
 two maps whose fixed set is a slice, diag(1, 0.5) z (a line through 0)
 and the identity of the 3-ball (the whole ball), as no bench map has one;
+one hyperbolic self-map whose normal form removes a vertical shift of
+1e6 (``siegel.vertical_shift.n2``);
 and seven maps that do not send the open ball into itself (``outside.*``),
 each refused by ``classify`` or ``spectrum`` on a line no self-map reaches.
 Every subcommand runs in this process on every map, with its default flags
@@ -97,6 +99,7 @@ def corpus(L) -> dict[str, str]:
         maps["origin.%d.dense.n3" % seed] = cliwork.map_json(dense_origin_matrix(seed))
     maps["slice.n2"] = cliwork.map_json(np.diag([1.0, 0.5, 1.0]).astype(complex))
     maps["identity.n3"] = cliwork.map_json(np.eye(4, dtype=complex))
+    maps["siegel.vertical_shift.n2"] = cliwork.map_json(vertical_shift_matrix())
     for name, m in non_self_maps().items():
         maps["outside." + name] = cliwork.map_json(m)
     maps["nan"] = cliwork.NAN_MAP
@@ -117,6 +120,23 @@ def dense_origin_matrix(seed: int):
     m[:3, :3] = 0.6 * a / np.linalg.norm(a, 2)
     m[3, :3] = 0.3 * np.conj(c) / np.linalg.norm(c)
     return m
+
+
+def vertical_shift_matrix():
+    """Associated matrix of the self-map of the 2-ball whose Cayley transport
+    at e_1 is (zeta, omega) -> ((zeta + 1 + 100i) / 0.9999, 0.5 omega /
+    0.9999): hyperbolic with one boundary fixed point, whose normal form
+    removes a vertical shift of 1e6.  Its exterior fixed point lies 2e-6
+    from e_1, so rounding the matrix differently (the constructor rotating a
+    complex d, or 0.9999 divided out at another step) can move the half-plane
+    scaling off the real axis by 1e-6, which classify refuses; the matrix is
+    made as the tests make it and scaled to a real d here."""
+    import numpy as np
+
+    cayley = np.array([[1, 0, 1], [0, 1, 0], [-1, 0, 1]], dtype=complex)  # the ball onto the Siegel half-plane
+    inverse = np.array([[0.5, 0, -0.5], [0, 1, 0], [0.5, 0, 0.5]], dtype=complex)
+    m = inverse @ (np.array([[1, 0, 1 + 100j], [0, 0.5, 0], [0, 0, 0.9999]], dtype=complex) / 0.9999) @ cayley
+    return m * (abs(m[2, 2]) / m[2, 2])
 
 
 def non_self_maps() -> dict:
