@@ -35,7 +35,6 @@ from .maps import (
     FixedPointSet,
     HalfPlaneMap,
     LinearFractionalMap,
-    _ball_map_from_halfplane,
     _c2pair,
     _cayley_matrix,
     _jacobian,
@@ -49,7 +48,6 @@ from .maps import (
     evaluate,
     fixed_points,
     is_automorphism,
-    unitary_map,
 )
 
 __all__ = [
@@ -130,6 +128,22 @@ def _elliptic_spectral_data(f: LinearFractionalMap, z0: np.ndarray) -> EllipticS
     )
 
 
+def _projective_residual(chain, m: np.ndarray, target: np.ndarray) -> float:
+    """How far K m is from a multiple of target K, relative to |K m|, for K
+    the product of the projective matrices in chain, applied first to last.
+
+    The coordinate change K conjugates the map of m to the map of target
+    exactly when K m and target K are proportional; the scalar c minimizing
+    |K m - c target K|_F is <target K, K m> / <target K, target K>.
+    """
+    k = chain[0]
+    for step in chain[1:]:
+        k = step @ k
+    km, tk = k @ m, target @ k
+    c = np.vdot(tk, km) / np.vdot(tk, tk)
+    return float(np.linalg.norm(km - c * tk) / np.linalg.norm(km))
+
+
 # ---------------------------------------------------------------------------
 # zero-unitary-index normal form
 
@@ -144,6 +158,8 @@ class EllipticP0Form:
     an ellipsoid-like domain: delta < 1 gives the ellipsoid with half-axis
     r = (1 - delta^2)^(-1/2), and delta = 1 the half-plane-like domain
     whose closure meets the sphere at the boundary fixed point e_1.
+    ``chain`` holds the involution to the origin and the rotation z -> u z
+    as labelled projective matrices.
     """
 
     fixed_point: np.ndarray
@@ -153,6 +169,7 @@ class EllipticP0Form:
     r: float | None
     to_origin: LinearFractionalMap
     rotation: np.ndarray
+    chain: tuple[tuple[str, np.ndarray], ...]
     conjugacy_residual: float
 
 
@@ -162,15 +179,15 @@ def _elliptic_p0_form(f: LinearFractionalMap, data: EllipticSpectralData) -> Ell
 
     Steps: conjugate the fixed point to the origin by the standard
     involution, scale the associated matrix to denominator constant 1,
-    solve (A* - I) V = C, and rotate V to |V| e_1.  The conjugacy
-    sigma o phi = A1 o sigma is then checked on 40 seeded interior points
-    in one batch and the max residual recorded.
+    solve (A* - I) V = C, and rotate V to |V| e_1.  sigma(z) =
+    z / (1 - delta z_1) then conjugates the map to the linear map A1:
+    with S the matrix of sigma and R that of the rotation, K = S R* (involution)
+    takes the matrix of phi to diag(A1, 1), and ``_projective_residual``
+    records how far that holds.
     """
     z0 = data.fixed_point
     aut = ball_automorphism_to_origin(z0)
     g = conjugated(f, aut)  # fixes the origin
-    if np.linalg.norm(g.b) > 1e-9:
-        raise NumericalInconsistency("conjugated map does not fix the origin")
     a = g.a / g.d
     cvec = g.c / g.d
     v = np.linalg.solve(a.conj().T - np.eye(f.n), cvec)
@@ -183,19 +200,12 @@ def _elliptic_p0_form(f: LinearFractionalMap, data: EllipticSpectralData) -> Ell
     else:
         u = _unitary_with_first_column(v / delta)
     a1 = u.conj().T @ a @ u
-
-    # residual of sigma o phi_tilde = A1 o sigma on interior samples
-    rng, samples = np.random.default_rng(11), 40
-    pts = rng.standard_normal((samples, f.n)) + 1j * rng.standard_normal((samples, f.n))
-    pts *= (rng.uniform(0.05, 0.9, size=samples) / np.linalg.norm(pts, axis=1))[:, None]
-    h = np.concatenate([pts, np.ones((samples, 1))], axis=1) @ conjugated(g, unitary_map(u)).matrix.T
-
-    def sigma(z: np.ndarray) -> np.ndarray:
-        return z / (1.0 - delta * z[:, :1])
-
-    lhs = sigma(h[:, : f.n] / h[:, f.n :])
-    resid = float(np.max(np.linalg.norm(lhs - sigma(pts) @ a1.T, axis=1), initial=0.0))
-    if not resid <= 1e-10:  # a NaN residual fails too
+    rotation = _rotation_block(u)
+    sigma = np.eye(f.n + 1, dtype=complex)
+    sigma[f.n, 0] = -delta
+    # block-diag(A1, 1) is the matrix of the linear model
+    resid = _projective_residual([aut.matrix, rotation.conj().T, sigma], f.matrix, _rotation_block(a1))
+    if not resid <= TOLERANCES.conjugacy:  # a NaN residual fails too
         raise NumericalInconsistency("linear-model conjugacy residual %.3g too large" % resid)
 
     if delta < 1.0 - TOLERANCES.unimodular:
@@ -210,6 +220,7 @@ def _elliptic_p0_form(f: LinearFractionalMap, data: EllipticSpectralData) -> Ell
         r=r,
         to_origin=aut,
         rotation=u,
+        chain=(("involution_to_origin", aut.matrix), ("rotation", rotation)),
         conjugacy_residual=resid,
     )
 
@@ -247,6 +258,10 @@ class HyperbolicNormalForm:
     ``k1``/``k2`` give the Heisenberg translation that removed the linear
     term b, and ``vertical_shift`` the pure-imaginary translation that made
     c real.  ``halfplane`` is the form before those two conjugations.
+    ``chain`` holds the coordinate changes V (rotation of tau to e_1), the
+    Cayley map C, eta^-1 and nu^-1, then the normal matrix, as labelled
+    projective matrices; ``conjugacy_residual`` is ``_projective_residual``
+    of K = nu^-1 eta^-1 C V.
     """
 
     case: str
@@ -260,6 +275,8 @@ class HyperbolicNormalForm:
     vertical_shift: complex
     halfplane: HalfPlaneMap
     tau: np.ndarray
+    chain: tuple[tuple[str, np.ndarray], ...]
+    conjugacy_residual: float
 
     @property
     def eigenvalues(self) -> tuple[complex, ...]:
@@ -270,22 +287,7 @@ class HyperbolicNormalForm:
         return tuple(complex(v) for v in vals[_spectral_order(vals)])
 
     def normal_matrix(self) -> np.ndarray:
-        n = self.halfplane.n
-        m = np.zeros((n + 1, n + 1), dtype=complex)
-        m[0, 0] = 1.0 / self.alpha
-        m[0, n] = self.c / self.alpha
-        m[1:n, 1:n] = self.a_block / self.alpha
-        m[1:n, n] = self.d / self.alpha
-        m[n, n] = 1.0
-        return m
-
-    def reconstructed_ball_map(self) -> LinearFractionalMap:
-        """Undo the whole conjugation chain; equals the original map."""
-        n = self.halfplane.n
-        k1, k2, shift = self.k1, self.k2, self.vertical_shift
-        m = _eta_matrix(n, k1, k2) @ _nu_matrix(n, shift) @ self.normal_matrix() \
-            @ _nu_matrix(n, shift, inverse=True) @ _eta_matrix(n, k1, k2, inverse=True)
-        return _ball_map_from_halfplane(m, self.halfplane.rotation)
+        return self.chain[-1][1].copy()
 
 
 def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) -> HyperbolicNormalForm:
@@ -311,17 +313,13 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
     k1 = np.linalg.solve(a.conj().T - np.eye(nm), hp.b / 2.0) if nm else np.zeros(0, dtype=complex)
     k2 = float(np.vdot(k1, k1).real)
 
-    mpsi = hp.matrix
-    m1 = _eta_matrix(n, k1, k2, inverse=True) @ mpsi @ _eta_matrix(n, k1, k2)
-    if float(np.linalg.norm(m1[0, 1:n])) > 1e-9:
-        raise NumericalInconsistency("Heisenberg conjugation failed to remove the mixed term")
-
+    eta_inv = _eta_matrix(n, k1, k2, inverse=True)
+    m1 = eta_inv @ hp.matrix @ _eta_matrix(n, k1, k2)
     c1 = complex(m1[0, n]) * alpha
     shift = -1j * c1.imag / (1.0 - alpha)
-    m2 = _nu_matrix(n, shift, inverse=True) @ m1 @ _nu_matrix(n, shift)
+    nu_inv = _nu_matrix(n, shift, inverse=True)
+    m2 = nu_inv @ m1 @ _nu_matrix(n, shift)
     c_final = complex(m2[0, n]) * alpha
-    if abs(c_final.imag) > 1e-10 * max(1.0, abs(c1.imag)):  # the shift's rounding scales with |Im c1|
-        raise NumericalInconsistency("vertical translation left Im c = %.3g" % c_final.imag)
     d_final = m2[1:n, n] * alpha
 
     if n_boundary == 1:
@@ -338,6 +336,16 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
         a_prime = a / math.sqrt(alpha)
         if a_prime.size and float(np.linalg.norm(a_prime, 2)) > 1.0 + 1e-8:
             raise NumericalInconsistency("normalized block exceeds norm 1")
+    # the residual also measures the mixed term and Im c that the normal matrix leaves out
+    steps = [_rotation_block(hp.rotation), _cayley_matrix(n), eta_inv, nu_inv]
+    normal = np.zeros((n + 1, n + 1), dtype=complex)  # (z, w) -> (1/alpha)(z + c, A w + d)
+    normal[0, 0], normal[0, n], normal[n, n] = 1.0 / alpha, float(c_final.real) / alpha, 1.0
+    normal[1:n, 1:n] = a / alpha
+    normal[1:n, n] = d_final / alpha
+    resid = _projective_residual(steps, f.matrix, normal)
+    if not resid <= TOLERANCES.conjugacy:
+        raise NumericalInconsistency("half-plane conjugacy residual %.3g too large" % resid)
+    labels = ("rotation_to_e1", "cayley", "heisenberg_translation", "vertical_translation", "normal_form")
     return HyperbolicNormalForm(
         case=case,
         alpha=alpha,
@@ -350,6 +358,8 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
         vertical_shift=complex(shift),
         halfplane=hp,
         tau=dw.location,
+        chain=tuple(zip(labels, steps + [normal])),
+        conjugacy_residual=resid,
     )
 
 
@@ -435,22 +445,9 @@ def classify(f: LinearFractionalMap) -> Classification:
 # serialization
 
 
-def _chain_steps(nf: EllipticP0Form | HyperbolicNormalForm | None, n: int) -> list[dict]:
+def _chain_steps(nf: EllipticP0Form | HyperbolicNormalForm | None) -> list[dict]:
     """Conjugation chain as labeled projective matrices, outermost first."""
-    if nf is None:
-        return []
-    if isinstance(nf, EllipticP0Form):
-        return [
-            {"kind": "involution_to_origin", "matrix": _c2pair(nf.to_origin.matrix)},
-            {"kind": "rotation", "matrix": _c2pair(_rotation_block(nf.rotation))},
-        ]
-    return [
-        {"kind": "rotation_to_e1", "matrix": _c2pair(_rotation_block(nf.halfplane.rotation))},
-        {"kind": "cayley", "matrix": _c2pair(_cayley_matrix(n))},
-        {"kind": "heisenberg_translation", "matrix": _c2pair(_eta_matrix(n, nf.k1, nf.k2, inverse=True))},
-        {"kind": "vertical_translation", "matrix": _c2pair(_nu_matrix(n, nf.vertical_shift, inverse=True))},
-        {"kind": "normal_form", "matrix": _c2pair(nf.normal_matrix())},
-    ]
+    return [] if nf is None else [{"kind": kind, "matrix": _c2pair(m)} for kind, m in nf.chain]
 
 
 def classification_to_json_dict(cl: Classification) -> dict:
@@ -492,9 +489,10 @@ def classification_to_json_dict(cl: Classification) -> dict:
             "c": nf.c,
             "d": _c2pair(nf.d),
             "a_block": _c2pair(nf.a_block),
+            "conjugacy_residual": nf.conjugacy_residual,
         }
         if nf.a_prime is not None:
             out["normal_form"]["a_prime"] = _c2pair(nf.a_prime)
             out["normal_form"]["a_prime_eigenvalues"] = _c2pair(nf.eigenvalues)
-    out["conjugation_chain"] = _chain_steps(nf, cl.n)
+    out["conjugation_chain"] = _chain_steps(nf)
     return out

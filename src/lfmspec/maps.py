@@ -69,6 +69,7 @@ class Tolerances:
     automorphism: float = 1e-9  # |m* J m - lambda J| / |m* J m| at most this: an automorphism
     self_map: float = 1e-9  # sup |phi| at most 1 + this: a self-map
     halfplane_affine: float = 1e-8  # non-affine entries of the Cayley transport at most this: dropped
+    conjugacy: float = 1e-10  # |K M - c T K| / |K M| above this: a normal form's chain K fails to conjugate
     unimodular: float = 1e-8  # ||lambda| - 1| at most this: lambda (or delta) is unimodular
     contractive_gap: float = 1e-6  # |lambda| below 1 - this: lambda is contractive
     root_of_unity_order: int = 64  # largest q tried for lambda^q = 1
@@ -319,12 +320,6 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.asarray(g) for g in groups]
 
 
-def _null_space(m: np.ndarray, tol: float) -> np.ndarray:
-    _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol))
-    return np.conj(vh[rank:]).T  # columns span the null space
-
-
 def _boundary_dilation(f: LinearFractionalMap, tau: np.ndarray) -> float:
     jt = _jacobian(f, tau) @ tau
     val = _inner(jt, tau)
@@ -339,7 +334,8 @@ def fixed_points(f: LinearFractionalMap) -> FixedPointSet:
     fixed point at infinity of the extended projective action.  Eigenvalues
     are clustered before the null-space computation so that defective
     (parabolic) blocks and numerically split multiple eigenvalues are
-    handled as one group.
+    handled as one group.  The null spaces come from one stacked SVD of the
+    m - lambda I, which runs the same LAPACK routine on each matrix.
     """
     n = f.n
     m = f.matrix
@@ -350,16 +346,18 @@ def fixed_points(f: LinearFractionalMap) -> FixedPointSet:
     slice_point: np.ndarray | None = None
     whole_ball = False
 
-    for group in _cluster(eigvals, TOLERANCES.eigenvalue_cluster):
-        lam = complex(group.mean())
+    groups = _cluster(eigvals, TOLERANCES.eigenvalue_cluster)
+    lams = np.array([g[0] if g.size == 1 else g.mean() for g in groups])
+    _, sing, vhs = np.linalg.svd(m - lams[:, None, None] * np.eye(n + 1))
+    for group, lam, s, vh in zip(groups, lams, sing, vhs):
         spread = float(np.max(np.abs(group - lam))) if group.size > 1 else 0.0
-        rank_tol = max(1e-9, 10.0 * spread)
-        basis = _null_space(m - lam * np.eye(n + 1), rank_tol)
-        if basis.shape[1] == 0:
+        rank = int(np.sum(s > max(1e-9, 10.0 * spread)))
+        if rank > n:
             # overly tight rank tolerance; retry with the cluster width
-            basis = _null_space(m - lam * np.eye(n + 1), 1e-7)
-            if basis.shape[1] == 0:
+            rank = int(np.sum(s > 1e-7))
+            if rank > n:
                 continue
+        basis = np.conj(vh[rank:]).T  # columns span the null space
         k = basis.shape[1]
         last = np.abs(basis[n, :])
         j = int(np.argmax(last))
@@ -644,16 +642,18 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOLERANCES.self_map) 
     # ball_automorphism_to_origin(a), without its cancellation in 1 - |a|^2
     s2 = f.denominator_margin * (f.d + cn) / (f.d * f.d)
     q = math.sqrt(s2) * np.eye(n) + (1.0 - math.sqrt(s2)) * np.outer(u, np.conj(u))
-    psi = np.block([[-q, a[:, None]], [-np.conj(a)[None, :], np.ones((1, 1))]])
+    psi = np.empty((n + 1, n + 1), dtype=complex)
+    psi[:n, :n], psi[:n, n], psi[n, :n], psi[n, n] = -q, a, -np.conj(a), 1.0
     fg = f.matrix[:n] @ psi / (f.d * s2)
     pp = fg.conj().T @ fg
     j = _j_form(n)
     lo = float(np.linalg.norm(fg @ np.append(_sphere_maximizer(fg[:, :n], fg[:, n]), 1.0)))
-    # |F z + g| <= |F|_2 + |g|; at least 1 so the zero map starts strict too
-    bound = max(1.5 * (float(np.linalg.norm(fg[:, :n], 2)) + float(np.linalg.norm(fg[:, n]))), 1.0)
     step, tests = 1e-13 * max(lo, 1.0), 1
-    hi = min(lo + step, bound)
+    hi, bound = lo + step, None
     while (cert := _krein_certificate(pp, j, hi)) is None:
+        if bound is None:
+            # |F z + g| <= |F|_2 + |g|, which the first rung lies below; at least 1 for the zero map
+            bound = max(1.5 * (float(np.linalg.norm(fg[:, :n], 2)) + float(np.linalg.norm(fg[:, n]))), 1.0)
         if hi == bound:
             raise NumericalInconsistency("no Krein certificate at the norm bound %.6g" % hi)
         lo, step, tests = hi, 16.0 * step, tests + 1

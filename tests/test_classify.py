@@ -9,7 +9,7 @@ import pytest
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, MapClass
-from lfmspec.classify import classification_to_json_dict
+from lfmspec.classify import _projective_residual, classification_to_json_dict
 from lfmspec.maps import _ball_map_from_halfplane, _spectral_order
 
 
@@ -146,10 +146,19 @@ def test_one_fixed_normal_form():
     assert np.allclose(nf.d, 0, atol=1e-10)
 
 
+def _undone_chain(nf):
+    """The ball map K^-1 T K, for K the coordinate changes of the chain and T its normal matrix."""
+    *steps, normal = [m for _, m in nf.chain]
+    k = np.eye(len(normal), dtype=complex)
+    for step in steps:
+        k = step @ k
+    return LinearFractionalMap.from_matrix(np.linalg.solve(k, normal @ k))
+
+
 def test_one_fixed_reconstruction():
     f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
     nf = L.classify(f).normal_form
-    g = nf.reconstructed_ball_map()
+    g = _undone_chain(nf)
     assert np.linalg.norm(g.matrix - f.matrix) < 1e-9  # both normalized: equal maps, equal matrices
 
 
@@ -173,7 +182,7 @@ def test_two_fixed_normal_form_complex():
 def test_two_fixed_reconstruction():
     f = two_fixed_plant(0.8)
     nf = L.classify(f).normal_form
-    g = nf.reconstructed_ball_map()
+    g = _undone_chain(nf)
     assert np.linalg.norm(g.matrix - f.matrix) < 1e-9  # both normalized: equal maps, equal matrices
 
 
@@ -387,23 +396,66 @@ def _p0_and_hyperbolic_maps():
     return out
 
 
-def test_batched_conjugacy_residual_matches_pointwise_loop():
+def _residual_terms(nf):
+    """The coordinate changes of a normal form, in the order they apply, and
+    the model matrix its residual compares: sigma after the involution and the
+    rotation's inverse for the p0 form, the chain before its normal matrix for
+    the half-plane form."""
+    n = len(nf.chain[0][1]) - 1
+    if isinstance(nf, L.EllipticP0Form):
+        sigma = np.eye(n + 1, dtype=complex)
+        sigma[n, 0] = -nf.delta
+        model = np.eye(n + 1, dtype=complex)
+        model[:n, :n] = nf.a1
+        return [nf.chain[0][1], nf.chain[1][1].conj().T, sigma], model
+    return [m for _, m in nf.chain[:-1]], nf.normal_matrix()
+
+
+def _pointwise_conjugacy_error(nf, f):
+    """max over seeded points z of the ball of |K(phi(z)) - T(K(z))| / (1 + |T(K(z))|), one
+    ``evaluate`` and matvec each, with K and T acting as maps of points."""
+    steps, model = _residual_terms(nf)
+    k = np.linalg.multi_dot(steps[::-1])
+    n = f.n
+
+    def act(m, z):
+        h = m @ np.append(z, 1.0)
+        return h[:n] / h[n]
+
+    rng = np.random.default_rng(11)
+    err = 0.0
+    for _ in range(40):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z *= rng.uniform(0.05, 0.9) / np.linalg.norm(z)
+        rhs = act(model, act(k, z))
+        err = max(err, float(np.linalg.norm(act(k, L.evaluate(f, z)) - rhs)) / (1.0 + float(np.linalg.norm(rhs))))
+    return err
+
+
+def test_projective_residual_matches_the_pointwise_conjugacy():
+    forms = {L.EllipticP0Form: 0, L.HyperbolicNormalForm: 0}
     for f in _p0_and_hyperbolic_maps():
         nf = L.classify(f).normal_form
-        if not isinstance(nf, L.EllipticP0Form):
-            continue
-        # the residual as a loop over points, one evaluate and matvec each
-        g_tilde = L.conjugated(L.conjugated(f, nf.to_origin), L.unitary_map(nf.rotation))
-        rng = np.random.default_rng(11)
-        pts = rng.standard_normal((40, f.n)) + 1j * rng.standard_normal((40, f.n))
-        pts *= (rng.uniform(0.05, 0.9, size=40) / np.linalg.norm(pts, axis=1))[:, None]
-        resid = 0.0
-        for z in pts:
-            w = L.evaluate(g_tilde, z)
-            lhs = w / (1.0 - nf.delta * w[0])
-            rhs = nf.a1 @ (z / (1.0 - nf.delta * z[0]))
-            resid = max(resid, float(np.linalg.norm(lhs - rhs)))
-        assert abs(nf.conjugacy_residual - resid) <= 1e-14
+        forms[type(nf)] += 1
+        assert nf.conjugacy_residual <= 1e-14
+        assert _pointwise_conjugacy_error(nf, f) <= 1e-13
+        steps, model = _residual_terms(nf)
+        assert _projective_residual(steps, f.matrix, model) == nf.conjugacy_residual
+        # a model off by 1e-8 in one entry is seen
+        bumped = model.copy()
+        bumped[0, 0] += 1e-8
+        assert _projective_residual(steps, f.matrix, bumped) >= 1e-9
+    assert min(forms.values()) >= 10
+
+
+def test_classification_json_reports_the_residual_of_both_forms():
+    for make, kind in KIND_GALLERY:
+        d = classification_to_json_dict(L.classify(make()))
+        has_form = kind in (MapClass.ELLIPTIC_BOUNDARY_FIXED, MapClass.ELLIPTIC_INTERIOR_ONLY,
+                            MapClass.HYPERBOLIC_ONE_FIXED, MapClass.HYPERBOLIC_TWO_FIXED)
+        assert ("normal_form" in d) == has_form
+        if has_form:
+            assert 0.0 <= d["normal_form"]["conjugacy_residual"] <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -106,28 +106,37 @@ def test_module_runs_as_a_script(capsys, monkeypatch, disk_map):
 
 
 # in a fresh process: numpy.ma costs about 15 ms to import, and np.unique
-# imports it on its first call
+# imports it on its first call; numpy.random costs about 20 ms, and any
+# default_rng call imports it
 MA_PROBE = """
 import contextlib, io, sys
 import lfmspec.cli
-if "numpy.ma" in sys.modules:
+late = {"numpy.ma", "numpy.random"}
+if late & set(sys.modules):
     sys.exit(3)
+diag, elliptic = sys.argv[1:]
+runs = [["validate", diag], ["compress", diag, "--degree", "6"]]
+runs += [[command, elliptic] for command in ("classify", "spectrum", "radius", "export")]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [lfmspec.cli.main(argv) for argv in (["validate", sys.argv[1]], ["compress", sys.argv[1], "--degree", "6"])]
-print(codes, "numpy.ma" in sys.modules)
+    codes = [lfmspec.cli.main(argv) for argv in runs]
+print(codes, sorted(late & set(sys.modules)))
 """
 
 
-def test_self_map_commands_do_not_import_numpy_ma(diag_map2):
+def test_self_map_commands_do_not_import_numpy_ma(diag_map2, tmp_path):
+    import numpy as np
+
+    # (z_1, 0.4 z_2) / (2 - z_1): elliptic, fixing 0 and e_1, with the linear-model normal form
+    elliptic = write_map(tmp_path, "elliptic.json", LinearFractionalMap(np.diag([1, 0.4]), [0, 0], [-1, 0], 2))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", MA_PROBE, diag_map2], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", MA_PROBE, diag_map2, elliptic], env=env, capture_output=True,
+                          text=True, timeout=120)
     if proc.returncode == 3:
-        pytest.skip("importing lfmspec.cli already imports numpy.ma")
+        pytest.skip("importing lfmspec.cli already imports numpy.ma or numpy.random")
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[%d, %d] False\n" % (EXIT_OK, EXIT_OK)
+    assert proc.stdout == "%s []\n" % ([EXIT_OK] * 6,)
 
 
 def test_invalid_map_shape_is_validation_error(capsys, tmp_path):

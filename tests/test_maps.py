@@ -4,6 +4,7 @@ declared public surface."""
 
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -24,6 +25,9 @@ from lfmspec.maps import (
     _krein_certificate,
     _spectral_order,
 )
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def lfm_1d(a, b, c, d):
@@ -224,6 +228,88 @@ def test_fixed_slice():
     assert fs.slice_dim == 1
     p = fs.interior_point()
     assert p is not None and np.linalg.norm(p) < 1e-9
+
+
+def _fixed_points_per_cluster(f):
+    """``fixed_points`` with one mean and one SVD per eigenvalue cluster, and the
+    retry as a second SVD: the loop that the stacked SVD replaced."""
+    from lfmspec.maps import FixedPointSet, _classify_point, _cluster
+
+    n, m = f.n, f.matrix
+
+    def null_space(a, tol):
+        _, s, vh = np.linalg.svd(a)
+        return np.conj(vh[int(np.sum(s > tol)):]).T
+
+    points, at_inf, slice_dim, slice_point, whole_ball = [], [], None, None, False
+    for group in _cluster(np.linalg.eigvals(m), TOLERANCES.eigenvalue_cluster):
+        lam = complex(group.mean())
+        spread = float(np.max(np.abs(group - lam))) if group.size > 1 else 0.0
+        basis = null_space(m - lam * np.eye(n + 1), max(1e-9, 10.0 * spread))
+        if basis.shape[1] == 0:
+            basis = null_space(m - lam * np.eye(n + 1), 1e-7)
+            if basis.shape[1] == 0:
+                continue
+        last = np.abs(basis[n, :])
+        j = int(np.argmax(last))
+        if last[j] < 1e-10:
+            at_inf += [basis[:n, i] / np.linalg.norm(basis[:n, i]) for i in range(basis.shape[1])]
+            continue
+        v0 = basis[:, j] / basis[n, j]
+        dirs = []
+        for i in range(basis.shape[1]):
+            if i != j:
+                wv = (basis[:, i] - basis[n, i] * v0)[:n]
+                if np.linalg.norm(wv) > 1e-10:
+                    dirs.append(wv / np.linalg.norm(wv))
+        if not dirs:
+            points.append(_classify_point(f, v0[:n]))
+            continue
+        w = np.stack(dirs, axis=1)
+        p_star = v0[:n] + w @ np.linalg.lstsq(w, -v0[:n], rcond=None)[0]
+        if np.linalg.norm(p_star) < 1.0 - TOLERANCES.on_sphere:
+            slice_dim, slice_point, whole_ball = len(dirs), p_star, len(dirs) == n
+        else:
+            points.append(_classify_point(f, p_star))
+    points.sort(key=lambda p: ({"interior": 0, "boundary": 1, "exterior": 2}[p.kind],)
+                + tuple(x for xy in zip(p.location.real, p.location.imag) for x in xy))
+    return FixedPointSet(tuple(points), tuple(at_inf), slice_dim, slice_point, whole_ball)
+
+
+def _near_parabolic_plant(c, alpha):
+    """The 2-ball map whose Cayley transport at e_1 is ((z + c) / alpha, 0.5 w / alpha)."""
+    m = np.array([[1 / alpha, 0, c / alpha], [0, 0.5 / alpha, 0], [0, 0, 1]], dtype=complex)
+    return _ball_map_from_halfplane(m, np.eye(2))
+
+
+def test_stacked_svd_gives_the_per_cluster_fixed_points_bit_for_bit(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import triage
+
+    maps = [lfm_1d(1, 1, -1, 3), lfm_1d(1, 0.5, 0.5, 1), lfm_1d(1, 0, -1, 2)]  # parabolic, automorphism
+    maps += [LinearFractionalMap(np.eye(n), np.zeros(n), np.zeros(n), 1) for n in (1, 2, 3)]  # identity
+    maps += [LinearFractionalMap(np.diag([1, 0.5]), [0, 0], [0, 0], 1),  # a fixed line through 0
+             LinearFractionalMap(np.diag([0.5, 1 / 3]), [0, 0], [0, 0], 1),  # eigenvectors at infinity
+             LinearFractionalMap(0.5 * np.eye(2), [0.5, 0], [0, 0], 1)]  # a two-dimensional one at infinity
+    maps += [_near_parabolic_plant(c, 1 - eps) for c in (0, 1j, 0.5 + 1j) for eps in (1e-5, 1e-6, 2e-8, 1e-9)]
+    maps += [_near_parabolic_plant(c, 0.9999) for c in (1 + 100j, 1 + 150j, 2 + 100j)]
+    for seed in (1, 2, 3):
+        wl = triage.Triage()
+        wl.build(L, seed)
+        maps += [f for _, f, _, _ in wl.items]
+    rng = np.random.default_rng(23)
+    for f in maps[:10]:
+        centre = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
+        maps.append(L.conjugated(f, L.ball_automorphism_to_origin(0.4 * centre / np.linalg.norm(centre))))
+    for f in maps:
+        new, old = L.fixed_points(f), _fixed_points_per_cluster(f)
+        assert len(new.points) == len(old.points) and len(new.at_infinity) == len(old.at_infinity)
+        for p, q in zip(new.points, old.points):
+            assert (p.kind, p.dilation) == (q.kind, q.dilation) and np.array_equal(p.location, q.location)
+        assert all(np.array_equal(u, v) for u, v in zip(new.at_infinity, old.at_infinity))
+        assert (new.slice_dim, new.whole_ball) == (old.slice_dim, old.whole_ball)
+        assert (new.slice_point is None) == (old.slice_point is None)
+        assert new.slice_point is None or np.array_equal(new.slice_point, old.slice_point)
 
 
 def test_denjoy_wolff_hyperbolic():
