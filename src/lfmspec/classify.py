@@ -33,7 +33,6 @@ from .maps import (
     TOLERANCES,
     FixedPoint,
     FixedPointSet,
-    HalfPlaneMap,
     LinearFractionalMap,
     _c2pair,
     _cayley_matrix,
@@ -167,8 +166,6 @@ class EllipticP0Form:
     a1: np.ndarray
     domain: str  # "ellipsoid" | "halfplane_like"
     r: float | None
-    to_origin: LinearFractionalMap
-    rotation: np.ndarray
     chain: tuple[tuple[str, np.ndarray], ...]
     conjugacy_residual: float
 
@@ -218,8 +215,6 @@ def _elliptic_p0_form(f: LinearFractionalMap, data: EllipticSpectralData) -> Ell
         a1=a1,
         domain=domain,
         r=r,
-        to_origin=aut,
-        rotation=u,
         chain=(("involution_to_origin", aut.matrix), ("rotation", rotation)),
         conjugacy_residual=resid,
     )
@@ -255,13 +250,11 @@ class HyperbolicNormalForm:
     ``case`` is "one_fixed" (form (1/alpha)(z + c, A w + d) with c real
     positive, alpha c >= |d|^2) or "two_fixed" (c = d = 0; the contraction
     block is reported as a_prime = A / sqrt(alpha) of norm at most 1).
-    ``k1``/``k2`` give the Heisenberg translation that removed the linear
-    term b, and ``vertical_shift`` the pure-imaginary translation that made
-    c real.  ``halfplane`` is the form before those two conjugations.
     ``chain`` holds the coordinate changes V (rotation of tau to e_1), the
-    Cayley map C, eta^-1 and nu^-1, then the normal matrix, as labelled
-    projective matrices; ``conjugacy_residual`` is ``_projective_residual``
-    of K = nu^-1 eta^-1 C V.
+    Cayley map C, eta^-1 (the Heisenberg translation that removed the
+    linear term b) and nu^-1 (the pure-imaginary translation that made c
+    real), then the normal matrix, as labelled projective matrices;
+    ``conjugacy_residual`` is ``_projective_residual`` of K = nu^-1 eta^-1 C V.
     """
 
     case: str
@@ -270,10 +263,6 @@ class HyperbolicNormalForm:
     d: np.ndarray
     a_block: np.ndarray
     a_prime: np.ndarray | None
-    k1: np.ndarray
-    k2: float
-    vertical_shift: complex
-    halfplane: HalfPlaneMap
     tau: np.ndarray
     chain: tuple[tuple[str, np.ndarray], ...]
     conjugacy_residual: float
@@ -353,10 +342,6 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
         d=d_final,
         a_block=a,
         a_prime=a_prime,
-        k1=k1,
-        k2=k2,
-        vertical_shift=complex(shift),
-        halfplane=hp,
         tau=dw.location,
         chain=tuple(zip(labels, steps + [normal])),
         conjugacy_residual=resid,

@@ -9,10 +9,10 @@ result: a dict for a JSON report, or CSV text.  ``main`` wraps every dict in
 one envelope, ``tool``, ``version``, ``command``, ``map`` (the normalized
 input map, so feeding it back reproduces the result), ``flags`` and
 ``result``, where ``flags`` echoes every parsed option but ``--format`` and
-``--out`` (``classify`` and ``spectrum`` echo ``{}``).  JSON output comes
-from one writer (``_emit_json``) and is deterministic: fixed key order,
-floats with 17 significant digits.  CSV comes from one writer (``_csv``),
-floats as %.17g and integers as %d.
+``--out`` (``classify``, ``spectrum`` and ``radius`` echo ``{}``).  JSON
+output comes from one writer (``_emit_json``) and is deterministic: fixed
+key order, floats with 17 significant digits.  CSV comes from one writer
+(``_csv``), floats as %.17g and integers as %d.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .series import (
     _norm_factors,
 )
 from .spectra import (
-    _check_n_max,
     essential_radius_closed_form,
     essential_radius_estimate,
     spectral_radius,
@@ -143,18 +142,11 @@ def _cmd_radius(f, args) -> dict:
     tau = cl.denjoy_wolff_point or next(iter(cl.boundary_fixed_points), None)
     estimate = note = agree = disagreement = None
     if tau is None:
-        _check_n_max(args.nmax)
         note = "no boundary fixed point: the contact-point estimator does not apply"
     else:
         try:
-            est = essential_radius_estimate(f, tau.location, n_max=args.nmax)
-            estimate = {
-                "limit": est.limit,
-                "roots": list(est.roots),
-                "spread": est.spread,
-                "tau": _c2pair(est.tau),
-                "n_max": est.n_max,
-            }
+            est = essential_radius_estimate(f, tau.location)
+            estimate = {"limit": est.limit, "angular_derivative": est.angular_derivative, "tau": _c2pair(est.tau)}
         except NumericalInconsistency as exc:
             note = "estimator failed: %s" % exc
     if estimate is not None and closed is not None:
@@ -267,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--tol", dict(type=float, default=TOLERANCES.self_map, help="accept sup |phi| up to 1 + tol")))
     add("classify", _cmd_classify, "fixed points, class, and normal form")
     add("spectrum", _cmd_spectrum, "exact spectrum of the composition operator")
-    add("radius", _cmd_radius, "spectral radius, closed-form essential radius, and the contact-point estimate",
-        ("--nmax", dict(type=int, default=20, help="largest iterate order for the estimator")))
+    add("radius", _cmd_radius, "spectral radius, closed-form essential radius, and the contact-point estimate")
     add("compress", _cmd_compress, "eigenvalues of the Galerkin compression", degree, fmt("csv"))
     add("verify-eigen", _cmd_verify_eigen, "residuals of the compression eigenpairs", degree,
         ("--tol", dict(type=float, default=TOLERANCES.eigen_residual, help="largest residual that passes")),

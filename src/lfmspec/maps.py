@@ -226,27 +226,19 @@ def conjugated(f: LinearFractionalMap, s: LinearFractionalMap) -> LinearFraction
 
 def iterate_matrix(f: LinearFractionalMap, n_iter: int) -> np.ndarray:
     """Associated matrix of the n-th iterate, renormalized to unit norm: the
-    bit product of the squarings m, m^2, m^4, ..., which the estimator shares."""
+    product of the squarings m, m^2, m^4, ... that n_iter's bits select."""
     if n_iter < 0:
         raise ParameterConstraintViolated("iterate order must be at least 0, got %d" % n_iter)
-    return _iterate_matrices(f, [n_iter])[0]
-
-
-def _iterate_matrices(f: LinearFractionalMap, orders) -> list[np.ndarray]:
-    """``iterate_matrix(f, k)`` for each k in orders, bit for bit, with the
-    squarings computed once for all orders."""
-    squares = [f.matrix]
-    for _ in range(max(orders, default=0).bit_length() - 1):
-        squares.append(squares[-1] @ squares[-1])
-        squares[-1] /= np.linalg.norm(squares[-1])
-    def product(k: int) -> np.ndarray:
-        it = np.eye(f.n + 1, dtype=complex)
-        for j, m in enumerate(squares):
-            if k >> j & 1:
-                it = it @ m
-                it /= np.linalg.norm(it)
-        return it
-    return [product(k) for k in orders]
+    it, m = np.eye(f.n + 1, dtype=complex), f.matrix
+    while n_iter:
+        if n_iter & 1:
+            it = it @ m
+            it /= np.linalg.norm(it)
+        n_iter >>= 1
+        if n_iter:
+            m = m @ m
+            m /= np.linalg.norm(m)
+    return it
 
 
 def _jacobian(f: LinearFractionalMap, z) -> np.ndarray:
@@ -542,7 +534,8 @@ def _krein_certificate(pp: np.ndarray, j: np.ndarray, rho: float) -> np.ndarray 
     interior.  Midpoints rather than ends: an end is singular, and at a
     tangency the computed ends split by about sqrt(eps).  The smallest
     eigenvalue must clear a roundoff bound, so rounding can raise the
-    certified rho but never lower it.
+    certified rho but never lower it.  All midpoints are tested in one
+    stacked eigvalsh, and the first that passes is returned.
     """
     k = pp.copy()
     k[-1, -1] -= rho * rho
@@ -551,11 +544,10 @@ def _krein_certificate(pp: np.ndarray, j: np.ndarray, rho: float) -> np.ndarray 
     ends = ends[np.concatenate([[True], ends[1:] > ends[:-1]])]  # np.unique would import numpy.ma
     roundoff = 10.0 * j.shape[0] * np.finfo(float).eps
     size = float(np.linalg.norm(pp)) + rho * rho
-    for lam in 0.5 * (ends[:-1] + ends[1:]):
-        cert = lam * j - k
-        if np.linalg.eigvalsh(cert)[0] >= roundoff * (lam + size):
-            return cert
-    return None
+    lams = 0.5 * (ends[:-1] + ends[1:])
+    certs = lams[:, None, None] * j - k
+    passed = np.flatnonzero(np.linalg.eigvalsh(certs)[:, 0] >= roundoff * (lams + size))
+    return certs[passed[0]] if passed.size else None
 
 
 def _extremal_point(cert: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from .maps import (
     LinearFractionalMap,
     _c2pair,
     _default_boundary_point,
-    _iterate_matrices,
     _j_form,
     _spectral_order,
     _unit_tau,
@@ -139,23 +138,32 @@ def _cloud_size(comp: Component, resolution: int) -> int:
     return rings * resolution + isinstance(comp, ClosedDisk)
 
 
-def _run_clouds(kind: type, comps: list, resolution: int) -> list[np.ndarray]:
-    """Clouds of a run of components of one type: points as they are, else
-    every ring radius times the angles, a disk's centre in place of its ring 0."""
+def _run_clouds(kind: type, comps: tuple, resolution: int, out: np.ndarray) -> None:
+    """Write the clouds of a run of components of one type into out: points
+    as they are, else every ring radius times the angles, a disk's centre 0
+    in place of its ring 0."""
     if kind is Point or kind is PointFamily:
-        return [np.array(c.points if kind is PointFamily else [c.value], dtype=complex) for c in comps]
+        start = 0
+        for c in comps:
+            pts = c.points if kind is PointFamily else (c.value,)
+            out[start:start + len(pts)] = pts
+            start += len(pts)
+        return
     angles = np.exp(2j * math.pi * np.arange(resolution) / resolution)
     steps = np.arange(max(2, resolution // 8) + 1)
     if kind is Annulus:
-        inner, outer = np.array([[[c.r_inner] for c in comps], [[c.r_outer] for c in comps]])
+        inner = np.array([c.r_inner for c in comps])[:, None]
+        outer = np.array([c.r_outer for c in comps])[:, None]
         rings = inner + (outer - inner) * steps / steps[-1]
     else:
-        rings = np.array([[c.radius] for c in comps])
+        rings = np.array([c.radius for c in comps])[:, None]
         rings = rings * steps[1:] / steps[-1] if kind is ClosedDisk else rings
-    cloud = (rings[:, :, None] * angles).reshape(len(comps), -1)
+    cloud = out.reshape(len(comps), -1)
     if kind is ClosedDisk:
-        cloud = np.concatenate([np.zeros((len(comps), 1), dtype=complex), cloud], axis=1)
-    return list(cloud)
+        cloud[:, 0] = 0.0
+        cloud = cloud[:, 1:]
+    # splitting the contiguous last axis into rings x angles is a view, so out is written in place
+    np.multiply(rings[:, :, None], angles, out=cloud.reshape(rings.shape + (resolution,)))
 
 
 def _component_json(comp: Component) -> dict:
@@ -206,17 +214,23 @@ class SpectralSet:
 
     def discretize(self, resolution: int = 128) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic point cloud: (values, component_index) arrays;
-        SizeCapExceeded beyond MAX_CLOUD_POINTS points, counted first."""
+        SizeCapExceeded beyond MAX_CLOUD_POINTS points, counted first.  Each
+        run of components of one type writes its points into its slice of
+        the one values array that count sizes."""
         if resolution < 1:
             raise ParameterConstraintViolated("resolution must be at least 1, got %d" % resolution)
-        size = sum(_cloud_size(c, resolution) for c in self.components)
+        sizes = [_cloud_size(c, resolution) for c in self.components]
+        size = sum(sizes)
         if size > MAX_CLOUD_POINTS:
             raise SizeCapExceeded("point cloud of %d points exceeds %d; lower the resolution"
                                   % (size, MAX_CLOUD_POINTS))
-        clouds = [c for kind, run in itertools.groupby(self.components, type)
-                  for c in _run_clouds(kind, list(run), resolution)]
-        sizes = [c.size for c in clouds]
-        return np.concatenate(clouds or [np.zeros(0, dtype=complex)]), np.repeat(np.arange(len(clouds)), sizes)
+        values, start = np.empty(size, dtype=complex), 0
+        for kind, run in itertools.groupby(zip(self.components, sizes), lambda cs: type(cs[0])):
+            comps, counts = zip(*run)
+            stop = start + sum(counts)
+            _run_clouds(kind, comps, resolution, values[start:stop])
+            start = stop
+        return values, np.repeat(np.arange(len(sizes)), sizes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -511,76 +525,47 @@ def spectrum(
 # essential spectral radius estimator
 
 
-MAX_ITERATE_ORDER = 10_000
-
-
-def _check_n_max(n_max: int) -> None:
-    """The iterate orders the estimator accepts, checked before it looks for tau."""
-    if n_max < 2:
-        raise ParameterConstraintViolated("the spread needs n_max >= 2, got %d" % n_max)
-    if n_max > MAX_ITERATE_ORDER:
-        raise SizeCapExceeded("n_max %d exceeds %d iterates" % (n_max, MAX_ITERATE_ORDER))
-
-
 @dataclass(frozen=True)
 class EssentialRadiusEstimate:
     """Output of the contact-point estimator.
 
-    ``roots[k]`` is d_n^(-N/(2n)) at n = k+1, with d_n the angular derivative
-    of phi^n at the boundary point ``tau``.  By the chain rule every root is
-    d^(-N/2); ``limit`` is the root at ``n_max`` and ``spread`` is
-    (max - min) / limit over the roots, the estimator's own consistency check.
+    ``angular_derivative`` is d, the angular derivative of phi at the
+    boundary point ``tau``, and ``limit`` is d^(-N/2).  By the chain rule
+    phi^n has angular derivative d^n at tau, so no iterate adds more than
+    rounding to the order-1 value.
     """
 
     limit: float
-    roots: tuple[float, ...]
-    spread: float
+    angular_derivative: float
     tau: tuple[complex, ...]
-    n_max: int
 
 
-def essential_radius_estimate(
-    f: LinearFractionalMap,
-    tau: np.ndarray | None = None,
-    n_max: int = 20,
-) -> EssentialRadiusEstimate:
+def essential_radius_estimate(f: LinearFractionalMap, tau: np.ndarray | None = None) -> EssentialRadiusEstimate:
     """Essential spectral radius d^(-N/2) from the angular derivative d at tau.
 
     tau defaults to the boundary point ``conjugate_to_halfplane`` uses: the
-    Denjoy-Wolff point, else the first boundary fixed point.  With M_n the
-    associated matrix of phi^n (n = 1..n_max, ``iterate_matrix`` on shared
-    squarings), u = (tau, 0) and v = (tau, 1), the angular derivative of phi^n
-    at tau is the J-form pairing d_n = Re((M_n u)* J (M_n v)) / |(M_n v)_N|^2
+    Denjoy-Wolff point, else the first boundary fixed point.  With M the
+    associated matrix, u = (tau, 0) and v = (tau, 1), the angular derivative
+    at tau is the J-form pairing d = Re((M u)* J (M v)) / |(M v)_N|^2
     (Cowen-MacCluer 2000, Bisi-Bracci 2002), the limit of the boundary
-    quotient (1-|phi^n(z)|^2)/(1-|z|^2) as z -> tau.  The roots
-    d_n^(-N/(2n)) are taken in logs, so no power overflows.
+    quotient (1-|phi(z)|^2)/(1-|z|^2) as z -> tau; it is a different path
+    from the Jacobian that gives the classification's dilation.  The power
+    d^(-N/2) is taken in logs, so it does not overflow before it is checked.
     """
-    _check_n_max(n_max)
     tau = _unit_tau(f, _default_boundary_point(f) if tau is None else tau)
-    uv = np.zeros((f.n + 1, 2), dtype=complex)
-    uv[: f.n] = tau[:, None]
-    uv[f.n, 1] = 1.0
-    w = np.stack(_iterate_matrices(f, range(1, n_max + 1))) @ uv
-    mu, mv = w[:, :, 0], w[:, :, 1]
-    pairing = np.sum(mu.conj() * (mv @ _j_form(f.n)), axis=1).real
-    orders = np.arange(1, n_max + 1)
+    m = f.matrix
+    mu = m[:, : f.n] @ tau
+    mv = mu + m[:, f.n]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = pairing / np.abs(mv[:, f.n]) ** 2
-        roots = np.exp(-(f.n / 2.0) * np.log(d) / orders)
-    # a finite positive root needs a finite positive d_n, and rules out NaN
-    bad = np.flatnonzero(~((roots > 0.0) & np.isfinite(roots)))
-    if bad.size:
-        i = int(bad[0])
-        raise NumericalInconsistency(
-            "angular derivative %.3g at order %d gives no finite positive root" % (d[i], i + 1)
-        )
-    limit = float(roots[-1])
+        d = np.vdot(mu, _j_form(f.n) @ mv).real / abs(mv[f.n]) ** 2
+        limit = np.exp(-(f.n / 2.0) * np.log(d))
+    # a finite positive limit needs a finite positive d, and rules out NaN
+    if not (limit > 0.0 and np.isfinite(limit)):
+        raise NumericalInconsistency("angular derivative %.3g at tau gives no finite positive estimate" % d)
     return EssentialRadiusEstimate(
-        limit=limit,
-        roots=tuple(roots.tolist()),
-        spread=float((roots.max() - roots.min()) / limit),
+        limit=float(limit),
+        angular_derivative=float(d),
         tau=tuple(complex(t) for t in tau),
-        n_max=n_max,
     )
 
 

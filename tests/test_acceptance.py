@@ -95,8 +95,8 @@ def test_criterion_1_disk_maps():
             for k in range(1, 21):
                 assert s3.contains(lam ** k, tol=1e-9)
 
-        # iterate-quotient estimator against the closed form
-        est = L.essential_radius_estimate(lfm_1d(1, 0, -1, 2), n_max=20)
+        # contact-point estimator against the closed form
+        est = L.essential_radius_estimate(lfm_1d(1, 0, -1, 2))
         assert abs(est.limit - 2 ** -0.5) / 2 ** -0.5 <= 0.05
 
         assert time.monotonic() - t0 < 10.0
@@ -177,7 +177,7 @@ def test_criterion_4_binomial_eigenfunctions():
 
         assert L.spectral_radius(f) == 2.0
 
-        est = L.essential_radius_estimate(f, n_max=20)
+        est = L.essential_radius_estimate(f)
         assert abs(est.limit - 2.0) / 2.0 <= 0.05
 
 

@@ -246,15 +246,15 @@ def test_classify_still_works_for_parabolic(capsys, parabolic_map):
 
 
 def test_radius_agreement(capsys, affine_map):
-    code, out, _ = run(capsys, ["radius", affine_map, "--nmax", "16"])
+    code, out, _ = run(capsys, ["radius", affine_map])
     assert code == EXIT_OK
     res = json.loads(out)["result"]
     # N = 1, alpha = 1/2: closed form alpha^{-1/2}
     assert res["essential_radius_closed_form"] == pytest.approx(math.sqrt(2))
     assert res["agrees_within_5_percent"] is True
-    assert res["estimate"]["n_max"] == 16
-    assert res["estimate"]["roots"] == pytest.approx([math.sqrt(2)] * 16, rel=1e-12)
-    assert res["estimate"]["spread"] < 1e-12
+    assert list(res["estimate"]) == ["limit", "angular_derivative", "tau"]
+    assert res["estimate"]["angular_derivative"] == pytest.approx(0.5, rel=1e-12)
+    assert res["estimate"]["limit"] == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
 def test_radius_agreement_complex_conjugation(capsys, tmp_path):
@@ -267,12 +267,12 @@ def test_radius_agreement_complex_conjugation(capsys, tmp_path):
     res = json.loads(out)["result"]
     assert res["essential_radius_closed_form"] == pytest.approx(2 ** -0.5)
     assert res["agrees_within_5_percent"] is True
-    assert len(res["estimate"]["roots"]) == 20
-    assert res["estimate"]["spread"] < 1e-6
+    assert res["estimate"]["limit"] == pytest.approx(res["essential_radius_closed_form"], rel=1e-12)
+    assert res["relative_disagreement"] <= 1e-12
 
 
 def test_radius_no_boundary_point(capsys, diag_map2):
-    code, out, _ = run(capsys, ["radius", diag_map2, "--nmax", "8"])
+    code, out, _ = run(capsys, ["radius", diag_map2])
     assert code == EXIT_OK
     res = json.loads(out)["result"]
     assert res["estimate"] is None
@@ -295,8 +295,8 @@ def test_radius_small_dilation_n3(capsys, tmp_path):
 def test_radius_estimator_failure_is_reported(capsys, monkeypatch, affine_map):
     from lfmspec import NumericalInconsistency
 
-    def broken(f, tau, n_max):
-        raise NumericalInconsistency("angular derivative 0 at order 1 gives no finite positive root")
+    def broken(f, tau):
+        raise NumericalInconsistency("angular derivative 0 at tau gives no finite positive estimate")
 
     monkeypatch.setattr("lfmspec.cli.essential_radius_estimate", broken)
     code, out, _ = run(capsys, ["radius", affine_map])
@@ -322,14 +322,6 @@ def test_radius_solves_fixed_points_once(capsys, monkeypatch, disk_map):
     assert code == EXIT_OK
     assert json.loads(out)["result"]["estimate"]["tau"] == [[1.0, 0.0]]
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("nmax", ["1", "10001"])
-def test_radius_checks_nmax_without_boundary_point(capsys, diag_map2, nmax):
-    # the estimator does not run, but its n_max range is still checked
-    code, out, err = run(capsys, ["radius", diag_map2, "--nmax", nmax])
-    assert code == EXIT_ERROR
-    assert out == "" and err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +396,8 @@ def test_compression_refuses_non_self_map(capsys, tmp_path, command):
 @pytest.mark.parametrize("argv", [
     ["compress", "{disk}", "--degree", "-1"],
     ["verify-eigen", "{disk}", "--degree", "-1"],
-    ["radius", "{affine}", "--nmax", "0"],
-    ["radius", "{affine}", "--nmax", "1"],
-    ["radius", "{affine}", "--nmax", "10001"],
+    ["compress", "{disk}", "--degree", "100000"],
+    ["export", "{disk}", "--resolution", "nan"],
     ["validate", "{disk}", "--tol", "nan"],
     ["validate", "{disk}", "--tol", "inf"],
     ["validate", "{disk}", "--tol=-inf"],
@@ -418,12 +409,13 @@ def test_compression_refuses_non_self_map(capsys, tmp_path, command):
     ["norms", "{disk}", "--kmax", "10001"],
     ["norms", "{disk}", "--s", "200"],
     ["norms", "{disk}", "--s", "1e308"],
+    ["norms", "{disk}", "--nu", "-200"],
     ["export", "{disk}", "--resolution", "0"],
     ["export", "{disk}", "--resolution", "-3"],
     ["export", "{disk}", "--resolution", "10000"],
 ])
-def test_bad_numeric_flag_is_typed_error(capsys, disk_map, affine_map, argv):
-    code, out, err = run(capsys, [a.format(disk=disk_map, affine=affine_map) for a in argv])
+def test_bad_numeric_flag_is_typed_error(capsys, disk_map, argv):
+    code, out, err = run(capsys, [a.format(disk=disk_map) for a in argv])
     assert code == EXIT_ERROR
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
@@ -546,12 +538,13 @@ FLAGS = {  # each subcommand's options besides the map path
     "validate": {"--tol", "--out"},
     "classify": {"--out"},
     "spectrum": {"--out"},
-    "radius": {"--nmax", "--out"},
+    "radius": {"--out"},
     "compress": {"--degree", "--format", "--out"},
     "verify-eigen": {"--degree", "--tol", "--format", "--out"},
     "norms": {"--s", "--nu", "--kmax", "--out"},
     "export": {"--resolution", "--format", "--out"},
 }
+# --nmax belongs to no subcommand, so each must refuse it
 VALUES = {"--tol": ("1e-6", 1e-6), "--out": ("out.txt", "out.txt"), "--nmax": ("5", 5), "--degree": ("3", 3),
           "--format": ("json", "json"), "--s": ("1", 1.0), "--nu": ("0", 0.0), "--kmax": ("4", 4),
           "--resolution": ("8", 8)}
@@ -574,7 +567,7 @@ def test_subcommand_defaults():
         "validate": {"tol": 1e-9},
         "classify": {},
         "spectrum": {},
-        "radius": {"nmax": 20},
+        "radius": {},
         "compress": {"degree": 8, "format": "csv"},
         "verify-eigen": {"degree": 8, "tol": 1e-8, "format": "json"},
         "norms": {"s": 0.5, "nu": 0.5, "kmax": 30},
@@ -589,7 +582,7 @@ ECHO_CASES = [
     (["validate", "--tol", "1e-3"], {"tol": 1e-3}),
     (["classify"], {}),
     (["spectrum"], {}),
-    (["radius", "--nmax", "7"], {"nmax": 7}),
+    (["radius"], {}),
     (["compress", "--degree", "3", "--format", "json"], {"degree": 3}),
     (["verify-eigen", "--degree", "3", "--tol", "1e-6"], {"degree": 3, "tol": 1e-6}),
     (["norms", "--s", "1.5", "--nu", "0.25", "--kmax", "12"], {"s": 1.5, "nu": 0.25, "kmax": 12}),

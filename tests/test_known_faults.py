@@ -3,7 +3,8 @@
 Every case asserts what the map's construction says the answer is and is
 marked strict xfail with the ROADMAP item that owns the fault: the suite
 passes while the fault stands, and a change that mends it turns the case
-into an XPASS, which fails, so that change drops the marker.
+into an XPASS, which fails, so that change drops the marker and the case
+stays as a plain test of the planted answer.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ import lfmspec as L
 from lfmspec import LinearFractionalMap, MapClass
 
 CLUSTER = "ROADMAP item 3: fixed points within eigenvalue_cluster share one eigenspace"
-ORDER_ONE = "ROADMAP item 7: the estimate is the root at n_max, the least accurate order"
 
 
 def siegel_plant(c, alpha):
@@ -48,10 +48,10 @@ def test_siegel_shift_is_hyperbolic_one_fixed(c):
     assert L.classify(siegel_plant(c, 0.9999)).kind == MapClass.HYPERBOLIC_ONE_FIXED
 
 
-@pytest.mark.xfail(strict=True, reason=ORDER_ONE)
 @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01])
 def test_estimate_of_a_conjugated_small_dilation(alpha):
-    # 0.1 and 0.05 raise NumericalInconsistency, and 0.01 reports 2.46
+    # mended: the root at order 20 raised NumericalInconsistency at 0.1 and
+    # 0.05 and reported 2.46 at 0.01; the order-1 estimate is exact to rounding
     f = LinearFractionalMap([[alpha]], [1 - alpha], [0], 1)
     g = L.conjugated(f, L.ball_automorphism_to_origin(np.array([0.3 + 0.1j])))
     assert abs(L.essential_radius_estimate(g).limit - alpha ** -0.5) <= 1e-6

@@ -605,6 +605,53 @@ def test_validate_accepted_first_rung_is_the_answer(monkeypatch):
     assert accepted >= 40
 
 
+def _krein_certificate_per_midpoint(pp, j, rho):
+    """The midpoint loop with one eigvalsh per midpoint, up to the first that
+    passes; also the number of midpoints tested."""
+    k = pp.copy()
+    k[-1, -1] -= rho * rho
+    roots = np.linalg.eigvals(j @ k).real
+    ends = np.sort(np.concatenate([[0.0], roots[roots > 0.0]]))
+    ends = ends[np.concatenate([[True], ends[1:] > ends[:-1]])]
+    roundoff = 10.0 * j.shape[0] * np.finfo(float).eps
+    size = float(np.linalg.norm(pp)) + rho * rho
+    for tested, lam in enumerate(0.5 * (ends[:-1] + ends[1:]), start=1):
+        cert = lam * j - k
+        if np.linalg.eigvalsh(cert)[0] >= roundoff * (lam + size):
+            return cert, tested
+    return None, ends.size - 1
+
+
+def test_stacked_midpoints_give_the_per_midpoint_certificate_bit_for_bit(monkeypatch):
+    # every certificate test of validate_self_map on the triage plants, and
+    # the same pp just below its certified supremum, where no midpoint passes
+    monkeypatch.syspath_prepend(BENCH)
+    import triage
+
+    calls = []
+    monkeypatch.setattr(L.maps, "_krein_certificate", lambda *a: calls.append(a) or _krein_certificate(*a))
+    below = []
+    for seed in (1, 2, 3):
+        wl = triage.Triage()
+        wl.build(L, seed)
+        for _, f, _, _ in wl.items:
+            rep = L.validate_self_map(f)
+            pp, j, _ = calls[-1]
+            below.append((pp, j, rep.max_modulus * (1.0 - 1e-9)))
+    passed, most = 0, 0
+    for pp, j, rho in calls + below:
+        new = _krein_certificate(pp, j, rho)
+        old, tested = _krein_certificate_per_midpoint(pp, j, rho)
+        most = max(most, tested)
+        if old is None:
+            assert new is None
+        else:
+            assert new.tobytes() == old.tobytes()
+            passed += 1
+    assert all(_krein_certificate_per_midpoint(*c)[0] is None for c in below)
+    assert passed >= len(below) and most >= 3
+
+
 def test_validate_climbs_and_bisects_from_a_poor_start(monkeypatch):
     # from the normalized all-ones start, lo sits well below the supremum, so
     # the search climbs past the first rung and then bisects; the answer must

@@ -3,6 +3,7 @@ the essential radius estimator against closed forms."""
 
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -442,14 +443,49 @@ def test_discretize_counts_points_before_allocating(monkeypatch):
         s.discretize(64)
 
 
-def test_discretize_refuses_huge_annulus_cloud():
-    # 16,534 annuli: about 36 M points at the default resolution
+def _many_annuli_spectrum():
+    """The spectrum of a hyperbolic two-fixed plant on the 3-ball with 16,534 annuli."""
     hp = L.HalfPlaneMap(n=3, alpha=0.5, b=np.zeros(2), c=0.0, a_block=np.diag([0.9, 0.85j]) * math.sqrt(0.5),
                         d=np.zeros(2), rotation=np.eye(3, dtype=complex), tau=np.array([1.0, 0.0, 0.0]))
-    s = L.spectrum(hp.pulled_back_to_ball())
+    return L.spectrum(hp.pulled_back_to_ball())
+
+
+def test_discretize_refuses_huge_annulus_cloud():
+    # 16,534 annuli: about 36 M points at the default resolution
+    s = _many_annuli_spectrum()
     assert s.discretize(16)[0].size == 793_585
     with pytest.raises(L.SizeCapExceeded):
         s.discretize(128)
+
+
+def test_discretize_writes_the_cloud_in_place():
+    # the values are written into one array and the index is one repeat, so
+    # the traced peak is the output and little more
+    s = _many_annuli_spectrum()
+    tracemalloc.start()
+    try:
+        values, index = s.discretize(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (values.nbytes + index.nbytes)
+
+
+@pytest.mark.parametrize("resolution", [1, 7, 64])
+def test_discretize_mixed_runs_match_scalar_reference_bitwise(resolution):
+    # runs of every type, an empty family, a disk between two annulus runs
+    empty = PointFamily(generators=(0.5 + 0j,), points=(), min_total_exponent=1, truncated_at=0.6,
+                        accumulates_at_zero=False)
+    fam = PointFamily(generators=(0.5 + 0j,), points=(0.5 + 0j, 0.25 + 0j, -0.0 + 0.3j), min_total_exponent=1,
+                      truncated_at=0.2, accumulates_at_zero=False)
+    comps = (empty, Point(1.0 + 0j), Point(-0.0 + 0j), Annulus(0.2, 0.3), Annulus(0.35, 0.4, False, False),
+             ClosedDisk(0.15), Annulus(0.5, 0.7), Circle(0.8), Circle(0.9), empty, fam, ClosedDisk(0.05),
+             ClosedDisk(0.12), Circle(1.0), Point(0.0 + 0j))
+    s = L.SpectralSet(comps, "hand-built", "every run type", 1.0)
+    values, index = s.discretize(resolution)
+    clouds = [_reference_cloud(c, resolution) for c in comps]
+    assert values.tobytes() == np.concatenate(clouds).tobytes()
+    assert index.tobytes() == np.concatenate([np.full(len(c), i) for i, c in enumerate(clouds)]).tobytes()
 
 
 def _cloud_csv(s, resolution=128):
@@ -503,11 +539,12 @@ def test_cloud_csv_matches_per_point_format():
 
 
 def test_estimator_one_fixed_disk_map():
+    # z / (2 - z) has angular derivative phi'(1) = 2 at its boundary fixed point
     f = lfm_1d(1, 0, -1, 2)
-    est = L.essential_radius_estimate(f, n_max=20)
-    assert est.limit == pytest.approx(2 ** -0.5, rel=1e-6)
+    est = L.essential_radius_estimate(f)
+    assert est.angular_derivative == pytest.approx(2.0, rel=1e-12)
+    assert est.limit == pytest.approx(2 ** -0.5, rel=1e-12)
     assert est.tau == pytest.approx([1.0])
-    assert len(est.roots) == 20 and est.spread < 1e-6
 
 
 def test_estimator_matches_closed_form_n2():
@@ -517,8 +554,8 @@ def test_estimator_matches_closed_form_n2():
     cl = L.classify(f)
     closed = L.essential_radius_closed_form(cl)
     assert closed == pytest.approx(2.0)
-    est = L.essential_radius_estimate(f, n_max=20)
-    assert est.limit == pytest.approx(closed, rel=1e-6)
+    est = L.essential_radius_estimate(f)
+    assert est.limit == pytest.approx(closed, rel=1e-12)
 
 
 @pytest.mark.parametrize("f, centre", [
@@ -528,14 +565,14 @@ def test_estimator_matches_closed_form_n2():
     (LinearFractionalMap(np.diag([0.5, 0.5]), [0.5, 0], [0, 0], 1), [0.2 + 0.1j, 0.1]),
 ], ids=["hyperbolic N=1", "boundary fixed N=1", "boundary fixed N=2", "hyperbolic N=2"])
 def test_estimator_complex_conjugations(f, centre):
-    # a complex centre gives the conjugate a non-real C, which the iterates'
+    # a complex centre gives the conjugate a non-real C, which the pairing's
     # denominator row must carry exactly once
     g = L.conjugated(f, L.ball_automorphism_to_origin(np.array(centre)))
     assert np.any(np.abs(g.c.imag) > 1e-3)
     closed = L.essential_radius_closed_form(L.classify(g))
     assert closed == pytest.approx(L.essential_radius_closed_form(L.classify(f)))
-    est = L.essential_radius_estimate(g, n_max=20)
-    assert est.limit == pytest.approx(closed, rel=1e-6)
+    est = L.essential_radius_estimate(g)
+    assert est.limit == pytest.approx(closed, rel=1e-12)
 
 
 def _estimator_sweep():
@@ -563,38 +600,35 @@ def _estimator_sweep():
 
 
 def test_estimator_seeded_conjugated_sweep():
+    # the J-form pairing and the classification's Jacobian dilation are two
+    # paths to the same angular derivative
     for f, ess in _estimator_sweep():
         est = L.essential_radius_estimate(f)
-        assert est.limit == pytest.approx(ess, rel=1e-6)
-        assert L.essential_radius_closed_form(L.classify(f)) == pytest.approx(ess, rel=1e-9)
-        assert est.spread < 1e-6
+        closed = L.essential_radius_closed_form(L.classify(f))
+        assert closed == pytest.approx(ess, rel=1e-9)
+        assert abs(est.limit - closed) <= 1e-12 * closed
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.1, 0.05, 0.01, 1e-3, 1e-4])
+def test_estimator_conjugated_small_dilation_sweep(alpha):
+    # alpha z + 1 - alpha at a complex centre: the pairing is a difference of
+    # terms of order one worth about alpha, so its rounding grows as alpha falls
+    f = lfm_1d(alpha, 1 - alpha, 0, 1)
+    g = L.conjugated(f, L.ball_automorphism_to_origin(np.array([0.3 + 0.1j])))
+    closed = L.essential_radius_closed_form(L.classify(g))
+    assert closed == pytest.approx(alpha ** -0.5, rel=1e-9)
+    assert abs(L.essential_radius_estimate(g).limit - closed) <= 5e-12 * closed
 
 
 def test_estimator_elliptic_automorphism_is_one():
     # unitary rotation preserves every quotient: the limit must be 1
-    est = L.essential_radius_estimate(
-        diag_map(np.exp(0.7j)), tau=np.array([1.0]), n_max=10
-    )
+    est = L.essential_radius_estimate(diag_map(np.exp(0.7j)), tau=np.array([1.0]))
     assert est.limit == pytest.approx(1.0, abs=1e-6)
 
 
 def test_estimator_requires_boundary_point():
     with pytest.raises(L.NoBoundaryFixedPoint):
-        L.essential_radius_estimate(diag_map(0.5, 1 / 3), n_max=5)
-
-
-@pytest.mark.parametrize("n_max", [1, 0, -3])
-def test_estimator_needs_two_orders(n_max):
-    # the spread compares the roots of at least two orders
-    with pytest.raises(L.ParameterConstraintViolated):
-        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), n_max=n_max)
-
-
-@pytest.mark.parametrize("n_max", [10_001, 10**12])
-def test_estimator_refuses_huge_orders(n_max):
-    # refused before any iterate is made: 10**12 would otherwise never end
-    with pytest.raises(L.SizeCapExceeded):
-        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), n_max=n_max)
+        L.essential_radius_estimate(diag_map(0.5, 1 / 3))
 
 
 def test_estimator_small_dilation_n3():
@@ -605,8 +639,7 @@ def test_estimator_small_dilation_n3():
 
 
 def test_estimator_tiny_dilation_stays_finite():
-    # alpha = 1e-12: the order-20 angular derivative is 1e-240, and the root
-    # alpha^(-3/2) = 1e18 is taken in logs
+    # alpha = 1e-12: the root alpha^(-3/2) = 1e18 is taken in logs
     a = 1e-12
     f = LinearFractionalMap(np.diag([a, 0.5e-6, 0.5e-6]), [1 - a, 0, 0], [0, 0, 0], 1)
     est = L.essential_radius_estimate(f)
@@ -615,9 +648,9 @@ def test_estimator_tiny_dilation_stays_finite():
 
 def test_estimator_nonpositive_derivative_is_typed():
     # (1 + z) / 2 maps -1 to 0, inside the ball: no contact, and the
-    # pairing is 0 at order 1
-    with pytest.raises(L.NumericalInconsistency, match="order 1"):
-        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), tau=np.array([-1.0]), n_max=3)
+    # pairing is 0
+    with pytest.raises(L.NumericalInconsistency, match="angular derivative 0 at tau"):
+        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), tau=np.array([-1.0]))
 
 
 @pytest.mark.parametrize("use", [L.essential_radius_estimate, L.conjugate_to_halfplane],
@@ -649,7 +682,7 @@ def test_estimator_does_not_swallow_numerical_faults(monkeypatch):
     # (1 + z) / 2 fixes no interior point, so its default tau is the Denjoy-Wolff point
     monkeypatch.setattr("lfmspec.maps._denjoy_wolff_of", broken)
     with pytest.raises(L.NumericalInconsistency, match="radial quotient"):
-        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), n_max=5)
+        L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1))
 
 
 def test_estimator_solves_fixed_points_once(monkeypatch):
@@ -663,7 +696,7 @@ def test_estimator_solves_fixed_points_once(monkeypatch):
         return solve(f)
 
     monkeypatch.setattr("lfmspec.maps.fixed_points", counted)
-    est = L.essential_radius_estimate(lfm_1d(1, 0, -1, 2), n_max=5)
+    est = L.essential_radius_estimate(lfm_1d(1, 0, -1, 2))
     assert est.tau == pytest.approx((1.0,))
     assert len(calls) == 1
 

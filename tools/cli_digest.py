@@ -14,11 +14,14 @@ the blocks alone, as no bench map fixes 0 with a non-diagonal A at N = 3;
 two maps whose fixed set is a slice, diag(1, 0.5) z (a line through 0)
 and the identity of the 3-ball (the whole ball), as no bench map has one;
 one hyperbolic self-map whose normal form removes a vertical shift of
-1e6 (``siegel.vertical_shift.n2``);
+1e6 (``siegel.vertical_shift.n2``); alpha z + 1 - alpha conjugated at
+0.3 + 0.1i for alpha = 0.1, 0.05 and 0.01 (``small_dilation.*``), on
+which the estimator's J-form pairing cancels down to about alpha;
 and seven maps that do not send the open ball into itself (``outside.*``),
-each refused by ``classify`` or ``spectrum`` on a line no self-map reaches.
-Every subcommand runs in this process on every map, with its default flags
-and with non-default ones, and one line
+each refused by ``classify`` or ``spectrum`` on a line no self-map reaches:
+177 maps in all.  Every subcommand runs in this process on every map, with
+its default flags and with non-default ones (16 forms, 2832 runs), and one
+line
 
     name form exit-code sha256
 
@@ -65,7 +68,6 @@ FORMS = {
     "classify": ["classify"],
     "spectrum": ["spectrum"],
     "radius": ["radius"],
-    "radius+nmax": ["radius", "--nmax", "7"],
     "compress": ["compress"],
     "compress+json": ["compress", "--degree", "5", "--format", "json"],
     "compress+cap": ["compress", "--degree", "12"],
@@ -100,6 +102,10 @@ def corpus(L) -> dict[str, str]:
     maps["slice.n2"] = cliwork.map_json(np.diag([1.0, 0.5, 1.0]).astype(complex))
     maps["identity.n3"] = cliwork.map_json(np.eye(4, dtype=complex))
     maps["siegel.vertical_shift.n2"] = cliwork.map_json(vertical_shift_matrix())
+    for alpha in (0.1, 0.05, 0.01):
+        f = L.LinearFractionalMap([[alpha]], [1 - alpha], [0], 1)
+        g = L.conjugated(f, L.ball_automorphism_to_origin(np.array([0.3 + 0.1j])))
+        maps["small_dilation.%g.n1" % alpha] = cliwork.map_json(g.matrix)
     for name, m in non_self_maps().items():
         maps["outside." + name] = cliwork.map_json(m)
     maps["nan"] = cliwork.NAN_MAP
