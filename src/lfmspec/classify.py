@@ -143,6 +143,20 @@ def _projective_residual(chain, m: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm(km - c * tk) / np.linalg.norm(km))
 
 
+def _checked_chain(labels, mats, m: np.ndarray):
+    """The labelled chain of a normal form and its conjugacy residual.
+
+    mats holds the coordinate changes in the order they apply, then the
+    model matrix: the operands of ``_projective_residual`` for the map of m.
+    A residual above ``TOLERANCES.conjugacy``, or a NaN one, is refused.
+    """
+    *steps, model = mats
+    resid = _projective_residual(steps, m, model)
+    if not resid <= TOLERANCES.conjugacy:
+        raise NumericalInconsistency("normal-form conjugacy residual %.3g too large" % resid)
+    return tuple(zip(labels, mats)), resid
+
+
 # ---------------------------------------------------------------------------
 # zero-unitary-index normal form
 
@@ -157,11 +171,11 @@ class EllipticP0Form:
     an ellipsoid-like domain: delta < 1 gives the ellipsoid with half-axis
     r = (1 - delta^2)^(-1/2), and delta = 1 the half-plane-like domain
     whose closure meets the sphere at the boundary fixed point e_1.
-    ``chain`` holds the involution to the origin and the rotation z -> u z
-    as labelled projective matrices.
+    ``chain`` holds, as labelled projective matrices, the involution to the
+    origin, the rotation z -> u* z, sigma and then the model diag(A1, 1);
+    ``conjugacy_residual`` is ``_projective_residual`` of that chain.
     """
 
-    fixed_point: np.ndarray
     delta: float
     a1: np.ndarray
     domain: str  # "ellipsoid" | "halfplane_like"
@@ -176,11 +190,8 @@ def _elliptic_p0_form(f: LinearFractionalMap, data: EllipticSpectralData) -> Ell
 
     Steps: conjugate the fixed point to the origin by the standard
     involution, scale the associated matrix to denominator constant 1,
-    solve (A* - I) V = C, and rotate V to |V| e_1.  sigma(z) =
-    z / (1 - delta z_1) then conjugates the map to the linear map A1:
-    with S the matrix of sigma and R that of the rotation, K = S R* (involution)
-    takes the matrix of phi to diag(A1, 1), and ``_projective_residual``
-    records how far that holds.
+    solve (A* - I) V = C, and rotate V to |V| e_1 by u*.  sigma(z) =
+    z / (1 - delta z_1) then conjugates the map to the linear map A1.
     """
     z0 = data.fixed_point
     aut = ball_automorphism_to_origin(z0)
@@ -197,49 +208,33 @@ def _elliptic_p0_form(f: LinearFractionalMap, data: EllipticSpectralData) -> Ell
     else:
         u = _unitary_with_first_column(v / delta)
     a1 = u.conj().T @ a @ u
-    rotation = _rotation_block(u)
     sigma = np.eye(f.n + 1, dtype=complex)
     sigma[f.n, 0] = -delta
-    # block-diag(A1, 1) is the matrix of the linear model
-    resid = _projective_residual([aut.matrix, rotation.conj().T, sigma], f.matrix, _rotation_block(a1))
-    if not resid <= TOLERANCES.conjugacy:  # a NaN residual fails too
-        raise NumericalInconsistency("linear-model conjugacy residual %.3g too large" % resid)
-
+    chain, resid = _checked_chain(
+        ("involution_to_origin", "rotation_to_e1", "sigma", "normal_form"),
+        [aut.matrix, _rotation_block(u).conj().T, sigma, _rotation_block(a1)],
+        f.matrix,
+    )
     if delta < 1.0 - TOLERANCES.unimodular:
         domain, r = "ellipsoid", 1.0 / math.sqrt(1.0 - delta * delta)
     else:
         domain, r = "halfplane_like", None
-    return EllipticP0Form(
-        fixed_point=z0,
-        delta=delta,
-        a1=a1,
-        domain=domain,
-        r=r,
-        chain=(("involution_to_origin", aut.matrix), ("rotation", rotation)),
-        conjugacy_residual=resid,
-    )
+    return EllipticP0Form(delta=delta, a1=a1, domain=domain, r=r, chain=chain, conjugacy_residual=resid)
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic normal form
 
 
-def _eta_matrix(n: int, k1: np.ndarray, k2: float, inverse: bool = False) -> np.ndarray:
+def _eta_matrix(n: int, k1: np.ndarray, k2: complex) -> np.ndarray:
     """Heisenberg translation (z, w) -> (z + 2<w, k1> + k2, w + k1) of the
-    half-plane as a projective matrix, or its inverse."""
-    if inverse:
-        k1, k2 = -k1, 2.0 * float(np.vdot(k1, k1).real) - k2
+    half-plane as a projective matrix.  With k2 = |k1|^2 its inverse is
+    k1 -> -k1.  With k1 real zeros, which conj leaves without a -0, it is
+    the vertical translation z -> z + k2."""
     m = np.eye(n + 1, dtype=complex)
     m[0, 1:n] = 2.0 * np.conj(k1)
     m[0, n] = k2
     m[1:n, n] = k1
-    return m
-
-
-def _nu_matrix(n: int, shift: complex, inverse: bool = False) -> np.ndarray:
-    """Vertical translation z -> z + shift of the half-plane, or its inverse."""
-    m = np.eye(n + 1, dtype=complex)
-    m[0, n] = -shift if inverse else shift
     return m
 
 
@@ -254,7 +249,7 @@ class HyperbolicNormalForm:
     Cayley map C, eta^-1 (the Heisenberg translation that removed the
     linear term b) and nu^-1 (the pure-imaginary translation that made c
     real), then the normal matrix, as labelled projective matrices;
-    ``conjugacy_residual`` is ``_projective_residual`` of K = nu^-1 eta^-1 C V.
+    ``conjugacy_residual`` is ``_projective_residual`` of that chain.
     """
 
     case: str
@@ -263,7 +258,6 @@ class HyperbolicNormalForm:
     d: np.ndarray
     a_block: np.ndarray
     a_prime: np.ndarray | None
-    tau: np.ndarray
     chain: tuple[tuple[str, np.ndarray], ...]
     conjugacy_residual: float
 
@@ -274,9 +268,6 @@ class HyperbolicNormalForm:
             return ()
         vals = np.linalg.eigvals(self.a_prime)
         return tuple(complex(v) for v in vals[_spectral_order(vals)])
-
-    def normal_matrix(self) -> np.ndarray:
-        return self.chain[-1][1].copy()
 
 
 def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) -> HyperbolicNormalForm:
@@ -302,12 +293,12 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
     k1 = np.linalg.solve(a.conj().T - np.eye(nm), hp.b / 2.0) if nm else np.zeros(0, dtype=complex)
     k2 = float(np.vdot(k1, k1).real)
 
-    eta_inv = _eta_matrix(n, k1, k2, inverse=True)
+    eta_inv = _eta_matrix(n, -k1, k2)
     m1 = eta_inv @ hp.matrix @ _eta_matrix(n, k1, k2)
     c1 = complex(m1[0, n]) * alpha
     shift = -1j * c1.imag / (1.0 - alpha)
-    nu_inv = _nu_matrix(n, shift, inverse=True)
-    m2 = nu_inv @ m1 @ _nu_matrix(n, shift)
+    nu_inv = _eta_matrix(n, np.zeros(nm), -shift)
+    m2 = nu_inv @ m1 @ _eta_matrix(n, np.zeros(nm), shift)
     c_final = complex(m2[0, n]) * alpha
     d_final = m2[1:n, n] * alpha
 
@@ -326,15 +317,15 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
         if a_prime.size and float(np.linalg.norm(a_prime, 2)) > 1.0 + 1e-8:
             raise NumericalInconsistency("normalized block exceeds norm 1")
     # the residual also measures the mixed term and Im c that the normal matrix leaves out
-    steps = [_rotation_block(hp.rotation), _cayley_matrix(n), eta_inv, nu_inv]
     normal = np.zeros((n + 1, n + 1), dtype=complex)  # (z, w) -> (1/alpha)(z + c, A w + d)
     normal[0, 0], normal[0, n], normal[n, n] = 1.0 / alpha, float(c_final.real) / alpha, 1.0
     normal[1:n, 1:n] = a / alpha
     normal[1:n, n] = d_final / alpha
-    resid = _projective_residual(steps, f.matrix, normal)
-    if not resid <= TOLERANCES.conjugacy:
-        raise NumericalInconsistency("half-plane conjugacy residual %.3g too large" % resid)
-    labels = ("rotation_to_e1", "cayley", "heisenberg_translation", "vertical_translation", "normal_form")
+    chain, resid = _checked_chain(
+        ("rotation_to_e1", "cayley", "heisenberg_translation", "vertical_translation", "normal_form"),
+        [_rotation_block(hp.rotation), _cayley_matrix(n), eta_inv, nu_inv, normal],
+        f.matrix,
+    )
     return HyperbolicNormalForm(
         case=case,
         alpha=alpha,
@@ -342,8 +333,7 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
         d=d_final,
         a_block=a,
         a_prime=a_prime,
-        tau=dw.location,
-        chain=tuple(zip(labels, steps + [normal])),
+        chain=chain,
         conjugacy_residual=resid,
     )
 
@@ -431,7 +421,8 @@ def classify(f: LinearFractionalMap) -> Classification:
 
 
 def _chain_steps(nf: EllipticP0Form | HyperbolicNormalForm | None) -> list[dict]:
-    """Conjugation chain as labeled projective matrices, outermost first."""
+    """Conjugation chain as labeled projective matrices: the coordinate
+    changes in the order they apply, then the model."""
     return [] if nf is None else [{"kind": kind, "matrix": _c2pair(m)} for kind, m in nf.chain]
 
 

@@ -30,12 +30,13 @@ from .errors import (
     BallMapError,
     DenominatorVanishes,
     MapFormatError,
+    NoBoundaryFixedPoint,
     NotASelfMap,
     NumericalInconsistency,
     ParameterConstraintViolated,
     UnsupportedMapClass,
 )
-from .maps import TOLERANCES, _c2pair, map_from_json_dict, map_to_json_dict, validate_self_map
+from .maps import TOLERANCES, _c2pair, _contact_point, map_from_json_dict, map_to_json_dict, validate_self_map
 from .series import (
     basis_multi_indices,
     compression_spectrum,
@@ -137,18 +138,15 @@ def _cmd_radius(f, args) -> dict:
     cl = classify(f)
     sr = spectral_radius(f, cl)
     closed = essential_radius_closed_form(cl)
-    # tau as the estimator picks it, the Denjoy-Wolff point or else the first
-    # boundary fixed point, read off the classification
-    tau = cl.denjoy_wolff_point or next(iter(cl.boundary_fixed_points), None)
     estimate = note = agree = disagreement = None
-    if tau is None:
+    try:  # the estimator's default tau, read off the classification
+        tau = _contact_point(cl.denjoy_wolff_point, cl.boundary_fixed_points)
+        est = essential_radius_estimate(f, tau)
+        estimate = {"limit": est.limit, "angular_derivative": est.angular_derivative, "tau": _c2pair(est.tau)}
+    except NoBoundaryFixedPoint:
         note = "no boundary fixed point: the contact-point estimator does not apply"
-    else:
-        try:
-            est = essential_radius_estimate(f, tau.location)
-            estimate = {"limit": est.limit, "angular_derivative": est.angular_derivative, "tau": _c2pair(est.tau)}
-        except NumericalInconsistency as exc:
-            note = "estimator failed: %s" % exc
+    except NumericalInconsistency as exc:
+        note = "estimator failed: %s" % exc
     if estimate is not None and closed is not None:
         disagreement = abs(estimate["limit"] - closed) / abs(closed)
         agree = bool(disagreement <= 0.05)

@@ -425,7 +425,7 @@ def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
             "near-parabolic tie: %d boundary fixed points have dilation <= 1 + tol (%s); "
             "returning the smallest dilation" % (len(cands), [round(p.dilation, 12) for p in cands]),
             RuntimeWarning,
-            stacklevel=3,  # the caller of classify, or the public caller of _default_boundary_point
+            stacklevel=3,  # the caller of classify, or essential_radius_estimate for its default tau
         )
     best = cands[0]
     # cross-check the derivative-based dilation against the radial quotient
@@ -438,17 +438,21 @@ def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
     return best
 
 
-def _default_boundary_point(f: LinearFractionalMap) -> np.ndarray:
-    """The Denjoy-Wolff point when f fixes no interior point, else the first
-    boundary fixed point of f (elliptic diagnostic use), from one
-    ``fixed_points`` pass."""
-    fps = fixed_points(f)
-    if fps.interior_point() is None:
-        return _denjoy_wolff_of(f, fps).location
-    bps = fps.boundary_points()
+def _contact_point(dw: FixedPoint | None, bps: tuple[FixedPoint, ...]) -> np.ndarray:
+    """The Denjoy-Wolff point dw of a map with no interior fixed point, else
+    the first of its boundary fixed points bps (elliptic diagnostic use)."""
+    if dw is not None:
+        return dw.location
     if not bps:
         raise NoBoundaryFixedPoint("map has no boundary fixed point")
     return bps[0].location
+
+
+def _default_boundary_point(f: LinearFractionalMap) -> np.ndarray:
+    """``_contact_point`` of f, from one ``fixed_points`` pass."""
+    fps = fixed_points(f)
+    dw = _denjoy_wolff_of(f, fps) if fps.interior_point() is None else None
+    return _contact_point(dw, fps.boundary_points())
 
 
 def _unit_tau(f: LinearFractionalMap, tau) -> np.ndarray:
@@ -784,19 +788,17 @@ class HalfPlaneMap:
         return _ball_map_from_halfplane(self.matrix, self.rotation)
 
 
-def conjugate_to_halfplane(f: LinearFractionalMap, tau: np.ndarray | None = None) -> HalfPlaneMap:
+def conjugate_to_halfplane(f: LinearFractionalMap, tau: np.ndarray) -> HalfPlaneMap:
     """Transport a map with boundary fixed point tau to the Siegel model.
 
-    tau defaults to the Denjoy-Wolff point for maps without interior fixed
-    points, else to a boundary fixed point of the map (elliptic diagnostic
-    use).  The boundary point is rotated to e_1 and the map conjugated by
+    The boundary point is rotated to e_1 and the map conjugated by
     the Cayley transform; the result is affine because the transported map
     fixes infinity, and the residual non-affine entries (which vanish in
     exact arithmetic) are checked against ``TOLERANCES.halfplane_affine``
     before being dropped.
     """
     n = f.n
-    tau = _unit_tau(f, _default_boundary_point(f) if tau is None else tau)
+    tau = _unit_tau(f, tau)
     if np.linalg.norm(evaluate(f, tau) - tau) > TOLERANCES.fixed_point:
         raise NotAFixedPoint("tau is not fixed by the map")
     rot = _unitary_with_first_column(tau).conj().T  # rot @ tau = e_1

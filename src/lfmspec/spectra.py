@@ -543,10 +543,10 @@ class EssentialRadiusEstimate:
 def essential_radius_estimate(f: LinearFractionalMap, tau: np.ndarray | None = None) -> EssentialRadiusEstimate:
     """Essential spectral radius d^(-N/2) from the angular derivative d at tau.
 
-    tau defaults to the boundary point ``conjugate_to_halfplane`` uses: the
-    Denjoy-Wolff point, else the first boundary fixed point.  With M the
-    associated matrix, u = (tau, 0) and v = (tau, 1), the angular derivative
-    at tau is the J-form pairing d = Re((M u)* J (M v)) / |(M v)_N|^2
+    tau defaults to ``maps._contact_point``: the Denjoy-Wolff point, else
+    the first boundary fixed point.  With M the associated matrix,
+    u = (tau, 0) and v = (tau, 1), the angular derivative at tau is the
+    J-form pairing d = Re((M u)* J (M v)) / |(M v)_N|^2
     (Cowen-MacCluer 2000, Bisi-Bracci 2002), the limit of the boundary
     quotient (1-|phi(z)|^2)/(1-|z|^2) as z -> tau; it is a different path
     from the Jacobian that gives the classification's dilation.  The power

@@ -1,6 +1,7 @@
 """Classification dispatch, the two normal-form constructions, and the
 classification JSON serialization."""
 
+import json
 import math
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, MapClass
-from lfmspec.classify import _projective_residual, classification_to_json_dict
+from lfmspec.classify import _checked_chain, _projective_residual, classification_to_json_dict
 from lfmspec.maps import _ball_map_from_halfplane, _spectral_order
 
 
@@ -146,9 +147,10 @@ def test_one_fixed_normal_form():
     assert np.allclose(nf.d, 0, atol=1e-10)
 
 
-def _undone_chain(nf):
-    """The ball map K^-1 T K, for K the coordinate changes of the chain and T its normal matrix."""
-    *steps, normal = [m for _, m in nf.chain]
+def _undone_chain(mats):
+    """The ball map K^-1 T K, for K the coordinate changes of a chain's
+    matrices mats and T its last, the model."""
+    *steps, normal = mats
     k = np.eye(len(normal), dtype=complex)
     for step in steps:
         k = step @ k
@@ -158,7 +160,7 @@ def _undone_chain(nf):
 def test_one_fixed_reconstruction():
     f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
     nf = L.classify(f).normal_form
-    g = _undone_chain(nf)
+    g = _undone_chain([m for _, m in nf.chain])
     assert np.linalg.norm(g.matrix - f.matrix) < 1e-9  # both normalized: equal maps, equal matrices
 
 
@@ -182,7 +184,7 @@ def test_two_fixed_normal_form_complex():
 def test_two_fixed_reconstruction():
     f = two_fixed_plant(0.8)
     nf = L.classify(f).normal_form
-    g = _undone_chain(nf)
+    g = _undone_chain([m for _, m in nf.chain])
     assert np.linalg.norm(g.matrix - f.matrix) < 1e-9  # both normalized: equal maps, equal matrices
 
 
@@ -198,7 +200,7 @@ def test_conjugated_one_fixed_still_normalizes():
     assert nf.alpha == pytest.approx(0.5, abs=1e-9)
     assert nf.case == "one_fixed"
     # the normal form has no linear-in-w numerator term and real c
-    assert np.allclose(nf.normal_matrix()[0, 1:-1], 0, atol=1e-9)
+    assert np.allclose(nf.chain[-1][1][0, 1:-1], 0, atol=1e-9)
     assert abs(nf.c.imag) < 1e-9 and nf.c.real > 0
 
 
@@ -396,25 +398,10 @@ def _p0_and_hyperbolic_maps():
     return out
 
 
-def _residual_terms(nf):
-    """The coordinate changes of a normal form, in the order they apply, and
-    the model matrix its residual compares: sigma after the involution and the
-    rotation's inverse for the p0 form, the chain before its normal matrix for
-    the half-plane form."""
-    n = len(nf.chain[0][1]) - 1
-    if isinstance(nf, L.EllipticP0Form):
-        sigma = np.eye(n + 1, dtype=complex)
-        sigma[n, 0] = -nf.delta
-        model = np.eye(n + 1, dtype=complex)
-        model[:n, :n] = nf.a1
-        return [nf.chain[0][1], nf.chain[1][1].conj().T, sigma], model
-    return [m for _, m in nf.chain[:-1]], nf.normal_matrix()
-
-
 def _pointwise_conjugacy_error(nf, f):
     """max over seeded points z of the ball of |K(phi(z)) - T(K(z))| / (1 + |T(K(z))|), one
     ``evaluate`` and matvec each, with K and T acting as maps of points."""
-    steps, model = _residual_terms(nf)
+    *steps, model = [m for _, m in nf.chain]
     k = np.linalg.multi_dot(steps[::-1])
     n = f.n
 
@@ -435,17 +422,32 @@ def _pointwise_conjugacy_error(nf, f):
 def test_projective_residual_matches_the_pointwise_conjugacy():
     forms = {L.EllipticP0Form: 0, L.HyperbolicNormalForm: 0}
     for f in _p0_and_hyperbolic_maps():
-        nf = L.classify(f).normal_form
+        cl = L.classify(f)
+        nf = cl.normal_form
         forms[type(nf)] += 1
         assert nf.conjugacy_residual <= 1e-14
         assert _pointwise_conjugacy_error(nf, f) <= 1e-13
-        steps, model = _residual_terms(nf)
-        assert _projective_residual(steps, f.matrix, model) == nf.conjugacy_residual
-        # a model off by 1e-8 in one entry is seen
+        # the printed chain, read back from its JSON text, is the one record
+        # of the conjugacy: its steps and its last entry, the model, give
+        # the reported residual bit for bit, and undo to the map itself
+        d = json.loads(json.dumps(classification_to_json_dict(cl)))
+        assert d["conjugation_chain"][-1]["kind"] == "normal_form"
+        *steps, model = mats = [_pairs_to_matrix(step["matrix"]) for step in d["conjugation_chain"]]
+        assert _projective_residual(steps, f.matrix, model) == d["normal_form"]["conjugacy_residual"]
+        assert d["normal_form"]["conjugacy_residual"] == nf.conjugacy_residual
+        assert np.linalg.norm(_undone_chain(mats).matrix - f.matrix) < 1e-9
+        # a model off by 1e-8 in one entry is seen, and the form refused
         bumped = model.copy()
         bumped[0, 0] += 1e-8
         assert _projective_residual(steps, f.matrix, bumped) >= 1e-9
+        with pytest.raises(L.NumericalInconsistency, match="conjugacy residual"):
+            _checked_chain([label for label, _ in nf.chain], steps + [bumped], f.matrix)
     assert min(forms.values()) >= 10
+
+
+def _pairs_to_matrix(pairs) -> np.ndarray:
+    """The complex matrix of ``_c2pair``'s [re, im] pairs, signs of zeros kept."""
+    return np.asarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def test_classification_json_reports_the_residual_of_both_forms():

@@ -14,14 +14,18 @@ import numpy as np
 import pytest
 
 from lfmspec import (
+    HalfPlaneMap,
     LinearFractionalMap,
     ParameterConstraintViolated,
+    ball_automorphism_to_origin,
     compression_spectrum,
+    conjugated,
     eigenfunction_residual,
     map_from_json_dict,
     map_to_json_dict,
     series_from_vector,
 )
+from lfmspec.classify import _projective_residual
 from lfmspec.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, _emit_json, build_parser, main
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -239,6 +243,36 @@ def test_classify_still_works_for_parabolic(capsys, parabolic_map):
     code, out, _ = run(capsys, ["classify", parabolic_map])
     assert code == EXIT_OK
     assert json.loads(out)["result"]["kind"] == "parabolic"
+
+
+def _two_fixed_map():
+    """Ball map whose Siegel transport is (2 zeta, diag(0.4, 0.3i) omega)."""
+    hp = HalfPlaneMap(n=3, alpha=0.5, b=np.zeros(2, dtype=complex), c=0j, a_block=np.diag([0.2, 0.15j]),
+                      d=np.zeros(2, dtype=complex), rotation=np.eye(3, dtype=complex), tau=np.eye(3)[0])
+    return hp.pulled_back_to_ball()
+
+
+@pytest.mark.parametrize("make, kind", [
+    (lambda: LinearFractionalMap([[1]], [0], [-1], 2), "elliptic_boundary_fixed"),
+    (lambda: LinearFractionalMap(np.diag([0.5, 1 / 3]), [0, 0], [0, 0], 1), "elliptic_interior_only"),
+    (lambda: LinearFractionalMap(0.5 * np.eye(2), [0.5, 0], [0, 0], 1), "hyperbolic_one_fixed"),
+    (_two_fixed_map, "hyperbolic_two_fixed"),
+], ids=["elliptic_boundary_fixed", "elliptic_interior_only", "hyperbolic_one_fixed", "hyperbolic_two_fixed"])
+def test_classify_chain_reproduces_the_residual(capsys, tmp_path, make, kind):
+    # moved off its axes by an involution, so that every step of the chain
+    # does work; the printed chain, steps then model, is all it takes to
+    # recompute the printed residual bit for bit
+    g = make()
+    f = conjugated(g, ball_automorphism_to_origin(np.linspace(0.1, 0.25, g.n) * (1 - 0.5j)))
+    path = write_map(tmp_path, "form.json", f)
+    code, out, _ = run(capsys, ["classify", path])
+    assert code == EXIT_OK
+    res = json.loads(out)["result"]
+    assert res["kind"] == kind
+    *steps, model = [np.asarray(s["matrix"], dtype=float).view(complex)[..., 0] for s in res["conjugation_chain"]]
+    with open(path) as fh:
+        m = map_from_json_dict(json.load(fh)).matrix  # the map the command read
+    assert _projective_residual(steps, m, model) == res["normal_form"]["conjugacy_residual"]
 
 
 # ---------------------------------------------------------------------------

@@ -680,7 +680,7 @@ def test_validate_climbs_and_bisects_from_a_poor_start(monkeypatch):
 
 def test_halfplane_form_hyperbolic():
     f = lfm_1d(0.5, 0.5, 0, 1)
-    hp = L.conjugate_to_halfplane(f)
+    hp = L.conjugate_to_halfplane(f, [1.0])
     assert hp.alpha == pytest.approx(0.5, abs=1e-12)
     # transported map is zeta -> 2 zeta + 1
     assert hp.c == pytest.approx(0.5, abs=1e-12)
@@ -689,7 +689,7 @@ def test_halfplane_form_hyperbolic():
 
 def test_halfplane_form_boundary_fixed_diagnostic(cayley_like):
     # elliptic with boundary fixed point: alpha = 2 allowed as a diagnostic
-    hp = L.conjugate_to_halfplane(cayley_like)
+    hp = L.conjugate_to_halfplane(cayley_like, [1.0])
     assert hp.alpha == pytest.approx(2.0, abs=1e-10)
     assert hp.evaluate([2.0])[0] == pytest.approx((2.0 + 1.0) / 2.0, abs=1e-10)
 
@@ -706,7 +706,7 @@ def test_halfplane_rejects_point_not_fixed():
 
 def test_halfplane_pullback_round_trip():
     f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
-    hp = L.conjugate_to_halfplane(f)
+    hp = L.conjugate_to_halfplane(f, [1.0, 0.0])
     g = hp.pulled_back_to_ball()
     rot = hp.rotation
     z = np.array([0.2 + 0.1j, -0.3j])

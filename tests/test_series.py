@@ -818,6 +818,18 @@ def test_resonance_stops_before_dividing(monkeypatch):
     assert solves == [2]
 
 
+def test_singular_block_eigenvectors_stop_the_substitution():
+    # a nilpotent degree block with a 1e300 corner: eig's vector for the
+    # second 0 underflows to (1, -0), so W is exactly singular and solve
+    # raises; the block path gives None, and no LinAlgError leaves it
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 0], m[1:, 0], m[1, 2] = 0.5, 1.0, 1e300
+    w = np.linalg.eig(m[1:, 1:])[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(w, m[1:, :1])
+    assert S._block_eigenpairs(m, np.array([0, 1, 3])) is None
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_galerkin_vector_maps_take_the_block_path(monkeypatch, seed):
     # the benchmark's eigenvector maps, and this file's dense maps of the
