@@ -22,8 +22,6 @@ def two_fixed_plant(a):
         c=0.0,
         a_block=np.array([[a * math.sqrt(0.5)]]),
         d=np.zeros(1),
-        rotation=np.eye(2, dtype=complex),
-        tau=np.array([1.0, 0.0]),
     )
     return hp.pulled_back_to_ball()
 

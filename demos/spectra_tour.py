@@ -47,8 +47,7 @@ def main():
     describe("(1+z)/2", L.LinearFractionalMap([[0.5]], [0.5], [0], 1))
 
     hp = L.HalfPlaneMap(n=2, alpha=0.5, b=np.zeros(1), c=0.0,
-                        a_block=np.array([[0.6 * math.sqrt(0.5)]]), d=np.zeros(1),
-                        rotation=np.eye(2, dtype=complex), tau=np.array([1.0, 0.0]))
+                        a_block=np.array([[0.6 * math.sqrt(0.5)]]), d=np.zeros(1))
     describe("two boundary fixed points", hp.pulled_back_to_ball(), tail_tol=1e-2)
 
     describe("parabolic (z+1)/(3-z)", L.LinearFractionalMap([[1]], [1], [-1], 3))

@@ -33,15 +33,17 @@ from .maps import (
     TOLERANCES,
     FixedPoint,
     FixedPointSet,
+    HalfPlaneMap,
     LinearFractionalMap,
     _c2pair,
+    _cayley_inverse_matrix,
     _cayley_matrix,
     _jacobian,
     _rotation_block,
     _spectral_order,
+    _unit_tau,
     _unitary_with_first_column,
     ball_automorphism_to_origin,
-    conjugate_to_halfplane,
     conjugated,
     _denjoy_wolff_of,
     evaluate,
@@ -274,21 +276,30 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
     """Reduce a hyperbolic map with Denjoy-Wolff point dw and n_boundary
     (1 or 2) boundary fixed points to its translation-free half-plane form.
 
-    The Denjoy-Wolff point goes to infinity under the Cayley conjugation;
-    a Heisenberg translation with parameter k1 solving b = 2 (A* - I) k1
+    A rotation takes the Denjoy-Wolff point to e_1 and the Cayley
+    conjugation takes e_1 to infinity, where the transported map is affine;
+    the entries it drops are measured by the chain's residual.  A
+    Heisenberg translation with parameter k1 solving b = 2 (A* - I) k1
     removes the mixed term, and a vertical translation removes the
     imaginary part of the constant.  Maps with two boundary fixed points
     come out with c = d = 0 and are reported through the normalized block
     A' = A / sqrt(alpha).
     """
-    hp = conjugate_to_halfplane(f, dw.location)
-    alpha = hp.alpha
+    n = f.n
+    nm = n - 1  # dimension of the w block
+    rotation = _rotation_block(_unitary_with_first_column(_unit_tau(f, dw.location)).conj().T)  # tau -> e_1
+    cayley = _cayley_matrix(n)
+    mpsi = cayley @ (rotation @ f.matrix @ rotation.conj().T) @ _cayley_inverse_matrix(n)
+    if abs(mpsi[n, n]) < 1e-12:
+        raise NumericalInconsistency("degenerate Cayley conjugation")
+    mpsi /= mpsi[n, n]
+    alpha = 1.0 / mpsi[0, 0].real
+    hp = HalfPlaneMap(n=n, alpha=alpha, b=np.conj(mpsi[0, 1:n]) * alpha, c=complex(mpsi[0, n]) * alpha,
+                      a_block=mpsi[1:n, 1:n] * alpha, d=mpsi[1:n, n] * alpha)
     if abs(alpha - dw.dilation) > 1e-8:
         raise NumericalInconsistency(
             "half-plane scaling %.12g disagrees with the boundary dilation %.12g" % (alpha, dw.dilation)
         )
-    n = f.n
-    nm = n - 1  # dimension of the w block
     a = hp.a_block
     k1 = np.linalg.solve(a.conj().T - np.eye(nm), hp.b / 2.0) if nm else np.zeros(0, dtype=complex)
     k2 = float(np.vdot(k1, k1).real)
@@ -323,7 +334,7 @@ def _hyperbolic_form(f: LinearFractionalMap, dw: FixedPoint, n_boundary: int) ->
     normal[1:n, n] = d_final / alpha
     chain, resid = _checked_chain(
         ("rotation_to_e1", "cayley", "heisenberg_translation", "vertical_translation", "normal_form"),
-        [_rotation_block(hp.rotation), _cayley_matrix(n), eta_inv, nu_inv, normal],
+        [rotation, cayley, eta_inv, nu_inv, normal],
         f.matrix,
     )
     return HyperbolicNormalForm(

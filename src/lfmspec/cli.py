@@ -3,6 +3,9 @@
 Each subcommand takes a map path, ``--out`` and only the options its handler
 reads (``build_parser``); any other option or a malformed value is a usage
 error, which ends as every input error does: one ``error:`` line, exit 1.
+Every subcommand but ``validate`` and ``norms`` refuses a map that does not
+send the ball into itself before its handler runs: one ``validation
+failure:`` line, exit 2.
 
 A handler takes the loaded map and the parsed options and returns its
 result: a dict for a JSON report, or CSV text.  ``main`` wraps every dict in
@@ -102,13 +105,6 @@ def _load_map(path: str):
     return map_from_json_dict(obj)
 
 
-def _refuse_non_self_map(f) -> None:
-    rep = validate_self_map(f)
-    if not rep.ok:
-        raise NotASelfMap("not a self-map of the ball: sup |phi| = %.12g exceeds 1 + %g"
-                          % (rep.max_modulus, rep.tol))
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each takes the loaded map and the parsed options and returns
 # its result, a dict for the JSON report or the CSV text
@@ -162,7 +158,6 @@ def _cmd_radius(f, args) -> dict:
 
 
 def _cmd_compress(f, args) -> dict | str:
-    _refuse_non_self_map(f)
     eigs = compression_spectrum(f, args.degree)
     if args.format == "csv":
         return _csv("re,im", eigs.real, eigs.imag)
@@ -181,7 +176,6 @@ def _cmd_compress(f, args) -> dict | str:
 
 
 def _cmd_verify_eigen(f, args) -> dict | str:
-    _refuse_non_self_map(f)
     eigs, vecs, comp = compression_spectrum(f, args.degree, return_vectors=True)
     # ||M v - lambda v|| / ||v|| in the orthonormal basis: eigenfunction_residual
     # of each eigenpair through the degree, from one product for all of them
@@ -279,6 +273,11 @@ def main(argv=None) -> int:
             if not np.isfinite(getattr(args, name, 0.0)):
                 raise ParameterConstraintViolated("--%s must be a finite number" % name)
         f = _load_map(args.map)
+        if args.command not in ("validate", "norms"):  # C_phi acts on H^2 only for a self-map phi
+            rep = validate_self_map(f)
+            if not rep.ok:
+                raise NotASelfMap("not a self-map of the ball: sup |phi| = %.12g exceeds 1 + %g"
+                                  % (rep.max_modulus, rep.tol))
         result = args.handler(f, args)
         if isinstance(result, str):
             text = result

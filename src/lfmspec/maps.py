@@ -27,7 +27,6 @@ from .errors import (
     MapFormatError,
     NoBoundaryFixedPoint,
     NoQualifyingBoundaryPoint,
-    NotAFixedPoint,
     NumericalInconsistency,
     ParameterConstraintViolated,
     PointNotInterior,
@@ -46,8 +45,6 @@ __all__ = [
     "unitary_map",
     "inverse",
     "conjugated",
-    "iterate_matrix",
-    "conjugate_to_halfplane",
     "map_to_json_dict",
     "map_from_json_dict",
 ]
@@ -68,7 +65,6 @@ class Tolerances:
     parabolic_band: float = 1e-8  # a boundary dilation within this of 1 counts as 1
     automorphism: float = 1e-9  # |m* J m - lambda J| / |m* J m| at most this: an automorphism
     self_map: float = 1e-9  # sup |phi| at most 1 + this: a self-map
-    halfplane_affine: float = 1e-8  # non-affine entries of the Cayley transport at most this: dropped
     conjugacy: float = 1e-10  # |K M - c T K| / |K M| above this: a normal form's chain K fails to conjugate
     unimodular: float = 1e-8  # ||lambda| - 1| at most this: lambda (or delta) is unimodular
     contractive_gap: float = 1e-6  # |lambda| below 1 - this: lambda is contractive
@@ -222,23 +218,6 @@ def conjugated(f: LinearFractionalMap, s: LinearFractionalMap) -> LinearFraction
         raise DimensionMismatch("conjugating map has the wrong dimension")
     sm = s.matrix
     return LinearFractionalMap.from_matrix(np.linalg.inv(sm) @ f.matrix @ sm)
-
-
-def iterate_matrix(f: LinearFractionalMap, n_iter: int) -> np.ndarray:
-    """Associated matrix of the n-th iterate, renormalized to unit norm: the
-    product of the squarings m, m^2, m^4, ... that n_iter's bits select."""
-    if n_iter < 0:
-        raise ParameterConstraintViolated("iterate order must be at least 0, got %d" % n_iter)
-    it, m = np.eye(f.n + 1, dtype=complex), f.matrix
-    while n_iter:
-        if n_iter & 1:
-            it = it @ m
-            it /= np.linalg.norm(it)
-        n_iter >>= 1
-        if n_iter:
-            m = m @ m
-            m /= np.linalg.norm(m)
-    return it
 
 
 def _jacobian(f: LinearFractionalMap, z) -> np.ndarray:
@@ -722,12 +701,10 @@ def _rotation_block(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _ball_map_from_halfplane(m: np.ndarray, rotation: np.ndarray) -> LinearFractionalMap:
-    """The ball map whose rotation by ``rotation`` and Cayley transport give
-    the half-plane matrix m."""
-    v = _rotation_block(rotation)
-    n = rotation.shape[0]
-    return LinearFractionalMap.from_matrix(v.conj().T @ _cayley_inverse_matrix(n) @ m @ _cayley_matrix(n) @ v)
+def _ball_map_from_halfplane(m: np.ndarray) -> LinearFractionalMap:
+    """The ball map whose Cayley transport is the half-plane matrix m."""
+    n = len(m) - 1
+    return LinearFractionalMap.from_matrix(_cayley_inverse_matrix(n) @ m @ _cayley_matrix(n))
 
 
 @dataclass(frozen=True)
@@ -736,11 +713,10 @@ class HalfPlaneMap:
 
         psi(z, w) = (1/alpha) * (z + <w, b> + c,  A w + d)
 
-    obtained from a ball map with boundary fixed point tau by rotating tau
-    to e_1 and conjugating with the Cayley map.  For non-elliptic ball maps
+    the Cayley transport of a ball map with boundary fixed point e_1
+    (``classify`` rotates the Denjoy-Wolff point there first).  For non-elliptic ball maps
     alpha is the Denjoy-Wolff dilation in (0, 1]; the diagnostic pull-back
     of an elliptic map at a repelling boundary fixed point has alpha > 1.
-    ``rotation`` is the unitary used to move tau, kept for round trips.
     """
 
     n: int
@@ -749,8 +725,6 @@ class HalfPlaneMap:
     c: complex
     a_block: np.ndarray
     d: np.ndarray
-    rotation: np.ndarray
-    tau: np.ndarray
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -762,13 +736,6 @@ class HalfPlaneMap:
             a_norm = float(np.linalg.norm(self.a_block, 2)) if self.a_block.size else 0.0
             if a_norm > math.sqrt(self.alpha) + 1e-9:
                 raise NumericalInconsistency("half-plane constraint |A| <= sqrt(alpha) fails")
-
-    def evaluate(self, zw) -> np.ndarray:
-        zw = np.asarray(zw, dtype=complex).reshape(-1)
-        out = np.empty(self.n, dtype=complex)
-        out[0] = zw[0] + _inner(zw[1:], self.b) + self.c
-        out[1:] = self.a_block @ zw[1:] + self.d
-        return out / self.alpha
 
     @property
     def matrix(self) -> np.ndarray:
@@ -784,49 +751,8 @@ class HalfPlaneMap:
         return m
 
     def pulled_back_to_ball(self) -> LinearFractionalMap:
-        """Invert the construction: the ball map this form came from."""
-        return _ball_map_from_halfplane(self.matrix, self.rotation)
-
-
-def conjugate_to_halfplane(f: LinearFractionalMap, tau: np.ndarray) -> HalfPlaneMap:
-    """Transport a map with boundary fixed point tau to the Siegel model.
-
-    The boundary point is rotated to e_1 and the map conjugated by
-    the Cayley transform; the result is affine because the transported map
-    fixes infinity, and the residual non-affine entries (which vanish in
-    exact arithmetic) are checked against ``TOLERANCES.halfplane_affine``
-    before being dropped.
-    """
-    n = f.n
-    tau = _unit_tau(f, tau)
-    if np.linalg.norm(evaluate(f, tau) - tau) > TOLERANCES.fixed_point:
-        raise NotAFixedPoint("tau is not fixed by the map")
-    rot = _unitary_with_first_column(tau).conj().T  # rot @ tau = e_1
-    v = _rotation_block(rot)
-    m1 = v @ f.matrix @ v.conj().T
-    mpsi = _cayley_matrix(n) @ m1 @ _cayley_inverse_matrix(n)
-    if abs(mpsi[n, n]) < 1e-12:
-        raise NumericalInconsistency("degenerate Cayley conjugation")
-    mpsi /= mpsi[n, n]
-    stray = float(np.linalg.norm(mpsi[n, :n])) + float(np.linalg.norm(mpsi[1:n, 0]))
-    if stray > TOLERANCES.halfplane_affine:
-        raise NumericalInconsistency(
-            "transported map is not affine (residual %.3g); tau is not an exact fixed point" % stray
-        )
-    ahat = mpsi[0, 0]
-    if abs(ahat.imag) > 1e-8 or ahat.real <= 0:
-        raise NumericalInconsistency("leading half-plane coefficient %r is not real positive" % ahat)
-    alpha = 1.0 / ahat.real
-    return HalfPlaneMap(
-        n=n,
-        alpha=alpha,
-        b=np.conj(mpsi[0, 1:n]) * alpha,
-        c=complex(mpsi[0, n]) * alpha,
-        a_block=mpsi[1:n, 1:n] * alpha,
-        d=mpsi[1:n, n] * alpha,
-        rotation=rot,
-        tau=tau,
-    )
+        """The ball map fixing e_1 whose Cayley transport this form is."""
+        return _ball_map_from_halfplane(self.matrix)
 
 
 # ---------------------------------------------------------------------------

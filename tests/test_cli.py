@@ -92,11 +92,11 @@ def test_validate_rejects_expansion(capsys, tmp_path):
 
 
 def test_classify_refuses_expansion(capsys, tmp_path):
-    # 2z fixes 0 with differential 2: not a self-map, and classify says why
+    # 2z fixes 0 with differential 2: not a self-map, refused before classify runs
     path = write_map(tmp_path, "bad.json", LinearFractionalMap([[2]], [0], [0], 1))
     code, out, err = run(capsys, ["classify", path])
-    assert (code, out) == (EXIT_ERROR, "")
-    assert err == "error: differential eigenvalue (2+0j) exceeds modulus 1 at an interior fixed point\n"
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "validation failure: not a self-map of the ball: sup |phi| = 2 exceeds 1 + 1e-09\n"
 
 
 def test_module_runs_as_a_script(capsys, monkeypatch, disk_map):
@@ -248,7 +248,7 @@ def test_classify_still_works_for_parabolic(capsys, parabolic_map):
 def _two_fixed_map():
     """Ball map whose Siegel transport is (2 zeta, diag(0.4, 0.3i) omega)."""
     hp = HalfPlaneMap(n=3, alpha=0.5, b=np.zeros(2, dtype=complex), c=0j, a_block=np.diag([0.2, 0.15j]),
-                      d=np.zeros(2, dtype=complex), rotation=np.eye(3, dtype=complex), tau=np.eye(3)[0])
+                      d=np.zeros(2, dtype=complex))
     return hp.pulled_back_to_ball()
 
 
@@ -425,6 +425,17 @@ def test_compression_refuses_non_self_map(capsys, tmp_path, command):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("validation failure:") and "self-map" in err
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["radius"], ["export"], ["export", "--format", "json"]],
+                         ids=lambda a: "+".join(a[::2]))
+def test_reports_refuse_non_self_map(capsys, tmp_path, argv):
+    # 0.7 z + 0.6 sends 1 to 1.3: not a self-map, so C_phi does not act on H^2
+    # and no report is made for it
+    path = write_map(tmp_path, "outside.json", LinearFractionalMap([[0.7]], [0.6], [0], 1))
+    code, out, err = run(capsys, [argv[0], path] + argv[1:])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "validation failure: not a self-map of the ball: sup |phi| = 1.3 exceeds 1 + 1e-09\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,8 +25,6 @@ def siegel_plant(c, alpha):
         c=complex(c),
         a_block=np.array([[0.5 + 0j]]),
         d=np.zeros(1, dtype=complex),
-        rotation=np.eye(2, dtype=complex),
-        tau=np.array([1.0 + 0j, 0j]),
     )
     return hp.pulled_back_to_ball()
 

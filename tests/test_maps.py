@@ -21,6 +21,7 @@ from lfmspec.maps import (
     TOLERANCES,
     _ball_map_from_halfplane,
     _c2pair,
+    _j_form,
     _jacobian,
     _krein_certificate,
     _spectral_order,
@@ -163,22 +164,6 @@ def test_inverse_of_automorphism():
     assert np.allclose(sinv(s(z)), z, atol=1e-12)
 
 
-def test_iterate_matrix(cayley_like):
-    m3 = L.iterate_matrix(cayley_like, 3)
-    f3 = LinearFractionalMap.from_matrix(m3)
-    z = 0.3 + 0.2j
-    w = z
-    for _ in range(3):
-        w = cayley_like([w])[0]
-    assert abs(f3([z])[0] - w) < 1e-13
-
-
-def test_iterate_matrix_rejects_negative_order(cayley_like):
-    assert np.array_equal(L.iterate_matrix(cayley_like, 0), np.eye(2))
-    with pytest.raises(L.ParameterConstraintViolated):
-        L.iterate_matrix(cayley_like, -1)
-
-
 def test_jacobian_against_finite_differences():
     f = LinearFractionalMap([[0.4, 0.1], [0.0, 0.3 + 0.2j]], [0.1, 0], [0.2, -0.1], 1.5)
     z0 = np.array([0.1 + 0.05j, -0.2j])
@@ -279,7 +264,7 @@ def _fixed_points_per_cluster(f):
 def _near_parabolic_plant(c, alpha):
     """The 2-ball map whose Cayley transport at e_1 is ((z + c) / alpha, 0.5 w / alpha)."""
     m = np.array([[1 / alpha, 0, c / alpha], [0, 0.5 / alpha, 0], [0, 0, 1]], dtype=complex)
-    return _ball_map_from_halfplane(m, np.eye(2))
+    return _ball_map_from_halfplane(m)
 
 
 def test_stacked_svd_gives_the_per_cluster_fixed_points_bit_for_bit(monkeypatch):
@@ -538,9 +523,8 @@ def _kind_maps(rng, n):
     if n > 1:
         maps.append(LinearFractionalMap(v @ np.diag([1j] + tail) @ v.conj().T,
                                         np.zeros(n), np.zeros(n), 1))  # unitary part
-        maps.append(L.HalfPlaneMap(n=n, alpha=0.5, b=np.zeros(n - 1), c=0.0,
-                                   a_block=math.sqrt(0.5) * np.diag(tail), d=np.zeros(n - 1),
-                                   rotation=np.eye(n, dtype=complex), tau=e1).pulled_back_to_ball())
+        maps.append(L.HalfPlaneMap(n=n, alpha=0.5, b=np.zeros(n - 1), c=0.0, a_block=math.sqrt(0.5) * np.diag(tail),
+                                   d=np.zeros(n - 1)).pulled_back_to_ball())
     return maps
 
 
@@ -652,6 +636,17 @@ def test_stacked_midpoints_give_the_per_midpoint_certificate_bit_for_bit(monkeyp
     assert passed >= len(below) and most >= 3
 
 
+def test_krein_margin_scales_with_the_certificate_size():
+    # the identity of the disk has pp = diag(1, 0) and sup |phi| = 1; at rho^2 = 1 + 2t eps
+    # the midpoint lambda = 1 + t eps gives the certificate t eps I exactly, and the margin
+    # 10 (N + 1) eps (lambda + |pp| + rho^2) is about 60 eps: t = 40 is refused by the size
+    # terms alone (the lambda term is about 20 eps), and t = 100 is accepted
+    pp, j, eps = np.diag([1.0 + 0j, 0.0]), _j_form(1), np.finfo(float).eps
+    assert _krein_certificate(pp, j, 1.0 + 40 * eps) is None
+    cert = _krein_certificate(pp, j, 1.0 + 100 * eps)
+    assert np.array_equal(cert, 100 * eps * np.eye(2))
+
+
 def test_validate_climbs_and_bisects_from_a_poor_start(monkeypatch):
     # from the normalized all-ones start, lo sits well below the supremum, so
     # the search climbs past the first rung and then bisects; the answer must
@@ -675,44 +670,35 @@ def test_validate_climbs_and_bisects_from_a_poor_start(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Cayley transport
+# half-plane forms
 
 
 def test_halfplane_form_hyperbolic():
-    f = lfm_1d(0.5, 0.5, 0, 1)
-    hp = L.conjugate_to_halfplane(f, [1.0])
-    assert hp.alpha == pytest.approx(0.5, abs=1e-12)
-    # transported map is zeta -> 2 zeta + 1
-    assert hp.c == pytest.approx(0.5, abs=1e-12)
-    assert hp.evaluate([1.0 + 0.5j])[0] == pytest.approx(3.0 + 1.0j, abs=1e-12)
+    # (1 + z) / 2 is transported to zeta -> 2 zeta + 1 = (zeta + c) / alpha
+    nf = L.classify(lfm_1d(0.5, 0.5, 0, 1)).normal_form
+    assert nf.alpha == pytest.approx(0.5, abs=1e-12)
+    assert nf.c == pytest.approx(0.5, abs=1e-12)
 
 
 def test_halfplane_form_boundary_fixed_diagnostic(cayley_like):
-    # elliptic with boundary fixed point: alpha = 2 allowed as a diagnostic
-    hp = L.conjugate_to_halfplane(cayley_like, [1.0])
-    assert hp.alpha == pytest.approx(2.0, abs=1e-10)
-    assert hp.evaluate([2.0])[0] == pytest.approx((2.0 + 1.0) / 2.0, abs=1e-10)
-
-
-def test_halfplane_rejects_point_not_fixed():
-    # (1 + z) / 2 moves tau = e^(i t) by |1 - tau| / 2 = 2e-7: not fixed at
-    # TOLERANCES.fixed_point, the one threshold for "is this point fixed?"
-    f = lfm_1d(0.5, 0.5, 0, 1)
-    tau = np.array([np.exp(2j * math.asin(2e-7))])
-    assert np.linalg.norm(f(tau) - tau) == pytest.approx(2e-7, rel=1e-6)
-    with pytest.raises(L.NotAFixedPoint):
-        L.conjugate_to_halfplane(f, tau)
+    # alpha = 2 > 1, the form at the repelling boundary point of an elliptic map, is
+    # kept as a diagnostic: zeta -> (zeta + 1) / 2 pulls back to z/(2 - z)
+    hp = L.HalfPlaneMap(n=1, alpha=2.0, b=np.zeros(0), c=1.0 + 0j, a_block=np.zeros((0, 0)), d=np.zeros(0))
+    assert proportional_residual(hp.pulled_back_to_ball().matrix, cayley_like.matrix) < 1e-15
 
 
 def test_halfplane_pullback_round_trip():
-    f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
-    hp = L.conjugate_to_halfplane(f, [1.0, 0.0])
-    g = hp.pulled_back_to_ball()
-    rot = hp.rotation
-    z = np.array([0.2 + 0.1j, -0.3j])
-    # pullback reproduces the map up to the initial rotation to e1
-    w = rot.conj().T @ z
-    assert np.allclose(rot.conj().T @ f(z), g(w), atol=1e-11)
+    # a form pulled back to the ball and classified gives back its own fields,
+    # in w coordinates turned by the unitary u of the chain's rotation to e_1
+    hp = L.HalfPlaneMap(n=3, alpha=0.5, b=np.zeros(2), c=0.25 + 0j, a_block=np.diag([0.3j, -0.2]),
+                        d=np.array([0.1, 0.05j]))
+    nf = L.classify(hp.pulled_back_to_ball()).normal_form
+    assert (nf.case, nf.alpha, nf.c) == ("one_fixed", pytest.approx(0.5, abs=1e-13), pytest.approx(0.25, abs=1e-13))
+    label, rotation = nf.chain[0]
+    u = rotation[1:3, 1:3]
+    assert label == "rotation_to_e1" and np.allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
+    assert np.allclose(nf.a_block, u @ hp.a_block @ u.conj().T, atol=1e-13)
+    assert np.allclose(nf.d, u @ hp.d, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -779,14 +765,8 @@ def test_public_refusals():
         L.unitary_map([[1, 0], [0, 0.5]])
     # z + 2 has |B| > d, so m* J m has a nonnegative corner and no lambda > 0
     assert not L.is_automorphism(lfm_1d(1, 2, 0, 1))
-    # fixes e_1, but its Cayley transport (zeta, omega) -> (0.5 zeta + 1, 0.3 omega) / (0.2 omega + 1)
-    # moves the hyperplane at infinity, which no self-map does
-    f = _ball_map_from_halfplane(np.array([[0.5, 0, 1], [0, 0.3, 0], [0, 0.2, 1]], dtype=complex), np.eye(2))
-    with pytest.raises(L.NumericalInconsistency, match="not affine"):
-        L.conjugate_to_halfplane(f, [1, 0])
     with pytest.raises(L.NumericalInconsistency, match="scaling must be positive"):
-        L.HalfPlaneMap(n=1, alpha=-1.0, b=np.zeros(0), c=0j, a_block=np.zeros((0, 0)), d=np.zeros(0),
-                       rotation=np.eye(1), tau=np.ones(1))
+        L.HalfPlaneMap(n=1, alpha=-1.0, b=np.zeros(0), c=0j, a_block=np.zeros((0, 0)), d=np.zeros(0))
 
 
 # ---------------------------------------------------------------------------

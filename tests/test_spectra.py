@@ -38,8 +38,6 @@ def two_fixed_plant(a):
         c=0.0,
         a_block=np.array([[a * math.sqrt(0.5)]]),
         d=np.zeros(1),
-        rotation=np.eye(2, dtype=complex),
-        tau=np.array([1.0, 0.0]),
     )
     return hp.pulled_back_to_ball()
 
@@ -52,8 +50,6 @@ def two_fixed_plant_n3():
         c=0.0,
         a_block=np.diag([0.6, 0.3j]) * math.sqrt(0.5),
         d=np.zeros(2),
-        rotation=np.eye(3, dtype=complex),
-        tau=np.array([1.0, 0.0, 0.0]),
     )
     return hp.pulled_back_to_ball()
 
@@ -446,7 +442,7 @@ def test_discretize_counts_points_before_allocating(monkeypatch):
 def _many_annuli_spectrum():
     """The spectrum of a hyperbolic two-fixed plant on the 3-ball with 16,534 annuli."""
     hp = L.HalfPlaneMap(n=3, alpha=0.5, b=np.zeros(2), c=0.0, a_block=np.diag([0.9, 0.85j]) * math.sqrt(0.5),
-                        d=np.zeros(2), rotation=np.eye(3, dtype=complex), tau=np.array([1.0, 0.0, 0.0]))
+                        d=np.zeros(2))
     return L.spectrum(hp.pulled_back_to_ball())
 
 
@@ -587,15 +583,14 @@ def _estimator_sweep():
             a = np.diag([1 - c] + [0.9 * math.sqrt(1 - c)] * (n - 1))
             bfix = LinearFractionalMap(a, np.zeros(n), [-c] + [0] * (n - 1), 1)
             alpha = float(rng.uniform(0.3, 0.9))
-            hyp = L.HalfPlaneMap(n=n, alpha=alpha, b=np.zeros(n - 1), c=1.0,
-                                 a_block=0.5 * math.sqrt(alpha) * np.eye(n - 1), d=np.zeros(n - 1),
-                                 rotation=np.eye(n, dtype=complex), tau=np.eye(n)[0]).pulled_back_to_ball()
+            hyp = L.HalfPlaneMap(n=n, alpha=alpha, b=np.zeros(n - 1), c=1.0, a_block=0.5 * math.sqrt(alpha) * np.eye(n - 1),
+                                 d=np.zeros(n - 1)).pulled_back_to_ball()
             for f, ess in ((bfix, (1 - c) ** (n / 2)), (hyp, alpha ** (-n / 2))):
                 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 centre = v * rng.uniform(0.1, 0.5) / np.linalg.norm(v)
                 cases.append((L.conjugated(f, L.ball_automorphism_to_origin(centre)), ess))
     hyp = L.HalfPlaneMap(n=2, alpha=0.3, b=np.zeros(1), c=1.0, a_block=0.5 * math.sqrt(0.3) * np.eye(1),
-                         d=np.zeros(1), rotation=np.eye(2, dtype=complex), tau=np.eye(2)[0])
+                         d=np.zeros(1))
     return cases + [(lfm_1d(0.25, 0.75, 0, 1), 2.0), (hyp.pulled_back_to_ball(), 0.3 ** -1)]
 
 
@@ -653,8 +648,7 @@ def test_estimator_nonpositive_derivative_is_typed():
         L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1), tau=np.array([-1.0]))
 
 
-@pytest.mark.parametrize("use", [L.essential_radius_estimate, L.conjugate_to_halfplane],
-                         ids=["estimator", "halfplane"])
+@pytest.mark.parametrize("use", [L.essential_radius_estimate], ids=["estimator"])
 @pytest.mark.parametrize("tau, error", [
     ([1.0, 0.0, 0.0], L.DimensionMismatch),
     ([0.0, 0.0], L.ParameterConstraintViolated),
@@ -665,7 +659,7 @@ def test_estimator_nonpositive_derivative_is_typed():
 def test_bad_tau_is_refused_typed_and_silently(use, tau, error):
     # hyperbolic on the 2-ball with Denjoy-Wolff point e_1: a tau of the
     # wrong length, or one with no unit direction, ends in a typed error,
-    # never a numpy ValueError, a RuntimeWarning or a half-plane alpha of nan
+    # never a numpy ValueError, a RuntimeWarning or an estimate of nan
     f = LinearFractionalMap([[0.5, 0], [0, 0.5]], [0.5, 0], [0, 0], 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -17,9 +17,13 @@ one hyperbolic self-map whose normal form removes a vertical shift of
 1e6 (``siegel.vertical_shift.n2``); alpha z + 1 - alpha conjugated at
 0.3 + 0.1i for alpha = 0.1, 0.05 and 0.01 (``small_dilation.*``), on
 which the estimator's J-form pairing cancels down to about alpha;
-and seven maps that do not send the open ball into itself (``outside.*``),
-each refused by ``classify`` or ``spectrum`` on a line no self-map reaches:
-177 maps in all.  Every subcommand runs in this process on every map, with
+and seven maps that do not send the open ball into itself (``outside.*``):
+177 maps in all.  Six of the seven, like the triage maps that are not
+self-maps, stop at the command line's self-map gate, and
+``tests/test_classify.py`` reaches the library refusals that they reached
+before the gate; the seventh, the constant 1, has sup |phi| = 1, passes
+the gate and is refused by ``classify`` as a degenerate Cayley
+conjugation.  Every subcommand runs in this process on every map, with
 its default flags and with non-default ones (16 forms, 2832 runs), and one
 line
 
@@ -147,7 +151,7 @@ def vertical_shift_matrix():
 
 def non_self_maps() -> dict:
     """Name -> associated matrix of maps that do not send the open ball into
-    itself, each refused by classify or spectrum on a line no self-map reaches."""
+    itself."""
     import numpy as np
 
     def fixing(points, eigenvalues):
