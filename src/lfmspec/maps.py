@@ -16,7 +16,6 @@ maps testable and keeps iterate matrices well scaled.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     DenominatorVanishes,
     DimensionMismatch,
     MapFormatError,
+    MultipleBoundaryFixedPoints,
     NoBoundaryFixedPoint,
     NoQualifyingBoundaryPoint,
     NumericalInconsistency,
@@ -56,10 +56,10 @@ class Tolerances:
     module reads the one instance ``TOLERANCES``.  Self-map validation is
     tighter than the 1e-8 bands because its J-form certificate gives sup |phi|
     to about 1e-13 relative (eps / (d - |C|) when the denominator nearly
-    vanishes on the ball)."""
+    vanishes on the ball).  An algorithm's own precision constants, such as
+    the error-bound factors of ``fixed_points``, stay local with a comment."""
 
     denominator_margin: float = 1e-12  # d - |C| at most this: the denominator vanishes on the closed ball
-    eigenvalue_cluster: float = 1e-6  # eigenvalues of the associated matrix this close: one fixed-point group
     on_sphere: float = 1e-8  # ||z| - 1| at most this: a fixed point lies on the sphere
     fixed_point: float = 1e-8  # |phi(z) - z| above this: a point given as fixed is not
     parabolic_band: float = 1e-8  # a boundary dilation within this of 1 counts as 1
@@ -249,11 +249,13 @@ class FixedPoint:
 class FixedPointSet:
     """All fixed points of a map, with positive-dimensional sets flagged.
 
-    ``points`` holds isolated affine fixed points.  When an eigenspace of
-    the associated matrix yields a whole affine slice of fixed points that
-    crosses the open ball, the slice is reported via ``slice_dim`` /
-    ``slice_point`` (a minimum-norm representative) instead of being
-    enumerated; ``whole_ball`` marks the identity-like case.  Projective
+    ``points`` holds isolated affine fixed points, sorted interior first,
+    then boundary, then exterior; a boundary point is one within its own
+    error bound of the sphere (see ``fixed_points``), scaled onto it.  When
+    an eigenvalue group of the associated matrix yields a whole affine slice
+    of fixed points that crosses the open ball, the slice is reported via
+    ``slice_dim`` / ``slice_point`` (a minimum-norm representative) instead
+    of being enumerated; ``whole_ball`` marks the identity-like case.  Projective
     fixed points with vanishing final coordinate are listed in
     ``at_infinity`` as unit direction vectors (diagnostic only).
     """
@@ -278,19 +280,6 @@ class FixedPointSet:
         return tuple(p for p in self.points if p.kind == "boundary")
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.lexsort((values.imag, values.real))
-    groups: list[list[complex]] = []
-    for v in values[order]:
-        for g in groups:
-            if abs(v - g[0]) <= tol:
-                g.append(v)
-                break
-        else:
-            groups.append([v])
-    return [np.asarray(g) for g in groups]
-
-
 def _boundary_dilation(f: LinearFractionalMap, tau: np.ndarray) -> float:
     jt = _jacobian(f, tau) @ tau
     val = _inner(jt, tau)
@@ -298,86 +287,89 @@ def _boundary_dilation(f: LinearFractionalMap, tau: np.ndarray) -> float:
 
 
 def fixed_points(f: LinearFractionalMap) -> FixedPointSet:
-    """All fixed points of the map, read off the associated matrix.
+    """All fixed points of the map, read off one eigendecomposition of the
+    associated matrix m.
 
-    Fixed points are eigenvectors of the associated matrix: an eigenvector
-    (v, t) with t != 0 gives the affine fixed point v / t, while t ~ 0 is a
-    fixed point at infinity of the extended projective action.  Eigenvalues
-    are clustered before the null-space computation so that defective
-    (parabolic) blocks and numerically split multiple eigenvalues are
-    handled as one group.  The null spaces come from one stacked SVD of the
-    m - lambda I, which runs the same LAPACK routine on each matrix.
+    An eigenvector (v, t) of m gives the affine fixed point v / t, or for
+    t ~ 0 a fixed point at infinity.  Rounding moves an eigenvalue of m
+    (|m| = 1) by about eps * kappa, kappa its condition number from the rows
+    of V^-1 (the left eigenvectors).  A simple eigenvalue gives its point from
+    its own eigenvector, on the sphere when ||z| - 1| is within that
+    eigenvector's error bound.  Eigenvalues whose gap lies within the bound
+    of both may be one that rounding split (a Jordan block, or an eigenspace
+    of several dimensions): such a group reads the null space of m - lambda I
+    at its mean, and its points lie on the sphere within
+    ``TOLERANCES.on_sphere``.
     """
     n = f.n
     m = f.matrix
-    eigvals = np.linalg.eigvals(m)
-    points: list[FixedPoint] = []
-    at_inf: list[np.ndarray] = []
-    slice_dim: int | None = None
-    slice_point: np.ndarray | None = None
+    eps = np.finfo(float).eps
+    lams, vecs = np.linalg.eig(m)
+    # |row i of V^-1| for the unit columns of V; V's singular values are floored
+    # at eps, so a Jordan block, where V is singular, keeps a finite kappa near 1 / eps
+    _, sv, vh = np.linalg.svd(vecs)
+    kappa = np.linalg.norm(vh.conj().T / np.maximum(sv, eps * sv[0]), axis=1)
+    gaps = np.abs(lams[:, None] - lams)
+    # 16: a conjugated parabolic map's Jordan pair splits by up to about 6.5 eps * kappa
+    reach = gaps <= 16.0 * eps * np.minimum(kappa[:, None], kappa)
+    for _ in range(n):  # k squarings join chains of 2^k steps
+        reach = reach @ reach
+    labels = reach.argmax(axis=1).tolist()  # each eigenvalue's group, named by its lowest member
+    np.fill_diagonal(gaps, np.inf)
+    t = vecs[n]
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 or a zero gap: at infinity, or grouped
+        # a simple eigenvector errs by about its residual (at least eps) over its gap, and z = v / t
+        # by that over |t|^2; 4 covers the rounding of |z| (true boundary points reach 1.5 times
+        # the bound) below the 12 times of the exterior fixed point of the Siegel shift 1 + 150i
+        resid = np.maximum(np.linalg.norm(m @ vecs - vecs * lams, axis=0), eps)
+        sphere = np.minimum(TOLERANCES.on_sphere, 4.0 * resid / gaps.min(axis=1) / np.abs(t) ** 2).tolist()
+        z = vecs[:n] / t
+    points, at_inf = [], []
+    slice_dim = slice_point = None
     whole_ball = False
-
-    groups = _cluster(eigvals, TOLERANCES.eigenvalue_cluster)
-    lams = np.array([g[0] if g.size == 1 else g.mean() for g in groups])
-    _, sing, vhs = np.linalg.svd(m - lams[:, None, None] * np.eye(n + 1))
-    for group, lam, s, vh in zip(groups, lams, sing, vhs):
-        spread = float(np.max(np.abs(group - lam))) if group.size > 1 else 0.0
-        rank = int(np.sum(s > max(1e-9, 10.0 * spread)))
-        if rank > n:
-            # overly tight rank tolerance; retry with the cluster width
-            rank = int(np.sum(s > 1e-7))
-            if rank > n:
-                continue
-        basis = np.conj(vh[rank:]).T  # columns span the null space
-        k = basis.shape[1]
-        last = np.abs(basis[n, :])
-        j = int(np.argmax(last))
-        if last[j] < 1e-10:
-            for i in range(k):
-                v = basis[:n, i]
-                at_inf.append(v / np.linalg.norm(v))
+    for e in np.lexsort((lams.imag, lams.real)).tolist():  # each group once, at its first eigenvalue
+        if labels[e] < 0:  # read with its group
+            continue
+        members = [k for k in range(n + 1) if labels[k] == labels[e]]
+        if len(members) == 1:
+            if abs(t[e]) < 1e-10:
+                at_inf.append(vecs[:n, e] / np.linalg.norm(vecs[:n, e]))
+            else:
+                points.append(_classify_point(f, z[:, e], sphere[e]))
+            continue
+        for k in members:
+            labels[k] = -1
+        _, s, vhg = np.linalg.svd(m - lams[members].mean() * np.eye(n + 1))
+        # the group mean is as accurate as a trace, so each null direction leaves a
+        # singular value at roundoff, and a Jordan coupling one far above sqrt(eps)
+        null = min(max(int(np.sum(s <= math.sqrt(eps))), 1), len(members))
+        basis = np.conj(vhg[n + 1 - null:]).T  # columns span the null space
+        j = int(np.argmax(np.abs(basis[n])))
+        if abs(basis[n, j]) < 1e-10:
+            at_inf += [v / np.linalg.norm(v) for v in basis[:n].T]
             continue
         v0 = basis[:, j] / basis[n, j]
         z0 = v0[:n]
-        dirs = []
-        for i in range(k):
-            if i == j:
+        w = (basis - np.outer(v0, basis[n]))[:n]  # directions: each column less its last entry times v0
+        norms = np.linalg.norm(w, axis=0)
+        w = w[:, norms > 1e-10] / norms[norms > 1e-10]
+        if w.size:
+            # an affine slice of fixed points, z0 + span(w): its point nearest 0
+            z0 = z0 + w @ np.linalg.lstsq(w, -z0, rcond=None)[0]
+            if np.linalg.norm(z0) < 1.0 - TOLERANCES.on_sphere:
+                slice_dim, slice_point, whole_ball = w.shape[1], z0, w.shape[1] == n
                 continue
-            w = basis[:, i] - basis[n, i] * v0
-            wv = w[:n]
-            nw = np.linalg.norm(wv)
-            if nw > 1e-10:
-                dirs.append(wv / nw)
-        if not dirs:
-            points.append(_classify_point(f, z0))
-            continue
-        # affine slice of fixed points: z0 + span(dirs)
-        w = np.stack(dirs, axis=1)
-        coef, *_ = np.linalg.lstsq(w, -z0, rcond=None)
-        p_star = z0 + w @ coef
-        r = float(np.linalg.norm(p_star))
-        if r < 1.0 - TOLERANCES.on_sphere:
-            slice_dim = len(dirs)
-            slice_point = p_star
-            whole_ball = len(dirs) == n
-        else:
-            # slice missing the open ball: report its nearest point
-            points.append(_classify_point(f, p_star))
-
+        # an isolated point, or the nearest point of a slice that misses the open ball
+        points.append(_classify_point(f, z0, TOLERANCES.on_sphere))
     points.sort(key=lambda p: ({"interior": 0, "boundary": 1, "exterior": 2}[p.kind],)
                 + tuple(x for xy in zip(p.location.real, p.location.imag) for x in xy))
-    return FixedPointSet(
-        points=tuple(points),
-        at_infinity=tuple(at_inf),
-        slice_dim=slice_dim,
-        slice_point=slice_point,
-        whole_ball=whole_ball,
-    )
+    return FixedPointSet(tuple(points), tuple(at_inf), slice_dim, slice_point, whole_ball)
 
 
-def _classify_point(f: LinearFractionalMap, z: np.ndarray) -> FixedPoint:
+def _classify_point(f: LinearFractionalMap, z: np.ndarray, on_sphere: float) -> FixedPoint:
+    """The fixed point z, on the sphere when ||z| - 1| <= on_sphere."""
     r = float(np.linalg.norm(z))
-    if abs(r - 1.0) <= TOLERANCES.on_sphere:
+    if abs(r - 1.0) <= on_sphere:
         tau = z / r
         return FixedPoint(location=tau, kind="boundary", dilation=_boundary_dilation(f, tau))
     kind = "interior" if r < 1.0 else "exterior"
@@ -388,23 +380,22 @@ def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
     """Attracting boundary fixed point of a map with no interior fixed point,
     read off fps = ``fixed_points(f)``.
 
-    The returned point is the unique boundary fixed point whose dilation
-    lies in (0, 1] (1 up to ``TOLERANCES.parabolic_band``); dilation strictly
-    below 1 is the hyperbolic case and dilation 1 the parabolic case.  When
-    rounding leaves two candidates in the admissible band (a near-parabolic
-    tie) both are reported in a warning and the smaller dilation wins
-    deterministically.  Callers check first that fps has no interior point.
+    It is the boundary fixed point whose dilation lies in (0, 1] (1 up to
+    ``TOLERANCES.parabolic_band``); dilation strictly below 1 is the
+    hyperbolic case and dilation 1 the parabolic case.  A self-map with no
+    interior fixed point has exactly one such point, so none raises
+    NoQualifyingBoundaryPoint and two or more raise
+    MultipleBoundaryFixedPoints.  Callers check first that fps has no
+    interior point.
     """
-    cands = [p for p in fps.boundary_points() if p.dilation is not None and p.dilation <= 1.0 + TOLERANCES.parabolic_band]
+    cands = [p for p in fps.boundary_points() if p.dilation <= 1.0 + TOLERANCES.parabolic_band]
     if not cands:
         raise NoQualifyingBoundaryPoint("no boundary fixed point with dilation <= 1")
-    cands.sort(key=lambda p: (p.dilation, tuple(p.location.real), tuple(p.location.imag)))
     if len(cands) > 1:
-        warnings.warn(
-            "near-parabolic tie: %d boundary fixed points have dilation <= 1 + tol (%s); "
-            "returning the smallest dilation" % (len(cands), [round(p.dilation, 12) for p in cands]),
-            RuntimeWarning,
-            stacklevel=3,  # the caller of classify, or essential_radius_estimate for its default tau
+        dilations = ", ".join("%.12g" % d for d in sorted(p.dilation for p in cands))
+        raise MultipleBoundaryFixedPoints(
+            "%d boundary fixed points have dilation <= 1 (%s); a self-map with no interior fixed "
+            "point has one" % (len(cands), dilations)
         )
     best = cands[0]
     # cross-check the derivative-based dilation against the radial quotient
@@ -609,6 +600,10 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOLERANCES.self_map) 
     it is never below the sup of the computed F z + g, whose forming costs
     eps / (d - |C|) relative.  ``samples`` counts the certificate tests (mostly
     1); ``witness`` attains ``max_modulus`` in the closed ball up to roundoff.
+
+    A constant (F = 0 within tol |g|, m of rank 1) sends the open ball to g,
+    so it passes only when |g| < 1 - tol: by the maximum principle, only
+    constants send the open ball into the closed one and touch the sphere.
     """
     n = f.n
     cn = float(np.linalg.norm(f.c))
@@ -645,8 +640,9 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOLERANCES.self_map) 
     h = psi @ _extremal_point(cert, j)
     w = h[:n] / h[n]
     r = float(np.linalg.norm(w))
+    constant = float(np.linalg.norm(fg[:, :n])) <= tol * float(np.linalg.norm(fg[:, n]))
     return ValidationReport(
-        ok=hi <= 1.0 + tol,
+        ok=hi < 1.0 - tol if constant else hi <= 1.0 + tol,
         max_modulus=hi,
         witness=w / r if r > 1.0 else w,
         samples=tests,

@@ -473,7 +473,9 @@ def spectrum(
         if rho >= 1.0:
             raise NumericalInconsistency("essential radius bound %.6g should be below 1" % rho)
         prods = _contractive_products(data.contractive, max(tail_tol, rho))
-        prods = prods[(np.rint(prods * 1e13) != 1e13) & (np.hypot(prods.real, prods.imag) > rho)]
+        # a product on the disk's rim lands a few ulps either side of it; within membership it is in the disk
+        prods = prods[(np.rint(prods * 1e13) != 1e13)
+                      & (np.hypot(prods.real, prods.imag) > rho + TOLERANCES.membership)]
         comps = (ClosedDisk(rho), Point(1.0 + 0.0j))
         if prods.size:
             comps = comps + (

@@ -10,7 +10,12 @@ import pytest
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, MapClass
-from lfmspec.classify import _checked_chain, _projective_residual, classification_to_json_dict
+from lfmspec.classify import (
+    _checked_chain,
+    _elliptic_spectral_data,
+    _projective_residual,
+    classification_to_json_dict,
+)
 from lfmspec.maps import _ball_map_from_halfplane, _spectral_order
 
 
@@ -238,6 +243,12 @@ def test_two_fixed_block_is_contraction():
     assert abs(nf.eigenvalues[0]) <= 1.0 + 1e-9
 
 
+def test_spectral_data_refuses_a_point_that_is_not_fixed():
+    # classify passes only fixed_points' interior point; the check guards that contract
+    with pytest.raises(L.NotAFixedPoint, match="z0 is not fixed"):
+        _elliptic_spectral_data(lfm_1d(0.5, 0, 0, 1), np.array([0.5]))
+
+
 @pytest.mark.parametrize("eigenvalues", [
     lambda: L.classify(LinearFractionalMap(
         np.diag(np.exp(2j * np.pi * np.random.default_rng(7).random(2))), [0, 0], [0, 0], 1,
@@ -284,6 +295,10 @@ NOT_SELF_MAPS = {
     "hyperbolic_three_boundary_points": (
         lambda: eigenvector_plant([(1, 0), (-1, 0), (0, 1)], [0.3, 1, 0.5]),
         L.MultipleBoundaryFixedPoints, "fixing 3 boundary points"),
+    # dilations 0.5 at e_1 and 0.9375 at e_2 (2 at -e_1): two Denjoy-Wolff candidates
+    "two_attracting_boundary_points": (
+        lambda: eigenvector_plant([(1, 0), (-1, 0), (0, 1)], [1, 0.5, 0.8]),
+        L.MultipleBoundaryFixedPoints, r"2 boundary fixed points have dilation <= 1 \(0.5, 0.9375"),
     # the constant 1, onto the sphere: Denjoy-Wolff dilation 0, no finite Cayley denominator
     "constant_on_sphere": (lambda: lfm_1d(0, 1, 0, 1), L.NumericalInconsistency, "degenerate Cayley"),
     # angular derivative 0.5 + 20i at 1; the quotient at 1 - 1e-6 is 0.499
@@ -316,6 +331,48 @@ def test_classify_refuses_non_self_map(make, error, match):
     assert L.validate_self_map(f).max_modulus >= 1.0
     with pytest.raises(error, match=match):
         L.classify(f)
+
+
+# ---------------------------------------------------------------------------
+# near-parabolic plants: two boundary fixed points, or one
+
+
+def _sweep_conjugations():
+    """No conjugation, then three ball automorphisms at distance 0.4 from 0."""
+    rng = np.random.default_rng(23)
+    centres = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
+    return [None] + [L.ball_automorphism_to_origin(0.4 * v / np.linalg.norm(v)) for v in centres]
+
+
+SWEEP_CONJUGATIONS = _sweep_conjugations()
+PLANTED = {0: MapClass.HYPERBOLIC_TWO_FIXED, 1j: MapClass.HYPERBOLIC_TWO_FIXED,
+           0.5 + 1j: MapClass.HYPERBOLIC_ONE_FIXED}
+AT_ZERO = {0: MapClass.ELLIPTIC_UNITARY_PART, 1j: MapClass.PARABOLIC, 0.5 + 1j: MapClass.PARABOLIC}
+
+
+@pytest.mark.parametrize("conjugation", range(4), ids=["plain", "aut1", "aut2", "aut3"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 2e-8, 1e-8, 5e-9, 0])
+@pytest.mark.parametrize("c", list(PLANTED), ids=["c=0", "c=i", "c=0.5+i"])
+def test_near_parabolic_sweep(c, eps, conjugation):
+    # ((zeta + c) / alpha, 0.5 omega / alpha) with alpha = 1 - eps: two boundary fixed
+    # points when Re c = 0 and one otherwise; at eps = 0 a fixed slice (c = 0) or parabolic
+    f = siegel_plant(np.array([[1, 0, c], [0, 0.5, 0], [0, 0, 1 - eps]]) / (1 - eps))
+    if SWEEP_CONJUGATIONS[conjugation] is not None:
+        f = L.conjugated(f, SWEEP_CONJUGATIONS[conjugation])
+    if eps >= 1e-6:
+        assert L.classify(f).kind == PLANTED[c]
+    elif eps == 0:
+        assert L.classify(f).kind == AT_ZERO[c]
+    else:
+        # the tie band: at eps = 1e-7 the two boundary eigenvalues of the associated
+        # matrix are about 5e-8, or 3 eps kappa, apart, and rounding splits the Jordan
+        # pair of a conjugated parabolic map by up to 6.5 eps kappa, so the eigenvalues
+        # cannot tell the two apart; any of these answers, or a typed refusal, is sound
+        try:
+            kind = L.classify(f).kind
+        except L.BallMapError:
+            return
+        assert kind in (PLANTED[c], MapClass.PARABOLIC, AT_ZERO[c])
 
 
 # ---------------------------------------------------------------------------

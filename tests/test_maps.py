@@ -215,59 +215,14 @@ def test_fixed_slice():
     assert p is not None and np.linalg.norm(p) < 1e-9
 
 
-def _fixed_points_per_cluster(f):
-    """``fixed_points`` with one mean and one SVD per eigenvalue cluster, and the
-    retry as a second SVD: the loop that the stacked SVD replaced."""
-    from lfmspec.maps import FixedPointSet, _classify_point, _cluster
-
-    n, m = f.n, f.matrix
-
-    def null_space(a, tol):
-        _, s, vh = np.linalg.svd(a)
-        return np.conj(vh[int(np.sum(s > tol)):]).T
-
-    points, at_inf, slice_dim, slice_point, whole_ball = [], [], None, None, False
-    for group in _cluster(np.linalg.eigvals(m), TOLERANCES.eigenvalue_cluster):
-        lam = complex(group.mean())
-        spread = float(np.max(np.abs(group - lam))) if group.size > 1 else 0.0
-        basis = null_space(m - lam * np.eye(n + 1), max(1e-9, 10.0 * spread))
-        if basis.shape[1] == 0:
-            basis = null_space(m - lam * np.eye(n + 1), 1e-7)
-            if basis.shape[1] == 0:
-                continue
-        last = np.abs(basis[n, :])
-        j = int(np.argmax(last))
-        if last[j] < 1e-10:
-            at_inf += [basis[:n, i] / np.linalg.norm(basis[:n, i]) for i in range(basis.shape[1])]
-            continue
-        v0 = basis[:, j] / basis[n, j]
-        dirs = []
-        for i in range(basis.shape[1]):
-            if i != j:
-                wv = (basis[:, i] - basis[n, i] * v0)[:n]
-                if np.linalg.norm(wv) > 1e-10:
-                    dirs.append(wv / np.linalg.norm(wv))
-        if not dirs:
-            points.append(_classify_point(f, v0[:n]))
-            continue
-        w = np.stack(dirs, axis=1)
-        p_star = v0[:n] + w @ np.linalg.lstsq(w, -v0[:n], rcond=None)[0]
-        if np.linalg.norm(p_star) < 1.0 - TOLERANCES.on_sphere:
-            slice_dim, slice_point, whole_ball = len(dirs), p_star, len(dirs) == n
-        else:
-            points.append(_classify_point(f, p_star))
-    points.sort(key=lambda p: ({"interior": 0, "boundary": 1, "exterior": 2}[p.kind],)
-                + tuple(x for xy in zip(p.location.real, p.location.imag) for x in xy))
-    return FixedPointSet(tuple(points), tuple(at_inf), slice_dim, slice_point, whole_ball)
-
-
 def _near_parabolic_plant(c, alpha):
     """The 2-ball map whose Cayley transport at e_1 is ((z + c) / alpha, 0.5 w / alpha)."""
     m = np.array([[1 / alpha, 0, c / alpha], [0, 0.5 / alpha, 0], [0, 0, 1]], dtype=complex)
     return _ball_map_from_halfplane(m)
 
 
-def test_stacked_svd_gives_the_per_cluster_fixed_points_bit_for_bit(monkeypatch):
+def test_fixed_points_are_fixed_and_boundary_points_on_the_sphere(monkeypatch):
+    # each answer of the one eigendecomposition, checked by evaluating the map
     monkeypatch.syspath_prepend(BENCH)
     import triage
 
@@ -287,14 +242,16 @@ def test_stacked_svd_gives_the_per_cluster_fixed_points_bit_for_bit(monkeypatch)
         centre = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
         maps.append(L.conjugated(f, L.ball_automorphism_to_origin(0.4 * centre / np.linalg.norm(centre))))
     for f in maps:
-        new, old = L.fixed_points(f), _fixed_points_per_cluster(f)
-        assert len(new.points) == len(old.points) and len(new.at_infinity) == len(old.at_infinity)
-        for p, q in zip(new.points, old.points):
-            assert (p.kind, p.dilation) == (q.kind, q.dilation) and np.array_equal(p.location, q.location)
-        assert all(np.array_equal(u, v) for u, v in zip(new.at_infinity, old.at_infinity))
-        assert (new.slice_dim, new.whole_ball) == (old.slice_dim, old.whole_ball)
-        assert (new.slice_point is None) == (old.slice_point is None)
-        assert new.slice_point is None or np.array_equal(new.slice_point, old.slice_point)
+        fs = L.fixed_points(f)
+        fixed = [p.location for p in fs.points] + ([] if fs.slice_point is None else [fs.slice_point])
+        for z in fixed:
+            assert np.linalg.norm(L.evaluate(f, z) - z) <= TOLERANCES.fixed_point
+        for p in fs.boundary_points():
+            assert abs(np.linalg.norm(p.location) - 1.0) <= TOLERANCES.on_sphere
+        for v in fs.at_infinity:  # (v, 0) is fixed projectively: A v is a multiple of v, and <v, C> = 0
+            av = f.a @ v
+            assert np.linalg.norm(av - np.vdot(v, av) * v) <= TOLERANCES.fixed_point
+            assert abs(np.vdot(f.c, v)) <= TOLERANCES.fixed_point
 
 
 def test_denjoy_wolff_hyperbolic():

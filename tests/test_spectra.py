@@ -157,6 +157,18 @@ def test_boundary_fixed_disk_and_one():
     assert s.spectral_radius == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("centre", [None, [0.2 + 0.1j, 0.1], [0.3, -0.2j], [-0.1j, 0.4]])
+def test_boundary_fixed_product_on_the_rim_is_in_the_disk(centre):
+    # (z / 2, 0.4 w) / (1 - z / 2): dilation 2 at e_1, so the essential radius 2^(-1)
+    # equals the eigenvalue 0.5, which rounding puts a few ulps either side of it
+    f = LinearFractionalMap([[0.5, 0], [0, 0.4]], [0, 0], [-0.5, 0], 1)
+    if centre is not None:
+        f = L.conjugated(f, L.ball_automorphism_to_origin(np.array(centre)))
+    comps = L.spectrum(f).components
+    assert [type(c) for c in comps] == [ClosedDisk, S.Point]
+    assert comps[0].radius == pytest.approx(0.5, abs=1e-12) and comps[1].value == 1.0
+
+
 def test_boundary_fixed_refuses_dilation_at_most_one():
     # lam z / (1 - (1 - lam) z) fixes 0 and 1 with angular derivative 1 / lam at 1:
     # dilation Re(1 / lam) = 0.82, below the 1 of every self-map fixing 0 too
