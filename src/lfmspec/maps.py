@@ -656,16 +656,17 @@ def validate_self_map(f: LinearFractionalMap, tol: float = TOLERANCES.self_map) 
 
 
 def _unitary_with_first_column(u: np.ndarray) -> np.ndarray:
-    """A deterministic unitary whose first column is the given unit vector."""
+    """The unitary [[a, -s w*], [w, I - w w* / (1 + |a|)]] whose first column
+    is the unit vector u = (a, w), with s = a / |a| (1 at a = 0): the identity
+    at u = e_1, and continuous in u away from a = 0."""
     u = np.asarray(u, dtype=complex).reshape(-1)
     u = u / np.linalg.norm(u)
-    n = u.size
-    if n == 1:
-        return u.reshape(1, 1)
-    basis = np.concatenate([u[:, None], np.eye(n, dtype=complex)], axis=1)
-    q, _ = np.linalg.qr(basis)
-    q = q[:, :n].copy()
+    a, w = u[0], u[1:]
+    s = a / abs(a) if a != 0 else 1.0
+    q = np.eye(u.size, dtype=complex)
     q[:, 0] = u
+    q[0, 1:] -= s * np.conj(w)
+    q[1:, 1:] -= np.outer(w, np.conj(w)) / (1.0 + abs(a))
     return q
 
 
@@ -680,15 +681,6 @@ def _cayley_matrix(n: int) -> np.ndarray:
     return s
 
 
-def _cayley_inverse_matrix(n: int) -> np.ndarray:
-    s = np.eye(n + 1, dtype=complex)
-    s[0, 0] = 0.5
-    s[0, n] = -0.5
-    s[n, 0] = 0.5
-    s[n, n] = 0.5
-    return s
-
-
 def _rotation_block(u: np.ndarray) -> np.ndarray:
     """Projective matrix block-diag(u, 1) of the rotation z -> u z."""
     n = u.shape[0]
@@ -700,7 +692,7 @@ def _rotation_block(u: np.ndarray) -> np.ndarray:
 def _ball_map_from_halfplane(m: np.ndarray) -> LinearFractionalMap:
     """The ball map whose Cayley transport is the half-plane matrix m."""
     n = len(m) - 1
-    return LinearFractionalMap.from_matrix(_cayley_inverse_matrix(n) @ m @ _cayley_matrix(n))
+    return LinearFractionalMap.from_matrix(np.linalg.inv(_cayley_matrix(n)) @ m @ _cayley_matrix(n))
 
 
 @dataclass(frozen=True)
@@ -711,8 +703,9 @@ class HalfPlaneMap:
 
     the Cayley transport of a ball map with boundary fixed point e_1
     (``classify`` rotates the Denjoy-Wolff point there first).  For non-elliptic ball maps
-    alpha is the Denjoy-Wolff dilation in (0, 1]; the diagnostic pull-back
-    of an elliptic map at a repelling boundary fixed point has alpha > 1.
+    alpha is the Denjoy-Wolff dilation in (0, 1], where the self-map constraints
+    are tested; no code here pulls back an elliptic map, and alpha > 1, at a
+    repelling boundary fixed point, only plants one.
     """
 
     n: int
@@ -723,14 +716,22 @@ class HalfPlaneMap:
     d: np.ndarray
 
     def __post_init__(self):
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise MapFormatError("half-plane dimension must be a positive integer, got %r" % (n,))
+        if (np.shape(self.b), np.shape(self.a_block), np.shape(self.d)) != ((n - 1,), (n - 1, n - 1), (n - 1,)):
+            raise DimensionMismatch("half-plane blocks b, A, d must be %d, %d x %d and %d long" % ((n - 1,) * 4))
+        parts = (self.alpha, self.c, self.b, self.a_block, self.d)
+        if np.iscomplexobj(self.alpha) or not all(np.isfinite(np.asarray(x, dtype=complex)).all() for x in parts):
+            raise MapFormatError("half-plane entries must be finite numbers, alpha real")
         if self.alpha <= 0:
             raise NumericalInconsistency("half-plane scaling must be positive")
         if self.alpha <= 1.0 + 1e-12:
             # self-map constraints from the half-plane geometry
             if self.alpha * self.c.real < float(np.vdot(self.d, self.d).real) - 1e-9:
                 raise NumericalInconsistency("half-plane constraint alpha Re c >= |d|^2 fails")
-            a_norm = float(np.linalg.norm(self.a_block, 2)) if self.a_block.size else 0.0
-            if a_norm > math.sqrt(self.alpha) + 1e-9:
+            a_norm = float(np.linalg.norm(self.a_block, 2)) if n > 1 else 0.0
+            if a_norm > math.sqrt(self.alpha) * (1.0 + 1e-8):
                 raise NumericalInconsistency("half-plane constraint |A| <= sqrt(alpha) fails")
 
     @property

@@ -313,9 +313,9 @@ NOT_SELF_MAPS = {
     # alpha 0.5, a 1
     "block_above_sqrt_alpha": (lambda: siegel_plant(np.diag([2, 2, 1])),
                                L.NumericalInconsistency, r"\|A\| <= sqrt\(alpha\) fails"),
-    # alpha 1e-4, a 0.01 (1 + 5e-8): inside the 1e-9 band of |A| <= sqrt(alpha)
+    # alpha 1e-4, a 0.01 (1 + 5e-8): 5e-10 above sqrt(alpha), outside its relative 1e-8 band
     "block_above_sqrt_alpha_in_band": (lambda: siegel_plant(np.diag([1e4, 100 * (1 + 5e-8), 1])),
-                                       L.NumericalInconsistency, "normalized block exceeds norm 1"),
+                                       L.NumericalInconsistency, r"\|A\| <= sqrt\(alpha\) fails"),
     # alpha 0.25, c -1e-10, a 0.25, d 1e-5: the finite fixed point leaves for infinity
     "one_fixed_c_negative": (lambda: siegel_plant([[4, 0, -4e-10], [0, 1, 4e-5], [0, 0, 1]]),
                              L.NumericalInconsistency, "one-fixed form needs c > 0"),
@@ -330,6 +330,16 @@ def test_classify_refuses_non_self_map(make, error, match):
     f = make()
     assert L.validate_self_map(f).max_modulus >= 1.0
     with pytest.raises(error, match=match):
+        L.classify(f)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.25, 0.81])
+@pytest.mark.parametrize("c", [1, 0], ids=["one_fixed", "two_fixed"])
+def test_block_above_sqrt_alpha_is_refused_at_every_scale(c, alpha):
+    # |A| = sqrt(alpha) (1 + 5e-8) is judged at one relative scale, whatever alpha
+    a = math.sqrt(alpha) * (1 + 5e-8)
+    f = siegel_plant(np.array([[1, 0, c], [0, a, 0], [0, 0, alpha]]) / alpha)
+    with pytest.raises(L.NumericalInconsistency, match=r"\|A\| <= sqrt\(alpha\) fails"):
         L.classify(f)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, MapClass
-from lfmspec.maps import _cayley_inverse_matrix, _cayley_matrix
+from lfmspec.maps import _cayley_matrix
 
 CHAIN = ("ROADMAP item 2: the chain residual is judged against a fixed 1e-10, not against "
          "the error bound of the Denjoy-Wolff eigenvector it rotates")
@@ -63,7 +63,7 @@ def test_siegel_shift_is_hyperbolic_one_fixed(c, rounding):
     # mended: 1 + 150i gave parabolic, and 2 + 100i raised NoQualifyingBoundaryPoint;
     # the exterior fixed point of 1 + 150i lies 8.9e-9 outside the sphere
     m = np.array([[1, 0, c], [0, 0.5, 0], [0, 0, 0.9999]]) / 0.9999
-    ball = _cayley_inverse_matrix(2) @ m @ _cayley_matrix(2)
+    ball = np.linalg.inv(_cayley_matrix(2)) @ m @ _cayley_matrix(2)
     f = LinearFractionalMap.from_matrix(_rounded(ball, rounding))
     assert L.classify(f).kind == MapClass.HYPERBOLIC_ONE_FIXED
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lfmspec.maps import (
     _jacobian,
     _krein_certificate,
     _spectral_order,
+    _unitary_with_first_column,
 )
 
 
@@ -656,6 +658,56 @@ def test_halfplane_pullback_round_trip():
     assert label == "rotation_to_e1" and np.allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
     assert np.allclose(nf.a_block, u @ hp.a_block @ u.conj().T, atol=1e-13)
     assert np.allclose(nf.d, u @ hp.d, atol=1e-13)
+
+
+def test_unitary_completion_is_continuous_across_a_zero_entry():
+    # the first entry's real part crosses 0 by roundoff, which must move the
+    # completion by roundoff too (a Householder QR's sign choices moved it by 2.0)
+    first, second = (_unitary_with_first_column(u / np.linalg.norm(u))
+                     for u in (np.array([re + 7.16520932e-4j, 0.527588316 - 1.22324997j]) for re in (1e-17, -1e-17)))
+    assert np.abs(first - second).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unitary_completion_of_e1_is_the_identity(n):
+    assert np.array_equal(_unitary_with_first_column(np.eye(n)[0]), np.eye(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_unitary_completion_is_unitary_with_the_given_first_column(n):
+    rng = np.random.default_rng(77 + n)
+    for _ in range(20):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        q = _unitary_with_first_column(u)
+        assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-14
+        assert np.abs(q[:, 0] - u).max() <= 1e-15
+
+
+HALFPLANE_FIELDS = dict(n=2, alpha=0.5, b=np.zeros(1), c=0.5 + 0j, a_block=np.zeros((1, 1)), d=np.zeros(1))
+
+
+@pytest.mark.parametrize("fields,error", [
+    (dict(n=0, b=np.zeros(0), a_block=np.zeros((0, 0)), d=np.zeros(0)), MapFormatError),
+    (dict(n=2.0), MapFormatError),
+    (dict(n=3), L.DimensionMismatch),  # b, A and d of the 2-ball: b was broadcast
+    (dict(a_block=np.zeros((2, 2))), L.DimensionMismatch),
+    (dict(b=np.zeros((1, 1))), L.DimensionMismatch),
+    (dict(d=np.zeros(2)), L.DimensionMismatch),
+    (dict(alpha=math.nan), MapFormatError),
+    (dict(alpha=math.inf), MapFormatError),
+    (dict(alpha=0.5 + 0j), MapFormatError),
+    (dict(c=complex(0.5, math.inf)), MapFormatError),
+    (dict(b=np.array([math.nan])), MapFormatError),
+    (dict(a_block=np.array([[math.inf]])), MapFormatError),
+    (dict(d=np.array([complex(0, math.nan)])), MapFormatError),
+], ids=["n=0", "n-float", "n-3-blocks-2", "A-2x2", "b-2d", "d-long", "alpha-nan", "alpha-inf",
+        "alpha-complex", "c-inf", "b-nan", "A-inf", "d-nan"])
+def test_halfplane_map_refuses_malformed_blocks(fields, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            L.HalfPlaneMap(**{**HALFPLANE_FIELDS, **fields})
 
 
 # ---------------------------------------------------------------------------
