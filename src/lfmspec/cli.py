@@ -275,6 +275,9 @@ def main(argv=None) -> int:
         f = _load_map(args.map)
         if args.command not in ("validate", "norms"):  # C_phi acts on H^2 only for a self-map phi
             rep = validate_self_map(f)
+            if not rep.ok and rep.max_modulus <= 1.0 + rep.tol:  # refused as a constant, of value phi(0) = B / d
+                raise NotASelfMap("not a self-map of the ball: a constant map needs a value of modulus "
+                                  "below 1 - %g, and this one has %.12g" % (rep.tol, np.linalg.norm(f.b) / f.d))
             if not rep.ok:
                 raise NotASelfMap("not a self-map of the ball: sup |phi| = %.12g exceeds 1 + %g"
                                   % (rep.max_modulus, rep.tol))

@@ -72,11 +72,12 @@ class PointFamily:
     ``generators`` are the eigenvalues whose monomial products the family
     represents; ``points`` enumerates every product of modulus at least
     ``truncated_at`` (with ``min_total_exponent`` 0 or 1 recording whether
-    the empty product is included).  Products on one point of the 1e-13 grid
-    count once, as the last written (``_contractive_products``); boundary-fixed
-    families, outside the disk of the essential radius rho, are enumerated
-    down to rho.  Families of contractions accumulate only at 0, so the
-    truncation plus an explicit 0 point captures the closure.
+    the empty product is included).  ``_contractive_products`` walks each
+    row's chain in Python complex arithmetic, rows in order, and keeps the
+    last value on each point of the 1e-13 grid, in the order of the first;
+    boundary-fixed families, outside the disk of the essential radius rho,
+    are enumerated down to rho.  Families of contractions accumulate only at
+    0, so the truncation plus an explicit 0 point captures the closure.
     """
 
     generators: tuple[complex, ...]
@@ -259,58 +260,38 @@ def _last_on_grid(vals: np.ndarray) -> np.ndarray:
     return vals[last[np.argsort(first)]]
 
 
-def _chain(w: complex, g: complex, tail_tol: float) -> np.ndarray:
-    """w, w g, (w g) g, ... down to tail_tol in Python complex arithmetic, which
-    rounds as the real form does and is faster for one value than arrays."""
-    chain, check_at = [], MAX_FAMILY_POINTS + 1
-    while abs(w) >= tail_tol:
-        chain.append(w)
-        if len(chain) == check_at:
-            _last_on_grid(np.array(chain))
-            check_at *= 2
-        w = w * g
-    return np.array(chain, dtype=complex)
-
-
 def _product_stage(rows: np.ndarray, g: complex, tail_tol: float) -> np.ndarray:
-    """One stage of _contractive_products, one power of all live rows at a time."""
-    row, z = np.arange(rows.size), rows
-    cols, count, check_at = [(row[:0], z[:0])], 0, MAX_FAMILY_POINTS + 1
-    while z.size:
-        if z.size == 1:
-            z = _chain(z[0].item(), g, tail_tol)
-            cols.append((np.full(z.size, row[0]), z))
-            break
-        live = np.hypot(z.real, z.imag) >= tail_tol
-        row, z = row[live], z[live]
-        cols.append((row, z))
-        # a subset never has more grid points than the whole
-        count += row.size
-        if count >= check_at:
-            _last_on_grid(np.concatenate([c for _, c in cols]))
-            check_at = 2 * count
-        w, z = z, np.empty_like(z)
-        z.real = w.real * g.real - w.imag * g.imag
-        z.imag = w.real * g.imag + w.imag * g.real
-    rows_of, vals = (np.concatenate(x) for x in zip(*cols))
-    return _last_on_grid(vals[np.argsort(rows_of, kind="stable")])
+    """One stage of _contractive_products: each row w in order walks w, w g,
+    (w g) g, ... down to tail_tol in Python complex arithmetic, whose product
+    and abs() round as the real form and hypot do; the grid points are
+    counted at MAX_FAMILY_POINTS + 1 values and at each doubling after."""
+    out, check_at = [], MAX_FAMILY_POINTS + 1
+    for w in rows.tolist():
+        while abs(w) >= tail_tol:
+            out.append(w)
+            if len(out) == check_at:
+                _last_on_grid(np.array(out))
+                check_at *= 2
+            w = w * g
+    return _last_on_grid(np.array(out, dtype=complex))
 
 
 def _contractive_products(generators: tuple[complex, ...], tail_tol: float) -> np.ndarray:
     """All products g^gamma over multi-exponents gamma >= 0 with modulus at
     least tail_tol, including the empty product 1, by decreasing modulus.
 
-    Per generator g, each value v kept so far gives v g, (v g) g, ... until
-    the first product below tail_tol.  Products on one point of the 1e-13 grid
-    count once, as the last written value by value, powers in order, and go
-    on in order of their first writing; SizeCapExceeded beyond
-    MAX_FAMILY_POINTS of them in a stage.  Boundary-fixed spectra pass their
-    essential radius."""
+    Per generator g, each value v kept so far, in order, walks v, v g,
+    (v g) g, ... in Python complex arithmetic until the first product below
+    tail_tol; _last_on_grid keeps the last value on each point of the 1e-13
+    grid, in the order of the first, and raises SizeCapExceeded beyond
+    MAX_FAMILY_POINTS of them in a stage.  A unimodular generator would keep
+    its chain on the circle (for ever at a root of unity) and a larger one
+    would run to inf, so generators must be strictly contractive.
+    Boundary-fixed spectra pass their essential radius."""
     if not tail_tol > 0.0:  # every chain then ends, a zero generator's at v 0 = 0
         raise ParameterConstraintViolated("tail_tol must be positive, got %r" % tail_tol)
-    for g in generators:
-        if abs(g) >= 1.0:
-            raise NumericalInconsistency("product enumeration needs strictly contractive generators")
+    if any(abs(g) >= 1.0 for g in generators):
+        raise NumericalInconsistency("product enumeration needs strictly contractive generators")
     vals = np.ones(1, dtype=complex)
     for g in generators:
         vals = _product_stage(vals, complex(g), tail_tol)
@@ -469,9 +450,7 @@ def spectrum(
         bp = cl.boundary_fixed_points[0]
         if bp.dilation is None or bp.dilation <= 1.0:
             raise NumericalInconsistency("boundary dilation should exceed 1 here")
-        rho = essential_radius_closed_form(cl)
-        if rho >= 1.0:
-            raise NumericalInconsistency("essential radius bound %.6g should be below 1" % rho)
+        rho = essential_radius_closed_form(cl)  # dilation^(-N/2) < 1 for every float dilation > 1
         prods = _contractive_products(data.contractive, max(tail_tol, rho))
         # a product on the disk's rim lands a few ulps either side of it; within membership it is in the disk
         prods = prods[(np.rint(prods * 1e13) != 1e13)

@@ -99,6 +99,17 @@ def test_classify_refuses_expansion(capsys, tmp_path):
     assert err == "validation failure: not a self-map of the ball: sup |phi| = 2 exceeds 1 + 1e-09\n"
 
 
+@pytest.mark.parametrize("a", [0.0, 1e-200], ids=["constant", "tiny-linear-part"])
+def test_classify_refuses_constant_on_the_sphere(capsys, tmp_path, a):
+    # the constant 1 and 1e-200 z + 1 have sup |phi| = 1, below 1 + tol: the
+    # gate refuses them by the constant rule, and says so
+    path = write_map(tmp_path, "const.json", LinearFractionalMap([[a]], [1], [0], 1))
+    code, out, err = run(capsys, ["classify", path])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == ("validation failure: not a self-map of the ball: a constant map needs a value of modulus "
+                   "below 1 - 1e-09, and this one has 1\n")
+
+
 def test_module_runs_as_a_script(capsys, monkeypatch, disk_map):
     # python -m lfmspec.cli, in this process: a fresh module, so none in sys.modules
     monkeypatch.delitem(sys.modules, "lfmspec.cli", raising=False)

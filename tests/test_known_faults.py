@@ -51,6 +51,24 @@ def test_conjugated_near_parabolic_plant_keeps_its_class(c, centre, kind):
     assert L.classify(f).kind == kind
 
 
+NEAR_SPHERE = ("ROADMAP item 2: the chain residual is judged against a fixed 1e-10, not against "
+               "the conditioning of the involution that moves an interior fixed point near the sphere to 0")
+
+
+@pytest.mark.xfail(strict=True, reason=NEAR_SPHERE)
+@pytest.mark.parametrize("make", [
+    # constants of modulus 1 - 1e-6: residuals 5e-5 to 1e-4
+    lambda: LinearFractionalMap([[0]], [1 - 1e-6], [0], 1),
+    lambda: LinearFractionalMap(np.zeros((2, 2)), (1 - 1e-6) * np.array([0.6, 0.8j]), np.zeros(2), 1),
+    lambda: LinearFractionalMap(np.zeros((3, 3)), (1 - 1e-6) * np.array([0.6, 0.48j, -0.64]), np.zeros(3), 1),
+    # diag(0.5, 0.3i) with its fixed point moved to 0.99999 e_1: residual 3.1e-8
+    lambda: L.conjugated(LinearFractionalMap(np.diag([0.5, 0.3j]), np.zeros(2), np.zeros(2), 1),
+                         L.ball_automorphism_to_origin(np.array([0.99999, 0]))),
+], ids=["constant-n1", "constant-n2", "constant-n3", "diagonal-n2"])
+def test_interior_fixed_point_near_the_sphere_is_classified(make):
+    assert L.classify(make()).kind == MapClass.ELLIPTIC_INTERIOR_ONLY
+
+
 def _rounded(m, rounding):
     """The ball matrix m as given, with d rotated to real, or divided by d."""
     d = m[-1, -1]

@@ -2,15 +2,19 @@
 automorphisms, half-plane transport, validation, JSON round trips, and the
 declared public surface."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import lfmspec as L
 from lfmspec import (
@@ -18,6 +22,7 @@ from lfmspec import (
     LinearFractionalMap,
     MapFormatError,
 )
+from lfmspec.cli import EXIT_VALIDATION, main
 from lfmspec.maps import (
     TOLERANCES,
     _ball_map_from_halfplane,
@@ -822,6 +827,45 @@ def test_conjugation_by_involution_round_trips(f):
     s = L.ball_automorphism_to_origin(a)
     g = L.conjugated(L.conjugated(f, s), s)  # s is an involution
     assert proportional_residual(g.matrix, f.matrix) < 1e-10
+
+
+@st.composite
+def constants_near_the_sphere(draw):
+    """Constant maps (A = 0, C = 0) to a value of modulus within 1e-6 of 1,
+    in a random direction of C^N for N = 1, 2, 3."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    v = np.array([complex(draw(finite), draw(finite)) for _ in range(n)])
+    assume(np.linalg.norm(v) > 0.01)
+    b = draw(st.floats(min_value=1.0 - 1e-6, max_value=1.0 + 1e-6)) * v / np.linalg.norm(v)
+    return LinearFractionalMap(np.zeros((n, n)), b, np.zeros(n), 1.0)
+
+
+@given(constants_near_the_sphere())
+@settings(max_examples=40, deadline=None)
+def test_constants_near_the_sphere_pass_only_inside(f):
+    # a constant is a self-map exactly when its value lies below 1 - tol, and
+    # the CLI gate refuses it by that rule, or by sup |phi| above 1 + tol;
+    # that classify reports the ones it passes is pinned in test_known_faults
+    tol, g = TOLERANCES.self_map, float(np.linalg.norm(f.b) / f.d)
+    assume(abs(g - (1.0 - tol)) > 1e-12)
+    assert L.validate_self_map(f).ok == (g < 1.0 - tol)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "const.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(L.map_to_json_dict(f), fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", path])
+    if g < 1.0 - tol:
+        assert code != EXIT_VALIDATION and not err.getvalue().startswith("validation failure:")
+        return
+    assert (code, out.getvalue()) == (EXIT_VALIDATION, "")
+    constant = re.fullmatch(r"validation failure: not a self-map of the ball: a constant map needs a value "
+                            r"of modulus below 1 - 1e-09, and this one has (\S+)\n", err.getvalue())
+    if g < 1.0 + tol - 1e-12:
+        assert constant and abs(float(constant[1]) - g) <= 1e-11
+    elif g > 1.0 + tol + 1e-12:
+        assert err.getvalue().startswith("validation failure: not a self-map of the ball: sup |phi| = ")
 
 
 # roots of unity times a few radii share moduli that hypot rounds equal or

@@ -390,6 +390,16 @@ def test_product_family_size_cap_is_prompt(make):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("gens", [(1.0,), (-1j,), (1.5,), (0.5, 1.0)], ids=["one", "minus-i", "expanding", "second"])
+def test_products_need_strictly_contractive_generators(gens):
+    # chains are walked one by one: a unimodular generator would keep its chain
+    # on the circle (on 1 or 4 grid points for ever), a larger one run to inf
+    start = time.perf_counter()
+    with pytest.raises(L.NumericalInconsistency, match="strictly contractive"):
+        _contractive_products(tuple(complex(g) for g in gens), 1e-12)
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("tail_tol", [0.0, -1.0, float("nan")])
 def test_products_need_a_positive_tail_tol(tail_tol):
     # every chain would run on through 0 forever
