@@ -45,6 +45,7 @@ from .series import (
     compression_spectrum,
     _graded,
     _norm_factors,
+    _radial_exponent,
 )
 from .spectra import (
     essential_radius_closed_form,
@@ -198,7 +199,7 @@ def _cmd_norms(f, args) -> dict:
     return {
         "s": args.s,
         "nu": args.nu,
-        "c": 2.0 * args.s - 2.0 * args.nu - 1.0,
+        "c": _radial_exponent(args.s, args.nu),
         "k_max": args.kmax,
         "interval": [min(ratios), max(ratios)],
         "rows": rows,

@@ -19,7 +19,9 @@ import numpy as np
 
 from .classify import (
     Classification,
+    EllipticSpectralData,
     MapClass,
+    _split_eigenvalues,
     classify,
 )
 from .errors import (
@@ -356,6 +358,38 @@ def _sorted_points(points: list[complex]) -> tuple[complex, ...]:
     return tuple(pts[_spectral_order(pts)].tolist())
 
 
+def _product_family(data: EllipticSpectralData, tail_tol: float, rotations: list[complex] | None = None,
+                    rho: float | None = None) -> PointFamily:
+    """The products of an elliptic map's contractive eigenvalues down to
+    tail_tol, as a family over all its eigenvalues.  With the finite
+    rotation group of a unitary part: every rotation times every product,
+    the empty one included, in spectral order.  Else every product but the
+    empty one, which the spectrum carries as the point 1; given the essential
+    radius rho of a boundary fixed point, only those outside the closed disk
+    of radius rho, so that the family does not accumulate at 0."""
+    prods = _contractive_products(data.contractive, tail_tol if rho is None else max(tail_tol, rho))
+    if rotations is not None:
+        if len(rotations) * prods.size > MAX_FAMILY_POINTS:
+            raise SizeCapExceeded("point family exceeds %d points" % MAX_FAMILY_POINTS)
+        points = _sorted_points([u * a for u in rotations for a in prods.tolist()])
+    else:
+        keep = np.rint(prods * 1e13) != 1e13
+        if rho is not None:  # a product on the rim lands a few ulps either side of it; within membership it is in the disk
+            keep &= np.hypot(prods.real, prods.imag) > rho + TOLERANCES.membership
+        points = tuple(prods[keep].tolist())
+    return PointFamily(generators=tuple(data.eigenvalues), points=points,
+                       min_total_exponent=int(rotations is None), truncated_at=tail_tol,
+                       accumulates_at_zero=bool(data.contractive) and rho is None)
+
+
+# the classes out of scope; the parabolic message states its radius 1, so format() fills nothing in
+_UNSUPPORTED = {
+    MapClass.PARABOLIC: (UnsupportedParabolic, "spectrum of a parabolic map is out of scope; spectral radius is 1"),
+    MapClass.OTHER_AUTOMORPHISM: (
+        UnsupportedAutomorphism, "spectrum of a non-elliptic automorphism is out of scope; spectral radius is {:g}"),
+}
+
+
 def spectrum(
     f: LinearFractionalMap,
     cl: Classification | None = None,
@@ -364,142 +398,77 @@ def spectrum(
     """Exact spectrum for the supported classes.
 
     Raises UnsupportedParabolic / UnsupportedAutomorphism (each carrying
-    the spectral radius) for the two out-of-scope classes.
+    the spectral radius) for the two out-of-scope classes.  The eigenvalues
+    of a two-fixed map's normalized block are split by the classification's
+    rule for the differential: unimodular ones add nothing beyond the empty
+    product, and one in the gap band between them and the contractive ones
+    raises GapEigenvalue.
     """
     if cl is None:
         cl = classify(f)
     radius = spectral_radius(f, cl)
     kind = cl.kind
+    data = cl.spectral_data
 
-    if kind == MapClass.PARABOLIC:
-        raise UnsupportedParabolic(
-            "spectrum of a parabolic map is out of scope; spectral radius is 1",
-            kind=kind.value,
-            spectral_radius=radius,
-        )
-    if kind == MapClass.OTHER_AUTOMORPHISM:
-        raise UnsupportedAutomorphism(
-            "spectrum of a non-elliptic automorphism is out of scope; spectral radius is %g" % radius,
-            kind=kind.value,
-            spectral_radius=radius,
-        )
+    if kind in _UNSUPPORTED:
+        error, message = _UNSUPPORTED[kind]
+        raise error(message.format(radius), kind=kind.value, spectral_radius=radius)
 
     if kind == MapClass.ELLIPTIC_AUTOMORPHISM:
-        subgroup = _unimodular_closure_points(cl.spectral_data.unimodular)
+        subgroup = _unimodular_closure_points(data.unimodular)
         if subgroup is None:
             comps: tuple = (Circle(1.0),)
             prov = ("elliptic automorphism with an irrational rotation eigenvalue: "
                     "the eigenvalue products are dense in the unit circle")
         else:
-            comps = (
-                PointFamily(
-                    generators=tuple(cl.spectral_data.unimodular),
-                    points=_sorted_points(subgroup),
-                    min_total_exponent=0,
-                    truncated_at=0.0,
-                    accumulates_at_zero=False,
-                ),
-            )
+            comps = (PointFamily(generators=tuple(data.unimodular), points=_sorted_points(subgroup),
+                                 min_total_exponent=0, truncated_at=0.0, accumulates_at_zero=False),)
             prov = ("elliptic automorphism with rational rotation eigenvalues: "
                     "spectrum is the finite subgroup of eigenvalue products")
-        return SpectralSet(comps, kind.value, prov, radius)
-
-    if kind == MapClass.ELLIPTIC_UNITARY_PART:
-        data = cl.spectral_data
+    elif kind == MapClass.ELLIPTIC_UNITARY_PART:
         subgroup = _unimodular_closure_points(data.unimodular)
-        moduli_products = _contractive_products(data.contractive, tail_tol).tolist()
         if subgroup is None:
-            radii = sorted({float(abs(v)) for v in moduli_products}, reverse=True)
+            radii = sorted({float(abs(v)) for v in _contractive_products(data.contractive, tail_tol).tolist()},
+                           reverse=True)
             comps = tuple(Circle(r) for r in radii) + (Point(0.0 + 0.0j),)
             prov = ("elliptic, positive unitary index, irrational rotation present: circles "
                     "through every product of contractive eigenvalue moduli, plus 0")
         else:
-            if len(subgroup) * len(moduli_products) > MAX_FAMILY_POINTS:
-                raise SizeCapExceeded("point family exceeds %d points" % MAX_FAMILY_POINTS)
-            pts = [u * a for u in subgroup for a in moduli_products]
-            fam = PointFamily(
-                generators=tuple(data.eigenvalues),
-                points=_sorted_points(pts),
-                min_total_exponent=0,
-                truncated_at=tail_tol,
-                accumulates_at_zero=bool(data.contractive),
-            )
-            comps = (fam, Point(0.0 + 0.0j))
+            comps = (_product_family(data, tail_tol, rotations=subgroup), Point(0.0 + 0.0j))
             prov = ("elliptic, positive unitary index, rational rotations only: closure of the "
                     "eigenvalue products, plus 0")
-        return SpectralSet(comps, kind.value, prov, radius)
-
-    if kind == MapClass.ELLIPTIC_INTERIOR_ONLY:
-        data = cl.spectral_data
-        # drop the empty product; 0 and 1 are emitted explicitly
-        prods = _contractive_products(data.contractive, tail_tol)
-        prods = prods[np.rint(prods * 1e13) != 1e13]
-        fam = PointFamily(
-            generators=tuple(data.eigenvalues),
-            points=tuple(prods.tolist()),
-            min_total_exponent=1,
-            truncated_at=tail_tol,
-            accumulates_at_zero=True,
-        )
+    elif kind == MapClass.ELLIPTIC_INTERIOR_ONLY:
+        comps = (Point(0.0 + 0.0j), Point(1.0 + 0.0j), _product_family(data, tail_tol))
         prov = ("elliptic, unitary index 0, no boundary fixed point: some power of the operator "
                 "is compact, so the spectrum is 0, 1, and the eigenvalue products")
-        return SpectralSet((Point(0.0 + 0.0j), Point(1.0 + 0.0j), fam), kind.value, prov, radius)
-
-    if kind == MapClass.ELLIPTIC_BOUNDARY_FIXED:
-        data = cl.spectral_data
+    elif kind == MapClass.ELLIPTIC_BOUNDARY_FIXED:
         bp = cl.boundary_fixed_points[0]
         if bp.dilation is None or bp.dilation <= 1.0:
             raise NumericalInconsistency("boundary dilation should exceed 1 here")
         rho = essential_radius_closed_form(cl)  # dilation^(-N/2) < 1 for every float dilation > 1
-        prods = _contractive_products(data.contractive, max(tail_tol, rho))
-        # a product on the disk's rim lands a few ulps either side of it; within membership it is in the disk
-        prods = prods[(np.rint(prods * 1e13) != 1e13)
-                      & (np.hypot(prods.real, prods.imag) > rho + TOLERANCES.membership)]
-        comps = (ClosedDisk(rho), Point(1.0 + 0.0j))
-        if prods.size:
-            comps = comps + (
-                PointFamily(
-                    generators=tuple(data.eigenvalues),
-                    points=tuple(prods.tolist()),
-                    min_total_exponent=1,
-                    truncated_at=tail_tol,
-                    accumulates_at_zero=False,
-                ),
-            )
+        fam = _product_family(data, tail_tol, rho=rho)
+        comps = (ClosedDisk(rho), Point(1.0 + 0.0j)) + ((fam,) if fam.points else ())
         prov = ("elliptic, unitary index 0, one boundary fixed point: closed disk of the "
                 "essential radius (boundary dilation to the power -N/2), the eigenvalue "
                 "products, and 1")
-        return SpectralSet(comps, kind.value, prov, radius)
-
-    if kind == MapClass.HYPERBOLIC_ONE_FIXED:
+    elif kind == MapClass.HYPERBOLIC_ONE_FIXED:
         comps = (ClosedDisk(radius),)
         prov = ("hyperbolic, one boundary fixed point: spectrum = essential spectrum = closed "
                 "disk of radius alpha^(-N/2)")
-        return SpectralSet(comps, kind.value, prov, radius)
-
-    # HYPERBOLIC_TWO_FIXED, the last of the eight classes
-    nf = cl.normal_form
-    lo = float(cl.alpha ** (cl.n / 2.0))
-    hi = radius
-    # distinct moduli of products of the linear-part eigenvalues; moduli
-    # at 1 add nothing beyond the empty product
-    gens = tuple(
-        complex(abs(v)) for v in nf.eigenvalues if abs(v) < 1.0 - 1e-12
-    )
-    moduli = sorted(
-        {float(abs(p)) for p in _contractive_products(gens, tail_tol / hi).tolist()},
-        reverse=True,
-    )
-    annuli = tuple(
-        Annulus(m * lo, m * hi, open_inner=False, open_outer=False)
-        for m in moduli
-        if m * hi >= tail_tol
-    )
-    comps = annuli + (Point(0.0 + 0.0j),)
-    prov = ("hyperbolic, two boundary fixed points: closure of the annuli with radii "
-            "|product| * alpha^(+-N/2) over products of the linear-part eigenvalues, "
-            "plus 0")
-    return SpectralSet(comps, kind.value, prov, radius, is_closure=True)
+    else:  # HYPERBOLIC_TWO_FIXED, the last of the eight classes
+        lo = float(cl.alpha ** (cl.n / 2.0))
+        # distinct moduli of products of the block's contractive eigenvalues;
+        # unimodular ones add nothing beyond the empty product, and none lies
+        # above the band, as the half-plane form has |A| <= sqrt(alpha) (1 + 1e-8)
+        gens = tuple(complex(abs(v)) for v in _split_eigenvalues(cl.normal_form.eigenvalues)[1])
+        moduli = sorted({float(abs(p)) for p in _contractive_products(gens, tail_tol / radius).tolist()},
+                        reverse=True)
+        comps = tuple(Annulus(m * lo, m * radius, open_inner=False, open_outer=False)
+                      for m in moduli if m * radius >= tail_tol) + (Point(0.0 + 0.0j),)
+        prov = ("hyperbolic, two boundary fixed points: closure of the annuli with radii "
+                "|product| * alpha^(+-N/2) over products of the linear-part eigenvalues, "
+                "plus 0")
+    return SpectralSet(comps, kind.value, prov, radius, is_closure=kind == MapClass.HYPERBOLIC_TWO_FIXED)
 
 
 # ---------------------------------------------------------------------------

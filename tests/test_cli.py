@@ -1,6 +1,7 @@
 """Command line interface: exit codes, payload shapes, determinism, and
 file/stdin plumbing. Everything drives lfmspec.cli.main(argv) directly."""
 
+import contextlib
 import io
 import json
 import math
@@ -8,10 +9,13 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfmspec import (
     HalfPlaneMap,
@@ -740,3 +744,78 @@ def test_missing_file_is_error(capsys, tmp_path):
     code, _, err = run(capsys, ["classify", str(tmp_path / "nope.json")])
     assert code == EXIT_ERROR
     assert err
+
+
+# ---------------------------------------------------------------------------
+# near-degenerate maps, in-process through every subcommand
+
+FORMS = [["validate"], ["classify"], ["spectrum"], ["radius"], ["compress"], ["verify-eigen"], ["norms"],
+         ["export", "--resolution", "16"]]
+
+
+def _unit_vector(draw, size):
+    v = np.array([complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1))) for _ in range(size)])
+    return v / np.linalg.norm(v) if np.linalg.norm(v) > 1e-3 else np.eye(size, dtype=complex)[0]
+
+
+@st.composite
+def thin_denominator_maps(draw):
+    """Random maps whose associated matrix has norm about 1 and d - |C| in
+    [2e-12, 1e-6]; half of them take A and B of size the margin, so that
+    many are self-maps whose pole lies just outside the closed ball."""
+    n = draw(st.integers(1, 3))
+    margin = 10.0 ** draw(st.floats(math.log10(2e-12), -6.0))
+    head = _unit_vector(draw, n * n + 2 * n) * (margin / 2 if draw(st.booleans()) else 1.0)
+    c = _unit_vector(draw, n) * draw(st.floats(0.1, 1.0))
+    return LinearFractionalMap(head[:n * n].reshape(n, n), head[n * n:n * n + n], c, np.linalg.norm(c) + margin)
+
+
+@st.composite
+def diagonal_maps_moved_near_the_sphere(draw):
+    """diag(lambda) z with |lambda| in [0.1, 0.9], conjugated by the involution
+    of a point a with 1 - |a| in [1e-6, 1e-2]."""
+    n = draw(st.integers(1, 3))
+    lam = [draw(st.floats(0.1, 0.9)) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi))) for _ in range(n)]
+    a = _unit_vector(draw, n) * (1.0 - 10.0 ** draw(st.floats(-6.0, -2.0)))
+    f = LinearFractionalMap(np.diag(lam), np.zeros(n), np.zeros(n), 1.0)
+    return conjugated(f, ball_automorphism_to_origin(a))
+
+
+def _run_every_form(f, scale):
+    """Each subcommand on f's associated matrix times 10^scale, in-process:
+    the exit codes, and every RuntimeWarning raised along the way."""
+    m = f.matrix * 10.0 ** scale
+    n = f.n
+    text = json.dumps({"N": n, "A": [[[z.real, z.imag] for z in row] for row in m[:n, :n].tolist()],
+                       "B": [[z.real, z.imag] for z in m[:n, n].tolist()],
+                       "C": [[z.real, -z.imag] for z in m[n, :n].tolist()],
+                       "d": [m[n, n].real, m[n, n].imag]})
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = os.path.join(tmp, "map.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for form in FORMS:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main([form[0], path] + form[1:]))
+    return codes, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+EXITS = {EXIT_OK, EXIT_ERROR, EXIT_VALIDATION, EXIT_UNSUPPORTED}
+
+
+@given(thin_denominator_maps(), st.integers(-300, 300))
+@settings(max_examples=20, deadline=None)
+def test_thin_denominator_maps_end_in_an_exit_code(f, scale):
+    codes, runtime_warnings = _run_every_form(f, scale)
+    assert set(codes) <= EXITS and not runtime_warnings
+
+
+@given(diagonal_maps_moved_near_the_sphere(), st.integers(-300, 300))
+@settings(max_examples=20, deadline=None)
+def test_maps_moved_near_the_sphere_end_in_an_exit_code(f, scale):
+    # classify may refuse these with exit 1: the near-sphere chain refusals
+    # pinned in tests/test_known_faults.py
+    codes, runtime_warnings = _run_every_form(f, scale)
+    assert set(codes) <= EXITS and not runtime_warnings

@@ -216,6 +216,41 @@ def test_two_fixed_complex_eigenvalue_same_annuli():
     assert s.contains(0.5 * np.exp(2.2j))
 
 
+def _two_fixed_block_plant(r):
+    # alpha = 1/2 and a' = diag(0.5, r), as in two_fixed_plant_n3
+    hp = L.HalfPlaneMap(n=3, alpha=0.5, b=np.zeros(2), c=0.0, a_block=np.diag([0.5, r]) * math.sqrt(0.5),
+                        d=np.zeros(2))
+    return hp.pulled_back_to_ball()
+
+
+def _annulus_radii(s):
+    assert isinstance(s.components[-1], Point) and s.components[-1].value == 0
+    return [(a.r_inner, a.r_outer) for a in s.components[:-1]]
+
+
+@pytest.mark.parametrize("r", [1.0 - 1e-10, 1.0 - 1e-13])
+def test_two_fixed_block_near_one_is_unimodular(r):
+    # the block is split as the differential is: within TOLERANCES.unimodular
+    # of 1 an eigenvalue adds nothing beyond the empty product, so the
+    # spectrum is that of r = 1 and the enumeration stays small
+    ref = L.spectrum(_two_fixed_block_plant(1.0))
+    s = L.spectrum(_two_fixed_block_plant(r))
+    assert (s.kind, s.provenance) == (ref.kind, ref.provenance)
+    assert s.spectral_radius == pytest.approx(ref.spectral_radius, rel=1e-13)
+    radii = _annulus_radii(s)
+    assert len(radii) == len(_annulus_radii(ref)) == 42
+    assert radii == [(pytest.approx(lo, rel=1e-13), pytest.approx(hi, rel=1e-13)) for lo, hi in _annulus_radii(ref)]
+
+
+def test_two_fixed_block_in_the_gap_band_raises():
+    f = _two_fixed_block_plant(1.0 - 1e-7)
+    assert L.classify(f).kind == L.MapClass.HYPERBOLIC_TWO_FIXED
+    start = time.perf_counter()
+    with pytest.raises(L.GapEigenvalue, match="modulus 0.9999999 falls between"):
+        L.spectrum(f)
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # unsupported classes
 
@@ -226,6 +261,8 @@ def test_parabolic_raises_with_radius():
         L.spectrum(f)
     assert exc.value.spectral_radius == pytest.approx(1.0)
     assert exc.value.kind == L.MapClass.PARABOLIC
+    assert exc.value.kind == "parabolic"
+    assert str(exc.value) == "spectrum of a parabolic map is out of scope; spectral radius is 1"
 
 
 def test_hyperbolic_automorphism_raises():
@@ -233,6 +270,9 @@ def test_hyperbolic_automorphism_raises():
     with pytest.raises(L.UnsupportedAutomorphism) as exc:
         L.spectrum(f)
     assert exc.value.spectral_radius > 1.0
+    assert exc.value.kind == "other_automorphism"
+    assert str(exc.value) == ("spectrum of a non-elliptic automorphism is out of scope; "
+                              "spectral radius is 1.73205")
 
 
 def test_spectral_radius_shortcut():
