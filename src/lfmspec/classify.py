@@ -37,6 +37,7 @@ from .maps import (
     LinearFractionalMap,
     _c2pair,
     _cayley_matrix,
+    _dominant_boundary_point,
     _jacobian,
     _rotation_block,
     _spectral_order,
@@ -44,7 +45,6 @@ from .maps import (
     _unitary_with_first_column,
     ball_automorphism_to_origin,
     conjugated,
-    _denjoy_wolff_of,
     evaluate,
     fixed_points,
     is_automorphism,
@@ -398,7 +398,7 @@ def classify(f: LinearFractionalMap) -> Classification:
             kind = MapClass.ELLIPTIC_BOUNDARY_FIXED if bps else MapClass.ELLIPTIC_INTERIOR_ONLY
             nf = _elliptic_p0_form(f, data)
     else:
-        dw = _denjoy_wolff_of(f, fps)
+        dw = _dominant_boundary_point(fps)
         # the parabolic band asserts dilation 1; drop the numerical dust
         alpha = 1.0 if dw.dilation >= 1.0 - TOLERANCES.parabolic_band else dw.dilation
         if aut:

@@ -39,7 +39,8 @@ from .errors import (
     ParameterConstraintViolated,
     UnsupportedMapClass,
 )
-from .maps import TOLERANCES, _c2pair, _contact_point, map_from_json_dict, map_to_json_dict, validate_self_map
+from .maps import (TOLERANCES, _c2pair, _dominant_boundary_point, map_from_json_dict, map_to_json_dict,
+                   validate_self_map)
 from .series import (
     basis_multi_indices,
     compression_spectrum,
@@ -89,20 +90,21 @@ def _csv(header: str, *columns: np.ndarray) -> str:
 
 
 def _load_map(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        source = path
+    source = "<stdin>" if path == "-" else path
     try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MapFormatError(
             "invalid JSON in %s at line %d column %d: %s"
             % (source, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # bytes that are not UTF-8, or JSON nested too deeply
+        raise MapFormatError("cannot read %s as map JSON: %s" % (source, exc)) from exc
     return map_from_json_dict(obj)
 
 
@@ -137,8 +139,7 @@ def _cmd_radius(f, args) -> dict:
     closed = essential_radius_closed_form(cl)
     estimate = note = agree = disagreement = None
     try:  # the estimator's default tau, read off the classification
-        tau = _contact_point(cl.denjoy_wolff_point, cl.boundary_fixed_points)
-        est = essential_radius_estimate(f, tau)
+        est = essential_radius_estimate(f, _dominant_boundary_point(cl.fixed_set).location)
         estimate = {"limit": est.limit, "angular_derivative": est.angular_derivative, "tau": _c2pair(est.tau)}
     except NoBoundaryFixedPoint:
         note = "no boundary fixed point: the contact-point estimator does not apply"

@@ -24,7 +24,6 @@ from .errors import (
     DenominatorVanishes,
     DimensionMismatch,
     MapFormatError,
-    MultipleBoundaryFixedPoints,
     NoBoundaryFixedPoint,
     NoQualifyingBoundaryPoint,
     NumericalInconsistency,
@@ -238,10 +237,14 @@ class FixedPoint:
     ``dilation`` is the boundary dilation coefficient
     Re <dphi_tau(tau), tau>; it is populated for boundary points only and
     equals the Denjoy-Wolff alpha when the point is attracting.
+    ``eigenvalue`` is the eigenvalue of the associated matrix whose
+    eigenvector gives the point (a grouped Jordan pair's group mean); it is
+    read by ``_dominant_boundary_point`` and printed in no report.
     """
 
     location: np.ndarray
     kind: str  # "interior" | "boundary" | "exterior"
+    eigenvalue: complex
     dilation: float | None = None
 
 
@@ -269,12 +272,9 @@ class FixedPointSet:
     def interior_point(self) -> np.ndarray | None:
         """Some interior fixed point, if one exists (slice representative
         included); None otherwise."""
-        if self.slice_point is not None and np.linalg.norm(self.slice_point) < 1.0 - TOLERANCES.on_sphere:
+        if self.slice_point is not None:  # stored only inside the ball
             return self.slice_point
-        for p in self.points:
-            if p.kind == "interior":
-                return p.location
-        return None
+        return next((p.location for p in self.points if p.kind == "interior"), None)
 
     def boundary_points(self) -> tuple[FixedPoint, ...]:
         return tuple(p for p in self.points if p.kind == "boundary")
@@ -317,7 +317,7 @@ def fixed_points(f: LinearFractionalMap) -> FixedPointSet:
     labels = reach.argmax(axis=1).tolist()  # each eigenvalue's group, named by its lowest member
     np.fill_diagonal(gaps, np.inf)
     t = vecs[n]
-    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 or a zero gap: at infinity, or grouped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # t ~ 0 or a zero gap: at infinity, or grouped
         # a simple eigenvector errs by about its residual (at least eps) over its gap, and z = v / t
         # by that over |t|^2; 4 covers the rounding of |z| (true boundary points reach 1.5 times
         # the bound) below the 12 times of the exterior fixed point of the Siegel shift 1 + 150i
@@ -335,11 +335,12 @@ def fixed_points(f: LinearFractionalMap) -> FixedPointSet:
             if abs(t[e]) < 1e-10:
                 at_inf.append(vecs[:n, e] / np.linalg.norm(vecs[:n, e]))
             else:
-                points.append(_classify_point(f, z[:, e], sphere[e]))
+                points.append(_classify_point(f, z[:, e], sphere[e], lams[e]))
             continue
         for k in members:
             labels[k] = -1
-        _, s, vhg = np.linalg.svd(m - lams[members].mean() * np.eye(n + 1))
+        mean = lams[members].mean()
+        _, s, vhg = np.linalg.svd(m - mean * np.eye(n + 1))
         # the group mean is as accurate as a trace, so each null direction leaves a
         # singular value at roundoff, and a Jordan coupling one far above sqrt(eps)
         null = min(max(int(np.sum(s <= math.sqrt(eps))), 1), len(members))
@@ -360,69 +361,40 @@ def fixed_points(f: LinearFractionalMap) -> FixedPointSet:
                 slice_dim, slice_point, whole_ball = w.shape[1], z0, w.shape[1] == n
                 continue
         # an isolated point, or the nearest point of a slice that misses the open ball
-        points.append(_classify_point(f, z0, TOLERANCES.on_sphere))
+        points.append(_classify_point(f, z0, TOLERANCES.on_sphere, mean))
     points.sort(key=lambda p: ({"interior": 0, "boundary": 1, "exterior": 2}[p.kind],)
                 + tuple(x for xy in zip(p.location.real, p.location.imag) for x in xy))
     return FixedPointSet(tuple(points), tuple(at_inf), slice_dim, slice_point, whole_ball)
 
 
-def _classify_point(f: LinearFractionalMap, z: np.ndarray, on_sphere: float) -> FixedPoint:
-    """The fixed point z, on the sphere when ||z| - 1| <= on_sphere."""
+def _classify_point(f: LinearFractionalMap, z: np.ndarray, on_sphere: float, lam: complex) -> FixedPoint:
+    """The fixed point z of eigenvalue lam, on the sphere when ||z| - 1| <= on_sphere."""
     r = float(np.linalg.norm(z))
     if abs(r - 1.0) <= on_sphere:
         tau = z / r
-        return FixedPoint(location=tau, kind="boundary", dilation=_boundary_dilation(f, tau))
+        return FixedPoint(location=tau, kind="boundary", eigenvalue=complex(lam), dilation=_boundary_dilation(f, tau))
     kind = "interior" if r < 1.0 else "exterior"
-    return FixedPoint(location=z, kind=kind, dilation=None)
+    return FixedPoint(location=z, kind=kind, eigenvalue=complex(lam))
 
 
-def _denjoy_wolff_of(f: LinearFractionalMap, fps: FixedPointSet) -> FixedPoint:
-    """Attracting boundary fixed point of a map with no interior fixed point,
-    read off fps = ``fixed_points(f)``.
+def _dominant_boundary_point(fps: FixedPointSet) -> FixedPoint:
+    """The boundary fixed point of largest eigenvalue modulus in fps.
 
-    It is the boundary fixed point whose dilation lies in (0, 1] (1 up to
-    ``TOLERANCES.parabolic_band``); dilation strictly below 1 is the
-    hyperbolic case and dilation 1 the parabolic case.  A self-map with no
-    interior fixed point has exactly one such point, so none raises
-    NoQualifyingBoundaryPoint and two or more raise
-    MultipleBoundaryFixedPoints.  Callers check first that fps has no
-    interior point.
+    m is a positive multiple of a J-contraction, so an eigenvalue of largest
+    modulus has a J-nonpositive eigenvector (Cowen-MacCluer 2000, Bisi-Bracci
+    2002).  With no interior fixed point that is the Denjoy-Wolff point, and
+    NoQualifyingBoundaryPoint is raised unless its dilation is at most 1 (up
+    to ``TOLERANCES.parabolic_band``); else it is the contact point of the
+    essential radius, and NoBoundaryFixedPoint is raised when there is none.
     """
-    cands = [p for p in fps.boundary_points() if p.dilation <= 1.0 + TOLERANCES.parabolic_band]
-    if not cands:
-        raise NoQualifyingBoundaryPoint("no boundary fixed point with dilation <= 1")
-    if len(cands) > 1:
-        dilations = ", ".join("%.12g" % d for d in sorted(p.dilation for p in cands))
-        raise MultipleBoundaryFixedPoints(
-            "%d boundary fixed points have dilation <= 1 (%s); a self-map with no interior fixed "
-            "point has one" % (len(cands), dilations)
-        )
-    best = cands[0]
-    # cross-check the derivative-based dilation against the radial quotient
-    r = 1.0 - 1e-6
-    radial = (1.0 - float(np.linalg.norm(evaluate(f, r * best.location)))) / (1.0 - r)
-    if abs(radial - best.dilation) > 1e-4:
-        raise NumericalInconsistency(
-            "radial quotient %.6g disagrees with dilation %.6g" % (radial, best.dilation)
-        )
-    return best
-
-
-def _contact_point(dw: FixedPoint | None, bps: tuple[FixedPoint, ...]) -> np.ndarray:
-    """The Denjoy-Wolff point dw of a map with no interior fixed point, else
-    the first of its boundary fixed points bps (elliptic diagnostic use)."""
-    if dw is not None:
-        return dw.location
-    if not bps:
+    best = max(fps.boundary_points(), key=lambda p: abs(p.eigenvalue), default=None)
+    if fps.interior_point() is None and (best is None or best.dilation > 1.0 + TOLERANCES.parabolic_band):
+        raise NoQualifyingBoundaryPoint("no boundary fixed point with dilation <= 1" if best is None else
+                                        "the boundary fixed point of largest eigenvalue modulus has dilation "
+                                        "%.12g > 1" % best.dilation)
+    if best is None:
         raise NoBoundaryFixedPoint("map has no boundary fixed point")
-    return bps[0].location
-
-
-def _default_boundary_point(f: LinearFractionalMap) -> np.ndarray:
-    """``_contact_point`` of f, from one ``fixed_points`` pass."""
-    fps = fixed_points(f)
-    dw = _denjoy_wolff_of(f, fps) if fps.interior_point() is None else None
-    return _contact_point(dw, fps.boundary_points())
+    return best
 
 
 def _unit_tau(f: LinearFractionalMap, tau) -> np.ndarray:
@@ -479,7 +451,8 @@ def ball_automorphism_to_origin(a) -> LinearFractionalMap:
         raise PointNotInterior("automorphism center must lie in the open ball")
     if r2 == 0.0:
         return LinearFractionalMap(-np.eye(n), np.zeros(n), np.zeros(n), 1.0)
-    proj = np.outer(a, np.conj(a)) / r2
+    # below |a| ~ 1.5e-154, |a|^2 is subnormal and 1 / |a|^2 overflows, but s = 1 and the block is -I
+    proj = np.outer(a, np.conj(a)) / r2 if r2 >= np.finfo(float).tiny else 0.0
     s = math.sqrt(1.0 - r2)
     block = -(proj + s * (np.eye(n) - proj))
     return LinearFractionalMap(block, a, -a, 1.0)

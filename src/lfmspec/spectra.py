@@ -35,10 +35,11 @@ from .maps import (
     TOLERANCES,
     LinearFractionalMap,
     _c2pair,
-    _default_boundary_point,
+    _dominant_boundary_point,
     _j_form,
     _spectral_order,
     _unit_tau,
+    fixed_points,
 )
 
 __all__ = [
@@ -442,8 +443,7 @@ def spectrum(
         prov = ("elliptic, unitary index 0, no boundary fixed point: some power of the operator "
                 "is compact, so the spectrum is 0, 1, and the eigenvalue products")
     elif kind == MapClass.ELLIPTIC_BOUNDARY_FIXED:
-        bp = cl.boundary_fixed_points[0]
-        if bp.dilation is None or bp.dilation <= 1.0:
+        if cl.boundary_fixed_points[0].dilation <= 1.0:
             raise NumericalInconsistency("boundary dilation should exceed 1 here")
         rho = essential_radius_closed_form(cl)  # dilation^(-N/2) < 1 for every float dilation > 1
         fam = _product_family(data, tail_tol, rho=rho)
@@ -493,8 +493,9 @@ class EssentialRadiusEstimate:
 def essential_radius_estimate(f: LinearFractionalMap, tau: np.ndarray | None = None) -> EssentialRadiusEstimate:
     """Essential spectral radius d^(-N/2) from the angular derivative d at tau.
 
-    tau defaults to ``maps._contact_point``: the Denjoy-Wolff point, else
-    the first boundary fixed point.  With M the associated matrix,
+    tau defaults to ``maps._dominant_boundary_point``: the boundary fixed
+    point of largest eigenvalue modulus, which is the Denjoy-Wolff point of a
+    map with no interior fixed point.  With M the associated matrix,
     u = (tau, 0) and v = (tau, 1), the angular derivative at tau is the
     J-form pairing d = Re((M u)* J (M v)) / |(M v)_N|^2
     (Cowen-MacCluer 2000, Bisi-Bracci 2002), the limit of the boundary
@@ -502,7 +503,7 @@ def essential_radius_estimate(f: LinearFractionalMap, tau: np.ndarray | None = N
     from the Jacobian that gives the classification's dilation.  The power
     d^(-N/2) is taken in logs, so it does not overflow before it is checked.
     """
-    tau = _unit_tau(f, _default_boundary_point(f) if tau is None else tau)
+    tau = _unit_tau(f, _dominant_boundary_point(fixed_points(f)).location if tau is None else tau)
     m = f.matrix
     mu = m[:, : f.n] @ tau
     mv = mu + m[:, f.n]
@@ -520,10 +521,8 @@ def essential_radius_estimate(f: LinearFractionalMap, tau: np.ndarray | None = N
 
 
 def essential_radius_closed_form(cl: Classification) -> float | None:
-    """Exact essential radius when the theory pins it down, else None."""
-    if cl.kind == MapClass.ELLIPTIC_BOUNDARY_FIXED:
-        bp = cl.boundary_fixed_points[0]
-        return float(bp.dilation ** (-cl.n / 2.0))
-    if cl.kind == MapClass.HYPERBOLIC_ONE_FIXED:
-        return float(cl.alpha ** (-cl.n / 2.0))
+    """Exact essential radius when the theory pins it down, else None: the
+    dilation at the contact point (``maps._dominant_boundary_point``) to the power -N/2."""
+    if cl.kind in (MapClass.ELLIPTIC_BOUNDARY_FIXED, MapClass.HYPERBOLIC_ONE_FIXED):
+        return float(_dominant_boundary_point(cl.fixed_set).dilation ** (-cl.n / 2.0))
     return None

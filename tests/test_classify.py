@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lfmspec as L
 from lfmspec import LinearFractionalMap, MapClass
@@ -295,15 +296,21 @@ NOT_SELF_MAPS = {
     "hyperbolic_three_boundary_points": (
         lambda: eigenvector_plant([(1, 0), (-1, 0), (0, 1)], [0.3, 1, 0.5]),
         L.MultipleBoundaryFixedPoints, "fixing 3 boundary points"),
-    # dilations 0.5 at e_1 and 0.9375 at e_2 (2 at -e_1): two Denjoy-Wolff candidates
+    # dilations 0.5 at e_1 and 0.9375 at e_2 (2 at -e_1): e_1 has the largest eigenvalue, and
+    # the Denjoy-Wolff point is not alone on the sphere
     "two_attracting_boundary_points": (
         lambda: eigenvector_plant([(1, 0), (-1, 0), (0, 1)], [1, 0.5, 0.8]),
-        L.MultipleBoundaryFixedPoints, r"2 boundary fixed points have dilation <= 1 \(0.5, 0.9375"),
+        L.MultipleBoundaryFixedPoints, "hyperbolic map fixing 3 boundary points"),
+    # dilations 1.1 at e_1, 1.5625 at e_2 and 1.84 at (0.6, 0.8): e_1, of the largest eigenvalue, repels
+    "every_boundary_point_repels": (
+        lambda: eigenvector_plant([(1, 0), (0, 1), (0.6, 0.8)], [1, 0.8, 0.5]),
+        L.NoQualifyingBoundaryPoint, r"largest eigenvalue modulus has dilation 1.1 > 1"),
     # the constant 1, onto the sphere: Denjoy-Wolff dilation 0, no finite Cayley denominator
     "constant_on_sphere": (lambda: lfm_1d(0, 1, 0, 1), L.NumericalInconsistency, "degenerate Cayley"),
-    # angular derivative 0.5 + 20i at 1; the quotient at 1 - 1e-6 is 0.499
+    # angular derivative 0.5 + 20i at 1: dilation 0.5, half-plane scaling 1 / Re(1 / (0.5 + 20i))
     "complex_angular_derivative": (lambda: siegel_plant([[1 / (0.5 + 20j), -100j], [0, 1]]),
-                                   L.NumericalInconsistency, "radial quotient"),
+                                   L.NumericalInconsistency,
+                                   "half-plane scaling .* disagrees with the boundary dilation 0.5"),
     # half-plane scaling 1 / Re(2 + i) = 0.5, boundary dilation Re 1 / (2 + i) = 0.4
     "complex_halfplane_scaling": (lambda: siegel_plant([[2 + 1j, 1], [0, 1]]),
                                   L.NumericalInconsistency, "scaling 0.5 disagrees with the boundary dilation 0.4"),
@@ -524,3 +531,48 @@ def test_classification_json_reports_the_residual_of_both_forms():
         assert ("normal_form" in d) == has_form
         if has_form:
             assert 0.0 <= d["normal_form"]["conjugacy_residual"] <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# hypothesis properties
+
+
+@st.composite
+def hyperbolic_plants_moved(draw):
+    """A hyperbolic half-plane plant with a diagonal block, its moduli in
+    [0.1, 0.9] sqrt(alpha), one-fixed (c in [0.2, 2]) or two-fixed (c = 0),
+    pulled back to the ball and conjugated by the involution s of a point a
+    with |a| <= 0.6; returns the map, s, alpha and whether c = 0."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    alpha = draw(st.floats(0.1, 0.9))
+    two_fixed = draw(st.booleans())
+    c = 0.0 if two_fixed else draw(st.floats(0.2, 2.0))
+    block = [draw(st.floats(0.1, 0.9)) * math.sqrt(alpha) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+             for _ in range(n - 1)]
+    hp = L.HalfPlaneMap(n=n, alpha=alpha, b=np.zeros(n - 1, dtype=complex), c=complex(c),
+                        a_block=np.diag(np.array(block, dtype=complex)).reshape(n - 1, n - 1),
+                        d=np.zeros(n - 1, dtype=complex))
+    a = np.array([complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1))) for _ in range(n)])
+    norm = np.linalg.norm(a)
+    a = a / norm * draw(st.floats(0.0, 0.6)) if norm > 1e-3 else np.zeros(n, dtype=complex)
+    s = L.ball_automorphism_to_origin(a)
+    return L.conjugated(hp.pulled_back_to_ball(), s), s, alpha, two_fixed
+
+
+@given(hyperbolic_plants_moved())
+@settings(max_examples=40, deadline=None)
+def test_hyperbolic_class_is_invariant_under_ball_automorphisms(plant):
+    # the involution s carries the plant's Denjoy-Wolff point e_1 to s(e_1), and
+    # keeps its class, its dilation alpha and its angular derivative there
+    f, s, alpha, two_fixed = plant
+    cl = L.classify(f)
+    if not two_fixed:
+        assert cl.kind == MapClass.HYPERBOLIC_ONE_FIXED
+    else:
+        assert cl.kind == (MapClass.OTHER_AUTOMORPHISM if f.n == 1 else MapClass.HYPERBOLIC_TWO_FIXED)
+    assert abs(cl.alpha - alpha) <= 1e-8
+    tau = L.evaluate(s, np.eye(f.n)[0])
+    assert np.linalg.norm(cl.denjoy_wolff_point.location - tau) <= 1e-8
+    least = min(cl.boundary_fixed_points, key=lambda p: p.dilation)
+    assert np.linalg.norm(least.location - tau) <= 1e-8
+    assert abs(L.essential_radius_estimate(f).angular_derivative - alpha) <= 1e-8

@@ -218,6 +218,26 @@ def test_malformed_json_reports_position(capsys, tmp_path):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("payload, reason", [(b"\xff\xfe", "can't decode byte 0xff"), (b"[" * 100_000, "recursion")],
+                         ids=["not-utf8", "nested-100000-deep"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_unreadable_map_is_format_error(capsys, monkeypatch, tmp_path, source, payload, reason):
+    # bytes that are not UTF-8, and JSON nested past the recursion limit, end
+    # in one error line and exit 1, not in a traceback
+    if source == "file":
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(payload)
+        argv = ["classify", str(path)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8"))
+        argv = ["classify", "-"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read ") and reason in err
+
+
 # ---------------------------------------------------------------------------
 # classify / spectrum
 

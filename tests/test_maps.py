@@ -171,6 +171,16 @@ def test_inverse_of_automorphism():
     assert np.allclose(sinv(s(z)), z, atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [[2e-159j], [3e-155 + 1e-160j, 1e-156]], ids=["n1", "n2"])
+def test_involution_of_a_tiny_centre(a):
+    # |a|^2 is subnormal, where dividing by it overflowed to a NaN block; the
+    # involution is -z + a over 1 - <z, a>, which swaps a and 0
+    s = L.ball_automorphism_to_origin(np.array(a))
+    assert np.allclose(s.a / s.d, -np.eye(len(a)), rtol=0, atol=1e-15)
+    assert np.allclose(s(np.zeros(len(a))), a, rtol=1e-15, atol=0)
+    assert L.is_automorphism(s)
+
+
 def test_jacobian_against_finite_differences():
     f = LinearFractionalMap([[0.4, 0.1], [0.0, 0.3 + 0.2j]], [0.1, 0], [0.2, -0.1], 1.5)
     z0 = np.array([0.1 + 0.05j, -0.2j])
@@ -207,6 +217,19 @@ def test_fixed_point_at_infinity():
     assert len(bps) == 1
     assert np.allclose(bps[0].location, [1, 0], atol=1e-9)
     assert abs(bps[0].dilation - 0.5) < 1e-10
+
+
+def test_fixed_point_at_infinity_with_a_subnormal_last_coordinate():
+    # a two-fixed plant moved by the involution of (0.3, 0, 1e-309): two eigenvectors
+    # lie at infinity with a last entry near 1e-309, and dividing by it overflowed
+    # with a RuntimeWarning; they are points at infinity, found without one
+    alpha = 0.19
+    hp = L.HalfPlaneMap(n=3, alpha=alpha, b=np.zeros(2, dtype=complex), c=0j,
+                        a_block=np.diag([0.5, 0.5j]) * math.sqrt(alpha), d=np.zeros(2, dtype=complex))
+    s = L.ball_automorphism_to_origin(np.array([0.3, 0, 1e-309]))
+    fs = L.fixed_points(L.conjugated(hp.pulled_back_to_ball(), s))
+    assert len(fs.at_infinity) == 2
+    assert min(p.dilation for p in fs.boundary_points()) == pytest.approx(alpha, abs=1e-12)
 
 
 def test_identity_fixes_whole_ball():

@@ -688,6 +688,17 @@ def test_estimator_requires_boundary_point():
         L.essential_radius_estimate(diag_map(0.5, 1 / 3))
 
 
+def test_estimator_default_tau_refuses_a_repelling_dominant_point():
+    # fixed points e_1, e_2 and (0.6, 0.8), all on the sphere, of eigenvalues 1, 0.8
+    # and 0.5: with no interior fixed point the default tau is e_1, which repels
+    # (dilation 1.1); sup |phi| is 1.063, so this is no self-map
+    p = np.array([[1, 0, 0.6], [0, 1, 0.8], [1, 1, 1]], dtype=complex)
+    f = LinearFractionalMap.from_matrix(p @ np.diag([1, 0.8, 0.5]) @ np.linalg.inv(p))
+    with pytest.raises(L.NoQualifyingBoundaryPoint):
+        L.essential_radius_estimate(f)
+    assert L.essential_radius_estimate(f, tau=np.array([1.0, 0.0])).angular_derivative == pytest.approx(1.1)
+
+
 def test_estimator_small_dilation_n3():
     # N = 3 and alpha = 1/4: alpha^(-3/2) = 8, where sampling the quotient
     # at fixed radii overflowed
@@ -732,12 +743,12 @@ def test_bad_tau_is_refused_typed_and_silently(use, tau, error):
 
 
 def test_estimator_does_not_swallow_numerical_faults(monkeypatch):
-    def broken(f, fps):
-        raise L.NumericalInconsistency("radial quotient disagrees")
+    def broken(fps):
+        raise L.NumericalInconsistency("dominant point disagrees")
 
     # (1 + z) / 2 fixes no interior point, so its default tau is the Denjoy-Wolff point
-    monkeypatch.setattr("lfmspec.maps._denjoy_wolff_of", broken)
-    with pytest.raises(L.NumericalInconsistency, match="radial quotient"):
+    monkeypatch.setattr("lfmspec.spectra._dominant_boundary_point", broken)
+    with pytest.raises(L.NumericalInconsistency, match="dominant point"):
         L.essential_radius_estimate(lfm_1d(0.5, 0.5, 0, 1))
 
 
@@ -751,7 +762,7 @@ def test_estimator_solves_fixed_points_once(monkeypatch):
         calls.append(f)
         return solve(f)
 
-    monkeypatch.setattr("lfmspec.maps.fixed_points", counted)
+    monkeypatch.setattr("lfmspec.spectra.fixed_points", counted)
     est = L.essential_radius_estimate(lfm_1d(1, 0, -1, 2))
     assert est.tau == pytest.approx((1.0,))
     assert len(calls) == 1
